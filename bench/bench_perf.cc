@@ -31,7 +31,6 @@
 
 #include "bench_util.hh"
 #include "common/json.hh"
-#include "runner/fork_executor.hh"
 #include "runner/runner.hh"
 
 using namespace rmt;
@@ -66,26 +65,6 @@ struct FaultCampaignPerf
     bool verdicts_match = false;
 };
 
-/**
- * fork()-COW trial executor on the fault-coverage bench, measured
- * against the same from-scratch reference the PR-5 snapshot path was
- * scored on (fault_campaign.speedup), plus the snapshot path itself.
- */
-struct ForkExecPerf
-{
-    std::vector<std::string> workloads;
-    unsigned trials = 0;
-    std::uint64_t warmup = 0;
-    std::uint64_t measure = 0;
-    double scratch_seconds = 0;     ///< no snapshots: full run per trial
-    double snapshot_seconds = 0;    ///< PR-5 path: build+restore per trial
-    double fork_seconds = 0;        ///< ForkExecutor: COW children
-    double speedup = 0;             ///< scratch / fork (the gated entry)
-    double snapshot_speedup = 0;    ///< scratch / snapshot (PR-5 metric)
-    bool verdicts_match = false;
-    std::uint64_t warm_builds = 0;  ///< parent simulations constructed
-};
-
 std::vector<std::string>
 splitList(const std::string &arg)
 {
@@ -106,8 +85,7 @@ usage()
         "usage: bench_perf [--json FILE] [--baseline FILE]\n"
         "                  [--max-regress PCT] [--repeat N]\n"
         "                  [--insts N] [--warmup N] [--workloads a,b,c]\n"
-        "                  [--fault-trials N] [--min-fork-speedup X]\n"
-        "                  [--min-fork-exec-speedup X]\n");
+        "                  [--fault-trials N] [--min-fork-speedup X]\n");
 }
 
 /**
@@ -189,147 +167,11 @@ benchFaultCampaign(const std::vector<std::string> &workloads,
     return perf;
 }
 
-/**
- * Time one late-window fault campaign three ways — from scratch (no
- * snapshots), through the PR-5 per-trial snapshot-restore path, and
- * through the fork()-COW executor — and check all three produce
- * identical per-trial verdicts.
- *
- * The gated number is the same metric fault_campaign.speedup records
- * for the PR-5 path: campaign wall time relative to the from-scratch
- * reference.  The strikes come from the last cycle window, the stratum
- * where per-trial dispatch cost dominates the measurement: every trial
- * shares one barrier, so the parent constructs and restores exactly
- * one simulation and each child inherits it for free, while the
- * restore path re-pays construction + image deserialisation per trial
- * and the scratch path re-runs the whole prefix per trial.
- */
-ForkExecPerf
-benchForkExecutor(const std::vector<std::string> &workloads,
-                  unsigned trials, std::uint64_t warmup,
-                  std::uint64_t measure)
-{
-    using Clock = std::chrono::steady_clock;
-
-    ForkExecPerf perf;
-    perf.workloads = workloads;
-    perf.trials = trials;
-    perf.warmup = warmup;
-    perf.measure = measure;
-
-    SimOptions base;
-    base.mode = SimMode::Srt;
-    base.warmup_insts = warmup;
-    base.measure_insts = measure;
-
-    // Probe the run length, then re-probe with the barrier schedule:
-    // the quiesce drains at each barrier are part of the simulated
-    // timing, so the barriered run is substantially longer and the
-    // "late" strike must be placed against its real end.
-    std::uint64_t total_cycles = 0;
-    {
-        Simulation probe(workloads, base);
-        total_cycles = probe.run().total_cycles;
-    }
-    base.snapshot_every = std::max<std::uint64_t>(1, total_cycles / 32);
-    {
-        Simulation probe(workloads, base);
-        total_cycles = probe.run().total_cycles;
-    }
-    const Cycle strike =
-        static_cast<Cycle>(total_cycles - total_cycles / 40);
-
-    Campaign campaign;
-    campaign.name = "perf-fork-exec";
-    for (unsigned t = 0; t < trials; ++t) {
-        JobSpec spec;
-        spec.id = t;
-        spec.label = "perf-fork-exec:trial" + std::to_string(t);
-        spec.workloads = workloads;
-        spec.options = base;
-        spec.seed = 0x46'4f'52'4bull + t;
-        FaultRecord fault;
-        fault.kind = FaultRecord::Kind::TransientReg;
-        fault.when = strike;
-        fault.tid = 0;
-        fault.reg = 1 + t % 15;
-        fault.bit = (7 * t) % 64;
-        spec.faults.push_back(fault);
-        campaign.jobs.push_back(std::move(spec));
-    }
-
-    FaultOracle oracle(FaultOracle::goldenImage(workloads, base));
-    for (JobSpec &job : campaign.jobs)
-        attachFaultOracle(job, &oracle);
-
-    RunnerConfig cfg;
-    cfg.jobs = 1;
-    cfg.max_attempts = 1;
-
-    // From-scratch reference: same options (so the barrier drains and
-    // with them the verdicts are identical), but no cache to restore
-    // from — every trial re-simulates the whole prefix.
-    cfg.snapshots = nullptr;
-    const auto t0 = Clock::now();
-    const auto scratch = runCampaign(campaign, cfg);
-    perf.scratch_seconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-
-    // PR-5 path: every trial builds a Simulation and restores the
-    // snapshot image into it; the producer run is charged to this side.
-    SnapshotCache restore_cache;
-    cfg.snapshots = &restore_cache;
-    const auto t1 = Clock::now();
-    const auto restored = runCampaign(campaign, cfg);
-    perf.snapshot_seconds =
-        std::chrono::duration<double>(Clock::now() - t1).count();
-
-    // fork()-COW path, fresh snapshot cache so the producer run is
-    // charged to this side too.
-    SnapshotCache fork_cache;
-    ForkExecutorConfig fcfg;
-    fcfg.runner = cfg;
-    fcfg.runner.snapshots = &fork_cache;
-    // One warmed parent per barrier; the bench wants zero LRU churn.
-    fcfg.warm_cache = 64;
-    ForkExecutor exec(fcfg);
-    const auto t2 = Clock::now();
-    const auto forked = exec.run(campaign.jobs);
-    perf.fork_seconds =
-        std::chrono::duration<double>(Clock::now() - t2).count();
-    perf.warm_builds = exec.stats().warm_builds;
-
-    perf.speedup = perf.fork_seconds > 0
-                       ? perf.scratch_seconds / perf.fork_seconds
-                       : 0;
-    perf.snapshot_speedup =
-        perf.snapshot_seconds > 0
-            ? perf.scratch_seconds / perf.snapshot_seconds
-            : 0;
-
-    perf.verdicts_match =
-        scratch.size() == forked.size() &&
-        restored.size() == forked.size();
-    for (std::size_t i = 0;
-         perf.verdicts_match && i < forked.size(); ++i) {
-        auto same = [&](const JobResult &a, const JobResult &b) {
-            return a.ok() && b.ok() &&
-                   a.has_verdict == b.has_verdict &&
-                   a.verdict == b.verdict &&
-                   a.detection_latency == b.detection_latency &&
-                   a.run.total_cycles == b.run.total_cycles;
-        };
-        perf.verdicts_match = same(scratch[i], forked[i]) &&
-                              same(restored[i], forked[i]);
-    }
-    return perf;
-}
-
 std::string
 perfJson(const std::vector<ModePerf> &modes, std::uint64_t warmup,
          std::uint64_t measure, unsigned repeats,
          const std::vector<std::string> &workloads,
-         const FaultCampaignPerf &faults, const ForkExecPerf &fork_exec)
+         const FaultCampaignPerf &faults)
 {
     std::ostringstream os;
     os << "{\"schema\":\"rmtsim-bench-perf-v1\""
@@ -367,24 +209,7 @@ perfJson(const std::vector<ModePerf> &modes, std::uint64_t warmup,
        << ",\"forked_seconds\":" << jsonNum(faults.forked_seconds)
        << ",\"speedup\":" << jsonNum(faults.speedup)
        << ",\"verdicts_match\":"
-       << (faults.verdicts_match ? "true" : "false") << "}"
-       << ",\"fork_executor\":{\"workloads\":[";
-    for (std::size_t i = 0; i < fork_exec.workloads.size(); ++i) {
-        os << (i ? "," : "") << "\""
-           << jsonEscape(fork_exec.workloads[i]) << "\"";
-    }
-    os << "],\"trials\":" << fork_exec.trials
-       << ",\"warmup_insts\":" << fork_exec.warmup
-       << ",\"measure_insts\":" << fork_exec.measure
-       << ",\"from_scratch_seconds\":"
-       << jsonNum(fork_exec.scratch_seconds)
-       << ",\"snapshot_seconds\":" << jsonNum(fork_exec.snapshot_seconds)
-       << ",\"fork_seconds\":" << jsonNum(fork_exec.fork_seconds)
-       << ",\"fork_campaign_speedup\":" << jsonNum(fork_exec.speedup)
-       << ",\"snapshot_speedup\":" << jsonNum(fork_exec.snapshot_speedup)
-       << ",\"warm_builds\":" << fork_exec.warm_builds
-       << ",\"verdicts_match\":"
-       << (fork_exec.verdicts_match ? "true" : "false") << "}}\n";
+       << (faults.verdicts_match ? "true" : "false") << "}}\n";
     return os.str();
 }
 
@@ -404,7 +229,6 @@ main(int argc, char **argv)
     std::vector<std::string> workloads = {"gcc", "swim", "compress"};
     unsigned fault_trials = 16;
     double min_fork_speedup = 1.5;
-    double min_fork_exec_speedup = 3.0;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -433,8 +257,6 @@ main(int argc, char **argv)
             fault_trials = static_cast<unsigned>(std::atoi(next()));
         } else if (arg == "--min-fork-speedup") {
             min_fork_speedup = std::atof(next());
-        } else if (arg == "--min-fork-exec-speedup") {
-            min_fork_exec_speedup = std::atof(next());
         } else {
             usage();
             return 2;
@@ -528,62 +350,8 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // fork()-COW executor on the fault-coverage bench, scored on the
-    // same from-scratch-relative metric as fault_campaign.speedup
-    // above (the PR-5 snapshot path's 1.7x): a late-window campaign
-    // where every trial shares one barrier, so the parent warms one
-    // simulation and the children inherit it via COW.  Verdict
-    // identity across all three paths is the hard gate; the speedup
-    // gate can be relaxed on platforms without fork() via
-    // --min-fork-exec-speedup 0.
-    ForkExecPerf fork_exec;
-    if (ForkExecutor::supported()) {
-        fork_exec = benchForkExecutor({"gcc", "compress"},
-                                      4 * fault_trials, 500, 8000);
-        std::printf("fork executor (%u trials, %llu warm builds): "
-                    "%.2fs scratch, %.2fs restore-per-trial, "
-                    "%.2fs forked -> %.2fx vs scratch "
-                    "(restore path %.2fx), verdicts %s\n",
-                    fork_exec.trials,
-                    static_cast<unsigned long long>(
-                        fork_exec.warm_builds),
-                    fork_exec.scratch_seconds,
-                    fork_exec.snapshot_seconds, fork_exec.fork_seconds,
-                    fork_exec.speedup, fork_exec.snapshot_speedup,
-                    fork_exec.verdicts_match ? "match" : "DIFFER");
-        if (!fork_exec.verdicts_match)
-            fatal("bench_perf: fork()-executor campaign verdicts "
-                  "differ from the in-process paths");
-        if (fork_exec.speedup < min_fork_exec_speedup) {
-            std::fprintf(stderr,
-                         "bench_perf: fork executor speedup %.2fx "
-                         "below the %.2fx gate\n",
-                         fork_exec.speedup, min_fork_exec_speedup);
-            return 1;
-        }
-        // Sanity band, not a race: on a single-CPU host the child's
-        // copy-on-write page faults roughly offset the construction +
-        // restore the fork saves, so the two in-process-equivalent
-        // paths finish within noise of each other.  Catch only a
-        // grossly slower executor.
-        if (fork_exec.fork_seconds >
-            1.10 * fork_exec.snapshot_seconds) {
-            std::fprintf(stderr,
-                         "bench_perf: fork executor (%.2fs) is more "
-                         "than 10%% slower than the per-trial restore "
-                         "path (%.2fs)\n",
-                         fork_exec.fork_seconds,
-                         fork_exec.snapshot_seconds);
-            return 1;
-        }
-    } else {
-        std::printf("fork executor: not supported on this platform, "
-                    "skipped\n");
-        fork_exec.verdicts_match = true;
-    }
-
     const std::string doc = perfJson(modes, warmup, measure, repeats,
-                                     workloads, faults, fork_exec);
+                                     workloads, faults);
     if (!json_path.empty()) {
         std::ofstream out(json_path);
         if (!out)

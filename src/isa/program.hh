@@ -244,21 +244,37 @@ class ProgramBuilder
  * Flat per-logical-thread data memory.  Out-of-bounds accesses (possible
  * on wrong paths and after injected faults) read as zero and drop
  * writes — they must never crash the simulator.
+ *
+ * The image is lazily zeroed: on POSIX it is an anonymous mapping, so
+ * a page becomes resident only once it is written (the workloads touch
+ * a small fraction of their address space).  Elsewhere it falls back
+ * to calloc.
  */
 class DataMemory
 {
   public:
-    explicit DataMemory(std::size_t size_bytes)
-        : mem(size_bytes, 0)
-    {
-    }
+    explicit DataMemory(std::size_t size_bytes);
+    ~DataMemory();
 
-    std::size_t size() const { return mem.size(); }
+    DataMemory(const DataMemory &) = delete;
+    DataMemory &operator=(const DataMemory &) = delete;
+
+    /** Residency granule, and the page of every sparse image of it
+     *  (snapshots, fault-oracle goldens). */
+    static constexpr std::size_t pageBytes = 4096;
+
+    /** True when the @p len bytes at @p bytes are all zero. */
+    static bool zeroBytes(const std::uint8_t *bytes, std::size_t len);
+
+    std::size_t size() const { return _size; }
+
+    /** Zero the whole image, releasing every page it had touched. */
+    void clear();
 
     bool
     inBounds(Addr addr, unsigned bytes) const
     {
-        return addr + bytes <= mem.size() && addr + bytes >= addr;
+        return addr + bytes <= _size && addr + bytes >= addr;
     }
 
     /** Little-endian read of @p bytes (1/2/4/8). */
@@ -284,11 +300,12 @@ class DataMemory
     }
 
     /** Raw access for workload initialisation. */
-    std::uint8_t *data() { return mem.data(); }
-    const std::uint8_t *data() const { return mem.data(); }
+    std::uint8_t *data() { return mem; }
+    const std::uint8_t *data() const { return mem; }
 
   private:
-    std::vector<std::uint8_t> mem;
+    std::uint8_t *mem = nullptr;
+    std::size_t _size = 0;
 };
 
 } // namespace rmt

@@ -1,5 +1,6 @@
 #include "rmt/fault_oracle.hh"
 
+#include <algorithm>
 #include <cstring>
 
 namespace rmt
@@ -25,6 +26,44 @@ FaultOracle::goldenImage(const std::vector<std::string> &workloads,
     sim.run();
     const DataMemory &mem = sim.memory(logical);
     return {mem.data(), mem.data() + mem.size()};
+}
+
+FaultOracle::FaultOracle(std::vector<std::uint8_t> golden,
+                         unsigned logical)
+    : goldenSize(golden.size()), logical(logical)
+{
+    constexpr std::size_t page = DataMemory::pageBytes;
+    for (std::size_t at = 0; at < golden.size(); at += page) {
+        const std::size_t n = std::min(page, golden.size() - at);
+        if (DataMemory::zeroBytes(golden.data() + at, n))
+            continue;
+        goldenPages.push_back(static_cast<std::uint32_t>(at / page));
+        goldenBytes.insert(goldenBytes.end(), golden.begin() + at,
+                           golden.begin() + at + n);
+    }
+}
+
+bool
+FaultOracle::differs(const DataMemory &mem) const
+{
+    if (mem.size() != goldenSize)
+        return true;
+    constexpr std::size_t page = DataMemory::pageBytes;
+    const std::uint8_t *stored = goldenBytes.data();
+    std::size_t next = 0;   // next stored page to match
+    for (std::size_t at = 0; at < goldenSize; at += page) {
+        const std::size_t n = std::min(page, goldenSize - at);
+        const std::uint8_t *bytes = mem.data() + at;
+        if (next < goldenPages.size() && goldenPages[next] == at / page) {
+            if (std::memcmp(bytes, stored, n) != 0)
+                return true;
+            stored += n;
+            ++next;
+        } else if (!DataMemory::zeroBytes(bytes, n)) {
+            return true;
+        }
+    }
+    return false;
 }
 
 namespace
@@ -80,10 +119,7 @@ FaultOracle::classify(Simulation &sim, const RunResult &result,
         report.detections = result.detections;
     }
 
-    const DataMemory &mem = sim.memory(logical);
-    report.memory_corrupted =
-        mem.size() != golden.size() ||
-        std::memcmp(mem.data(), golden.data(), golden.size()) != 0;
+    report.memory_corrupted = differs(sim.memory(logical));
 
     if (report.detections > 0)
         report.verdict = FaultVerdict::Detected;

@@ -60,11 +60,10 @@ class FaultOracle
     goldenImage(const std::vector<std::string> &workloads,
                 const SimOptions &options, unsigned logical = 0);
 
+    /** Keeps only the nonzero pages of @p golden (the snapshot rule),
+     *  so an oracle costs what its workload touched, not the image. */
     explicit FaultOracle(std::vector<std::uint8_t> golden,
-                         unsigned logical = 0)
-        : golden(std::move(golden)), logical(logical)
-    {
-    }
+                         unsigned logical = 0);
 
     /**
      * Classify a finished trial.  Call while the trial's Simulation is
@@ -75,7 +74,12 @@ class FaultOracle
                               const FaultRecord &fault) const;
 
   private:
-    std::vector<std::uint8_t> golden;
+    /** True when @p mem differs from the golden image anywhere. */
+    bool differs(const DataMemory &mem) const;
+
+    std::size_t goldenSize = 0;
+    std::vector<std::uint32_t> goldenPages;    ///< ascending page indices
+    std::vector<std::uint8_t> goldenBytes;     ///< those pages, in order
     unsigned logical;
 };
 

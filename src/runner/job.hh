@@ -69,9 +69,10 @@ struct JobResult
     std::string error;              ///< empty unless Failed
     unsigned attempts = 0;
     bool timed_out = false;
-    /** Failed every crash-retry attempt (abnormal child death, wire
-     *  corruption, watchdog) and was set aside so the campaign could
-     *  finish; the batch exit code reports the run as degraded. */
+    /** Failed every crash-retry attempt and was set aside so the
+     *  campaign could finish.  No in-process executor sets it; it stays
+     *  in the record formats (wire codec v2, journal, the JSONL row and
+     *  the rmtsim-failures-v1 digest) so existing files still read. */
     bool quarantined = false;
     double wall_seconds = 0;
 

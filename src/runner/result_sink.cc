@@ -204,12 +204,12 @@ JsonlSink::record(const JobSpec &spec, const JobResult &result)
         ++failed;
     if (opts.ordered) {
         pending.emplace(spec.id, line);
-        flushReady();
+        if (flushReady())
+            out.flush();
     } else {
         out << line << "\n";
-    }
-    if (opts.flush_each)
         out.flush();
+    }
     if (opts.progress) {
         // Heartbeat: jobs done/total, elapsed wall time, and a naive
         // remaining-time estimate from the mean pace so far.
@@ -241,14 +241,16 @@ JsonlSink::record(const JobSpec &spec, const JobResult &result)
     }
 }
 
-void
+bool
 JsonlSink::flushReady()
 {
+    const std::uint64_t first = next_id;
     for (auto it = pending.begin();
          it != pending.end() && it->first == next_id;
          it = pending.erase(it), ++next_id) {
         out << it->second << "\n";
     }
+    return next_id != first;
 }
 
 void

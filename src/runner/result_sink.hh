@@ -11,7 +11,10 @@
  * completions are buffered and flushed as soon as the next id
  * arrives, so `-j 8` and `-j 1` produce byte-identical files (modulo
  * wall-time fields, which can be suppressed with include_timing =
- * false for diffable output).
+ * false for diffable output).  The stream is flushed whenever rows
+ * are released (every row when unordered), so readers see them as
+ * they land and a campaign killed mid-run leaves only whole lines
+ * behind.
  */
 
 #ifndef RMTSIM_RUNNER_RESULT_SINK_HH
@@ -63,14 +66,6 @@ struct JsonlSinkOptions
     bool progress = true;       ///< progress line on stderr
 
     /**
-     * Flush the stream after every emitted line.  Fork-based executors
-     * set this so (a) no buffered half-line can be duplicated into a
-     * child's address space at fork() time and (b) a campaign killed
-     * mid-run leaves only whole lines behind, never a torn record.
-     */
-    bool flush_each = false;
-
-    /**
      * When non-empty, end() fsync()s this path (the file the stream
      * writes to) after the final flush, so a completed campaign's
      * records survive a machine crash.  POSIX only; ignored elsewhere.
@@ -93,7 +88,7 @@ class JsonlSink : public ResultSink
     std::uint64_t failures() const;
 
   private:
-    void flushReady();      // caller holds mu
+    bool flushReady();      // caller holds mu; true if rows went out
 
     std::ostream &out;
     Options opts;

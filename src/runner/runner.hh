@@ -85,8 +85,8 @@ struct SnapshotForkInfo
  * Finish a successful run exactly the way executeJob does: set status,
  * store the RunResult, fill efficiencies from config.baseline, append
  * the snapshot "extra" metrics, then invoke spec.post_run while @p sim
- * is still alive.  Shared with ForkExecutor so the forked and
- * in-process paths cannot drift apart.
+ * is still alive.  A caller that builds and runs the Simulation itself
+ * records through this, so its records cannot drift from executeJob's.
  */
 void finalizeJobResult(const JobSpec &spec, const RunnerConfig &config,
                        Simulation &sim, const RunResult &run,

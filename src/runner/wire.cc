@@ -273,8 +273,8 @@ FrameDecoder::next(std::string &payload)
     Reader in(buf);
     const std::uint32_t magic = in.u32();
     if (magic != frameMagic)
-        throw WireError("wire: bad frame magic (child wrote garbage "
-                        "before the record?)");
+        throw WireError("wire: bad frame magic (garbage before the "
+                        "record?)");
     const std::uint32_t len = in.u32();
     if (len > maxPayloadBytes)
         throw WireError("wire: frame length " + std::to_string(len) +

@@ -1,18 +1,19 @@
 /**
  * @file
- * Pipe wire protocol between a forked trial child and its parent.
+ * Length-prefixed frames and the JobResult codec, shared by the result
+ * journal (runner/journal.hh) and the rmtsimd socket protocol
+ * (serve/protocol.hh).
  *
- * Each child streams exactly one record back: a length-prefixed frame
- * (magic + payload length + payload) whose payload is a versioned
- * little-endian serialisation of the JobResult.  Length prefixing means
- * a child killed mid-write is detected as a truncated frame rather than
- * silently yielding a short record; the magic word catches a child that
- * wrote garbage (e.g. a stray stdio flush) before the record; the
- * payload cap bounds the parent's buffering against a corrupt length.
+ * A frame is magic + payload length + payload.  Length prefixing means
+ * a writer killed mid-record is detected as a truncated frame rather
+ * than silently yielding a short record; the magic word catches garbage
+ * ahead of a record; the payload cap bounds the reader's buffering
+ * against a corrupt length.
  *
- * The codec covers every JobResult field (including the embedded
- * RunResult, host timings and stats_json) so a forked trial's record is
- * byte-identical to the same trial executed in-process.
+ * The JobResult payload is a versioned little-endian serialisation of
+ * every field (including the embedded RunResult, host timings and
+ * stats_json), so a decoded record renders byte-identically to the
+ * original.
  */
 
 #ifndef RMTSIM_RUNNER_WIRE_HH
@@ -60,7 +61,7 @@ JobResult decodeJobResult(const std::string &payload);
 std::string frame(const std::string &payload);
 
 /**
- * Incremental frame parser for the parent's read loop.  feed() bytes
+ * Incremental frame parser for a socket read loop.  feed() bytes
  * as they arrive; next() yields complete payloads.  Throws WireError
  * as soon as the stream is provably corrupt (wrong magic, payload
  * above the cap).  After EOF, truncated() tells a cleanly-closed
@@ -87,10 +88,10 @@ class FrameDecoder
 #if defined(__unix__) || defined(__APPLE__)
 
 /**
- * EINTR-safe descriptor I/O, shared by the trial pipe and the result
- * journal.  Signal delivery mid-frame (the SIGTERM drain, a worker's
- * SIGCHLD) must never tear a frame: both helpers retry interrupted
- * system calls until the transfer completes or genuinely fails.
+ * EINTR-safe descriptor I/O, shared by the result journal and the
+ * rmtsimd socket.  Signal delivery mid-frame (the SIGTERM drain) must
+ * never tear a frame: both helpers retry interrupted system calls
+ * until the transfer completes or genuinely fails.
  */
 
 /** write() all @p len bytes, retrying EINTR and short writes; false on

@@ -3,11 +3,11 @@
  * Wire protocol between rmtsimd and its clients: length-prefixed
  * frames over a local Unix-domain stream socket.
  *
- * Framing reuses the runner's pipe protocol (runner/wire.hh): each
+ * Framing reuses the runner's frame format (runner/wire.hh): each
  * frame is `magic | u32 length | payload`, read EINTR-safely through
  * wire::readSome/writeAll and parsed with wire::FrameDecoder, so the
- * daemon inherits the same truncation/garbage/oversize detection the
- * fork executor has.  The first payload byte is a tag:
+ * daemon inherits its truncation/garbage/oversize detection.  The
+ * first payload byte is a tag:
  *
  *   'C'  control message — a JSON object with a "type" member
  *   'R'  result row — one raw JSONL line (no trailing newline),

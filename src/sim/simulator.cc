@@ -630,10 +630,10 @@ namespace
  * Data images are huge and almost entirely zero (the workloads touch a
  * small fraction of their address space), so the "memory" section stores
  * only the nonzero 4 KiB pages: total size, page size, page count, then
- * (page index, page bytes) per stored page.  Restore zero-fills first,
- * which is exact — the saved state fully defines the image.
+ * (page index, page bytes) per stored page.  Restore clears the image
+ * first, which is exact — the saved state fully defines the image.
  */
-constexpr std::size_t snapshotPageBytes = 4096;
+constexpr std::size_t snapshotPageBytes = DataMemory::pageBytes;
 
 void
 saveSparseMemory(Serializer &s, const DataMemory &m)
@@ -643,22 +643,23 @@ saveSparseMemory(Serializer &s, const DataMemory &m)
     const std::size_t pages =
         (size + snapshotPageBytes - 1) / snapshotPageBytes;
 
-    static const std::uint8_t zero[snapshotPageBytes] = {};
     const auto pageLen = [size](std::size_t p) {
         return std::min(snapshotPageBytes, size - p * snapshotPageBytes);
     };
+    const auto nonzero = [&](std::size_t p) {
+        return !DataMemory::zeroBytes(bytes + p * snapshotPageBytes,
+                                      pageLen(p));
+    };
 
-    std::uint32_t nonzero = 0;
-    for (std::size_t p = 0; p < pages; ++p) {
-        if (std::memcmp(bytes + p * snapshotPageBytes, zero, pageLen(p)))
-            ++nonzero;
-    }
+    std::uint32_t stored = 0;
+    for (std::size_t p = 0; p < pages; ++p)
+        stored += nonzero(p);
 
     s.u64(size);
     s.u32(static_cast<std::uint32_t>(snapshotPageBytes));
-    s.u32(nonzero);
+    s.u32(stored);
     for (std::size_t p = 0; p < pages; ++p) {
-        if (std::memcmp(bytes + p * snapshotPageBytes, zero, pageLen(p))) {
+        if (nonzero(p)) {
             s.u32(static_cast<std::uint32_t>(p));
             s.blob(bytes + p * snapshotPageBytes, pageLen(p));
         }
@@ -673,7 +674,7 @@ loadSparseMemory(Deserializer &d, DataMemory &m)
     if (d.u32() != snapshotPageBytes)
         throw SnapshotError("snapshot: memory page size mismatch");
 
-    std::fill_n(m.data(), m.size(), std::uint8_t{0});
+    m.clear();
     const std::uint32_t stored = d.u32();
     for (std::uint32_t i = 0; i < stored; ++i) {
         const std::uint64_t off =

@@ -400,7 +400,10 @@ TEST(Checkpoint, ForkedCampaignIsWorkerCountInvariant)
     const std::string parallel =
         runToJsonl(campaign, 4, &parallel_cache, parallel_results);
     EXPECT_EQ(serial, parallel);
-    EXPECT_GE(serial_cache.producerRuns(), 1u);
+    // One producer per point (gcc, compress), however many workers
+    // asked for it at once.
+    EXPECT_EQ(serial_cache.producerRuns(), 2u);
+    EXPECT_EQ(parallel_cache.producerRuns(), 2u);
 
     // Forking actually engaged: some trial restored a snapshot.
     bool any_hit = false;

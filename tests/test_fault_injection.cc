@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "rmt/fault_oracle.hh"
 #include "runner/runner.hh"
@@ -462,4 +464,35 @@ TEST(FaultInjection, ClassifiedCampaignIsDeterministicAcrossJobLevels)
     EXPECT_FALSE(serial.empty());
     EXPECT_NE(serial.find("\"verdict\""), std::string::npos);
     EXPECT_EQ(serial, campaignJson(4));
+}
+
+TEST(FaultOracle, SparseGoldenComparesEveryPageExactly)
+{
+    const SimOptions o = srtOpts(3000);
+    const std::vector<std::uint8_t> golden =
+        FaultOracle::goldenImage({"compress"}, o);
+    const FaultOracle oracle(golden);
+
+    // A nonzero byte (its page is stored) and an all-zero page (dropped).
+    const auto nonzero = std::find_if(golden.begin(), golden.end(),
+                                      [](std::uint8_t b) { return b; });
+    ASSERT_NE(nonzero, golden.end());
+    const Addr stored = static_cast<Addr>(nonzero - golden.begin());
+    Addr zero_page = 0;
+    while (!DataMemory::zeroBytes(golden.data() + zero_page,
+                                  DataMemory::pageBytes))
+        zero_page += DataMemory::pageBytes;
+    const Addr last = golden.size() - 1;
+
+    const auto verdictAfter = [&](Addr flip, std::uint8_t mask) {
+        Simulation sim({"compress"}, o);
+        const RunResult run = sim.run();
+        DataMemory &m = sim.memory(0);
+        m.write(flip, 1, m.read(flip, 1) ^ mask);
+        return oracle.classify(sim, run, FaultRecord{}).verdict;
+    };
+    EXPECT_EQ(verdictAfter(stored, 0), FaultVerdict::Masked);
+    EXPECT_EQ(verdictAfter(stored, 0x10), FaultVerdict::Sdc);
+    EXPECT_EQ(verdictAfter(zero_page + 100, 0x01), FaultVerdict::Sdc);
+    EXPECT_EQ(verdictAfter(last, 0x80), FaultVerdict::Sdc);
 }

@@ -95,3 +95,40 @@ TEST(DataMemory, OutOfBoundsIsBenign)
     // Wrap-around addresses must not pass the bounds check.
     EXPECT_FALSE(mem.inBounds(~Addr{0}, 8));
 }
+
+TEST(DataMemory, FreshImageReadsZero)
+{
+    // Workload-sized: the pages are mapped lazily, never written here.
+    DataMemory mem(8 * 1024 * 1024);
+    EXPECT_TRUE(DataMemory::zeroBytes(mem.data(), mem.size()));
+    EXPECT_EQ(mem.read(0, 8), 0u);
+    EXPECT_EQ(mem.read(mem.size() - 8, 8), 0u);
+}
+
+TEST(DataMemory, ClearZeroesAfterWrites)
+{
+    DataMemory mem(3 * DataMemory::pageBytes + 100);  // short last page
+    mem.write(0, 8, 0x0123456789ABCDEFull);
+    mem.write(DataMemory::pageBytes + 7, 4, 0xDEADBEEF);
+    mem.write(mem.size() - 8, 8, ~0ull);
+    ASSERT_FALSE(DataMemory::zeroBytes(mem.data(), mem.size()));
+
+    mem.clear();
+    EXPECT_TRUE(DataMemory::zeroBytes(mem.data(), mem.size()));
+    EXPECT_EQ(mem.read(DataMemory::pageBytes + 7, 4), 0u);
+
+    // Still a working image after the clear.
+    mem.write(16, 2, 0xBEEF);
+    EXPECT_EQ(mem.read(16, 2), 0xBEEFu);
+}
+
+TEST(DataMemory, OutOfBoundsIsBenignAfterClear)
+{
+    DataMemory mem(2 * DataMemory::pageBytes);
+    mem.clear();
+    mem.write(mem.size(), 1, 0xFF);         // dropped
+    mem.write(mem.size() - 4, 8, ~0ull);    // straddles the end: dropped
+    EXPECT_EQ(mem.read(mem.size(), 1), 0u);
+    EXPECT_EQ(mem.read(mem.size() - 4, 8), 0u);
+    EXPECT_TRUE(DataMemory::zeroBytes(mem.data(), mem.size()));
+}

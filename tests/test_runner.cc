@@ -9,15 +9,26 @@
  *  - isolation: one throwing job is retried once, recorded as failed,
  *    and the rest of the campaign completes;
  *  - single-flight: N workers asking for the same single-thread
- *    baseline trigger exactly one simulation per distinct workload.
+ *    baseline trigger exactly one simulation per distinct workload;
+ *  - fault campaigns: the stop drain returns only finished trials, a
+ *    corrupt cached snapshot falls back to scratch, and the ordered
+ *    sink sees every record, an invalid spec's failure included, in id
+ *    order (snapshot-vs-scratch identity at -j 1/-j 4 is in
+ *    test_ckpt.cc).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "rmt/fault_oracle.hh"
 #include "runner/result_sink.hh"
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
@@ -260,6 +271,199 @@ TEST(CampaignRunner, FaultTrialsAreSeededDeterministically)
             any_difference = true;
     }
     EXPECT_TRUE(any_difference);
+}
+
+SimOptions
+trialOptions()
+{
+    SimOptions o;
+    o.mode = SimMode::Srt;
+    o.warmup_insts = 200;
+    o.measure_insts = 1500;
+    return o;
+}
+
+/** Barriers every quarter of the run; returns the barriered length. */
+Cycle
+addQuarterBarriers(SimOptions &options)
+{
+    // Quiesce drains stretch the barriered run, so strikes are placed
+    // against the barriered total.
+    Cycle total = Simulation({"compress"}, options).run().total_cycles;
+    options.snapshot_every = std::max<Cycle>(1, total / 4);
+    return Simulation({"compress"}, options).run().total_cycles;
+}
+
+double
+extraOr(const JobResult &r, const std::string &key, double fallback)
+{
+    for (const auto &[k, v] : r.extra) {
+        if (k == key)
+            return v;
+    }
+    return fallback;
+}
+
+class CollectingSink : public ResultSink
+{
+  public:
+    void record(const JobSpec &spec, const JobResult &) override
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        ids.push_back(spec.id);
+    }
+
+    std::mutex mu;
+    std::vector<std::uint64_t> ids;
+};
+
+TEST(FaultCampaign, StopFlagDrainReturnsOnlyFinishedTrials)
+{
+    std::vector<JobSpec> jobs;
+    for (unsigned i = 0; i < 3; ++i) {
+        JobSpec spec;
+        spec.id = i;
+        spec.label = "drain" + std::to_string(i);
+        spec.workloads = {"compress"};
+        spec.options = trialOptions();
+        jobs.push_back(std::move(spec));
+    }
+
+    // Pre-set stop: nothing starts at all.
+    {
+        std::atomic<bool> stop{true};
+        CollectingSink sink;
+        RunnerConfig cfg;
+        cfg.jobs = 4;
+        cfg.stop = &stop;
+        cfg.sink = &sink;
+        for (const JobResult &r : runCampaignJobs(jobs, cfg)) {
+            EXPECT_EQ(r.attempts, 0u);
+            EXPECT_FALSE(r.ok());
+            EXPECT_TRUE(r.error.empty());
+        }
+        EXPECT_TRUE(sink.ids.empty());
+    }
+
+    // Stop raised by the first trial's own hook: that trial completes
+    // and is recorded, the rest never start.
+    {
+        std::atomic<bool> stop{false};
+        std::vector<JobSpec> hooked = jobs;
+        hooked[0].post_run = [&stop](Simulation &, const RunResult &,
+                                     JobResult &) { stop.store(true); };
+        CollectingSink sink;
+        RunnerConfig cfg;
+        cfg.jobs = 1;
+        cfg.stop = &stop;
+        cfg.sink = &sink;
+        const auto results = runCampaignJobs(hooked, cfg);
+        ASSERT_EQ(results.size(), 3u);
+        EXPECT_TRUE(results[0].ok()) << results[0].error;
+        EXPECT_EQ(results[1].attempts, 0u);
+        EXPECT_EQ(results[2].attempts, 0u);
+        EXPECT_EQ(sink.ids, std::vector<std::uint64_t>{0});
+    }
+}
+
+TEST(FaultCampaign, CorruptCachedSnapshotFallsBackToScratch)
+{
+    SimOptions options = trialOptions();
+    const Cycle total = addQuarterBarriers(options);
+
+    JobSpec spec;
+    spec.id = 0;
+    spec.label = "corrupt-cache";
+    spec.workloads = {"compress"};
+    spec.options = options;
+    FaultRecord f;
+    f.kind = FaultRecord::Kind::TransientReg;
+    f.when = total / 2;
+    f.reg = 2;
+    f.bit = 5;
+    spec.faults.push_back(f);
+
+    // Pre-seed the cache with garbage where a snapshot should be:
+    // restore-time validation must reject it without touching machine
+    // state, and the trial must fall back to a from-scratch run.
+    SnapshotCache cache;
+    {
+        SnapshotSet set;
+        CachedSnapshot bad;
+        bad.cycle = 1;
+        bad.image = std::make_shared<const std::string>(
+            "this is not a snapshot image");
+        set.push_back(std::move(bad));
+        cache.insert({"compress"}, options,
+                     std::make_shared<const SnapshotSet>(std::move(set)));
+    }
+
+    RunnerConfig cached_cfg;
+    cached_cfg.snapshots = &cache;
+    const JobResult degraded = runCampaignJobs({spec}, cached_cfg)[0];
+    ASSERT_TRUE(degraded.ok()) << degraded.error;
+    EXPECT_EQ(extraOr(degraded, "snapshot_hit", -1), 0.0);
+    EXPECT_EQ(extraOr(degraded, "snapshot_scratch_fallback", 0), 1.0);
+
+    // Bit-identical to a run that never saw a snapshot cache.
+    const JobResult plain = runCampaignJobs({spec}, RunnerConfig())[0];
+    ASSERT_TRUE(plain.ok()) << plain.error;
+    EXPECT_EQ(degraded.run.total_cycles, plain.run.total_cycles);
+    EXPECT_EQ(degraded.run.outcome, plain.run.outcome);
+    EXPECT_EQ(degraded.run.detections, plain.run.detections);
+
+    // The rejected set was evicted: the next trial re-produces clean
+    // snapshots (one producer run) and restores one for real.
+    const JobResult again = runCampaignJobs({spec}, cached_cfg)[0];
+    ASSERT_TRUE(again.ok()) << again.error;
+    EXPECT_EQ(extraOr(again, "snapshot_hit", -1), 1.0);
+    EXPECT_EQ(cache.producerRuns(), 1u);
+    EXPECT_EQ(again.run.total_cycles, plain.run.total_cycles);
+    EXPECT_EQ(again.run.outcome, plain.run.outcome);
+}
+
+TEST(FaultCampaign, SinkGetsEveryRecordInIdOrderIncludingFailures)
+{
+    const FaultOracle oracle(
+        FaultOracle::goldenImage({"compress"}, trialOptions()));
+    CampaignBuilder b("sink", 5);
+    b.base(trialOptions()).workloads({"compress"}).transientRegTrials(8, 15);
+    std::vector<JobSpec> jobs = b.build().jobs;
+    for (JobSpec &job : jobs)
+        attachFaultOracle(job, &oracle);
+    // An invalid spec becomes a recorded failure, not a fatal().
+    jobs[2].workloads = {"no-such-workload"};
+
+    std::ostringstream out;
+    JsonlSink::Options opts;
+    opts.include_timing = false;
+    opts.progress = false;
+    JsonlSink sink(out, opts);
+    RunnerConfig cfg;
+    cfg.jobs = 4;
+    cfg.sink = &sink;
+    const auto results = runCampaignJobs(jobs, cfg);
+    // Every row was released as its predecessors landed, before end().
+    const std::string before_end = out.str();
+    sink.end();
+    EXPECT_EQ(out.str(), before_end);
+
+    EXPECT_FALSE(results[2].ok());
+    std::istringstream lines(out.str());
+    std::string line;
+    std::uint64_t id = 0;
+    while (std::getline(lines, line)) {
+        const std::string prefix = "{\"id\":" + std::to_string(id) + ",";
+        EXPECT_EQ(line.compare(0, prefix.size(), prefix), 0) << line;
+        if (id == 2) {
+            EXPECT_NE(line.find("\"status\":\"failed\""), std::string::npos);
+            EXPECT_NE(line.find("no-such-workload"), std::string::npos);
+        } else {
+            EXPECT_NE(line.find("\"verdict\""), std::string::npos) << line;
+        }
+        ++id;
+    }
+    EXPECT_EQ(id, jobs.size());
 }
 
 } // namespace

@@ -112,12 +112,12 @@ attr_args="--modes base,base2,srt,lockstep,crt --workloads gcc,compress
 
 echo "== resilience: kill mid-campaign, --resume, byte-identical =="
 # A deterministic crash (the hidden --test-crash-trial hook) kills the
-# whole batch process mid-campaign in --no-fork mode.  The write-ahead
-# journal must carry every pre-crash record, the resumed run must
-# produce a .jsonl byte-identical to an uninterrupted control, and the
-# journal must be gone after the clean finish.
+# whole batch process mid-campaign.  The write-ahead journal must carry
+# every pre-crash record, the resumed run must produce a .jsonl
+# byte-identical to an uninterrupted control, and the journal must be
+# gone after the clean finish.
 res_args="--modes base,srt --workloads gcc,compress --warmup 500
-          --insts 4000 --no-timing --quiet --no-fork"
+          --insts 4000 --no-timing --quiet"
 ./build/tools/rmtsim_batch $res_args --out build/res_control.jsonl
 rc=0
 ./build/tools/rmtsim_batch $res_args --journal-sync 1 \
@@ -128,33 +128,23 @@ rc=0
 diff build/res_control.jsonl build/res_crash.jsonl
 [ ! -f build/res_crash.jsonl.journal ]  # journal removed on completion
 
-echo "== resilience: crashing fault trial is quarantined (exit 3) =="
-# Under the fork() executor the same hook kills one child per attempt:
-# the trial must be retried, quarantined, and recorded — the campaign
-# finishes degraded (exit 3) with a structured failures record instead
-# of dying.
-rc=0
-./build/tools/rmtsim_batch --modes srt --workloads gcc --fault-trials 2 \
-    --warmup 500 --insts 4000 --no-timing --quiet --test-crash-trial 0 \
-    --out build/res_quarantine.jsonl || rc=$?
-[ "$rc" -eq 3 ]
-grep -q '"quarantined":true' build/res_quarantine.jsonl
-grep -q '"schema":"rmtsim-failures-v1"' build/res_quarantine.jsonl
-./build/tools/rmtsim_report --failures build/res_quarantine.jsonl
-[ ! -f build/res_quarantine.jsonl.journal ]
-
-echo "== avf: stratified fork()-executor campaign vs --no-fork =="
-# The fork()-per-trial executor must be verdict-identical to the
-# in-process path: same trials, same records, byte-for-byte, and the
-# stream must end with the per-stratum avf_summary record.
+echo "== determinism: fault and stratified campaigns, -j 1 vs -j 4 =="
+# Trials run on the thread pool; worker count and completion order must
+# not leak into the records.  The stratified stream must end with the
+# per-stratum avf_summary record.
+fault_args="--modes srt,crt --workloads gcc,compress --fault-trials 8
+            --warmup 500 --insts 4000 --snapshot-every 1500
+            --no-timing --quiet"
+./build/tools/rmtsim_batch $fault_args -j 1 --out build/fault_j1.jsonl
+./build/tools/rmtsim_batch $fault_args -j 4 --out build/fault_j4.jsonl
+diff build/fault_j1.jsonl build/fault_j4.jsonl
 avf_args="--modes srt --workloads gcc,compress --stratify
           --kinds reg,pc --windows 2 --batch 2 --fault-trials 2
           --warmup 500 --insts 4000 --no-timing --quiet"
-./build/tools/rmtsim_batch $avf_args --out build/avf_forked.jsonl
-./build/tools/rmtsim_batch $avf_args --no-fork \
-    --out build/avf_inproc.jsonl
-diff build/avf_forked.jsonl build/avf_inproc.jsonl
-grep -q '"avf_summary"' build/avf_forked.jsonl
+./build/tools/rmtsim_batch $avf_args -j 1 --out build/avf_j1.jsonl
+./build/tools/rmtsim_batch $avf_args -j 4 --out build/avf_j4.jsonl
+diff build/avf_j1.jsonl build/avf_j4.jsonl
+grep -q '"avf_summary"' build/avf_j1.jsonl
 
 echo "== serve: daemon resubmission is byte-identical and >=5x faster =="
 # Start rmtsimd on a fresh store, run the same client campaign twice:

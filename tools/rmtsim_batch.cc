@@ -36,9 +36,9 @@
 
 #include "avf/sampler.hh"
 #include "common/logging.hh"
-#include "runner/fork_executor.hh"
 #include "runner/journal.hh"
 #include "runner/runner.hh"
+#include "runner/thread_pool.hh"
 #include "serve/client.hh"
 #include "sim/metrics.hh"
 #include "workloads/workloads.hh"
@@ -97,10 +97,10 @@ usage()
         "\n"
         "checkpointing:\n"
         "  --snapshot-every N  place a snapshot barrier every N cycles; "
-        "fault trials fork from the latest snapshot before their "
+        "fault trials restore the latest snapshot before their "
         "strike\n"
         "  --no-snapshot-fork  keep the barriers but run every trial "
-        "from scratch (timing-identical control for the forked run)\n"
+        "from scratch (timing-identical control for the restored run)\n"
         "  --baseline-cache DIR  persist --efficiency baselines to DIR "
         "keyed by options fingerprint\n"
         "\n"
@@ -113,11 +113,9 @@ usage()
         "  --timeout-ms N    record jobs slower than this as failed\n"
         "\n"
         "execution:\n"
-        "  -j, --jobs N      worker threads (default 1; 0 = all "
-        "cores); fault trials instead run through the fork() "
-        "executor\n"
-        "  --no-fork         run fault trials in-process instead of "
-        "as fork()ed children (non-POSIX / sanitizer builds)\n"
+        "  -j, --jobs N      worker threads for jobs, fault trials and "
+        "golden runs\n"
+        "                    (default 1; 0 = all cores)\n"
         "  --retries N       attempts per job (default 2 = retry "
         "once)\n"
         "  --out FILE        .jsonl output (default '-' = stdout)\n"
@@ -164,6 +162,13 @@ usage()
         "rerun with --resume)\n");
 }
 
+/** A job runCampaignJobs skipped because the stop drain began. */
+bool
+neverRan(const JobResult &r)
+{
+    return r.attempts == 0 && !r.ok() && r.error.empty();
+}
+
 std::vector<std::string>
 split(const std::string &arg, char sep)
 {
@@ -200,7 +205,6 @@ main(int argc, char **argv)
     bool want_efficiency = false;
     bool list_only = false;
     bool snapshot_fork = true;
-    bool use_fork = true;
     bool want_fsync = false;
     bool quiet = false;
     bool force_progress = false;
@@ -282,8 +286,6 @@ main(int argc, char **argv)
                 base.snapshot_every = std::stoull(next());
             } else if (arg == "--no-snapshot-fork") {
                 snapshot_fork = false;
-            } else if (arg == "--no-fork") {
-                use_fork = false;
             } else if (arg == "--fsync") {
                 want_fsync = true;
             } else if (arg == "--stratify") {
@@ -397,42 +399,62 @@ main(int argc, char **argv)
     // In server mode the daemon runs the goldens itself (once per
     // distinct point, cached with everything else in its store).
     if ((fault_trials || stratify) && server_sock.empty()) {
-        try {
-            for (JobSpec &job : campaign.jobs) {
-                if (job.faults.empty() && !stratify)
-                    continue;
-                SimOptions o = job.options;
-                if (cfg.max_insts) {
-                    o.warmup_insts =
-                        std::min(o.warmup_insts, cfg.max_insts);
-                    o.measure_insts = std::min(
-                        o.measure_insts, cfg.max_insts - o.warmup_insts);
-                }
-                std::string key;
-                for (const auto &w : job.workloads)
-                    key += w + "+";
-                key += optionsFingerprint(o);
-                auto it = oracles.find(key);
-                if (it == oracles.end()) {
-                    it = oracles
-                             .emplace(key,
-                                      std::make_unique<FaultOracle>(
-                                          FaultOracle::goldenImage(
-                                              job.workloads, o)))
-                             .first;
-                }
-                if (stratify) {
-                    // The sampler attaches the oracle to each trial it
-                    // generates; remember which oracle serves this cell.
-                    cell_oracles[job.id] = it->second.get();
-                } else {
-                    attachFaultOracle(job, it->second.get());
-                }
+        // Map nodes are stable: each job keeps a pointer to its slot.
+        using Slot = std::unique_ptr<FaultOracle>;
+        std::vector<Slot *> job_slot(campaign.jobs.size(), nullptr);
+        std::vector<std::pair<const JobSpec *, Slot *>> points;
+        for (const JobSpec &job : campaign.jobs) {
+            if (job.faults.empty() && !stratify)
+                continue;
+            std::string key;
+            for (const auto &w : job.workloads)
+                key += w + "+";
+            key += optionsFingerprint(cappedOptions(job, cfg));
+            const auto [it, fresh] = oracles.emplace(key, nullptr);
+            if (fresh)
+                points.emplace_back(&job, &it->second);
+            job_slot[job.id] = &it->second;
+        }
+        // The goldens are independent runs: spread them over the pool.
+        // Each task fills only its own, already inserted, slot.
+        std::vector<std::string> errors(points.size());
+        {
+            ThreadPool pool(cfg.jobs);
+            for (std::size_t i = 0; i < points.size(); ++i) {
+                pool.submit([&, i] {
+                    const JobSpec &job = *points[i].first;
+                    try {
+                        *points[i].second = std::make_unique<FaultOracle>(
+                            FaultOracle::goldenImage(
+                                job.workloads, cappedOptions(job, cfg)));
+                    } catch (const std::exception &e) {
+                        errors[i] = e.what();
+                    } catch (...) {
+                        errors[i] = "unknown exception";
+                    }
+                });
             }
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "rmtsim_batch: golden run failed: %s\n",
-                         e.what());
-            return 2;
+            pool.wait();
+        }
+        for (const std::string &e : errors) {
+            if (!e.empty()) {
+                std::fprintf(stderr,
+                             "rmtsim_batch: golden run failed: %s\n",
+                             e.c_str());
+                return 2;
+            }
+        }
+        for (JobSpec &job : campaign.jobs) {
+            if (!job_slot[job.id])
+                continue;
+            const FaultOracle *oracle = job_slot[job.id]->get();
+            if (stratify) {
+                // The sampler attaches the oracle to each trial it
+                // generates; remember which oracle serves this cell.
+                cell_oracles[job.id] = oracle;
+            } else {
+                attachFaultOracle(job, oracle);
+            }
         }
     }
 
@@ -446,9 +468,8 @@ main(int argc, char **argv)
                 if (prev)
                     prev(sim, run, res);
                 // Die after the work but before the record reaches the
-                // journal: under fork this kills one child (retry →
-                // quarantine), without fork it kills the whole batch
-                // (the --resume test vehicle).
+                // journal: the whole batch dies mid-campaign (the
+                // --resume test vehicle).
                 std::_Exit(9);
             };
         }
@@ -502,12 +523,6 @@ main(int argc, char **argv)
     }
 #endif
 
-    const bool fault_exec = fault_trials > 0 || stratify;
-    if (fault_exec && use_fork) {
-        // Fork-safety: emit only whole lines, so no half-written
-        // buffer exists to be duplicated into a child at fork() time.
-        sink_opts.flush_each = true;
-    }
     if (want_fsync && out_path != "-")
         sink_opts.fsync_path = out_path;
 #if defined(__unix__) || defined(__APPLE__)
@@ -605,7 +620,7 @@ main(int argc, char **argv)
     if (want_efficiency)
         cfg.baseline = &baseline;
 
-    // Snapshot store for forked fault trials, shared across workers.
+    // Snapshot store for fault trials, shared across workers.
     SnapshotCache snapshots;
     if (base.snapshot_every && snapshot_fork)
         cfg.snapshots = &snapshots;
@@ -646,10 +661,6 @@ main(int argc, char **argv)
 
         try {
             StratifiedSampler sampler(cells, scfg, seed);
-            ForkExecutorConfig fcfg;
-            fcfg.runner = cfg;
-            fcfg.use_fork = use_fork;
-            ForkExecutor exec(fcfg);
             for (;;) {
                 if (g_stop.load(std::memory_order_relaxed)) {
                     interrupted = true;
@@ -658,23 +669,20 @@ main(int argc, char **argv)
                 const auto jobs = sampler.nextRound();
                 if (jobs.empty())
                     break;
-                const auto results = exec.run(jobs);
-                // A drain mid-round returns only the finished prefix.
+                const auto results = runCampaignJobs(jobs, cfg);
                 for (std::size_t i = 0; i < results.size(); ++i) {
+                    if (neverRan(results[i]))
+                        continue;       // skipped by the stop drain
                     sampler.record(jobs[i], results[i]);
                     failed += !results[i].ok();
                     quarantined += results[i].quarantined;
+                    ++total_jobs;
                 }
-                total_jobs += results.size();
                 if (!quiet) {
                     std::fprintf(
-                        stderr,
-                        "round %u: %zu trials (%llu total, %llu "
-                        "forked)\n",
+                        stderr, "round %u: %zu trials (%llu total)\n",
                         sampler.rounds(), jobs.size(),
-                        static_cast<unsigned long long>(total_jobs),
-                        static_cast<unsigned long long>(
-                            exec.stats().forked));
+                        static_cast<unsigned long long>(total_jobs));
                 }
             }
             if (g_stop.load(std::memory_order_relaxed))
@@ -730,20 +738,7 @@ main(int argc, char **argv)
                 campaign.jobs.size(), journal_path.c_str());
         }
 
-        std::vector<JobResult> results;
-        if (fault_trials) {
-            // Fault campaigns dispatch through the fork executor:
-            // every trial is a COW child of a parent-warmed simulator
-            // (or an in-process executeJob with --no-fork — identical
-            // records).
-            ForkExecutorConfig fcfg;
-            fcfg.runner = cfg;
-            fcfg.use_fork = use_fork;
-            ForkExecutor exec(fcfg);
-            results = exec.run(todo);
-        } else {
-            results = runCampaignJobs(todo, cfg);
-        }
+        const std::vector<JobResult> results = runCampaignJobs(todo, cfg);
         // Journal first (write-ahead order holds through the flush),
         // then the ordered sink drains and fsyncs.
         jsink.end();
@@ -751,8 +746,8 @@ main(int argc, char **argv)
         std::uint64_t completed = 0;
         for (std::size_t i = 0; i < results.size(); ++i) {
             const JobResult &r = results[i];
-            if (r.attempts == 0 && !r.ok() && r.error.empty())
-                continue;       // skipped by the stop drain, never ran
+            if (neverRan(r))
+                continue;       // skipped by the stop drain
             ++completed;
             if (!r.ok())
                 failures.emplace_back(&todo[i], r);
