@@ -2,12 +2,12 @@
  * @file
  * FNV-1a-64 fingerprinting, shared by every subsystem that keys work
  * by content: the canonical-options fingerprint (sim/simulator), the
- * on-disk baseline store (sim/metrics), campaign records and journals
- * (runner/), and the content-addressed result store (serve/).
+ * campaign records (runner/), and the content-addressed result store
+ * and daemon campaign ids (serve/).
  *
- * One implementation so the hashes agree by construction — a baseline
- * written under fingerprint F must be found again by any other layer
- * computing F from the same pre-image.
+ * One implementation so the hashes agree by construction — a row
+ * stored under key K must be found again by any other layer computing
+ * K from the same pre-image.
  */
 
 #ifndef RMTSIM_COMMON_FINGERPRINT_HH

@@ -71,8 +71,8 @@ struct JobResult
     bool timed_out = false;
     /** Failed every crash-retry attempt and was set aside so the
      *  campaign could finish.  No in-process executor sets it; it stays
-     *  in the record formats (wire codec v2, journal, the JSONL row and
-     *  the rmtsim-failures-v1 digest) so existing files still read. */
+     *  in the record formats (wire codec v2, the JSONL row and the
+     *  rmtsim-failures-v1 digest) so existing files still read. */
     bool quarantined = false;
     double wall_seconds = 0;
 

@@ -52,7 +52,7 @@ struct RunnerConfig
     /** Cooperative cancellation (the SIGTERM/SIGINT drain): checked
      *  between jobs/trials, never mid-simulation.  Once it reads true,
      *  no new job starts; in-flight jobs finish and are recorded, so
-     *  the journal stays a clean prefix of the campaign. */
+     *  a rerun only has the never-started jobs left to run. */
     const std::atomic<bool> *stop = nullptr;
 };
 

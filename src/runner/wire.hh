@@ -1,8 +1,8 @@
 /**
  * @file
- * Length-prefixed frames and the JobResult codec, shared by the result
- * journal (runner/journal.hh) and the rmtsimd socket protocol
- * (serve/protocol.hh).
+ * Length-prefixed frames and the JobResult codec.  The rmtsimd socket
+ * protocol (serve/protocol.hh) sends these frames; the result store
+ * (serve/result_store.hh) persists the same JobResult payload.
  *
  * A frame is magic + payload length + payload.  Length prefixing means
  * a writer killed mid-record is detected as a truncated frame rather
@@ -88,7 +88,7 @@ class FrameDecoder
 #if defined(__unix__) || defined(__APPLE__)
 
 /**
- * EINTR-safe descriptor I/O, shared by the result journal and the
+ * EINTR-safe descriptor I/O, shared by the result store and the
  * rmtsimd socket.  Signal delivery mid-frame (the SIGTERM drain) must
  * never tear a frame: both helpers retry interrupted system calls
  * until the transfer completes or genuinely fails.

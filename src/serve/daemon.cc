@@ -14,7 +14,6 @@
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "rmt/fault_oracle.hh"
-#include "runner/journal.hh"
 #include "serve/protocol.hh"
 
 namespace rmt
@@ -217,7 +216,26 @@ Daemon::handleSubmit(int fd, const JsonValue &msg)
         return;
     }
 
-    const std::uint64_t camp_fp = campaignFingerprintU64(campaign.jobs);
+    RunnerConfig rcfg;
+    rcfg.jobs = 1;          // executeJob runs inline on a pool worker
+    rcfg.max_attempts = cfg.max_attempts;
+    rcfg.timeout_seconds = cfg.timeout_seconds;
+    rcfg.max_insts = cfg.max_insts;
+
+    // Rows are keyed on what this daemon will run (the capped
+    // options), so stores shared between differently capped daemons
+    // never serve one cap's rows to the other.  The campaign id that
+    // `accepted` reports and `cancel` matches folds the same keys with
+    // each job's id.
+    const std::size_t n = campaign.jobs.size();
+    std::vector<std::uint64_t> keys(n);
+    std::uint64_t camp_fp = fnv1a64Seed;
+    for (std::size_t i = 0; i < n; ++i) {
+        keys[i] = resultKeyU64(campaign.jobs[i], rcfg);
+        fnv1a64Field(camp_fp, std::to_string(campaign.jobs[i].id) + ":" +
+                                  fingerprintHex(keys[i]));
+    }
+
     auto reg = std::make_shared<LiveCampaign>();
     reg->fingerprint = camp_fp;
     {
@@ -227,18 +245,7 @@ Daemon::handleSubmit(int fd, const JsonValue &msg)
 
     sendControl(fd, "{\"type\":\"accepted\",\"campaign\":\"" +
                         fingerprintHex(camp_fp) + "\",\"jobs\":" +
-                        std::to_string(campaign.jobs.size()) + "}");
-
-    RunnerConfig rcfg;
-    rcfg.jobs = 1;          // executeJob runs inline on a pool worker
-    rcfg.max_attempts = cfg.max_attempts;
-    rcfg.timeout_seconds = cfg.timeout_seconds;
-    rcfg.max_insts = cfg.max_insts;
-
-    const std::size_t n = campaign.jobs.size();
-    std::vector<std::uint64_t> keys(n);
-    for (std::size_t i = 0; i < n; ++i)
-        keys[i] = resultKeyU64(campaign.jobs[i]);
+                        std::to_string(n) + "}");
 
     // Partition pass: claim every key up front so two overlapping
     // campaigns interleave at job granularity instead of racing whole

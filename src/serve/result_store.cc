@@ -8,6 +8,7 @@
 #include "common/fingerprint.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "runner/runner.hh"
 #include "runner/wire.hh"
 #include "sim/simulator.hh"
 
@@ -101,12 +102,19 @@ decodePayload(const std::string &payload, std::string &mode,
 std::uint64_t
 resultKeyU64(const JobSpec &spec)
 {
+    return resultKeyU64(spec, RunnerConfig{});
+}
+
+std::uint64_t
+resultKeyU64(const JobSpec &spec, const RunnerConfig &config)
+{
+    const SimOptions o = cappedOptions(spec, config);
     std::uint64_t h = fnv1a64Seed;
-    fnv1a64Field(h, optionsCanonicalJson(spec.options));
+    fnv1a64Field(h, optionsCanonicalJson(o));
     // collect_stats_json changes the record payload (the embedded
     // stats tree) but not the canonical timing pre-image; key it
     // separately so stats and no-stats rows never alias.
-    fnv1a64Field(h, spec.options.collect_stats_json ? "stats" : "");
+    fnv1a64Field(h, o.collect_stats_json ? "stats" : "");
     for (const std::string &w : spec.workloads)
         fnv1a64Field(h, w);
     fnv1a64Field(h, std::to_string(spec.seed));
@@ -118,6 +126,13 @@ resultKeyU64(const JobSpec &spec)
            << f.mask << ',' << unsigned(f.pairLogical);
         fnv1a64Field(h, os.str());
     }
+    // Runner features that only local campaigns turn on.  Each adds a
+    // field only when set, so a default config keeps the plain key.
+    if (config.baseline)
+        fnv1a64Field(h, "efficiency:" + optionsCanonicalJson(
+                                            config.baseline->options()));
+    if (config.snapshots && o.snapshot_every && !spec.faults.empty())
+        fnv1a64Field(h, "snapshot-restore");
     return h;
 }
 
@@ -154,6 +169,14 @@ ResultStore::open(const std::string &dir)
         }
     }
 
+    // A header cut short by a crash during the very first write is an
+    // empty store, not a foreign file.
+    std::string header(kStoreMagic, sizeof(kStoreMagic));
+    appendLe32(header, resultStoreVersion);
+    if (data.size() < kHeaderBytes &&
+        header.compare(0, data.size(), data) == 0)
+        data.clear();
+
     std::uint64_t valid_bytes = 0;
     if (!data.empty()) {
         if (data.size() < kHeaderBytes ||
@@ -167,12 +190,14 @@ ResultStore::open(const std::string &dir)
             throw StoreError(
                 "result store: '" + path + "' has format version " +
                 std::to_string(version) + " (this build reads " +
-                std::to_string(resultStoreVersion) + ")");
+                std::to_string(resultStoreVersion) +
+                "); delete '" + dir + "' to start a fresh store");
         valid_bytes = kHeaderBytes;
 
         std::size_t at = kHeaderBytes;
         while (at < data.size()) {
-            // frame: magic(4) len(4) key(8) payload(len) crc(4)
+            // frame: magic(4) len(4) key(8) payload(len) crc(4), the
+            // CRC over key + payload
             if (data.size() - at < 16)
                 break;                          // torn header
             const std::uint32_t magic = readLe32(data, at);
@@ -189,7 +214,7 @@ ResultStore::open(const std::string &dir)
             const std::uint64_t key = readLe64(data, at + 8);
             const std::uint32_t stored_crc =
                 readLe32(data, at + 16 + len);
-            if (stored_crc != crc32(data.data() + at + 16, len)) {
+            if (stored_crc != crc32(data.data() + at + 8, 8 + len)) {
                 warn("result store '%s': frame at offset %zu failed "
                      "its CRC; keeping the rows before it",
                      path.c_str(), at);
@@ -228,8 +253,6 @@ ResultStore::open(const std::string &dir)
         throw StoreError("result store: cannot open '" + path +
                          "' for writing");
     if (fresh) {
-        std::string header(kStoreMagic, sizeof(kStoreMagic));
-        appendLe32(header, resultStoreVersion);
         if (!wire::writeAll(fd, header.data(), header.size())) {
             ::close(fd);
             fd = -1;
@@ -249,8 +272,6 @@ ResultStore::open(const std::string &dir)
 #else
     if (data.empty()) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        std::string header(kStoreMagic, sizeof(kStoreMagic));
-        appendLe32(header, resultStoreVersion);
         out.write(header.data(),
                   static_cast<std::streamsize>(header.size()));
         counters.stored_bytes = header.size();
@@ -327,9 +348,10 @@ ResultStore::appendFrame(std::uint64_t key, const std::string &mode,
     const std::string payload = encodePayload(mode, result);
     appendLe32(buffer, kFrameMagic);
     appendLe32(buffer, static_cast<std::uint32_t>(payload.size()));
+    const std::size_t keyed = buffer.size();
     appendLe64(buffer, key);
     buffer += payload;
-    appendLe32(buffer, crc32(payload.data(), payload.size()));
+    appendLe32(buffer, crc32(buffer.data() + keyed, 8 + payload.size()));
     counters.stored_bytes += 20 + payload.size();
     if (++unsynced >= sync_every)
         syncLocked();

@@ -1,31 +1,31 @@
 /**
  * @file
- * Content-addressed result store: the campaign daemon's cache of every
- * JobResult it has ever computed.
+ * Content-addressed result store: every JobResult rmtsimd or
+ * rmtsim_batch has computed, keyed by what was simulated.
  *
  * A result is keyed by *what was simulated*, never by where it sat in
  * a campaign: `resultKeyU64` hashes the canonical-options pre-image
- * (the PR-5 fingerprint, via common/fingerprint), the workload mix,
+ * (the options fingerprint, via common/fingerprint), the workload mix,
  * the scheduled fault records, the per-job seed, and the stats-embed
  * flag.  Job id and label are deliberately excluded, so the same
  * simulation submitted under a different grid position — or by a
  * different client entirely — is a cache hit.
  *
- * Concurrency follows the BaselineCache single-flight idiom, split
- * into a non-blocking `tryClaim` (so a campaign's partition pass never
- * stalls on another client's in-flight job) and a blocking `await`:
+ * Concurrency is single-flight, split into a non-blocking `tryClaim`
+ * (so a campaign's partition pass never stalls on another client's
+ * in-flight job) and a blocking `await`:
  *
  *     tryClaim -> Hit       serve the stored result
  *              -> Owner     caller must publish() or abandon()
  *              -> InFlight  another thread is computing it; await()
  *
- * Persistence generalises the on-disk `--baseline-cache`: completed
- * results are appended to `DIR/store.rmtrs` with the PR-9 journal's
- * CRC framing (magic | length | key | mode | payload | CRC32), so a
- * SIGKILLed daemon leaves at worst a torn tail that the next open
- * truncates away.  Failed results are published in memory only — a
- * failure unblocks today's waiters but is never negative-cached on
- * disk.
+ * Completed results are appended to `DIR/store.rmtrs` as CRC-framed
+ * records (magic | length | key | payload | CRC32(key + payload)) and
+ * fsync()ed in batches, so a SIGKILL leaves at worst a torn tail that
+ * the next open truncates away; a frame whose key or payload was
+ * damaged fails its CRC and is dropped with everything after it.
+ * Failed results are published in memory only — a failure unblocks
+ * today's waiters but is never negative-cached on disk.
  */
 
 #ifndef RMTSIM_SERVE_RESULT_STORE_HH
@@ -53,8 +53,10 @@ struct StoreError : std::runtime_error
     }
 };
 
-/** Store format version. */
-constexpr std::uint32_t resultStoreVersion = 1;
+/** Store format version (2: the frame CRC covers the key). */
+constexpr std::uint32_t resultStoreVersion = 2;
+
+struct RunnerConfig;
 
 /**
  * Content key of one job: fingerprint(options) + workloads +
@@ -64,6 +66,16 @@ constexpr std::uint32_t resultStoreVersion = 1;
  * (id, label) is not part of it.
  */
 std::uint64_t resultKeyU64(const JobSpec &spec);
+
+/**
+ * Content key of @p spec as @p config will run and render it: the
+ * options after the runner's instruction cap, plus — only when set —
+ * the efficiency baseline's options and snapshot restore, both of
+ * which change the row's efficiencies or its "extra" block.  With a
+ * default config this equals resultKeyU64(spec).
+ */
+std::uint64_t resultKeyU64(const JobSpec &spec,
+                           const RunnerConfig &config);
 
 /** Counters `rmtsim_report --serve-summary` renders. */
 struct ResultStoreStats
@@ -97,8 +109,9 @@ class ResultStore
      * Attach the on-disk store under @p dir (created if needed): load
      * every valid frame of `store.rmtrs`, truncate any torn/corrupt
      * tail, and append future publishes.  Throws StoreError when the
-     * directory or file cannot be used at all; damage inside the file
-     * degrades to the valid prefix, mirroring journal replay.
+     * directory or file cannot be used at all (including a store
+     * written by another format version); damage inside the file
+     * degrades to the valid prefix.
      */
     void open(const std::string &dir);
 

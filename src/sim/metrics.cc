@@ -1,80 +1,9 @@
 #include "sim/metrics.hh"
 
-#include <cmath>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#include "common/fingerprint.hh"
-#include "common/json.hh"
-#include "common/logging.hh"
+#include "serve/result_store.hh"
 
 namespace rmt
 {
-
-namespace
-{
-
-/**
- * Parse `"ipc":<number>` out of a stored baseline record; false on a
- * missing file (the caller falls back to simulating).  A file that
- * exists but is garbled — wrong schema, options-fingerprint mismatch,
- * unparsable or non-finite value — is a corrupted artifact: warn,
- * delete it so it cannot poison the next campaign, and fall back.
- */
-bool
-loadStoredIpc(const std::string &path, const std::string &fingerprint,
-              double &value)
-{
-    std::string doc;
-    {
-        std::ifstream in(path);
-        if (!in)
-            return false;   // no stored baseline yet: the normal miss
-        std::stringstream ss;
-        ss << in.rdbuf();
-        doc = ss.str();
-    }
-    auto reject = [&path](const char *why) {
-        warn("baseline store '%s' %s; evicting it and re-simulating",
-             path.c_str(), why);
-        std::error_code ec;
-        std::filesystem::remove(path, ec);
-        return false;
-    };
-    if (doc.find("\"schema\":\"rmtsim-baseline-v1\"") == std::string::npos)
-        return reject("is not a rmtsim-baseline-v1 record");
-    if (doc.find("\"fingerprint\":\"" + fingerprint + "\"") ==
-        std::string::npos)
-        return reject("was written under different options "
-                      "(fingerprint mismatch)");
-    const auto pos = doc.find("\"ipc\":");
-    if (pos == std::string::npos)
-        return reject("has no ipc field");
-    try {
-        value = std::stod(doc.substr(pos + 6));
-    } catch (const std::exception &) {
-        return reject("has an unparsable ipc value");
-    }
-    if (!std::isfinite(value) || value < 0)
-        return reject("has a non-finite or negative ipc value");
-    return true;
-}
-
-void
-writeStoredIpc(const std::string &path, const std::string &workload,
-               const std::string &fingerprint, double value)
-{
-    std::ofstream out(path);
-    if (!out)
-        return;     // a read-only store degrades to in-memory caching
-    out << "{\"schema\":\"rmtsim-baseline-v1\""
-        << ",\"workload\":\"" << jsonEscape(workload) << "\""
-        << ",\"fingerprint\":\"" << fingerprint << "\""
-        << ",\"ipc\":" << jsonNum(value) << "}\n";
-}
-
-} // namespace
 
 double
 smtEfficiency(double mode_ipc, double single_thread_ipc)
@@ -93,77 +22,57 @@ meanEfficiency(const std::vector<double> &efficiencies)
     return sum / static_cast<double>(efficiencies.size());
 }
 
-void
-BaselineCache::setStore(const std::string &dir)
+BaselineCache::BaselineCache(const SimOptions &options,
+                             ResultStore *store)
+    : opts(options), store(store)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    store_dir = dir;
-    std::filesystem::create_directories(dir);
+    if (!this->store) {
+        own = std::make_unique<ResultStore>();
+        this->store = own.get();
+    }
 }
 
-std::string
-BaselineCache::storePath(const std::string &workload) const
-{
-    if (store_dir.empty())
-        return "";
-    return store_dir + "/baseline-" +
-           fingerprintHex(optionsFingerprintU64(opts)) + "-" + workload +
-           ".json";
-}
+BaselineCache::~BaselineCache() = default;
 
 double
 BaselineCache::ipc(const std::string &workload)
 {
-    std::unique_lock<std::mutex> lock(mu);
+    // The same machine singleThreadIpc() builds; the stats tree never
+    // feeds an IPC, so the row is kept lean.
+    JobSpec spec;
+    spec.label = "baseline/" + workload;
+    spec.workloads = {workload};
+    spec.options = opts;
+    spec.options.mode = SimMode::Base;
+    spec.options.checker_penalty = 0;
+    spec.options.collect_stats_json = false;
+    const std::uint64_t key = resultKeyU64(spec);
+
+    JobResult row;
     for (;;) {
-        auto [it, inserted] = cache.try_emplace(workload);
-        if (inserted)
-            break;              // we own the placeholder
-        if (it->second.ready)
-            return it->second.value;
-        // Another thread is simulating this workload; wait for it to
-        // publish (or to unpublish on failure, in which case the loop
-        // re-claims the entry and retries the simulation).
-        cv.wait(lock);
+        const ResultStore::Claim claim = store->tryClaim(key, row);
+        if (claim == ResultStore::Claim::Hit ||
+            (claim == ResultStore::Claim::InFlight &&
+             store->await(key, row)))
+            return row.run.threads.at(0).ipc;
+        if (claim == ResultStore::Claim::Owner)
+            break;
+        // The owner gave up (its simulation threw): claim it afresh.
     }
-    const std::string path = storePath(workload);
-    const std::string fp = fingerprintHex(optionsFingerprintU64(opts));
-
-    // We inserted the placeholder, so we are the single flight that
-    // resolves this workload; everyone else blocks above.  An attached
-    // on-disk store is consulted first — a hit skips the simulation.
-    lock.unlock();
-    double value = 0;
-    bool loaded = !path.empty() && loadStoredIpc(path, fp, value);
-    if (!loaded) {
-        try {
-            value = singleThreadIpc(workload, opts);
-        } catch (...) {
-            // Unpublish so waiters do not hang on a value that will
-            // never arrive; the next caller retries the simulation.
-            lock.lock();
-            cache.erase(workload);
-            cv.notify_all();
-            throw;
-        }
-        if (!path.empty())
-            writeStoredIpc(path, workload, fp, value);
+    try {
+        Simulation sim(spec.workloads, spec.options);
+        row.run = sim.run();
+    } catch (...) {
+        // Release the claim so waiters retry instead of hanging.
+        store->abandon(key);
+        throw;
     }
-    lock.lock();
-    Entry &entry = cache.at(workload);
-    entry.value = value;
-    entry.ready = true;
-    if (!loaded)
-        ++sims;
-    cv.notify_all();
-    return value;
-}
-
-std::uint64_t
-BaselineCache::simulations() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return sims;
+    row.label = spec.label;
+    row.status = JobStatus::Ok;
+    row.attempts = 1;
+    store->publish(key, modeName(SimMode::Base), row);
+    ++sims;
+    return row.run.threads.at(0).ipc;
 }
 
 std::vector<double>

@@ -9,17 +9,18 @@
 #ifndef RMTSIM_SIM_METRICS_HH
 #define RMTSIM_SIM_METRICS_HH
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.hh"
 
 namespace rmt
 {
+
+class ResultStore;
 
 /** SMT-Efficiency of one logical thread. */
 double smtEfficiency(double mode_ipc, double single_thread_ipc);
@@ -31,26 +32,26 @@ double meanEfficiency(const std::vector<double> &efficiencies);
  * Cache of single-thread IPCs so sweeps do not re-simulate the
  * baseline for every configuration.
  *
- * Thread-safe with single-flight semantics: when N campaign workers
- * ask for the same workload's baseline at once, exactly one simulates
- * it while the others block on the condition variable until the value
- * is published.  Keyed by an unordered_map so a lookup is O(1) rather
- * than a linear scan over every cached workload.
+ * A workload's baseline is one row of a ResultStore: the result of its
+ * base-mode, single-thread JobSpec under the cache's options.  The
+ * store's claim protocol gives single-flight semantics — when N
+ * campaign workers ask for the same baseline at once, exactly one
+ * simulates it while the others wait for the published row — and a
+ * persistent store (rmtsim_batch --store) carries baselines across
+ * campaigns.  Without a store the cache keeps a memory-only one.
  */
 class BaselineCache
 {
   public:
-    explicit BaselineCache(const SimOptions &options) : opts(options) {}
+    explicit BaselineCache(const SimOptions &options,
+                           ResultStore *store = nullptr);
+    ~BaselineCache();
 
-    /**
-     * Attach an on-disk store: baselines are read from
-     * `DIR/baseline-<options fingerprint>-<workload>.json` when
-     * present and written there after each simulation, so repeated
-     * campaigns under the same options skip the baseline runs
-     * entirely.  The directory is created if needed.  A missing or
-     * unparsable file falls back to simulating (and rewrites it).
-     */
-    void setStore(const std::string &dir);
+    BaselineCache(const BaselineCache &) = delete;
+    BaselineCache &operator=(const BaselineCache &) = delete;
+
+    /** The options every baseline runs under (mode forced to base). */
+    const SimOptions &options() const { return opts; }
 
     /** Single-thread IPC of @p workload (simulated once, then cached). */
     double ipc(const std::string &workload);
@@ -63,24 +64,13 @@ class BaselineCache
 
     /** Number of baseline simulations actually executed (the
      *  single-flight invariant: one per distinct workload). */
-    std::uint64_t simulations() const;
+    std::uint64_t simulations() const { return sims.load(); }
 
   private:
-    struct Entry
-    {
-        bool ready = false;
-        double value = 0;
-    };
-
-    /** Store path for @p workload, or "" when no store is attached. */
-    std::string storePath(const std::string &workload) const;
-
     SimOptions opts;
-    std::string store_dir;
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    std::unordered_map<std::string, Entry> cache;
-    std::uint64_t sims = 0;
+    std::unique_ptr<ResultStore> own;   ///< used when none was given
+    ResultStore *store;
+    std::atomic<std::uint64_t> sims{0};
 };
 
 } // namespace rmt

@@ -16,7 +16,10 @@
  *    locally-oracled run;
  *  - SIGKILLing the daemon mid-campaign leaves an uncorrupted store,
  *    and a fresh daemon on the same store completes the campaign
- *    byte-identically.
+ *    byte-identically;
+ *  - rows computed under `--max-insts` are keyed on the capped
+ *    options, so an uncapped daemon on the same store never serves
+ *    them.
  */
 
 #include <gtest/gtest.h>
@@ -60,13 +63,15 @@ struct TempDir
 struct DaemonFixture
 {
     explicit DaemonFixture(const std::string &dir, unsigned jobs = 2,
-                           unsigned sync_every = 1)
+                           unsigned sync_every = 1,
+                           std::uint64_t max_insts = 0)
     {
         std::signal(SIGPIPE, SIG_IGN);
         cfg.socket_path = dir + "/d.sock";
         cfg.store_dir = dir + "/store";
         cfg.jobs = jobs;
         cfg.store_sync_every = sync_every;
+        cfg.max_insts = max_insts;
         daemon = std::make_unique<Daemon>(cfg);
         daemon->open();
         runner = std::thread([this] { daemon->run(); });
@@ -359,5 +364,31 @@ TEST(ServeDaemon, SigkillMidCampaignLeavesStoreUsable)
         sock, campaign, /*include_timing=*/false, out);
     EXPECT_EQ(r.rows, campaign.jobs.size());
     EXPECT_GE(r.hits, 1u);
+    EXPECT_EQ(out.str(), localJsonl(campaign));
+}
+
+TEST(ServeDaemon, CappedRowsAreNeverServedToAnUncappedDaemon)
+{
+    TempDir dir("serve_daemon_capped");
+    const Campaign campaign =
+        makeCampaign({{"gcc", 0}, {"compress", 0}});
+
+    // 200 warmup + 1500 measured instructions, capped to 800 in all.
+    {
+        DaemonFixture capped(dir.path, 2, 1, /*max_insts=*/800);
+        std::ostringstream out;
+        const RemoteCampaignResult r = runRemoteCampaign(
+            capped.cfg.socket_path, campaign, false, out);
+        EXPECT_EQ(r.misses, campaign.jobs.size());
+    }
+
+    // Same store, no cap: every job must run again at full length.
+    DaemonFixture uncapped(dir.path);
+    std::ostringstream out;
+    const RemoteCampaignResult r = runRemoteCampaign(
+        uncapped.cfg.socket_path, campaign, false, out);
+    EXPECT_EQ(r.rows, campaign.jobs.size());
+    EXPECT_EQ(r.misses, campaign.jobs.size());
+    EXPECT_EQ(r.hits, 0u);
     EXPECT_EQ(out.str(), localJsonl(campaign));
 }

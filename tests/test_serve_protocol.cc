@@ -3,9 +3,9 @@
  * Serve wire protocol (src/serve/protocol.*):
  *
  *  - the campaign codec round-trips: submitJson -> parseSubmit yields
- *    a campaign with the same fingerprint, job fields, fault records
- *    and timing flag — and canonical options survive exactly (the
- *    daemon-side drift check would throw otherwise);
+ *    a campaign with the same per-job ids, labels and result keys,
+ *    fault records and timing flag — and canonical options survive
+ *    exactly (the daemon-side drift check would throw otherwise);
  *  - framed socket I/O over a socketpair: multiple frames in one
  *    stream, clean EOF, and the three corruption signatures — garbage
  *    bytes, an oversized length, and a connection cut mid-frame — all
@@ -25,8 +25,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "runner/journal.hh"
 #include "serve/protocol.hh"
+#include "serve/result_store.hh"
 
 using namespace rmt;
 using namespace rmt::serve;
@@ -93,15 +93,15 @@ TEST(ServeCodec, SubmitRoundTripsCampaign)
     EXPECT_EQ(got.seed, sent.seed);
     ASSERT_EQ(got.jobs.size(), sent.jobs.size());
 
-    // The campaign fingerprint hashes every id, label, seed, workload,
-    // canonical option and fault tuple — equality here is equality of
-    // everything the journal (and the daemon) cares about.
-    EXPECT_EQ(campaignFingerprintU64(got.jobs),
-              campaignFingerprintU64(sent.jobs));
-
     for (std::size_t i = 0; i < sent.jobs.size(); ++i) {
         const JobSpec &a = sent.jobs[i];
         const JobSpec &b = got.jobs[i];
+        // The result key hashes every seed, workload, canonical option
+        // and fault tuple; with the id and label that is everything
+        // the daemon keys, renders and names the campaign by.
+        EXPECT_EQ(a.id, b.id);
+        EXPECT_EQ(a.label, b.label);
+        EXPECT_EQ(resultKeyU64(a), resultKeyU64(b));
         EXPECT_EQ(optionsCanonicalJson(a.options),
                   optionsCanonicalJson(b.options));
         EXPECT_EQ(a.options.collect_stats_json,

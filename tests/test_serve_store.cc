@@ -4,6 +4,8 @@
  *
  *  - the content key hashes what is simulated (options, workloads,
  *    faults, seed, stats flag) and ignores grid position (id, label);
+ *    keyed with a RunnerConfig it also covers the instruction cap, the
+ *    efficiency baseline and snapshot restore;
  *  - tryClaim/await/publish implement single-flight: N concurrent
  *    claimers of one key produce exactly one owner, everyone else is
  *    served the published result;
@@ -12,9 +14,10 @@
  *  - a persisted store reloads every ok row byte-identically (wire
  *    codec round-trip, wall-clock double included), while failed
  *    results are never written to disk;
- *  - a torn tail or a CRC-corrupt frame degrades to the valid prefix,
- *    exactly like journal replay — and a non-store file or a future
- *    format version is a hard StoreError.
+ *  - a torn tail or a CRC-corrupt frame degrades to the valid prefix
+ *    (exhaustively: every truncation offset and every bit of the first
+ *    and last frame, key bytes included) — and a non-store file or
+ *    another format version is a hard StoreError.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "runner/runner.hh"
 #include "runner/wire.hh"
 #include "serve/result_store.hh"
 
@@ -135,6 +139,42 @@ TEST(ResultKey, HashesContentNotGridPosition)
     JobSpec bit = fault;
     bit.faults[0].bit = 4;
     EXPECT_NE(resultKeyU64(fault), resultKeyU64(bit));
+}
+
+TEST(ResultKey, CoversWhatTheRunnerSimulatesAndRenders)
+{
+    JobSpec spec = sampleSpec(0);
+    spec.options.snapshot_every = 500;
+    FaultRecord f{};
+    f.kind = FaultRecord::Kind::TransientReg;
+    f.when = 900;
+    spec.faults.push_back(f);
+    const RunnerConfig plain;
+    EXPECT_EQ(resultKeyU64(spec, plain), resultKeyU64(spec));
+
+    // A cap above the budget changes nothing; one below it does.
+    RunnerConfig loose, capped;
+    loose.max_insts = 5000;
+    capped.max_insts = 600;
+    EXPECT_EQ(resultKeyU64(spec, loose), resultKeyU64(spec));
+    EXPECT_NE(resultKeyU64(spec, capped), resultKeyU64(spec));
+
+    // Efficiency columns depend on the baseline's options too.
+    BaselineCache base_a(spec.options), base_b(sampleSpec(1).options);
+    RunnerConfig eff_a, eff_b;
+    eff_a.baseline = &base_a;
+    eff_b.baseline = &base_b;
+    EXPECT_NE(resultKeyU64(spec, eff_a), resultKeyU64(spec));
+    EXPECT_NE(resultKeyU64(spec, eff_a), resultKeyU64(spec, eff_b));
+
+    // Snapshot restore adds the "extra" block to fault trials only.
+    SnapshotCache snapshots;
+    RunnerConfig restore;
+    restore.snapshots = &snapshots;
+    EXPECT_NE(resultKeyU64(spec, restore), resultKeyU64(spec));
+    JobSpec faultless = spec;
+    faultless.faults.clear();
+    EXPECT_EQ(resultKeyU64(faultless, restore), resultKeyU64(faultless));
 }
 
 TEST(ResultStore, ClaimPublishHitCounters)
@@ -324,6 +364,74 @@ TEST(ResultStore, CorruptFrameDropsItAndEverythingAfter)
     EXPECT_EQ(reloaded.tryClaim(2, out), ResultStore::Claim::Owner);
 }
 
+TEST(ResultStore, EveryTruncationAndBitFlipKeepsExactlyTheValidPrefix)
+{
+    TempDir dir("serve_store_exhaustive");
+    const std::uint64_t keys[3] = {0x0123456789abcdefull,
+                                   0x1111111111111111ull,
+                                   0xfedcba9876543210ull};
+    std::size_t ends[4];    // file size after the header and each frame
+    {
+        ResultStore store;
+        store.setSyncEvery(1);
+        store.open(dir.path);
+        ends[0] = slurp(storeFile(dir)).size();
+        for (std::size_t k = 0; k < 3; ++k) {
+            JobResult dummy;
+            ASSERT_EQ(store.tryClaim(keys[k], dummy),
+                      ResultStore::Claim::Owner);
+            store.publish(keys[k], "srt", sampleResult(k));
+            ends[k + 1] = slurp(storeFile(dir)).size();
+        }
+    }
+    const std::string pristine = slurp(storeFile(dir));
+    ASSERT_EQ(pristine.size(), ends[3]);
+
+    // Open @p bytes as the store: exactly the first @p rows frames are
+    // served, each under the key it was published with, and nothing
+    // else is loaded.
+    const auto expectPrefix = [&](const std::string &bytes,
+                                  std::size_t rows,
+                                  const std::string &what) {
+        spit(storeFile(dir), bytes);
+        ResultStore store;
+        ASSERT_NO_THROW(store.open(dir.path)) << what;
+        ASSERT_EQ(store.stats().rows, rows) << what;
+        for (std::size_t k = 0; k < 3; ++k) {
+            JobResult out;
+            const ResultStore::Claim claim = store.tryClaim(keys[k], out);
+            if (k < rows) {
+                ASSERT_EQ(claim, ResultStore::Claim::Hit) << what;
+                ASSERT_EQ(wire::encodeJobResult(out),
+                          wire::encodeJobResult(sampleResult(k)))
+                    << what;
+            } else {
+                ASSERT_EQ(claim, ResultStore::Claim::Owner) << what;
+            }
+        }
+    };
+
+    for (std::size_t cut = 0; cut <= pristine.size(); ++cut) {
+        std::size_t rows = 0;
+        while (rows < 3 && ends[rows + 1] <= cut)
+            ++rows;
+        expectPrefix(pristine.substr(0, cut), rows,
+                     "truncated to " + std::to_string(cut) + " bytes");
+    }
+    for (const std::size_t frame : {std::size_t{0}, std::size_t{2}}) {
+        for (std::size_t at = ends[frame]; at < ends[frame + 1]; ++at) {
+            for (int bit = 0; bit < 8; ++bit) {
+                std::string bytes = pristine;
+                bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
+                expectPrefix(bytes, frame,
+                             "bit " + std::to_string(bit) +
+                                 " of byte " + std::to_string(at) +
+                                 " flipped");
+            }
+        }
+    }
+}
+
 TEST(ResultStore, RejectsForeignFilesAndFutureVersions)
 {
     TempDir dir("serve_store_reject");
@@ -342,5 +450,22 @@ TEST(ResultStore, RejectsForeignFilesAndFutureVersions)
     {
         ResultStore store;
         EXPECT_THROW(store.open(dir.path), StoreError);
+    }
+
+    // Version 1 frames had a CRC that skipped the key: refused, and
+    // the message says how to start over.
+    bytes = std::string("RMTRES\0\0", 8);
+    bytes += std::string("\x01\x00\x00\x00", 4);
+    spit(storeFile(dir), bytes);
+    {
+        ResultStore store;
+        try {
+            store.open(dir.path);
+            ADD_FAILURE() << "a version-1 store opened";
+        } catch (const StoreError &e) {
+            EXPECT_NE(std::string(e.what()).find("delete"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Frame format and JobResult codec (src/runner/wire.*), shared by the
- * result journal and the rmtsimd socket protocol:
+ * result store and the rmtsimd socket protocol:
  *
  *  - the JobResult codec round-trips every field through a frame, even
  *    delivered one byte at a time;

@@ -110,23 +110,40 @@ attr_args="--modes base,base2,srt,lockstep,crt --workloads gcc,compress
 ./build/tools/rmtsim_batch $attr_args --out build/attr.jsonl
 ./build/tools/rmtsim_report --attribution build/attr.jsonl
 
-echo "== resilience: kill mid-campaign, --resume, byte-identical =="
+echo "== resilience: kill mid-campaign, rerun, byte-identical =="
 # A deterministic crash (the hidden --test-crash-trial hook) kills the
-# whole batch process mid-campaign.  The write-ahead journal must carry
-# every pre-crash record, the resumed run must produce a .jsonl
-# byte-identical to an uninterrupted control, and the journal must be
-# gone after the clean finish.
-res_args="--modes base,srt --workloads gcc,compress --warmup 500
-          --insts 4000 --no-timing --quiet"
-./build/tools/rmtsim_batch $res_args --out build/res_control.jsonl
-rc=0
-./build/tools/rmtsim_batch $res_args --journal-sync 1 \
-    --test-crash-trial 2 --out build/res_crash.jsonl || rc=$?
-[ "$rc" -ne 0 ]                         # the batch really died
-[ -f build/res_crash.jsonl.journal ]    # resumable state left behind
-./build/tools/rmtsim_batch $res_args --resume --out build/res_crash.jsonl
-diff build/res_control.jsonl build/res_crash.jsonl
-[ ! -f build/res_crash.jsonl.journal ]  # journal removed on completion
+# whole batch process mid-campaign, past the store's 16-row fsync batch
+# so synced rows survive.  Rerunning the same command must serve them
+# from <out>.store (stderr reports a nonzero resumed count), produce a
+# .jsonl byte-identical to an uninterrupted control, and remove the
+# store after the clean finish.  The same holds for a stratified
+# campaign, whose trials the hook also reaches.
+resume_gate() {
+    name=$1; shift
+    ./build/tools/rmtsim_batch "$@" --quiet \
+        --out "build/res_${name}_control.jsonl"
+    rc=0
+    ./build/tools/rmtsim_batch "$@" --quiet --test-crash-trial 20 \
+        --out "build/res_${name}.jsonl" || rc=$?
+    [ "$rc" -ne 0 ]                             # the batch really died
+    [ -f "build/res_${name}.jsonl.store/store.rmtrs" ]  # rows kept
+    ./build/tools/rmtsim_batch "$@" --out "build/res_${name}.jsonl" \
+        2> "build/res_${name}.err"
+    grep -Eq '\(([1-9][0-9]*) resumed from ' "build/res_${name}.err"
+    diff "build/res_${name}_control.jsonl" "build/res_${name}.jsonl"
+    [ ! -e "build/res_${name}.jsonl.store" ]   # removed on completion
+}
+resume_gate fault --modes srt,crt --workloads gcc,compress \
+    --fault-trials 8 --warmup 500 --insts 4000 --snapshot-every 1500 \
+    --no-timing -j 1
+resume_gate avf --modes srt --workloads gcc,compress --stratify \
+    --kinds reg,pc --windows 2 --batch 3 --fault-trials 6 \
+    --warmup 500 --insts 4000 --no-timing -j 1
+# A grid with the same point twice still emits one row per job.
+./build/tools/rmtsim_batch --modes srt --workloads gcc,compress \
+    --sweep slack=32,32 --warmup 500 --insts 4000 --no-timing --quiet \
+    --out build/res_dup.jsonl
+[ "$(grep -c '"slack":32' build/res_dup.jsonl)" -eq 4 ]
 
 echo "== determinism: fault and stratified campaigns, -j 1 vs -j 4 =="
 # Trials run on the thread pool; worker count and completion order must

@@ -14,12 +14,12 @@
  * byte-for-byte diffable).
  */
 
-#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -36,10 +36,10 @@
 
 #include "avf/sampler.hh"
 #include "common/logging.hh"
-#include "runner/journal.hh"
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
 #include "serve/client.hh"
+#include "serve/result_store.hh"
 #include "sim/metrics.hh"
 #include "workloads/workloads.hh"
 
@@ -49,8 +49,8 @@ namespace
 {
 
 /** SIGINT/SIGTERM drain flag: workers stop picking up new jobs, the
- *  in-flight ones finish and are journaled, and main exits 4 with a
- *  resumable journal on disk. */
+ *  in-flight ones finish and are stored, and main exits 4 with the
+ *  result store kept on disk for the rerun. */
 std::atomic<bool> g_stop{false};
 
 extern "C" void
@@ -101,8 +101,6 @@ usage()
         "strike\n"
         "  --no-snapshot-fork  keep the barriers but run every trial "
         "from scratch (timing-identical control for the restored run)\n"
-        "  --baseline-cache DIR  persist --efficiency baselines to DIR "
-        "keyed by options fingerprint\n"
         "\n"
         "budgets:\n"
         "  --insts N         measured instructions/thread (default "
@@ -134,8 +132,8 @@ usage()
         "                    order (previously-computed jobs come "
         "from the daemon's\n"
         "                    result store).  Incompatible with "
-        "--stratify, --resume,\n"
-        "                    --efficiency and --baseline-cache\n"
+        "--stratify,\n"
+        "                    --efficiency and --store\n"
         "  --quiet           no stderr progress\n"
         "  --progress        force the stderr heartbeat (done/total, "
         "elapsed, ETA)\n"
@@ -144,22 +142,19 @@ usage()
         "  --list            print the expanded job grid and exit\n"
         "\n"
         "resilience (see DESIGN.md):\n"
-        "  --resume          replay <out>.journal, skip every job whose "
-        "result is\n"
-        "                    already recorded, run the rest; the final "
-        ".jsonl is\n"
-        "                    byte-identical to an uninterrupted run\n"
-        "  --no-journal      disable the write-ahead result journal "
-        "(on by default\n"
-        "                    whenever --out is a file and --stratify "
-        "is off)\n"
-        "  --journal-sync N  fsync the journal every N records "
-        "(default 32)\n"
+        "  --store DIR       keep every result in the content-addressed "
+        "store DIR;\n"
+        "                    jobs already stored there are not run "
+        "again.  Default\n"
+        "                    <out>.store when --out is a file, removed "
+        "once the\n"
+        "                    campaign finishes; an explicit DIR is "
+        "always kept\n"
         "\n"
         "exit codes: 0 clean; 1 hard failure; 2 usage error; 3 "
         "degraded (failed or\n"
-        "quarantined jobs recorded); 4 interrupted (journal kept — "
-        "rerun with --resume)\n");
+        "quarantined jobs recorded); 4 interrupted (store kept — "
+        "rerun the same command)\n");
 }
 
 /** A job runCampaignJobs skipped because the stop drain began. */
@@ -167,6 +162,86 @@ bool
 neverRan(const JobResult &r)
 {
     return r.attempts == 0 && !r.ok() && r.error.empty();
+}
+
+/** Publishes each freshly run result to the store before the JSONL
+ *  sink sees it: a row on disk is always in the store first. */
+class PublishingSink : public ResultSink
+{
+  public:
+    PublishingSink(ResultStore *store, const RunnerConfig &cfg,
+                   ResultSink &inner)
+        : store(store), cfg(cfg), inner(inner)
+    {
+    }
+
+    void record(const JobSpec &spec, const JobResult &result) override
+    {
+        if (store)
+            store->publish(resultKeyU64(spec, cfg),
+                           modeName(spec.options.mode), result);
+        inner.record(spec, result);
+    }
+
+  private:
+    ResultStore *store;
+    const RunnerConfig &cfg;
+    ResultSink &inner;
+};
+
+/**
+ * The one persistence step of every campaign shape (plain, fault, and
+ * each round of a stratified one).  Every job is claimed in @p store:
+ * a stored row goes straight to @p sink, and every other job runs on
+ * the pool and is published before the sink sees it.  (A key already
+ * in flight can only be claimed earlier in this batch, by a job with
+ * identical content; it runs again and publishes the same row.)
+ * Results come back by position; jobs the stop drain skipped are left
+ * as neverRan().  @p resumed counts the rows served from the store.
+ */
+std::vector<JobResult>
+runThroughStore(const std::vector<JobSpec> &jobs, RunnerConfig cfg,
+                ResultStore *store, ResultSink &sink, long long crash_id,
+                std::uint64_t &resumed)
+{
+    std::vector<JobResult> results(jobs.size());
+    std::vector<JobSpec> owned;
+    std::vector<std::size_t> owned_at;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (store && store->tryClaim(resultKeyU64(jobs[i], cfg),
+                                     results[i]) ==
+                         ResultStore::Claim::Hit) {
+            results[i].id = jobs[i].id;         // the key ignores both
+            results[i].label = jobs[i].label;
+            sink.record(jobs[i], results[i]);
+            ++resumed;
+            continue;
+        }
+        owned_at.push_back(i);
+        owned.push_back(jobs[i]);
+        if (jobs[i].id != static_cast<std::uint64_t>(crash_id))
+            continue;
+        // Test hook: die after the work but before the record is
+        // stored, so the whole batch dies mid-campaign.
+        auto prev = std::move(owned.back().post_run);
+        owned.back().post_run = [prev](Simulation &sim,
+                                       const RunResult &run,
+                                       JobResult &res) {
+            if (prev)
+                prev(sim, run, res);
+            std::_Exit(9);
+        };
+    }
+
+    PublishingSink publishing(store, cfg, sink);
+    cfg.sink = &publishing;
+    std::vector<JobResult> fresh = runCampaignJobs(owned, cfg);
+    for (std::size_t k = 0; k < owned.size(); ++k) {
+        if (store && neverRan(fresh[k]))
+            store->abandon(resultKeyU64(owned[k], cfg));
+        results[owned_at[k]] = std::move(fresh[k]);
+    }
+    return results;
 }
 
 std::vector<std::string>
@@ -201,7 +276,7 @@ main(int argc, char **argv)
     RunnerConfig cfg;
     std::string out_path = "-";
     std::string server_sock;
-    std::string baseline_dir;
+    std::string store_dir;
     bool want_efficiency = false;
     bool list_only = false;
     bool snapshot_fork = true;
@@ -209,9 +284,6 @@ main(int argc, char **argv)
     bool quiet = false;
     bool force_progress = false;
     bool stratify = false;
-    bool resume = false;
-    bool want_journal = true;
-    unsigned journal_sync = 32;
     long long test_crash = -1;
     double ci_width = 0;
     double confidence = 0.95;
@@ -300,8 +372,8 @@ main(int argc, char **argv)
                 batch = static_cast<unsigned>(std::stoul(next()));
             } else if (arg == "--kinds") {
                 kinds_csv = next();
-            } else if (arg == "--baseline-cache") {
-                baseline_dir = next();
+            } else if (arg == "--store") {
+                store_dir = next();
             } else if (arg == "--no-timing") {
                 sink_opts.include_timing = false;
             } else if (arg == "--quiet") {
@@ -309,18 +381,11 @@ main(int argc, char **argv)
                 sink_opts.progress = false;
             } else if (arg == "--progress" || arg == "--progress=force") {
                 force_progress = true;
-            } else if (arg == "--resume") {
-                resume = true;
-            } else if (arg == "--no-journal") {
-                want_journal = false;
-            } else if (arg == "--journal-sync") {
-                journal_sync =
-                    static_cast<unsigned>(std::stoul(next()));
             } else if (arg == "--test-crash-trial") {
                 // Undocumented test hook: _Exit(9) right after the
-                // named job's post_run, before its record is written —
-                // a deterministic mid-campaign crash for the
-                // resilience gates (tools/check.sh).
+                // named job's (or sampler trial's) post_run, before
+                // its record is stored — a deterministic mid-campaign
+                // crash for the resilience gates (tools/check.sh).
                 test_crash = std::stoll(next());
             } else if (arg == "--list") {
                 list_only = true;
@@ -337,17 +402,15 @@ main(int argc, char **argv)
 
     if (!server_sock.empty()) {
         // Server mode ships JobSpecs, not local machinery: adaptive
-        // sampling, journal resume and the shared baseline cache all
-        // live on this side of the socket and cannot ride along.
+        // sampling, the baseline cache and a local store all live on
+        // this side of the socket and cannot ride along.
         const char *clash = nullptr;
         if (stratify)
             clash = "--stratify";
-        else if (resume)
-            clash = "--resume";
         else if (want_efficiency)
             clash = "--efficiency";
-        else if (!baseline_dir.empty())
-            clash = "--baseline-cache";
+        else if (!store_dir.empty())
+            clash = "--store";
         else if (test_crash >= 0)
             clash = "--test-crash-trial";
         if (clash) {
@@ -357,7 +420,6 @@ main(int argc, char **argv)
                          clash);
             return 2;
         }
-        want_journal = false;   // the daemon's store is the journal
 #if !defined(__unix__) && !defined(__APPLE__)
         std::fprintf(stderr,
                      "rmtsim_batch: --server needs Unix-domain "
@@ -458,23 +520,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (test_crash >= 0) {
-        for (JobSpec &job : campaign.jobs) {
-            if (job.id != static_cast<std::uint64_t>(test_crash))
-                continue;
-            auto prev = std::move(job.post_run);
-            job.post_run = [prev](Simulation &sim, const RunResult &run,
-                                  JobResult &res) {
-                if (prev)
-                    prev(sim, run, res);
-                // Die after the work but before the record reaches the
-                // journal: the whole batch dies mid-campaign (the
-                // --resume test vehicle).
-                std::_Exit(9);
-            };
-        }
-    }
-
     if (list_only) {
         for (const JobSpec &j : campaign.jobs)
             std::printf("%6llu  %s\n",
@@ -536,37 +581,23 @@ main(int argc, char **argv)
     if (force_progress)
         sink_opts.progress = true;      // --progress beats every clamp
 
-    // Write-ahead result journal: on by default whenever the output is
-    // a real file.  --stratify draws its grid adaptively, so it has no
-    // stable job list to fingerprint or resume against.
-    const bool journal_enabled =
-        want_journal && out_path != "-" && !stratify;
-    const std::string journal_path = out_path + ".journal";
-    std::uint64_t campaign_fp = 0;
-    JournalReplay replay;
-    if (resume && !journal_enabled) {
-        std::fprintf(stderr,
-                     "rmtsim_batch: --resume needs the journal (a file "
-                     "--out, no --stratify, no --no-journal)\n");
-        return 2;
-    }
-    if (journal_enabled) {
-        campaign_fp = campaignFingerprintU64(campaign.jobs);
-        if (resume) {
-            // Replay before the output file is opened (and truncated):
-            // a journal that does not match this invocation must leave
-            // everything on disk untouched.
-            try {
-                replay = replayJournal(journal_path, campaign_fp);
-            } catch (const JournalError &e) {
-                std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
-                return 2;
-            }
-            if (!replay.note.empty()) {
-                warn("journal '%s': %s; the affected trials will "
-                     "re-run",
-                     journal_path.c_str(), replay.note.c_str());
-            }
+    // Every result goes through the content-addressed store when there
+    // is one: a crashed or interrupted campaign resumes by rerunning the
+    // same command.  A file --out gets its own store, removed once the
+    // campaign finishes; an explicit --store is always kept.
+    const bool auto_store = store_dir.empty() && out_path != "-";
+    if (auto_store)
+        store_dir = out_path + ".store";
+    std::unique_ptr<ResultStore> store;
+    if (!store_dir.empty()) {
+        // Opened before the output file is truncated, so a store this
+        // build cannot read leaves everything on disk untouched.
+        store = std::make_unique<ResultStore>();
+        try {
+            store->open(store_dir);
+        } catch (const StoreError &e) {
+            std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
+            return 2;
         }
     }
 
@@ -581,42 +612,16 @@ main(int argc, char **argv)
     }
     std::ostream &out = out_path == "-" ? std::cout : file;
 
-    std::unique_ptr<JournalWriter> journal;
-    if (journal_enabled) {
-        JournalWriter::Options jopts;
-        jopts.sync_every = journal_sync;
-        try {
-            if (resume) {
-                journal = std::make_unique<JournalWriter>(
-                    journal_path, replay, jopts);
-            } else {
-                journal = std::make_unique<JournalWriter>(
-                    journal_path, campaign_fp, jopts);
-            }
-        } catch (const JournalError &e) {
-            std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
-            return 1;
-        }
-    }
-
     JsonlSink sink(out, sink_opts);
-    // Write-ahead order: every fresh record hits the journal before
-    // the ordered JSONL sink sees it.  With no journal the decorator
-    // is a pass-through.
-    JournalingSink jsink(journal.get(), &sink);
-    cfg.sink = &jsink;
 
     std::signal(SIGINT, handleStopSignal);
     std::signal(SIGTERM, handleStopSignal);
     cfg.stop = &g_stop;
 
     // The baseline cache is shared across workers (single-flight);
-    // baselines use the campaign's budgets but the base machine.
-    BaselineCache baseline(base);
-    if (!baseline_dir.empty()) {
-        baseline.setStore(baseline_dir);
-        want_efficiency = true;     // a store implies --efficiency
-    }
+    // baselines use the campaign's budgets but the base machine, and
+    // are rows of the campaign's store when it has one.
+    BaselineCache baseline(base, store.get());
     if (want_efficiency)
         cfg.baseline = &baseline;
 
@@ -626,9 +631,17 @@ main(int argc, char **argv)
         cfg.snapshots = &snapshots;
 
     std::uint64_t total_jobs = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t quarantined = 0;
-    bool interrupted = false;
+    std::uint64_t resumed = 0;
+    std::vector<JobResult> failures;
+    const auto tally = [&](const std::vector<JobResult> &results) {
+        for (const JobResult &r : results) {
+            if (neverRan(r))
+                continue;       // skipped by the stop drain
+            ++total_jobs;
+            if (!r.ok())
+                failures.push_back(r);
+        }
+    };
 
     if (stratify) {
         SamplerConfig scfg;
@@ -661,23 +674,20 @@ main(int argc, char **argv)
 
         try {
             StratifiedSampler sampler(cells, scfg, seed);
-            for (;;) {
-                if (g_stop.load(std::memory_order_relaxed)) {
-                    interrupted = true;
-                    break;
-                }
+            // Rounds are a pure function of the seed and the recorded
+            // verdicts, so a rerun regenerates the same trials and the
+            // store serves every one that finished before.
+            while (!g_stop.load(std::memory_order_relaxed)) {
                 const auto jobs = sampler.nextRound();
                 if (jobs.empty())
                     break;
-                const auto results = runCampaignJobs(jobs, cfg);
+                const auto results = runThroughStore(
+                    jobs, cfg, store.get(), sink, test_crash, resumed);
                 for (std::size_t i = 0; i < results.size(); ++i) {
-                    if (neverRan(results[i]))
-                        continue;       // skipped by the stop drain
-                    sampler.record(jobs[i], results[i]);
-                    failed += !results[i].ok();
-                    quarantined += results[i].quarantined;
-                    ++total_jobs;
+                    if (!neverRan(results[i]))
+                        sampler.record(jobs[i], results[i]);
                 }
+                tally(results);
                 if (!quiet) {
                     std::fprintf(
                         stderr, "round %u: %zu trials (%llu total)\n",
@@ -685,8 +695,6 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(total_jobs));
                 }
             }
-            if (g_stop.load(std::memory_order_relaxed))
-                interrupted = true;
             sink.end();
             // The summary rides in the same .jsonl: one object with
             // per-stratum estimates, intervals and trial counts.
@@ -710,116 +718,81 @@ main(int argc, char **argv)
             return 2;
         }
     } else {
-        // Plain and fault campaigns share one resumable flow: replay
-        // already-journaled results into the ordered sink, run only
-        // the remainder, and journal every fresh record write-ahead.
         sink.begin(campaign);
+        const std::vector<JobResult> results = runThroughStore(
+            campaign.jobs, cfg, store.get(), sink, test_crash, resumed);
+        sink.end();
+        tally(results);
+    }
+    const bool interrupted = g_stop.load(std::memory_order_relaxed) ||
+                             (!stratify &&
+                              total_jobs < campaign.jobs.size());
 
-        std::vector<JobSpec> todo;
-        std::vector<std::pair<const JobSpec *, JobResult>> failures;
-        std::uint64_t replayed = 0;
-        for (const JobSpec &spec : campaign.jobs) {
-            const auto it = replay.results.find(spec.id);
-            if (it == replay.results.end()) {
-                todo.push_back(spec);
-                continue;
-            }
-            // Straight to the JSONL sink, not the journaling
-            // decorator: a replayed record must not be re-journaled.
-            sink.record(spec, it->second);
-            if (!it->second.ok())
-                failures.emplace_back(&spec, it->second);
-            ++replayed;
+    std::uint64_t quarantined = 0;
+    for (const JobResult &r : failures)
+        quarantined += r.quarantined;
+    if (!stratify && !interrupted && !failures.empty()) {
+        // Structured failure digest, same .jsonl-resident idiom as
+        // the stratified summary: what failed, why, and whether it
+        // was quarantined, without grepping a million ok records.
+        out << "{\"schema\":\"rmtsim-failures-v1\""
+            << ",\"failed\":" << failures.size()
+            << ",\"quarantined\":" << quarantined << ",\"jobs\":[";
+        for (std::size_t i = 0; i < failures.size(); ++i) {
+            const JobResult &r = failures[i];
+            if (i)
+                out << ",";
+            out << "{\"id\":" << r.id << ",\"label\":\""
+                << jsonEscape(r.label) << "\",\"error\":\""
+                << jsonEscape(r.error)
+                << "\",\"attempts\":" << r.attempts
+                << ",\"timed_out\":"
+                << (r.timed_out ? "true" : "false")
+                << ",\"quarantined\":"
+                << (r.quarantined ? "true" : "false") << "}";
         }
-        if (resume && !quiet) {
-            std::fprintf(
-                stderr, "resumed: %llu of %zu jobs replayed from %s\n",
-                static_cast<unsigned long long>(replayed),
-                campaign.jobs.size(), journal_path.c_str());
-        }
+        out << "]}\n";
+        out.flush();
+    }
 
-        const std::vector<JobResult> results = runCampaignJobs(todo, cfg);
-        // Journal first (write-ahead order holds through the flush),
-        // then the ordered sink drains and fsyncs.
-        jsink.end();
-
-        std::uint64_t completed = 0;
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const JobResult &r = results[i];
-            if (neverRan(r))
-                continue;       // skipped by the stop drain
-            ++completed;
-            if (!r.ok())
-                failures.emplace_back(&todo[i], r);
-        }
-        total_jobs = replayed + completed;
-        interrupted = g_stop.load(std::memory_order_relaxed) ||
-                      total_jobs < campaign.jobs.size();
-
-        failed = failures.size();
-        for (const auto &[spec, r] : failures)
-            quarantined += r.quarantined;
-
-        if (!interrupted && !failures.empty()) {
-            // Structured failure digest, same .jsonl-resident idiom as
-            // the stratified summary: what failed, why, and whether it
-            // was quarantined, without grepping a million ok records.
-            std::sort(failures.begin(), failures.end(),
-                      [](const auto &a, const auto &b) {
-                          return a.first->id < b.first->id;
-                      });
-            out << "{\"schema\":\"rmtsim-failures-v1\""
-                << ",\"failed\":" << failures.size()
-                << ",\"quarantined\":" << quarantined << ",\"jobs\":[";
-            for (std::size_t i = 0; i < failures.size(); ++i) {
-                const auto &[spec, r] = failures[i];
-                if (i)
-                    out << ",";
-                out << "{\"id\":" << spec->id << ",\"label\":\""
-                    << jsonEscape(spec->label) << "\",\"error\":\""
-                    << jsonEscape(r.error)
-                    << "\",\"attempts\":" << r.attempts
-                    << ",\"timed_out\":"
-                    << (r.timed_out ? "true" : "false")
-                    << ",\"quarantined\":"
-                    << (r.quarantined ? "true" : "false") << "}";
-            }
-            out << "]}\n";
-            out.flush();
-        }
-
-        if (journal) {
-            journal->close();
-            // A completed campaign (even a degraded one — its failures
-            // are recorded) leaves nothing to resume; only an
-            // interrupted run keeps its journal.
-            if (!interrupted)
-                std::remove(journal_path.c_str());
+    if (store) {
+        store->flush();
+        // A finished campaign (even a degraded one: its failures are
+        // recorded) leaves nothing to resume; only an interrupted run
+        // keeps its own store.
+        if (auto_store && !interrupted) {
+            store.reset();
+            std::error_code ec;
+            std::filesystem::remove(store_dir + "/store.rmtrs", ec);
+            std::filesystem::remove(store_dir, ec);
         }
     }
 
     if (!quiet) {
         std::string note;
+        if (resumed)
+            note = " (" + std::to_string(resumed) + " resumed from " +
+                   store_dir + ")";
         if (want_efficiency)
-            note = " (" + std::to_string(baseline.simulations()) +
-                   " baseline sims)";
+            note += " (" + std::to_string(baseline.simulations()) +
+                    " baseline sims)";
         if (cfg.snapshots)
             note += " (" + std::to_string(snapshots.producerRuns()) +
                     " snapshot producers)";
         std::fprintf(stderr, "%llu jobs, %llu failed (%llu "
                      "quarantined)%s\n",
                      static_cast<unsigned long long>(total_jobs),
-                     static_cast<unsigned long long>(failed),
+                     static_cast<unsigned long long>(failures.size()),
                      static_cast<unsigned long long>(quarantined),
                      note.c_str());
-        if (interrupted && journal_enabled) {
+        if (interrupted && !store_dir.empty()) {
             std::fprintf(stderr,
-                         "interrupted — journal kept at %s; rerun the "
-                         "same command with --resume\n",
-                         journal_path.c_str());
+                         "interrupted — results kept in %s; rerun the "
+                         "same command to resume\n",
+                         store_dir.c_str());
         }
     }
     if (interrupted)
         return 4;
-    return failed ? 3 : 0;
+    return failures.empty() ? 0 : 3;
 }
