@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/json.hh"
-#include "runner/runner.hh"
 
 namespace rmt
 {
@@ -107,8 +106,6 @@ StratifiedSampler::nextRound()
                 spec.label = cell.label + " stratum=" +
                              _strata[s].name() +
                              " trial=" + std::to_string(trial);
-                if (cell.oracle)
-                    attachFaultOracle(spec, cell.oracle);
                 _origin.push_back({static_cast<std::uint32_t>(c),
                                    static_cast<std::uint32_t>(s)});
                 jobs.push_back(std::move(spec));

@@ -23,7 +23,6 @@
 
 #include "avf/estimator.hh"
 #include "avf/stratum.hh"
-#include "rmt/fault_oracle.hh"
 #include "runner/job.hh"
 
 namespace rmt
@@ -51,15 +50,11 @@ class StratifiedSampler
         std::string label;
         std::vector<std::string> workloads;
         SimOptions options;
-        /** When set, every generated spec gets the oracle attached
-         *  (attachFaultOracle); must outlive the campaign. */
-        const FaultOracle *oracle = nullptr;
     };
 
     StratifiedSampler(std::vector<Cell> cells,
                       const SamplerConfig &config, std::uint64_t seed);
 
-    const std::vector<Cell> &cells() const { return _cells; }
     const std::vector<StratumSpec> &strata() const { return _strata; }
 
     /** All strata resolved or out of budget? */

@@ -84,9 +84,6 @@ class JsonlSink : public ResultSink
     void record(const JobSpec &spec, const JobResult &result) override;
     void end() override;
 
-    std::uint64_t recorded() const;
-    std::uint64_t failures() const;
-
   private:
     bool flushReady();      // caller holds mu; true if rows went out
 

@@ -106,13 +106,12 @@ std::vector<JobResult> runCampaign(const Campaign &campaign,
                                    const RunnerConfig &config);
 
 /**
- * Run an explicit job list (e.g. the not-yet-done remainder of a
- * resumed campaign) over the thread pool, recording each result to
- * config.sink as it completes.  Unlike runCampaign, the sink's
- * begin()/end() are NOT called — the caller owns the sink lifecycle —
- * and results come back by position in @p jobs, not by job id.
- * Jobs skipped by config.stop keep JobStatus::Failed defaults and are
- * never fed to the sink.
+ * Run an explicit job list over a pool of config.jobs workers,
+ * recording each result to config.sink as it completes.  Unlike
+ * runCampaign, the sink's begin()/end() are NOT called, and results
+ * come back by position in @p jobs.  Jobs skipped by config.stop keep
+ * JobStatus::Failed defaults and are never fed to the sink.  (The
+ * tools run store-backed campaigns through serve/campaign_engine.hh.)
  */
 std::vector<JobResult> runCampaignJobs(const std::vector<JobSpec> &jobs,
                                        const RunnerConfig &config);

@@ -1,0 +1,91 @@
+/**
+ * @file
+ * The store-backed campaign engine: the one path by which rmtsim_batch
+ * and rmtsimd turn a job list into rows.
+ *
+ * CampaignEngine::run takes a job list through five steps:
+ *
+ *  1. every job is tryClaim()ed in the ResultStore under
+ *     resultKeyU64(spec, config): a Hit is served from the store, an
+ *     Owner claim is this run's to simulate, and an InFlight key (the
+ *     same content claimed by another client, or earlier in the same
+ *     list) is await()ed and re-claimed if its owner abandons it;
+ *  2. one golden run is built per (mix, capped options) point that has
+ *     an *owned* faulted job, in parallel on the pool, and every owned
+ *     faulted job gets attachFaultOracle — a resubmission that is all
+ *     hits builds no golden;
+ *  3. owned jobs run on the caller's pool (executeJob) and each result
+ *     is publish()ed before it is emitted;
+ *  4. emit(spec, result) is called on the calling thread, in job order;
+ *  5. once emit returns false or config.stop reads true, unstarted
+ *     owned jobs are abandoned (waiters elsewhere re-claim them).
+ *
+ * Claims and awaits happen only on the calling thread, so pool workers
+ * never block on store state and several engines may share one pool:
+ * each run() returns when its own jobs are done, never via
+ * ThreadPool::wait().  Goldens are cached for the engine's lifetime, so
+ * the rounds of a stratified campaign share them.
+ */
+
+#ifndef RMTSIM_SERVE_CAMPAIGN_ENGINE_HH
+#define RMTSIM_SERVE_CAMPAIGN_ENGINE_HH
+
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "rmt/fault_oracle.hh"
+#include "runner/runner.hh"
+#include "runner/thread_pool.hh"
+#include "serve/result_store.hh"
+
+namespace rmt
+{
+
+/** What one CampaignEngine::run did with its jobs. */
+struct EngineTally
+{
+    std::uint64_t hits = 0;         ///< rows already in the store
+    std::uint64_t awaited = 0;      ///< rows another claimant computed
+    std::uint64_t simulated = 0;    ///< owned jobs executed by this run
+    std::uint64_t failed = 0;       ///< emitted rows whose job failed
+    std::uint64_t skipped = 0;      ///< jobs left without a row
+    std::uint64_t goldens = 0;      ///< golden runs built
+};
+
+class CampaignEngine
+{
+  public:
+    /** Receives each row in job order; false stops the run. */
+    using Emit =
+        std::function<bool(const JobSpec &spec, const JobResult &result)>;
+
+    /** @p pool and @p store are the caller's and must outlive this. */
+    CampaignEngine(ThreadPool &pool, ResultStore &store,
+                   const RunnerConfig &config);
+
+    /**
+     * Claim, simulate and emit @p jobs (see the file comment).  Throws
+     * std::runtime_error("golden run failed: ...") once every claim
+     * this run held is released, when a golden cannot be built.
+     */
+    EngineTally run(std::vector<JobSpec> jobs, const Emit &emit);
+
+  private:
+    struct Run;
+
+    std::uint64_t attachGoldens(Run &run,
+                                const std::vector<std::size_t> &owned);
+
+    ThreadPool &pool;
+    ResultStore &store;
+    RunnerConfig config;
+    std::map<std::string, std::unique_ptr<const FaultOracle>> goldens;
+};
+
+} // namespace rmt
+
+#endif // RMTSIM_SERVE_CAMPAIGN_ENGINE_HH

@@ -3,8 +3,6 @@
 #if defined(__unix__) || defined(__APPLE__)
 
 #include <algorithm>
-#include <condition_variable>
-#include <map>
 #include <sstream>
 
 #include <poll.h>
@@ -13,7 +11,7 @@
 
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
-#include "rmt/fault_oracle.hh"
+#include "serve/campaign_engine.hh"
 #include "serve/protocol.hh"
 
 namespace rmt
@@ -23,19 +21,6 @@ namespace serve
 
 namespace
 {
-
-/** Per-job state of one live submit (indexed by campaign position). */
-struct Slot
-{
-    enum class State : std::uint8_t
-    {
-        Pending,    ///< owned job still queued/running on the pool
-        Ready,      ///< result available
-        Skipped,    ///< cancelled before it started
-    };
-    State state = State::Pending;
-    JobResult result;
-};
 
 void
 sendControl(int fd, const std::string &json)
@@ -105,7 +90,6 @@ Daemon::run()
     }
     for (std::thread &t : to_join)
         t.join();
-    pool->wait();
     results.flush();
 }
 
@@ -132,7 +116,7 @@ Daemon::serveClient(int fd)
                 handleSubmit(fd, msg);
             } else if (type == "status" || type == "flush" ||
                        type == "stop" || type == "cancel") {
-                handleControl(fd, body);
+                handleControl(fd, msg);
             } else {
                 sendError(fd, "unknown control type '" + type + "'");
                 break;
@@ -147,10 +131,8 @@ Daemon::serveClient(int fd)
 }
 
 void
-Daemon::handleControl(int fd, const std::string &body)
+Daemon::handleControl(int fd, const JsonValue &msg)
 {
-    JsonValue msg;
-    parseJson(body, msg);
     const std::string type = msg.strOr("type", "");
     if (type == "status") {
         sendControl(fd, statusJson());
@@ -216,11 +198,15 @@ Daemon::handleSubmit(int fd, const JsonValue &msg)
         return;
     }
 
+    // Each submit gets its own snapshot cache: fault trials restore
+    // the latest barrier exactly as a local rmtsim_batch run does, so
+    // their rows (and keys) carry the same snapshot "extra" block.
+    SnapshotCache snapshots;
     RunnerConfig rcfg;
-    rcfg.jobs = 1;          // executeJob runs inline on a pool worker
     rcfg.max_attempts = cfg.max_attempts;
     rcfg.timeout_seconds = cfg.timeout_seconds;
     rcfg.max_insts = cfg.max_insts;
+    rcfg.snapshots = &snapshots;
 
     // Rows are keyed on what this daemon will run (the capped
     // options), so stores shared between differently capped daemons
@@ -228,16 +214,14 @@ Daemon::handleSubmit(int fd, const JsonValue &msg)
     // `accepted` reports and `cancel` matches folds the same keys with
     // each job's id.
     const std::size_t n = campaign.jobs.size();
-    std::vector<std::uint64_t> keys(n);
     std::uint64_t camp_fp = fnv1a64Seed;
-    for (std::size_t i = 0; i < n; ++i) {
-        keys[i] = resultKeyU64(campaign.jobs[i], rcfg);
-        fnv1a64Field(camp_fp, std::to_string(campaign.jobs[i].id) + ":" +
-                                  fingerprintHex(keys[i]));
-    }
+    for (const JobSpec &job : campaign.jobs)
+        fnv1a64Field(camp_fp, std::to_string(job.id) + ":" +
+                                  fingerprintHex(resultKeyU64(job, rcfg)));
 
     auto reg = std::make_shared<LiveCampaign>();
     reg->fingerprint = camp_fp;
+    rcfg.stop = &reg->cancel;
     {
         std::lock_guard<std::mutex> lock(reg_mu);
         live.push_back(reg);
@@ -247,185 +231,21 @@ Daemon::handleSubmit(int fd, const JsonValue &msg)
                         fingerprintHex(camp_fp) + "\",\"jobs\":" +
                         std::to_string(n) + "}");
 
-    // Partition pass: claim every key up front so two overlapping
-    // campaigns interleave at job granularity instead of racing whole
-    // submissions.  Owned fault jobs get their oracle attached exactly
-    // the way rmtsim_batch does it — one golden run per distinct
-    // (mix, capped options) point, shared across this submit, built
-    // lazily so an all-hit resubmission never pays for a golden.
-    std::mutex slot_mu;
-    std::condition_variable slot_cv;
-    std::vector<Slot> slots(n);
-    std::size_t outstanding = 0;    // owned jobs handed to the pool
-    std::uint64_t hits = 0, misses = 0;
-    std::vector<std::size_t> waitlist;
-    std::vector<std::size_t> owned;
-
-    for (std::size_t i = 0; i < n; ++i) {
-        JobResult cached;
-        switch (results.tryClaim(keys[i], cached)) {
-          case ResultStore::Claim::Hit:
-            slots[i].state = Slot::State::Ready;
-            slots[i].result = std::move(cached);
-            ++hits;
-            break;
-          case ResultStore::Claim::Owner:
-            owned.push_back(i);
-            ++misses;
-            break;
-          case ResultStore::Claim::InFlight:
-            waitlist.push_back(i);
-            break;
-        }
-    }
-
-    std::map<std::string, std::unique_ptr<FaultOracle>> oracles;
-    const auto attachOracle = [&](JobSpec &job) {
-        if (job.faults.empty())
-            return;
-        const SimOptions o = cappedOptions(job, rcfg);
-        std::string key;
-        for (const auto &w : job.workloads)
-            key += w + "+";
-        key += fingerprintHex(optionsFingerprintU64(o));
-        auto it = oracles.find(key);
-        if (it == oracles.end()) {
-            it = oracles
-                     .emplace(key, std::make_unique<FaultOracle>(
-                                       FaultOracle::goldenImage(
-                                           job.workloads, o)))
-                     .first;
-        }
-        attachFaultOracle(job, it->second.get());
-    };
-
-    const auto runOwned = [&](std::size_t i) {
-        JobSpec &spec = campaign.jobs[i];
-        JobResult r;
-        if (reg->cancel.load()) {
-            results.abandon(keys[i]);
-            std::lock_guard<std::mutex> lock(slot_mu);
-            slots[i].state = Slot::State::Skipped;
-            --outstanding;
-            slot_cv.notify_all();
-            return;
-        }
-        r = executeJob(spec, rcfg);
-        results.publish(keys[i], modeName(spec.options.mode), r);
-        std::lock_guard<std::mutex> lock(slot_mu);
-        slots[i].state = Slot::State::Ready;
-        slots[i].result = std::move(r);
-        --outstanding;
-        slot_cv.notify_all();
-    };
-
-    bool golden_failed = false;
+    // The engine claims, builds goldens and simulates on the shared
+    // pool; rows leave from this connection thread, so a stalled
+    // client never blocks a pool worker.  A dead peer stops the
+    // campaign: its unstarted jobs are abandoned for other clients.
+    EngineTally tally;
+    std::string error;
     try {
-        for (std::size_t i : owned)
-            attachOracle(campaign.jobs[i]);
+        CampaignEngine engine(*pool, results, rcfg);
+        tally = engine.run(std::move(campaign.jobs),
+                           [&](const JobSpec &spec, const JobResult &r) {
+            return sendFrame(fd, tagRow,
+                             resultJson(spec, r, include_timing));
+        });
     } catch (const std::exception &e) {
-        // A golden run that cannot even build means every owned fault
-        // job is doomed; release the claims so other clients retry.
-        for (std::size_t i : owned)
-            results.abandon(keys[i]);
-        sendError(fd, std::string("golden run failed: ") + e.what());
-        golden_failed = true;
-    }
-
-    std::uint64_t rows = 0, failed = 0;
-    bool peer_gone = false;
-
-    if (!golden_failed) {
-        {
-            std::lock_guard<std::mutex> lock(slot_mu);
-            outstanding = owned.size();
-        }
-        for (std::size_t i : owned)
-            pool->submit([&runOwned, i] { runOwned(i); });
-
-        // Serve the in-flight keys: block on whoever owns them; if the
-        // owner abandons (their client hung up, a drain), re-claim and
-        // run inline right here.
-        for (std::size_t i : waitlist) {
-            JobResult r;
-            for (;;) {
-                if (results.await(keys[i], r)) {
-                    slots[i].state = Slot::State::Ready;
-                    slots[i].result = std::move(r);
-                    ++hits;
-                    break;
-                }
-                switch (results.tryClaim(keys[i], r)) {
-                  case ResultStore::Claim::Hit:
-                    slots[i].state = Slot::State::Ready;
-                    slots[i].result = std::move(r);
-                    ++hits;
-                    break;
-                  case ResultStore::Claim::Owner:
-                    if (reg->cancel.load()) {
-                        results.abandon(keys[i]);
-                        slots[i].state = Slot::State::Skipped;
-                    } else {
-                        JobSpec &spec = campaign.jobs[i];
-                        try {
-                            attachOracle(spec);
-                            JobResult mine = executeJob(spec, rcfg);
-                            results.publish(
-                                keys[i], modeName(spec.options.mode),
-                                mine);
-                            slots[i].state = Slot::State::Ready;
-                            slots[i].result = std::move(mine);
-                        } catch (const std::exception &e) {
-                            results.abandon(keys[i]);
-                            slots[i].state = Slot::State::Skipped;
-                            warn("rmtsimd: job %llu: %s",
-                                 static_cast<unsigned long long>(
-                                     spec.id),
-                                 e.what());
-                        }
-                        ++misses;
-                    }
-                    break;
-                  case ResultStore::Claim::InFlight:
-                    continue;     // next owner appeared; await again
-                }
-                break;
-            }
-        }
-
-        // Emission cursor: rows leave in campaign order while the pool
-        // fills later slots out of order.  A dead peer flips the
-        // cancel flag (unstarted owned jobs abandon themselves) but we
-        // still wait out the in-flight ones below.
-        for (std::size_t i = 0; i < n; ++i) {
-            std::unique_lock<std::mutex> lock(slot_mu);
-            slot_cv.wait(lock, [&] {
-                return slots[i].state != Slot::State::Pending;
-            });
-            if (slots[i].state == Slot::State::Skipped)
-                continue;
-            const JobResult &r = slots[i].result;
-            if (!r.ok())
-                ++failed;
-            if (peer_gone || reg->cancel.load())
-                continue;
-            const std::string line = resultJson(
-                campaign.jobs[i], r, include_timing);
-            lock.unlock();
-            if (!sendFrame(fd, tagRow, line)) {
-                peer_gone = true;
-                reg->cancel.store(true);
-            } else {
-                ++rows;
-            }
-        }
-
-        // All owned pool tasks reference this stack frame (campaign,
-        // slots, keys); do not leave before every one has retired.
-        {
-            std::unique_lock<std::mutex> lock(slot_mu);
-            slot_cv.wait(lock, [&] { return outstanding == 0; });
-        }
+        error = e.what();
     }
 
     {
@@ -436,16 +256,18 @@ Daemon::handleSubmit(int fd, const JsonValue &msg)
     }
     results.flush();
 
-    if (!golden_failed && !peer_gone) {
-        std::ostringstream os;
-        os << "{\"type\":\"done\",\"rows\":" << rows
-           << ",\"hits\":" << hits << ",\"misses\":" << misses
-           << ",\"failed\":" << failed << ",\"draining\":"
-           << (stopping.load() || reg->cancel.load() ? "true"
-                                                     : "false")
-           << "}";
-        sendControl(fd, os.str());
+    if (!error.empty()) {
+        sendError(fd, error);
+        return;
     }
+    std::ostringstream os;
+    os << "{\"type\":\"done\",\"rows\":" << n - tally.skipped
+       << ",\"hits\":" << tally.hits + tally.awaited
+       << ",\"misses\":" << tally.simulated
+       << ",\"failed\":" << tally.failed << ",\"draining\":"
+       << (stopping.load() || reg->cancel.load() ? "true" : "false")
+       << "}";
+    sendControl(fd, os.str());
 }
 
 } // namespace serve

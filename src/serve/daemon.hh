@@ -9,16 +9,17 @@
  *
  *  - one accept loop (poll + 200 ms tick so the SIGTERM drain flag is
  *    observed promptly), one detached-join thread per connection;
- *  - a submit runs a *partition pass* on its connection thread: every
- *    job is tryClaim()ed against the store — hits are served
- *    immediately, owned jobs go to the shared pool, in-flight jobs
- *    (another client is computing the same content key right now) are
- *    await()ed.  Claims never block pool workers, so the shared pool
- *    cannot deadlock on cross-campaign dependencies;
- *  - rows are emitted strictly in job order while the pool completes
- *    jobs out of order ahead of the cursor — the stream a client sees
- *    is byte-identical to a local `rmtsim_batch --jsonl` run of the
- *    same campaign (modulo timing fields, which the client may disable);
+ *  - a submit runs through the same CampaignEngine as a local
+ *    rmtsim_batch (serve/campaign_engine.hh) on the shared pool, with
+ *    a per-submit SnapshotCache: store hits are served immediately,
+ *    owned jobs (goldens first) run on the pool, and keys another
+ *    client is computing right now are awaited, so each content key is
+ *    simulated once however many campaigns share it;
+ *  - rows are sent strictly in job order from the connection thread —
+ *    the stream a client sees is byte-identical to a local
+ *    `rmtsim_batch` run of the same campaign (modulo timing fields,
+ *    which the client may disable) — so a stalled client never blocks
+ *    a pool worker;
  *  - a client hangup mid-stream cancels its campaign: unstarted jobs
  *    are abandoned (waiters re-claim them), finished ones are already
  *    in the store, so a resubmission resumes from row 0 at store speed.
@@ -87,8 +88,6 @@ class Daemon
      */
     void requestStop() { stopping.store(true); }
 
-    const ResultStore &store() const { return results; }
-
   private:
     /** Per-campaign bookkeeping registered while a submit is live. */
     struct LiveCampaign
@@ -99,7 +98,7 @@ class Daemon
 
     void serveClient(int fd);
     void handleSubmit(int fd, const JsonValue &msg);
-    void handleControl(int fd, const std::string &body);
+    void handleControl(int fd, const JsonValue &msg);
     std::string statusJson();
     void cancelCampaigns(const std::string &fp_hex);
 

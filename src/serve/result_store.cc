@@ -15,6 +15,7 @@
 #if defined(__unix__) || defined(__APPLE__)
 #define RMT_STORE_POSIX 1
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 #endif
 
@@ -157,6 +158,34 @@ ResultStore::open(const std::string &dir)
     std::filesystem::create_directories(dir, ec);
     path = dir + "/store.rmtrs";
 
+#ifdef RMT_STORE_POSIX
+    // One writer process per store: an advisory lock held until the
+    // store closes (the kernel drops it when the process dies).
+    fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+    if (fd < 0)
+        throw StoreError("result store: cannot open '" + path +
+                         "' for writing");
+    if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+        ::close(fd);
+        fd = -1;
+        throw StoreError("store '" + dir +
+                         "' is in use by another process");
+    }
+    try {
+        load(dir);
+    } catch (...) {
+        ::close(fd);
+        fd = -1;
+        throw;
+    }
+#else
+    load(dir);
+#endif
+}
+
+void
+ResultStore::load(const std::string &dir)
+{
     // Load whatever valid prefix exists; remember where it ends so the
     // writer can truncate a torn/corrupt tail before appending.
     std::string data;
@@ -245,29 +274,16 @@ ResultStore::open(const std::string &dir)
     }
 
 #ifdef RMT_STORE_POSIX
-    const bool fresh = data.empty();
-    fd = ::open(path.c_str(),
-                fresh ? (O_WRONLY | O_CREAT | O_TRUNC) : O_WRONLY,
-                0644);
-    if (fd < 0)
-        throw StoreError("result store: cannot open '" + path +
-                         "' for writing");
-    if (fresh) {
-        if (!wire::writeAll(fd, header.data(), header.size())) {
-            ::close(fd);
-            fd = -1;
+    if (data.empty()) {
+        if (::ftruncate(fd, 0) != 0 ||
+            !wire::writeAll(fd, header.data(), header.size()))
             throw StoreError("result store: cannot write the header "
                              "of '" + path + "'");
-        }
         counters.stored_bytes = header.size();
-    } else {
-        if (::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0 ||
-            ::lseek(fd, 0, SEEK_END) < 0) {
-            ::close(fd);
-            fd = -1;
-            throw StoreError("result store: cannot truncate '" + path +
-                             "' to its valid prefix");
-        }
+    } else if (::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0 ||
+               ::lseek(fd, 0, SEEK_END) < 0) {
+        throw StoreError("result store: cannot truncate '" + path +
+                         "' to its valid prefix");
     }
 #else
     if (data.empty()) {

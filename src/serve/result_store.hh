@@ -12,8 +12,8 @@
  * different client entirely — is a cache hit.
  *
  * Concurrency is single-flight, split into a non-blocking `tryClaim`
- * (so a campaign's partition pass never stalls on another client's
- * in-flight job) and a blocking `await`:
+ * (so CampaignEngine claims a whole job list before it waits on any
+ * other client's in-flight job) and a blocking `await`:
  *
  *     tryClaim -> Hit       serve the stored result
  *              -> Owner     caller must publish() or abandon()
@@ -110,8 +110,10 @@ class ResultStore
      * every valid frame of `store.rmtrs`, truncate any torn/corrupt
      * tail, and append future publishes.  Throws StoreError when the
      * directory or file cannot be used at all (including a store
-     * written by another format version); damage inside the file
-     * degrades to the valid prefix.
+     * written by another format version, or one another open store
+     * holds: a store has one writer at a time, enforced by an advisory
+     * flock on POSIX); damage inside the file degrades to the valid
+     * prefix.
      */
     void open(const std::string &dir);
 
@@ -157,6 +159,7 @@ class ResultStore
         std::string mode;
     };
 
+    void load(const std::string &dir);           // caller holds mu
     void appendFrame(std::uint64_t key, const std::string &mode,
                      const JobResult &result);   // caller holds mu
     void syncLocked();                           // caller holds mu

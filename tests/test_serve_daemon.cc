@@ -13,7 +13,9 @@
  *  - a client that disconnects mid-stream and resubmits receives every
  *    row from index 0 in original order;
  *  - fault jobs get their oracle verdicts server-side, identical to a
- *    locally-oracled run;
+ *    locally-oracled run, and a snapshot-barrier fault campaign
+ *    restores its trials from snapshots exactly as a local batch does
+ *    (same "extra" block);
  *  - SIGKILLing the daemon mid-campaign leaves an uncorrupted store,
  *    and a fresh daemon on the same store completes the campaign
  *    byte-identically;
@@ -289,6 +291,45 @@ TEST(ServeDaemon, FaultJobsGetVerdictsServerSide)
     const JobResult local = executeJob(spec, rcfg);
     EXPECT_EQ(remote.str(),
               resultJson(spec, local, /*include_timing=*/false) + "\n");
+}
+
+TEST(ServeDaemon, SnapshotFaultRowsMatchLocalBatch)
+{
+    TempDir dir("serve_daemon_snapshots");
+    DaemonFixture fx(dir.path);
+
+    SimOptions base;
+    base.warmup_insts = 300;
+    base.measure_insts = 3000;
+    base.snapshot_every = 600;
+    CampaignBuilder builder("serve-snap", 5);
+    builder.base(base).modes({SimMode::Srt}).mixes({{"compress"}});
+    builder.transientRegTrials(4, 31);
+    const Campaign campaign = builder.build();
+
+    std::ostringstream remote;
+    const RemoteCampaignResult r = runRemoteCampaign(
+        fx.cfg.socket_path, campaign, /*include_timing=*/false, remote);
+    EXPECT_EQ(r.rows, campaign.jobs.size());
+
+    // Control: what rmtsim_batch --snapshot-every writes locally — one
+    // golden for the point, trials restored from a SnapshotCache.
+    SnapshotCache snapshots;
+    RunnerConfig rcfg;
+    rcfg.snapshots = &snapshots;
+    const JobSpec &point = campaign.jobs[0];
+    const FaultOracle oracle(
+        FaultOracle::goldenImage(point.workloads, point.options));
+    std::vector<JobSpec> jobs = campaign.jobs;
+    for (JobSpec &spec : jobs)
+        attachFaultOracle(spec, &oracle);
+    const std::vector<JobResult> local = runCampaignJobs(jobs, rcfg);
+    std::ostringstream expect;
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        expect << resultJson(jobs[i], local[i], false) << "\n";
+
+    EXPECT_EQ(remote.str(), expect.str());
+    EXPECT_NE(remote.str().find("\"snapshot_hit\":1"), std::string::npos);
 }
 
 TEST(ServeDaemon, SigkillMidCampaignLeavesStoreUsable)

@@ -17,11 +17,21 @@
  *  - a torn tail or a CRC-corrupt frame degrades to the valid prefix
  *    (exhaustively: every truncation offset and every bit of the first
  *    and last frame, key bytes included) — and a non-store file or
- *    another format version is a hard StoreError.
+ *    another format version is a hard StoreError;
+ *  - a store has one writer: a second open of the same directory
+ *    throws until the first store is closed;
+ *  - the CampaignEngine on top of the store: a rerun over a complete
+ *    store simulates nothing and builds no golden, duplicate keys in
+ *    one run simulate once and keep their own id and label, runs on a
+ *    shared pool return when their own jobs finish, a stop abandons
+ *    unstarted keys, and a failing golden is one error that releases
+ *    every claim.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -31,6 +41,9 @@
 
 #include "runner/runner.hh"
 #include "runner/wire.hh"
+#include "runner/campaign.hh"
+#include "runner/thread_pool.hh"
+#include "serve/campaign_engine.hh"
 #include "serve/result_store.hh"
 
 using namespace rmt;
@@ -100,6 +113,32 @@ sampleResult(std::uint64_t id, bool ok = true)
     r.run.completed = ok;
     return r;
 }
+
+/** Three transient-register trials on each of two points. */
+std::vector<JobSpec>
+faultJobs()
+{
+    SimOptions base;
+    base.warmup_insts = 100;
+    base.measure_insts = 1000;
+    CampaignBuilder builder("engine", 3);
+    builder.base(base).modes({SimMode::Srt}).mixes({{"gcc"}, {"compress"}});
+    builder.transientRegTrials(3, 31);
+    return builder.build().jobs;
+}
+
+/** Every row a CampaignEngine emits, rendered without timing. */
+struct Rows
+{
+    std::vector<std::string> lines;
+    CampaignEngine::Emit emit()
+    {
+        return [this](const JobSpec &spec, const JobResult &r) {
+            lines.push_back(resultJson(spec, r, false));
+            return true;
+        };
+    }
+};
 
 } // namespace
 
@@ -467,5 +506,183 @@ TEST(ResultStore, RejectsForeignFilesAndFutureVersions)
                       std::string::npos)
                 << e.what();
         }
+    }
+}
+
+TEST(ResultStore, SecondWriterIsRefusedUntilTheFirstCloses)
+{
+    TempDir dir("serve_store_lock");
+    auto first = std::make_unique<ResultStore>();
+    first->open(dir.path);
+    {
+        ResultStore second;
+        try {
+            second.open(dir.path);
+            ADD_FAILURE() << "a second writer opened a held store";
+        } catch (const StoreError &e) {
+            EXPECT_NE(std::string(e.what()).find("in use by another "
+                                                 "process"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    first.reset();
+    ResultStore again;
+    EXPECT_NO_THROW(again.open(dir.path));
+}
+
+TEST(CampaignEngine, RerunOverACompleteStoreSimulatesNothing)
+{
+    TempDir dir("serve_engine_rerun");
+    const std::vector<JobSpec> jobs = faultJobs();
+    ThreadPool pool(2);
+    Rows first, second;
+    {
+        ResultStore store;
+        store.open(dir.path);
+        CampaignEngine engine(pool, store, RunnerConfig{});
+        const EngineTally t = engine.run(jobs, first.emit());
+        EXPECT_EQ(t.simulated, jobs.size());
+        EXPECT_EQ(t.goldens, 2u);
+        EXPECT_EQ(t.hits, 0u);
+        EXPECT_EQ(t.skipped, 0u);
+        EXPECT_EQ(t.failed, 0u);
+    }
+    ResultStore store;
+    store.open(dir.path);
+    CampaignEngine engine(pool, store, RunnerConfig{});
+    const EngineTally t = engine.run(jobs, second.emit());
+    EXPECT_EQ(t.hits, jobs.size());
+    EXPECT_EQ(t.simulated, 0u);
+    EXPECT_EQ(t.goldens, 0u);
+    ASSERT_EQ(first.lines.size(), jobs.size());
+    EXPECT_EQ(first.lines, second.lines);
+    EXPECT_NE(first.lines[0].find("\"verdict\""), std::string::npos);
+}
+
+TEST(CampaignEngine, DuplicateKeysSimulateOnceAndKeepTheirOwnRows)
+{
+    std::vector<JobSpec> jobs = {sampleSpec(0), sampleSpec(1),
+                                 sampleSpec(2)};
+    jobs[2].label = "twin";
+    jobs[1].seed = 43;      // job 2 repeats job 0's content
+    ThreadPool pool(2);
+    ResultStore store;
+    CampaignEngine engine(pool, store, RunnerConfig{});
+    std::vector<std::pair<std::uint64_t, std::string>> seen;
+    const EngineTally t = engine.run(
+        jobs, [&](const JobSpec &spec, const JobResult &r) {
+            EXPECT_EQ(r.id, spec.id);
+            EXPECT_EQ(r.label, spec.label);
+            seen.emplace_back(spec.id, resultJson(spec, r, false));
+            return true;
+        });
+    EXPECT_EQ(t.simulated, 2u);
+    EXPECT_EQ(t.awaited, 1u);
+    EXPECT_EQ(t.hits, 0u);
+    ASSERT_EQ(seen.size(), 3u);
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i].first, i);
+    EXPECT_NE(seen[2].second.find("\"label\":\"twin\""),
+              std::string::npos);
+}
+
+TEST(CampaignEngine, RunsOnASharedPoolReturnWithTheirOwnJobs)
+{
+    // One worker is held by a task that is not the engine's: a run
+    // that waited for the whole pool would never return.
+    ThreadPool pool(2);
+    std::atomic<bool> release{false};
+    pool.submit([&] {
+        while (!release.load())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+
+    // Three distinct keys over five jobs: a's two are also b's first.
+    std::vector<JobSpec> b = {sampleSpec(0), sampleSpec(1),
+                              sampleSpec(2)};
+    for (JobSpec &job : b)
+        job.seed = 42 + job.id;
+    const std::vector<JobSpec> a = {b[0], b[1]};
+    ResultStore store;
+    EngineTally ta, tb;
+    Rows ra, rb;
+    std::thread other([&] {
+        CampaignEngine engine(pool, store, RunnerConfig{});
+        tb = engine.run(b, rb.emit());
+    });
+    {
+        CampaignEngine engine(pool, store, RunnerConfig{});
+        ta = engine.run(a, ra.emit());
+    }
+    other.join();
+    EXPECT_FALSE(release.load());
+    release.store(true);
+    pool.wait();
+
+    // Each key is simulated once across both runs.
+    EXPECT_EQ(ta.simulated + tb.simulated, 3u);
+    EXPECT_EQ(ta.hits + ta.awaited + tb.hits + tb.awaited, 2u);
+    EXPECT_EQ(ra.lines.size(), 2u);
+    EXPECT_EQ(rb.lines.size(), 3u);
+    EXPECT_EQ(ra.lines[0], rb.lines[0]);
+    EXPECT_EQ(ra.lines[1], rb.lines[1]);
+}
+
+TEST(CampaignEngine, StopAbandonsUnstartedKeys)
+{
+    std::vector<JobSpec> jobs;
+    for (std::uint64_t i = 0; i < 4; ++i) {
+        jobs.push_back(sampleSpec(i));
+        jobs.back().seed = 100 + i;
+    }
+    // The first job sets the drain flag from its post_run; the single
+    // worker then starts nothing else.
+    std::atomic<bool> stop{false};
+    jobs[0].post_run = [&stop](Simulation &, const RunResult &,
+                               JobResult &) { stop.store(true); };
+    RunnerConfig cfg;
+    cfg.stop = &stop;
+    ThreadPool pool(1);
+    ResultStore store;
+    CampaignEngine engine(pool, store, cfg);
+    Rows rows;
+    const EngineTally t = engine.run(jobs, rows.emit());
+    EXPECT_EQ(t.simulated, 1u);
+    EXPECT_EQ(t.skipped, 3u);
+    EXPECT_EQ(rows.lines.size(), 1u);
+    JobResult ignored;
+    for (std::size_t i = 1; i < jobs.size(); ++i) {
+        EXPECT_EQ(store.tryClaim(resultKeyU64(jobs[i], cfg), ignored),
+                  ResultStore::Claim::Owner)
+            << "job " << i;
+    }
+}
+
+TEST(CampaignEngine, FailingGoldenIsOneErrorAndReleasesEveryClaim)
+{
+    std::vector<JobSpec> jobs = faultJobs();
+    for (JobSpec &job : jobs) {
+        if (job.workloads[0] == "compress")
+            job.workloads = {"no-such-workload"};
+    }
+    ThreadPool pool(2);
+    ResultStore store;
+    CampaignEngine engine(pool, store, RunnerConfig{});
+    Rows rows;
+    try {
+        engine.run(jobs, rows.emit());
+        ADD_FAILURE() << "the run did not throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("golden run failed"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(rows.lines.empty());
+    JobResult ignored;
+    for (const JobSpec &job : jobs) {
+        EXPECT_EQ(store.tryClaim(resultKeyU64(job), ignored),
+                  ResultStore::Claim::Owner)
+            << job.label;
     }
 }

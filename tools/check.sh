@@ -166,8 +166,9 @@ grep -q '"avf_summary"' build/avf_j1.jsonl
 echo "== serve: daemon resubmission is byte-identical and >=5x faster =="
 # Start rmtsimd on a fresh store, run the same client campaign twice:
 # the cold pass simulates every trial, the warm pass must be all store
-# hits — byte-identical output, at least 5x faster wall clock — then
-# the daemon must drain cleanly on SIGTERM (socket + pid file gone).
+# hits — byte-identical output, at least 5x faster wall clock — and a
+# snapshot fault campaign must match its local run; then the daemon
+# must drain cleanly on SIGTERM (socket + pid file gone).
 cmake --build build -j "$jobs" --target rmtsimd >/dev/null
 rm -rf build/serve_gate
 mkdir -p build/serve_gate
@@ -192,6 +193,17 @@ echo "serve gate: cold ${cold_ns}ns, warm ${warm_ns}ns"
 [ $((warm_ns * 5)) -le "$cold_ns" ]
 ./build/tools/rmtsim_report --serve-summary build/serve_gate/d.sock \
     | grep -q 'hits'
+# A snapshot-barrier fault campaign through the daemon restores its
+# trials exactly as a local run does: the rows, snapshot "extra" block
+# included, must match the local ones byte for byte.
+snap_args="--modes srt,crt --workloads gcc,compress --fault-trials 4
+           --warmup 500 --insts 4000 --snapshot-every 1500 --no-timing
+           --quiet"
+./build/tools/rmtsim_batch $snap_args --server build/serve_gate/d.sock \
+    --out build/serve_gate/snap_server.jsonl
+./build/tools/rmtsim_batch $snap_args --out build/serve_gate/snap_local.jsonl
+diff build/serve_gate/snap_local.jsonl build/serve_gate/snap_server.jsonl
+grep -q '"snapshot_hit":1' build/serve_gate/snap_server.jsonl
 kill -TERM "$(cat build/serve_gate/d.pid)"
 wait
 [ ! -e build/serve_gate/d.sock ]

@@ -22,7 +22,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -38,6 +37,7 @@
 #include "common/logging.hh"
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
+#include "serve/campaign_engine.hh"
 #include "serve/client.hh"
 #include "serve/result_store.hh"
 #include "sim/metrics.hh"
@@ -133,7 +133,8 @@ usage()
         "from the daemon's\n"
         "                    result store).  Incompatible with "
         "--stratify,\n"
-        "                    --efficiency and --store\n"
+        "                    --efficiency, --store and "
+        "--no-snapshot-fork\n"
         "  --quiet           no stderr progress\n"
         "  --progress        force the stderr heartbeat (done/total, "
         "elapsed, ETA)\n"
@@ -155,93 +156,6 @@ usage()
         "degraded (failed or\n"
         "quarantined jobs recorded); 4 interrupted (store kept — "
         "rerun the same command)\n");
-}
-
-/** A job runCampaignJobs skipped because the stop drain began. */
-bool
-neverRan(const JobResult &r)
-{
-    return r.attempts == 0 && !r.ok() && r.error.empty();
-}
-
-/** Publishes each freshly run result to the store before the JSONL
- *  sink sees it: a row on disk is always in the store first. */
-class PublishingSink : public ResultSink
-{
-  public:
-    PublishingSink(ResultStore *store, const RunnerConfig &cfg,
-                   ResultSink &inner)
-        : store(store), cfg(cfg), inner(inner)
-    {
-    }
-
-    void record(const JobSpec &spec, const JobResult &result) override
-    {
-        if (store)
-            store->publish(resultKeyU64(spec, cfg),
-                           modeName(spec.options.mode), result);
-        inner.record(spec, result);
-    }
-
-  private:
-    ResultStore *store;
-    const RunnerConfig &cfg;
-    ResultSink &inner;
-};
-
-/**
- * The one persistence step of every campaign shape (plain, fault, and
- * each round of a stratified one).  Every job is claimed in @p store:
- * a stored row goes straight to @p sink, and every other job runs on
- * the pool and is published before the sink sees it.  (A key already
- * in flight can only be claimed earlier in this batch, by a job with
- * identical content; it runs again and publishes the same row.)
- * Results come back by position; jobs the stop drain skipped are left
- * as neverRan().  @p resumed counts the rows served from the store.
- */
-std::vector<JobResult>
-runThroughStore(const std::vector<JobSpec> &jobs, RunnerConfig cfg,
-                ResultStore *store, ResultSink &sink, long long crash_id,
-                std::uint64_t &resumed)
-{
-    std::vector<JobResult> results(jobs.size());
-    std::vector<JobSpec> owned;
-    std::vector<std::size_t> owned_at;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (store && store->tryClaim(resultKeyU64(jobs[i], cfg),
-                                     results[i]) ==
-                         ResultStore::Claim::Hit) {
-            results[i].id = jobs[i].id;         // the key ignores both
-            results[i].label = jobs[i].label;
-            sink.record(jobs[i], results[i]);
-            ++resumed;
-            continue;
-        }
-        owned_at.push_back(i);
-        owned.push_back(jobs[i]);
-        if (jobs[i].id != static_cast<std::uint64_t>(crash_id))
-            continue;
-        // Test hook: die after the work but before the record is
-        // stored, so the whole batch dies mid-campaign.
-        auto prev = std::move(owned.back().post_run);
-        owned.back().post_run = [prev](Simulation &sim,
-                                       const RunResult &run,
-                                       JobResult &res) {
-            if (prev)
-                prev(sim, run, res);
-            std::_Exit(9);
-        };
-    }
-
-    PublishingSink publishing(store, cfg, sink);
-    cfg.sink = &publishing;
-    std::vector<JobResult> fresh = runCampaignJobs(owned, cfg);
-    for (std::size_t k = 0; k < owned.size(); ++k) {
-        if (store && neverRan(fresh[k]))
-            store->abandon(resultKeyU64(owned[k], cfg));
-        results[owned_at[k]] = std::move(fresh[k]);
-    }
-    return results;
 }
 
 std::vector<std::string>
@@ -403,7 +317,8 @@ main(int argc, char **argv)
     if (!server_sock.empty()) {
         // Server mode ships JobSpecs, not local machinery: adaptive
         // sampling, the baseline cache and a local store all live on
-        // this side of the socket and cannot ride along.
+        // this side of the socket and cannot ride along, and the
+        // daemon always restores fault trials from snapshots.
         const char *clash = nullptr;
         if (stratify)
             clash = "--stratify";
@@ -411,6 +326,8 @@ main(int argc, char **argv)
             clash = "--efficiency";
         else if (!store_dir.empty())
             clash = "--store";
+        else if (!snapshot_fork)
+            clash = "--no-snapshot-fork";
         else if (test_crash >= 0)
             clash = "--test-crash-trial";
         if (clash) {
@@ -450,76 +367,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Every fault trial gets an oracle verdict: one golden (fault-free)
-    // run per distinct (mix, effective options) point, shared by all of
-    // that point's trials.  The golden uses the same capped budgets the
-    // trials will actually run under, or the memory comparison would
-    // flag the budget difference as corruption.
-    std::map<std::string, std::unique_ptr<FaultOracle>> oracles;
-    std::vector<const FaultOracle *> cell_oracles(campaign.jobs.size(),
-                                                  nullptr);
-    // In server mode the daemon runs the goldens itself (once per
-    // distinct point, cached with everything else in its store).
-    if ((fault_trials || stratify) && server_sock.empty()) {
-        // Map nodes are stable: each job keeps a pointer to its slot.
-        using Slot = std::unique_ptr<FaultOracle>;
-        std::vector<Slot *> job_slot(campaign.jobs.size(), nullptr);
-        std::vector<std::pair<const JobSpec *, Slot *>> points;
-        for (const JobSpec &job : campaign.jobs) {
-            if (job.faults.empty() && !stratify)
-                continue;
-            std::string key;
-            for (const auto &w : job.workloads)
-                key += w + "+";
-            key += optionsFingerprint(cappedOptions(job, cfg));
-            const auto [it, fresh] = oracles.emplace(key, nullptr);
-            if (fresh)
-                points.emplace_back(&job, &it->second);
-            job_slot[job.id] = &it->second;
-        }
-        // The goldens are independent runs: spread them over the pool.
-        // Each task fills only its own, already inserted, slot.
-        std::vector<std::string> errors(points.size());
-        {
-            ThreadPool pool(cfg.jobs);
-            for (std::size_t i = 0; i < points.size(); ++i) {
-                pool.submit([&, i] {
-                    const JobSpec &job = *points[i].first;
-                    try {
-                        *points[i].second = std::make_unique<FaultOracle>(
-                            FaultOracle::goldenImage(
-                                job.workloads, cappedOptions(job, cfg)));
-                    } catch (const std::exception &e) {
-                        errors[i] = e.what();
-                    } catch (...) {
-                        errors[i] = "unknown exception";
-                    }
-                });
-            }
-            pool.wait();
-        }
-        for (const std::string &e : errors) {
-            if (!e.empty()) {
-                std::fprintf(stderr,
-                             "rmtsim_batch: golden run failed: %s\n",
-                             e.c_str());
-                return 2;
-            }
-        }
-        for (JobSpec &job : campaign.jobs) {
-            if (!job_slot[job.id])
-                continue;
-            const FaultOracle *oracle = job_slot[job.id]->get();
-            if (stratify) {
-                // The sampler attaches the oracle to each trial it
-                // generates; remember which oracle serves this cell.
-                cell_oracles[job.id] = oracle;
-            } else {
-                attachFaultOracle(job, oracle);
-            }
-        }
-    }
-
     if (list_only) {
         for (const JobSpec &j : campaign.jobs)
             std::printf("%6llu  %s\n",
@@ -529,24 +376,46 @@ main(int argc, char **argv)
         return 0;
     }
 
+    // Every local result goes through the content-addressed store: a
+    // crashed or interrupted campaign resumes by rerunning the same
+    // command.  A file --out gets its own store, removed once the
+    // campaign finishes; an explicit --store is always kept; --out -
+    // runs against a memory-only store.
+    const bool auto_store =
+        server_sock.empty() && store_dir.empty() && out_path != "-";
+    if (auto_store)
+        store_dir = out_path + ".store";
+    auto store = std::make_unique<ResultStore>();
+    if (!store_dir.empty()) {
+        // Opened before the output file is truncated, so a store this
+        // build cannot read (or another process holds) leaves
+        // everything on disk untouched.
+        try {
+            store->open(store_dir);
+        } catch (const StoreError &e) {
+            std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
+            return 2;
+        }
+    }
+
+    std::ofstream file;
+    if (out_path != "-") {
+        file.open(out_path);
+        if (!file) {
+            std::fprintf(stderr, "rmtsim_batch: cannot open '%s'\n",
+                         out_path.c_str());
+            return 2;
+        }
+    }
+    std::ostream &out = out_path == "-" ? std::cout : file;
+
 #if defined(__unix__) || defined(__APPLE__)
     if (!server_sock.empty()) {
         std::signal(SIGPIPE, SIG_IGN);
-        std::ofstream sfile;
-        if (out_path != "-") {
-            sfile.open(out_path);
-            if (!sfile) {
-                std::fprintf(stderr, "rmtsim_batch: cannot open '%s'\n",
-                             out_path.c_str());
-                return 2;
-            }
-        }
-        std::ostream &sout = out_path == "-" ? std::cout : sfile;
         try {
             const serve::RemoteCampaignResult r =
                 serve::runRemoteCampaign(server_sock, campaign,
-                                         sink_opts.include_timing,
-                                         sout);
+                                         sink_opts.include_timing, out);
             if (!quiet) {
                 std::fprintf(
                     stderr,
@@ -580,38 +449,6 @@ main(int argc, char **argv)
         sink_opts.progress = false;     // per-round reporting instead
     if (force_progress)
         sink_opts.progress = true;      // --progress beats every clamp
-
-    // Every result goes through the content-addressed store when there
-    // is one: a crashed or interrupted campaign resumes by rerunning the
-    // same command.  A file --out gets its own store, removed once the
-    // campaign finishes; an explicit --store is always kept.
-    const bool auto_store = store_dir.empty() && out_path != "-";
-    if (auto_store)
-        store_dir = out_path + ".store";
-    std::unique_ptr<ResultStore> store;
-    if (!store_dir.empty()) {
-        // Opened before the output file is truncated, so a store this
-        // build cannot read leaves everything on disk untouched.
-        store = std::make_unique<ResultStore>();
-        try {
-            store->open(store_dir);
-        } catch (const StoreError &e) {
-            std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
-            return 2;
-        }
-    }
-
-    std::ofstream file;
-    if (out_path != "-") {
-        file.open(out_path);
-        if (!file) {
-            std::fprintf(stderr, "rmtsim_batch: cannot open '%s'\n",
-                         out_path.c_str());
-            return 2;
-        }
-    }
-    std::ostream &out = out_path == "-" ? std::cout : file;
-
     JsonlSink sink(out, sink_opts);
 
     std::signal(SIGINT, handleStopSignal);
@@ -620,7 +457,7 @@ main(int argc, char **argv)
 
     // The baseline cache is shared across workers (single-flight);
     // baselines use the campaign's budgets but the base machine, and
-    // are rows of the campaign's store when it has one.
+    // are rows of the campaign's store.
     BaselineCache baseline(base, store.get());
     if (want_efficiency)
         cfg.baseline = &baseline;
@@ -630,79 +467,86 @@ main(int argc, char **argv)
     if (base.snapshot_every && snapshot_fork)
         cfg.snapshots = &snapshots;
 
-    std::uint64_t total_jobs = 0;
-    std::uint64_t resumed = 0;
+    // One pool for the whole process: goldens, jobs and every
+    // stratified round run on it.
+    ThreadPool pool(cfg.jobs);
+    CampaignEngine engine(pool, *store, cfg);
     std::vector<JobResult> failures;
-    const auto tally = [&](const std::vector<JobResult> &results) {
-        for (const JobResult &r : results) {
-            if (neverRan(r))
-                continue;       // skipped by the stop drain
-            ++total_jobs;
-            if (!r.ok())
-                failures.push_back(r);
+    StratifiedSampler *sampler = nullptr;
+    const auto emit = [&](const JobSpec &spec, const JobResult &r) {
+        sink.record(spec, r);
+        if (!r.ok())
+            failures.push_back(r);
+        if (sampler)
+            sampler->record(spec, r);
+        return true;
+    };
+    std::uint64_t total_jobs = 0, resumed = 0, goldens = 0, skipped = 0;
+    const auto runJobs = [&](std::vector<JobSpec> jobs) {
+        // Test hook: die after the named job's work but before its row
+        // is stored.  A stored job never runs, so a rerun gets past it.
+        for (JobSpec &job : jobs) {
+            if (job.id == static_cast<std::uint64_t>(test_crash))
+                job.post_run = [](Simulation &, const RunResult &,
+                                  JobResult &) { std::_Exit(9); };
         }
+        const std::size_t n = jobs.size();
+        const EngineTally t = engine.run(std::move(jobs), emit);
+        resumed += t.hits;
+        goldens += t.goldens;
+        skipped += t.skipped;
+        total_jobs += n - t.skipped;
     };
 
-    if (stratify) {
-        SamplerConfig scfg;
-        try {
+    try {
+        if (stratify) {
+            SamplerConfig scfg;
             scfg.kinds = parseFaultKinds(kinds_csv);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
-            return 2;
-        }
-        scfg.windows = windows;
-        scfg.batch = batch;
-        scfg.max_trials = fault_trials ? fault_trials : 256;
-        scfg.ci_width = ci_width;
-        scfg.confidence = confidence;
-        scfg.max_reg = max_reg;
-        // Pair-resident kinds (lvq/lpq/boq) only exist on machines
-        // with redundant pairs; drop them from the default kind set
-        // as soon as one sampled mode lacks pairs.
-        scfg.has_pairs = true;
-        for (const SimMode m : modes) {
-            if (m != SimMode::Srt && m != SimMode::Crt)
-                scfg.has_pairs = false;
-        }
+            scfg.windows = windows;
+            scfg.batch = batch;
+            scfg.max_trials = fault_trials ? fault_trials : 256;
+            scfg.ci_width = ci_width;
+            scfg.confidence = confidence;
+            scfg.max_reg = max_reg;
+            // Pair-resident kinds (lvq/lpq/boq) only exist on machines
+            // with redundant pairs; drop them from the default kind set
+            // as soon as one sampled mode lacks pairs.
+            scfg.has_pairs = true;
+            for (const SimMode m : modes) {
+                if (m != SimMode::Srt && m != SimMode::Crt)
+                    scfg.has_pairs = false;
+            }
 
-        std::vector<StratifiedSampler::Cell> cells;
-        for (const JobSpec &j : campaign.jobs) {
-            cells.push_back({j.label, j.workloads, j.options,
-                             cell_oracles[j.id]});
-        }
+            std::vector<StratifiedSampler::Cell> cells;
+            for (const JobSpec &j : campaign.jobs)
+                cells.push_back({j.label, j.workloads, j.options});
 
-        try {
-            StratifiedSampler sampler(cells, scfg, seed);
+            StratifiedSampler strat(cells, scfg, seed);
+            sampler = &strat;
             // Rounds are a pure function of the seed and the recorded
             // verdicts, so a rerun regenerates the same trials and the
             // store serves every one that finished before.
             while (!g_stop.load(std::memory_order_relaxed)) {
-                const auto jobs = sampler.nextRound();
+                const auto jobs = strat.nextRound();
                 if (jobs.empty())
                     break;
-                const auto results = runThroughStore(
-                    jobs, cfg, store.get(), sink, test_crash, resumed);
-                for (std::size_t i = 0; i < results.size(); ++i) {
-                    if (!neverRan(results[i]))
-                        sampler.record(jobs[i], results[i]);
-                }
-                tally(results);
+                runJobs(jobs);
                 if (!quiet) {
                     std::fprintf(
                         stderr, "round %u: %zu trials (%llu total)\n",
-                        sampler.rounds(), jobs.size(),
+                        strat.rounds(), jobs.size(),
                         static_cast<unsigned long long>(total_jobs));
                 }
             }
+            sampler = nullptr;
             sink.end();
             // The summary rides in the same .jsonl: one object with
             // per-stratum estimates, intervals and trial counts.
-            out << sampler.summaryJson() << "\n";
+            out << strat.summaryJson() << "\n";
             out.flush();
             if (!quiet) {
                 for (std::size_t c = 0; c < cells.size(); ++c) {
-                    const RollupEstimate r = sampler.cellRollup(c);
+                    const RollupEstimate r = strat.cellRollup(c);
                     std::fprintf(
                         stderr,
                         "%s: AVF %.4f [%.4f,%.4f]  SDC %.4f "
@@ -713,20 +557,17 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(r.trials));
                 }
             }
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
-            return 2;
+        } else {
+            sink.begin(campaign);
+            runJobs(campaign.jobs);
+            sink.end();
         }
-    } else {
-        sink.begin(campaign);
-        const std::vector<JobResult> results = runThroughStore(
-            campaign.jobs, cfg, store.get(), sink, test_crash, resumed);
-        sink.end();
-        tally(results);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
+        return 2;
     }
-    const bool interrupted = g_stop.load(std::memory_order_relaxed) ||
-                             (!stratify &&
-                              total_jobs < campaign.jobs.size());
+    const bool interrupted =
+        g_stop.load(std::memory_order_relaxed) || skipped;
 
     std::uint64_t quarantined = 0;
     for (const JobResult &r : failures)
@@ -755,17 +596,15 @@ main(int argc, char **argv)
         out.flush();
     }
 
-    if (store) {
-        store->flush();
-        // A finished campaign (even a degraded one: its failures are
-        // recorded) leaves nothing to resume; only an interrupted run
-        // keeps its own store.
-        if (auto_store && !interrupted) {
-            store.reset();
-            std::error_code ec;
-            std::filesystem::remove(store_dir + "/store.rmtrs", ec);
-            std::filesystem::remove(store_dir, ec);
-        }
+    store->flush();
+    // A finished campaign (even a degraded one: its failures are
+    // recorded) leaves nothing to resume; only an interrupted run keeps
+    // its own store.
+    if (auto_store && !interrupted) {
+        store.reset();
+        std::error_code ec;
+        std::filesystem::remove(store_dir + "/store.rmtrs", ec);
+        std::filesystem::remove(store_dir, ec);
     }
 
     if (!quiet) {
@@ -773,6 +612,9 @@ main(int argc, char **argv)
         if (resumed)
             note = " (" + std::to_string(resumed) + " resumed from " +
                    store_dir + ")";
+        if (fault_trials || stratify)
+            note += " (" + std::to_string(goldens) +
+                    " golden runs)";
         if (want_efficiency)
             note += " (" + std::to_string(baseline.simulations()) +
                     " baseline sims)";
