@@ -15,22 +15,6 @@ StratumSpec::name() const
     return os.str();
 }
 
-FaultRecord::Kind
-parseFaultKind(const std::string &name)
-{
-    if (name == "reg") return FaultRecord::Kind::TransientReg;
-    if (name == "lvq") return FaultRecord::Kind::TransientLvq;
-    if (name == "fu")  return FaultRecord::Kind::PermanentFu;
-    if (name == "sqd") return FaultRecord::Kind::TransientSqData;
-    if (name == "sqa") return FaultRecord::Kind::TransientSqAddr;
-    if (name == "lpq") return FaultRecord::Kind::TransientLpq;
-    if (name == "boq") return FaultRecord::Kind::TransientBoq;
-    if (name == "pc")  return FaultRecord::Kind::TransientPc;
-    if (name == "dec") return FaultRecord::Kind::TransientDecode;
-    if (name == "mb")  return FaultRecord::Kind::TransientMergeBuffer;
-    throw std::invalid_argument("unknown fault kind '" + name + "'");
-}
-
 std::vector<FaultRecord::Kind>
 parseFaultKinds(const std::string &csv)
 {

@@ -44,10 +44,6 @@ struct StratumSpec
     std::string name() const;
 };
 
-/** Parse one fault kind name ("reg", "sqd", ...); throws
- *  std::invalid_argument on unknown names. */
-FaultRecord::Kind parseFaultKind(const std::string &name);
-
 /** Parse a comma-separated kind list; empty -> empty vector. */
 std::vector<FaultRecord::Kind>
 parseFaultKinds(const std::string &csv);

@@ -39,39 +39,12 @@ crc32(const void *data, std::size_t size)
     return c ^ 0xffffffffu;
 }
 
-void
-Serializer::put(const void *data, std::size_t size)
+std::string &
+Serializer::section()
 {
     if (!inSection)
         throw SnapshotError("serializer: write outside a section");
-    cur.append(static_cast<const char *>(data), size);
-}
-
-void
-Serializer::u16(std::uint16_t v)
-{
-    const std::uint8_t b[2] = {static_cast<std::uint8_t>(v),
-                               static_cast<std::uint8_t>(v >> 8)};
-    put(b, 2);
-}
-
-void
-Serializer::u32(std::uint32_t v)
-{
-    const std::uint8_t b[4] = {static_cast<std::uint8_t>(v),
-                               static_cast<std::uint8_t>(v >> 8),
-                               static_cast<std::uint8_t>(v >> 16),
-                               static_cast<std::uint8_t>(v >> 24)};
-    put(b, 4);
-}
-
-void
-Serializer::u64(std::uint64_t v)
-{
-    std::uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    put(b, 8);
+    return cur;
 }
 
 void
@@ -84,14 +57,14 @@ void
 Serializer::str(const std::string &s)
 {
     u32(static_cast<std::uint32_t>(s.size()));
-    put(s.data(), s.size());
+    section() += s;
 }
 
 void
 Serializer::blob(const void *data, std::size_t size)
 {
     u64(size);
-    put(data, size);
+    section().append(static_cast<const char *>(data), size);
 }
 
 void
@@ -105,35 +78,16 @@ Serializer::beginSection(const std::string &name)
     cur.clear();
 }
 
-namespace
-{
-
-void
-appendLe32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-appendLe64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-} // namespace
-
 void
 Serializer::endSection()
 {
     if (!inSection)
         throw SnapshotError("serializer: no section open");
-    appendLe32(body, static_cast<std::uint32_t>(curName.size()));
+    putLe(body, static_cast<std::uint32_t>(curName.size()));
     body += curName;
-    appendLe64(body, cur.size());
+    putLe<std::uint64_t>(body, cur.size());
     body += cur;
-    appendLe32(body, crc32(cur.data(), cur.size()));
+    putLe(body, crc32(cur.data(), cur.size()));
     cur.clear();
     inSection = false;
     ++sections;
@@ -148,9 +102,9 @@ Serializer::finish(std::uint64_t fingerprint) const
     std::string out;
     out.reserve(8 + 4 + 8 + 4 + body.size());
     out.append(kMagic, sizeof(kMagic));
-    appendLe32(out, formatVersion);
-    appendLe64(out, fingerprint);
-    appendLe32(out, sections);
+    putLe(out, formatVersion);
+    putLe(out, fingerprint);
+    putLe(out, sections);
     out += body;
     return out;
 }
@@ -165,24 +119,7 @@ validateSnapshotImage(const std::string &image,
     Deserializer header(image, expect_fingerprint);
     (void)header;
 
-    auto le32 = [&](std::size_t at) {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<std::uint8_t>(image[at + i]))
-                 << (8 * i);
-        return v;
-    };
-    auto le64 = [&](std::size_t at) {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<std::uint8_t>(image[at + i]))
-                 << (8 * i);
-        return v;
-    };
-
-    const std::uint32_t sections = le32(20);
+    const auto sections = getLe<std::uint32_t>(image, 20);
     std::size_t at = 24;
     for (std::uint32_t i = 0; i < sections; ++i) {
         const std::size_t section_start = at;
@@ -195,7 +132,7 @@ validateSnapshotImage(const std::string &image,
         };
         if (image.size() - at < 4)
             truncated("the name length");
-        const std::uint32_t name_len = le32(at);
+        const auto name_len = getLe<std::uint32_t>(image, at);
         at += 4;
         if (image.size() - at < name_len)
             truncated("the name");
@@ -203,14 +140,14 @@ validateSnapshotImage(const std::string &image,
         at += name_len;
         if (image.size() - at < 8)
             truncated("the payload length");
-        const std::uint64_t payload_len = le64(at);
+        const auto payload_len = getLe<std::uint64_t>(image, at);
         at += 8;
         // Two-step compare: a corrupt payload_len near 2^64 must not
         // overflow the arithmetic into a passing check.
         if (payload_len > image.size() - at ||
             image.size() - at - payload_len < 4)
             truncated(("the payload of '" + name + "'").c_str());
-        const std::uint32_t stored = le32(at + payload_len);
+        const auto stored = getLe<std::uint32_t>(image, at + payload_len);
         const std::uint32_t actual =
             crc32(image.data() + at, static_cast<std::size_t>(payload_len));
         if (stored != actual) {
@@ -237,30 +174,14 @@ Deserializer::Deserializer(std::string image,
         throw SnapshotError("snapshot: image truncated (no header)");
     if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0)
         throw SnapshotError("snapshot: bad magic (not a snapshot file)");
-    auto le32 = [&](std::size_t at) {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<std::uint8_t>(data[at + i]))
-                 << (8 * i);
-        return v;
-    };
-    auto le64 = [&](std::size_t at) {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<std::uint8_t>(data[at + i]))
-                 << (8 * i);
-        return v;
-    };
-    const std::uint32_t version = le32(8);
+    const auto version = getLe<std::uint32_t>(data, 8);
     if (version != Serializer::formatVersion) {
         throw SnapshotError(
             "snapshot: format version " + std::to_string(version) +
             " (this build reads version " +
             std::to_string(Serializer::formatVersion) + ")");
     }
-    fp = le64(12);
+    fp = getLe<std::uint64_t>(data, 12);
     if (fp != expect_fingerprint) {
         char buf[64];
         std::snprintf(buf, sizeof(buf),
@@ -272,7 +193,7 @@ Deserializer::Deserializer(std::string image,
                         "image was taken under ") + buf +
             " (run with the same configuration it was saved with)");
     }
-    sectionsLeft = le32(20);
+    sectionsLeft = getLe<std::uint32_t>(data, 20);
     nextSection = 24;
 }
 
@@ -304,21 +225,13 @@ Deserializer::beginSection(const std::string &name)
             fail("image truncated in section header");
     };
     avail(4);
-    std::uint32_t name_len = 0;
-    for (int i = 0; i < 4; ++i)
-        name_len |= static_cast<std::uint32_t>(
-                        static_cast<std::uint8_t>(data[at + i]))
-                    << (8 * i);
+    const auto name_len = getLe<std::uint32_t>(data, at);
     at += 4;
     avail(name_len);
     curName.assign(data, at, name_len);
     at += name_len;
     avail(8);
-    std::uint64_t payload_len = 0;
-    for (int i = 0; i < 8; ++i)
-        payload_len |= static_cast<std::uint64_t>(
-                           static_cast<std::uint8_t>(data[at + i]))
-                       << (8 * i);
+    const auto payload_len = getLe<std::uint64_t>(data, at);
     at += 8;
     // Two-step compare: a corrupt payload_len near 2^64 must not
     // overflow the arithmetic into a passing check.
@@ -329,11 +242,7 @@ Deserializer::beginSection(const std::string &name)
         fail("expected section '" + name + "' but found '" + curName +
              "'");
     }
-    std::uint32_t stored_crc = 0;
-    for (int i = 0; i < 4; ++i)
-        stored_crc |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(
-                          data[at + payload_len + i]))
-                      << (8 * i);
+    const auto stored_crc = getLe<std::uint32_t>(data, at + payload_len);
     const std::uint32_t actual =
         crc32(data.data() + at, static_cast<std::size_t>(payload_len));
     if (stored_crc != actual)
@@ -355,53 +264,6 @@ Deserializer::endSection()
              std::to_string(payloadEnd - pos) + " unconsumed bytes");
     }
     inSection = false;
-}
-
-std::uint8_t
-Deserializer::u8()
-{
-    need(1);
-    return static_cast<std::uint8_t>(data[pos++]);
-}
-
-std::uint16_t
-Deserializer::u16()
-{
-    need(2);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-        v = static_cast<std::uint16_t>(
-            v | static_cast<std::uint16_t>(
-                    static_cast<std::uint8_t>(data[pos + i]))
-                    << (8 * i));
-    pos += 2;
-    return v;
-}
-
-std::uint32_t
-Deserializer::u32()
-{
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<std::uint8_t>(data[pos + i]))
-             << (8 * i);
-    pos += 4;
-    return v;
-}
-
-std::uint64_t
-Deserializer::u64()
-{
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<std::uint8_t>(data[pos + i]))
-             << (8 * i);
-    pos += 8;
-    return v;
 }
 
 double

@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bits.hh"
+
 namespace rmt
 {
 
@@ -70,10 +72,10 @@ class Serializer
     /** Seal the open section (appends the payload CRC). */
     void endSection();
 
-    void u8(std::uint8_t v) { put(&v, 1); }
-    void u16(std::uint16_t v);
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
+    void u8(std::uint8_t v) { putLe(section(), v); }
+    void u16(std::uint16_t v) { putLe(section(), v); }
+    void u32(std::uint32_t v) { putLe(section(), v); }
+    void u64(std::uint64_t v) { putLe(section(), v); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
     void f64(double v);
     void boolean(bool v) { u8(v ? 1 : 0); }
@@ -86,7 +88,8 @@ class Serializer
     std::string finish(std::uint64_t fingerprint) const;
 
   private:
-    void put(const void *data, std::size_t size);
+    /** The open section's payload; throws outside a section. */
+    std::string &section();
 
     std::string body;           ///< sealed sections
     std::string cur;            ///< open section payload
@@ -111,10 +114,10 @@ class Deserializer
      *  exactly. */
     void endSection();
 
-    std::uint8_t u8();
-    std::uint16_t u16();
-    std::uint32_t u32();
-    std::uint64_t u64();
+    std::uint8_t u8() { return le<std::uint8_t>(); }
+    std::uint16_t u16() { return le<std::uint16_t>(); }
+    std::uint32_t u32() { return le<std::uint32_t>(); }
+    std::uint64_t u64() { return le<std::uint64_t>(); }
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     double f64();
     bool boolean() { return u8() != 0; }
@@ -127,6 +130,14 @@ class Deserializer
   private:
     void need(std::size_t n) const;
     [[noreturn]] void fail(const std::string &why) const;
+
+    template <typename T>
+    T le()
+    {
+        need(sizeof(T));
+        pos += sizeof(T);
+        return getLe<T>(data, pos - sizeof(T));
+    }
 
     std::string data;
     std::size_t pos = 0;        ///< cursor within the current payload

@@ -1,13 +1,16 @@
 /**
  * @file
  * Bit-manipulation helpers used by caches, predictors, and the fault
- * injector.
+ * injector, and the little-endian integer layout every binary format
+ * (snapshot images, result-store frames, wire payloads) shares.
  */
 
 #ifndef RMTSIM_COMMON_BITS_HH
 #define RMTSIM_COMMON_BITS_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 
 namespace rmt
 {
@@ -56,6 +59,30 @@ parity64(std::uint64_t v)
     v ^= v >> 2;
     v ^= v >> 1;
     return static_cast<unsigned>(v & 1);
+}
+
+/** Append @p v to @p out as sizeof(T) little-endian bytes, whatever the
+ *  host byte order. */
+template <typename T>
+inline void
+putLe(std::string &out, T v)
+{
+    char b[sizeof(T)];
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        b[i] = static_cast<char>(static_cast<std::uint64_t>(v) >> (8 * i));
+    out.append(b, sizeof(T));
+}
+
+/** The little-endian T at byte @p at of @p buf (no bounds check). */
+template <typename T>
+inline T
+getLe(const std::string &buf, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        v |= std::uint64_t{static_cast<std::uint8_t>(buf[at + i])}
+             << (8 * i);
+    return static_cast<T>(v);
 }
 
 } // namespace rmt

@@ -26,6 +26,22 @@ faultKindName(FaultRecord::Kind kind)
     return "?";
 }
 
+FaultRecord::Kind
+parseFaultKind(const std::string &name)
+{
+    if (name == "reg") return FaultRecord::Kind::TransientReg;
+    if (name == "lvq") return FaultRecord::Kind::TransientLvq;
+    if (name == "fu")  return FaultRecord::Kind::PermanentFu;
+    if (name == "sqd") return FaultRecord::Kind::TransientSqData;
+    if (name == "sqa") return FaultRecord::Kind::TransientSqAddr;
+    if (name == "lpq") return FaultRecord::Kind::TransientLpq;
+    if (name == "boq") return FaultRecord::Kind::TransientBoq;
+    if (name == "pc")  return FaultRecord::Kind::TransientPc;
+    if (name == "dec") return FaultRecord::Kind::TransientDecode;
+    if (name == "mb")  return FaultRecord::Kind::TransientMergeBuffer;
+    throw std::invalid_argument("unknown fault kind '" + name + "'");
+}
+
 namespace
 {
 
@@ -121,22 +137,7 @@ parseFaultSpec(const std::string &spec)
         }
     } else {
         // All remaining kinds share the cycle:core:tid:bit layout.
-        if (kind == "sqd")
-            fault.kind = FaultRecord::Kind::TransientSqData;
-        else if (kind == "sqa")
-            fault.kind = FaultRecord::Kind::TransientSqAddr;
-        else if (kind == "lpq")
-            fault.kind = FaultRecord::Kind::TransientLpq;
-        else if (kind == "boq")
-            fault.kind = FaultRecord::Kind::TransientBoq;
-        else if (kind == "pc")
-            fault.kind = FaultRecord::Kind::TransientPc;
-        else if (kind == "dec")
-            fault.kind = FaultRecord::Kind::TransientDecode;
-        else if (kind == "mb")
-            fault.kind = FaultRecord::Kind::TransientMergeBuffer;
-        else
-            badSpec(spec, "unknown kind");
+        fault.kind = parseFaultKind(kind);
         need(4);
         fault.when = f[0];
         fault.core = static_cast<CoreId>(f[1]);

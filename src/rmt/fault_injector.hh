@@ -95,6 +95,10 @@ struct FaultRecord
  *  CLI `--fault` syntax and the campaign JSONL. */
 const char *faultKindName(FaultRecord::Kind kind);
 
+/** Inverse of faultKindName; throws std::invalid_argument on unknown
+ *  names. */
+FaultRecord::Kind parseFaultKind(const std::string &name);
+
 /**
  * Parse a CLI fault spec `kind:cycle:core:tid:reg:bit`, where trailing
  * fields irrelevant to the kind may be omitted:

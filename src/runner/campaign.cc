@@ -9,8 +9,8 @@
 namespace rmt
 {
 
-// modeName lives in sim/simulator.cc; the inverse mapping stays here
-// with the rest of the spec parsing.
+// modeName and the frontend names live in sim/simulator.cc; the
+// inverse mappings stay here with the rest of the spec parsing.
 SimMode
 parseMode(const std::string &name)
 {
@@ -20,6 +20,15 @@ parseMode(const std::string &name)
     if (name == "lockstep") return SimMode::Lockstep;
     if (name == "crt")      return SimMode::Crt;
     throw std::invalid_argument("unknown mode '" + name + "'");
+}
+
+TrailingFetchMode
+parseFrontend(const std::string &name)
+{
+    if (name == "lpq")      return TrailingFetchMode::LinePredictionQueue;
+    if (name == "boq")      return TrailingFetchMode::BranchOutcomeQueue;
+    if (name == "sharedlp") return TrailingFetchMode::SharedLinePredictor;
+    throw std::invalid_argument("unknown frontend '" + name + "'");
 }
 
 namespace
@@ -97,15 +106,7 @@ applySweepSetting(SimOptions &o, const std::string &key,
     } else if (key == "ecc") {
         o.lvq_ecc = parseBool(key, value);
     } else if (key == "frontend") {
-        if (value == "lpq")
-            o.trailing_fetch = TrailingFetchMode::LinePredictionQueue;
-        else if (value == "boq")
-            o.trailing_fetch = TrailingFetchMode::BranchOutcomeQueue;
-        else if (value == "sharedlp")
-            o.trailing_fetch = TrailingFetchMode::SharedLinePredictor;
-        else
-            throw std::invalid_argument(
-                "sweep frontend: unknown value '" + value + "'");
+        o.trailing_fetch = parseFrontend(value);
     } else {
         throw std::invalid_argument("unknown sweep key '" + key + "'");
     }

@@ -39,6 +39,10 @@ const char *modeName(SimMode mode);
 /** Parse a mode name; throws std::invalid_argument on unknown names. */
 SimMode parseMode(const std::string &name);
 
+/** Parse a trailing-fetch frontend name (lpq, boq, sharedlp); throws
+ *  std::invalid_argument on unknown names. */
+TrailingFetchMode parseFrontend(const std::string &name);
+
 /**
  * Apply one named sweep setting to @p options.  Known keys:
  *

@@ -49,14 +49,6 @@ stripHostMember(std::string stats)
 } // namespace
 
 std::string
-optionsJson(const SimOptions &o)
-{
-    // The sim layer owns the canonical form: snapshots and baseline
-    // caches key on the same pre-image the campaign records carry.
-    return optionsCanonicalJson(o);
-}
-
-std::string
 optionsFingerprint(const SimOptions &o)
 {
     return fingerprintHex(optionsFingerprintU64(o));
@@ -75,11 +67,10 @@ resultJson(const JobSpec &spec, const JobResult &r, bool include_timing)
             os << ",";
         os << "\"" << jsonEscape(spec.workloads[i]) << "\"";
     }
-    // Serialize the options once; the fingerprint hashes the same
-    // canonical string.
-    const std::string canon = optionsJson(spec.options);
+    // The sim layer owns the canonical form: snapshots, baseline
+    // caches and the fingerprint key on the same pre-image.
     os << "]"
-       << ",\"options\":" << canon
+       << ",\"options\":" << optionsCanonicalJson(spec.options)
        << ",\"fingerprint\":\"" << optionsFingerprint(spec.options) << "\""
        << ",\"status\":\"" << (r.ok() ? "ok" : "failed") << "\""
        << ",\"attempts\":" << r.attempts;

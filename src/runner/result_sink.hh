@@ -42,9 +42,6 @@ struct Campaign;
  */
 std::string optionsFingerprint(const SimOptions &options);
 
-/** Canonical JSON object for the option fields a campaign can vary. */
-std::string optionsJson(const SimOptions &options);
-
 /** One JSON object (no trailing newline) describing a finished job. */
 std::string resultJson(const JobSpec &spec, const JobResult &result,
                        bool include_timing);

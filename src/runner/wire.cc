@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/bits.hh"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <cerrno>
 #include <unistd.h>
@@ -15,28 +17,26 @@ namespace wire
 namespace
 {
 
-// Little-endian byte writer/reader.  Explicit byte assembly (rather
-// than memcpy of host integers) keeps the format host-independent;
-// doubles travel as their IEEE-754 bit pattern.
+// Integers use the shared little-endian layout (common/bits.hh), so
+// the format is host-independent; doubles travel as their IEEE-754 bit
+// pattern.
 
 void
 putU8(std::string &out, std::uint8_t v)
 {
-    out.push_back(static_cast<char>(v));
+    putLe(out, v);
 }
 
 void
 putU32(std::string &out, std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    putLe(out, v);
 }
 
 void
 putU64(std::string &out, std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    putLe(out, v);
 }
 
 void
@@ -68,25 +68,8 @@ class Reader
         return static_cast<std::uint8_t>(buf[pos++]);
     }
 
-    std::uint32_t u32()
-    {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= std::uint32_t(std::uint8_t(buf[pos + i])) << (8 * i);
-        pos += 4;
-        return v;
-    }
-
-    std::uint64_t u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= std::uint64_t(std::uint8_t(buf[pos + i])) << (8 * i);
-        pos += 8;
-        return v;
-    }
+    std::uint32_t u32() { return le<std::uint32_t>(); }
+    std::uint64_t u64() { return le<std::uint64_t>(); }
 
     double f64()
     {
@@ -107,11 +90,41 @@ class Reader
 
     bool atEnd() const { return pos == buf.size(); }
 
+    /** An element count, rejected unless the bytes left hold that
+     *  many elements of at least @p min_bytes each. */
+    std::uint32_t count(std::size_t min_bytes)
+    {
+        const std::uint32_t n = u32();
+        if (n > (buf.size() - pos) / min_bytes)
+            throw WireError("wire: element count " + std::to_string(n) +
+                            " exceeds the payload");
+        return n;
+    }
+
+    /** A one-byte enum, rejected above its last enumerator. */
+    template <typename Enum>
+    Enum enumByte(Enum last)
+    {
+        const std::uint8_t v = u8();
+        if (v > static_cast<std::uint8_t>(last))
+            throw WireError("wire: enum value " + std::to_string(v) +
+                            " out of range");
+        return static_cast<Enum>(v);
+    }
+
   private:
     void need(std::size_t n) const
     {
         if (buf.size() - pos < n)
             throw WireError("wire: payload truncated inside a field");
+    }
+
+    template <typename T>
+    T le()
+    {
+        need(sizeof(T));
+        pos += sizeof(T);
+        return getLe<T>(buf, pos - sizeof(T));
     }
 
     const std::string &buf;
@@ -194,7 +207,7 @@ decodeJobResult(const std::string &payload)
     JobResult r;
     r.id = in.u64();
     r.label = in.str();
-    r.status = static_cast<JobStatus>(in.u8());
+    r.status = in.enumByte(JobStatus::Failed);
     r.error = in.str();
     r.attempts = in.u32();
     r.timed_out = in.u8() != 0;
@@ -202,8 +215,8 @@ decodeJobResult(const std::string &payload)
     r.wall_seconds = in.f64();
 
     RunResult &run = r.run;
-    const std::uint32_t threads = in.u32();
-    run.threads.resize(threads);
+    // Each count is bounded by its element's smallest encoding.
+    run.threads.resize(in.count(4 + 8 + 8 + 8));   // workload, ipc, 2 u64
     for (ThreadResult &t : run.threads) {
         t.workload = in.str();
         t.ipc = in.f64();
@@ -212,7 +225,7 @@ decodeJobResult(const std::string &payload)
     }
     run.total_cycles = in.u64();
     run.completed = in.u8() != 0;
-    run.outcome = static_cast<Outcome>(in.u8());
+    run.outcome = in.enumByte(Outcome::CapExceeded);
     run.detections = in.u64();
     run.recoveries = in.u64();
     run.fu_pairs = in.u64();
@@ -231,20 +244,18 @@ decodeJobResult(const std::string &payload)
     run.stats_json = in.str();
 
     r.mean_efficiency = in.f64();
-    const std::uint32_t effs = in.u32();
-    r.efficiencies.resize(effs);
+    r.efficiencies.resize(in.count(8));
     for (double &e : r.efficiencies)
         e = in.f64();
 
-    const std::uint32_t extras = in.u32();
-    r.extra.resize(extras);
+    r.extra.resize(in.count(4 + 8));   // key, value
     for (auto &[key, value] : r.extra) {
         key = in.str();
         value = in.f64();
     }
 
     r.has_verdict = in.u8() != 0;
-    r.verdict = static_cast<FaultVerdict>(in.u8());
+    r.verdict = in.enumByte(FaultVerdict::Hang);
     r.detection_latency = in.f64();
 
     if (!in.atEnd())

@@ -172,7 +172,11 @@ CampaignEngine::run(std::vector<JobSpec> jobs, const Emit &emit)
     try {
         for (std::size_t i = 0; i < n; ++i) {
             Run::Slot &slot = run.slots[i];
+            // Pool tasks write a slot's state under run.mu; a Waiting
+            // slot stays this thread's until it is submitted.
+            std::unique_lock<std::mutex> lock(run.mu);
             while (slot.state == Run::State::Waiting) {
+                lock.unlock();
                 if (run.stopped(config)) {
                     slot.state = Run::State::Skipped;
                 } else if (store.await(slot.key, slot.result)) {
@@ -186,8 +190,8 @@ CampaignEngine::run(std::vector<JobSpec> jobs, const Emit &emit)
                 }
                 // After a Hit the next await returns at once; after
                 // InFlight it waits for the new owner.
+                lock.lock();
             }
-            std::unique_lock<std::mutex> lock(run.mu);
             run.cv.wait(lock, [&] {
                 return slot.state != Run::State::Pending;
             });

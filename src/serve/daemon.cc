@@ -3,6 +3,7 @@
 #if defined(__unix__) || defined(__APPLE__)
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include <poll.h>
@@ -11,7 +12,7 @@
 
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
-#include "serve/campaign_engine.hh"
+#include "runner/wire.hh"
 #include "serve/protocol.hh"
 
 namespace rmt
@@ -33,6 +34,19 @@ sendError(int fd, const std::string &message)
 {
     sendControl(fd, "{\"type\":\"error\",\"message\":\"" +
                         jsonEscape(message) + "\"}");
+}
+
+/** The "done" reply for a submit of @p jobs jobs. */
+std::string
+doneJson(std::size_t jobs, const EngineTally &t, bool draining)
+{
+    std::ostringstream os;
+    os << "{\"type\":\"done\",\"rows\":" << jobs - t.skipped
+       << ",\"hits\":" << t.hits << ",\"awaited\":" << t.awaited
+       << ",\"simulated\":" << t.simulated << ",\"failed\":" << t.failed
+       << ",\"skipped\":" << t.skipped << ",\"goldens\":" << t.goldens
+       << ",\"draining\":" << (draining ? "true" : "false") << "}";
+    return os.str();
 }
 
 } // namespace
@@ -97,6 +111,7 @@ void
 Daemon::serveClient(int fd)
 {
     try {
+        ConnState conn;
         FrameReader reader(fd);
         std::string payload;
         while (reader.next(payload)) {
@@ -113,7 +128,7 @@ Daemon::serveClient(int fd)
             }
             const std::string type = msg.strOr("type", "");
             if (type == "submit") {
-                handleSubmit(fd, msg);
+                handleSubmit(fd, msg, conn);
             } else if (type == "status" || type == "flush" ||
                        type == "stop" || type == "cancel") {
                 handleControl(fd, msg);
@@ -179,12 +194,12 @@ Daemon::cancelCampaigns(const std::string &fp_hex)
 }
 
 void
-Daemon::handleSubmit(int fd, const JsonValue &msg)
+Daemon::handleSubmit(int fd, const JsonValue &msg, ConnState &conn)
 {
-    bool include_timing = true;
+    std::optional<SimOptions> efficiency;
     Campaign campaign;
     try {
-        campaign = parseSubmit(msg, include_timing);
+        campaign = parseSubmit(msg, efficiency);
     } catch (const std::exception &e) {
         sendError(fd, e.what());
         return;
@@ -193,38 +208,60 @@ Daemon::handleSubmit(int fd, const JsonValue &msg)
         sendError(fd, "campaign has no jobs");
         return;
     }
+    const std::size_t n = campaign.jobs.size();
     if (stopping.load()) {
-        sendError(fd, "draining: not accepting campaigns");
+        // Every job skipped: the client ends its run as interrupted.
+        EngineTally none;
+        none.skipped = n;
+        sendControl(fd, doneJson(n, none, true));
         return;
     }
 
-    // Each submit gets its own snapshot cache: fault trials restore
-    // the latest barrier exactly as a local rmtsim_batch run does, so
-    // their rows (and keys) carry the same snapshot "extra" block.
-    SnapshotCache snapshots;
-    RunnerConfig rcfg;
-    rcfg.max_attempts = cfg.max_attempts;
-    rcfg.timeout_seconds = cfg.timeout_seconds;
-    rcfg.max_insts = cfg.max_insts;
-    rcfg.snapshots = &snapshots;
+    // The engine (with its goldens) and the snapshot cache serve every
+    // submit on this connection, so the rounds of a stratified campaign
+    // share goldens as they do in a local rmtsim_batch, and fault
+    // trials restore the latest barrier exactly as there.  A submit
+    // with other efficiency options gets a fresh engine.
+    const std::string eff_canon =
+        efficiency ? optionsCanonicalJson(*efficiency) : "";
+    if (!conn.engine || eff_canon != conn.efficiency) {
+        conn.engine.reset();
+        conn.baseline.reset();
+        conn.efficiency = eff_canon;
+        RunnerConfig &rcfg = conn.config;
+        rcfg.max_attempts = cfg.max_attempts;
+        rcfg.timeout_seconds = cfg.timeout_seconds;
+        rcfg.max_insts = cfg.max_insts;
+        rcfg.snapshots = &conn.snapshots;
+        rcfg.stop = &conn.cancel;
+        if (efficiency) {
+            // Baselines are base-mode rows of this daemon's store.
+            conn.baseline =
+                std::make_unique<BaselineCache>(*efficiency, &results);
+        }
+        rcfg.baseline = conn.baseline.get();
+        conn.engine =
+            std::make_unique<CampaignEngine>(*pool, results, rcfg);
+    }
 
     // Rows are keyed on what this daemon will run (the capped
     // options), so stores shared between differently capped daemons
     // never serve one cap's rows to the other.  The campaign id that
     // `accepted` reports and `cancel` matches folds the same keys with
     // each job's id.
-    const std::size_t n = campaign.jobs.size();
     std::uint64_t camp_fp = fnv1a64Seed;
     for (const JobSpec &job : campaign.jobs)
-        fnv1a64Field(camp_fp, std::to_string(job.id) + ":" +
-                                  fingerprintHex(resultKeyU64(job, rcfg)));
+        fnv1a64Field(camp_fp,
+                     std::to_string(job.id) + ":" +
+                         fingerprintHex(resultKeyU64(job, conn.config)));
 
-    auto reg = std::make_shared<LiveCampaign>();
-    reg->fingerprint = camp_fp;
-    rcfg.stop = &reg->cancel;
     {
         std::lock_guard<std::mutex> lock(reg_mu);
-        live.push_back(reg);
+        conn.fingerprint = camp_fp;
+        // A drain that began since the check above already flagged
+        // the live list; this submit must not outlast it.
+        conn.cancel.store(stopping.load());
+        live.push_back(&conn);
     }
 
     sendControl(fd, "{\"type\":\"accepted\",\"campaign\":\"" +
@@ -232,25 +269,25 @@ Daemon::handleSubmit(int fd, const JsonValue &msg)
                         std::to_string(n) + "}");
 
     // The engine claims, builds goldens and simulates on the shared
-    // pool; rows leave from this connection thread, so a stalled
-    // client never blocks a pool worker.  A dead peer stops the
-    // campaign: its unstarted jobs are abandoned for other clients.
+    // pool; rows leave from this connection thread as wire-encoded
+    // JobResults, so a stalled client never blocks a pool worker.  A
+    // dead peer stops the campaign: its unstarted jobs are abandoned
+    // for other clients.
     EngineTally tally;
     std::string error;
     try {
-        CampaignEngine engine(*pool, results, rcfg);
-        tally = engine.run(std::move(campaign.jobs),
-                           [&](const JobSpec &spec, const JobResult &r) {
-            return sendFrame(fd, tagRow,
-                             resultJson(spec, r, include_timing));
-        });
+        tally = conn.engine->run(
+            std::move(campaign.jobs),
+            [&](const JobSpec &, const JobResult &r) {
+                return sendFrame(fd, tagRow, wire::encodeJobResult(r));
+            });
     } catch (const std::exception &e) {
         error = e.what();
     }
 
     {
         std::lock_guard<std::mutex> lock(reg_mu);
-        live.erase(std::remove(live.begin(), live.end(), reg),
+        live.erase(std::remove(live.begin(), live.end(), &conn),
                    live.end());
         ++campaigns_done;
     }
@@ -260,14 +297,8 @@ Daemon::handleSubmit(int fd, const JsonValue &msg)
         sendError(fd, error);
         return;
     }
-    std::ostringstream os;
-    os << "{\"type\":\"done\",\"rows\":" << n - tally.skipped
-       << ",\"hits\":" << tally.hits + tally.awaited
-       << ",\"misses\":" << tally.simulated
-       << ",\"failed\":" << tally.failed << ",\"draining\":"
-       << (stopping.load() || reg->cancel.load() ? "true" : "false")
-       << "}";
-    sendControl(fd, os.str());
+    sendControl(fd, doneJson(n, tally,
+                             stopping.load() || conn.cancel.load()));
 }
 
 } // namespace serve

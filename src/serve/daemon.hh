@@ -9,17 +9,21 @@
  *
  *  - one accept loop (poll + 200 ms tick so the SIGTERM drain flag is
  *    observed promptly), one detached-join thread per connection;
- *  - a submit runs through the same CampaignEngine as a local
- *    rmtsim_batch (serve/campaign_engine.hh) on the shared pool, with
- *    a per-submit SnapshotCache: store hits are served immediately,
- *    owned jobs (goldens first) run on the pool, and keys another
- *    client is computing right now are awaited, so each content key is
- *    simulated once however many campaigns share it;
- *  - rows are sent strictly in job order from the connection thread —
- *    the stream a client sees is byte-identical to a local
- *    `rmtsim_batch` run of the same campaign (modulo timing fields,
- *    which the client may disable) — so a stalled client never blocks
- *    a pool worker;
+ *  - each connection holds one CampaignEngine (the same engine a local
+ *    rmtsim_batch runs, serve/campaign_engine.hh) on the shared pool,
+ *    with one SnapshotCache, for as long as it stays open: every
+ *    submit on it — the rounds of a stratified campaign — shares its
+ *    goldens.  Store hits are served immediately, owned jobs (goldens
+ *    first) run on the pool, and keys another client is computing
+ *    right now are awaited, so each content key is simulated once
+ *    however many campaigns share it;
+ *  - a submit's "efficiency" options give the engine a BaselineCache
+ *    over the daemon's store, so --efficiency rows match a local run;
+ *  - rows are sent strictly in job order from the connection thread,
+ *    as wire-encoded JobResults the client renders through its own
+ *    JsonlSink — so the stream is byte-identical to a local
+ *    `rmtsim_batch` run of the same campaign — and a stalled client
+ *    never blocks a pool worker;
  *  - a client hangup mid-stream cancels its campaign: unstarted jobs
  *    are abandoned (waiters re-claim them), finished ones are already
  *    in the store, so a resubmission resumes from row 0 at store speed.
@@ -43,7 +47,9 @@
 
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
+#include "serve/campaign_engine.hh"
 #include "serve/result_store.hh"
+#include "sim/metrics.hh"
 
 namespace rmt
 {
@@ -89,15 +95,21 @@ class Daemon
     void requestStop() { stopping.store(true); }
 
   private:
-    /** Per-campaign bookkeeping registered while a submit is live. */
-    struct LiveCampaign
+    /** One connection's engine and caches, kept across its submits,
+     *  and registered in `live` while a submit runs. */
+    struct ConnState
     {
-        std::uint64_t fingerprint = 0;
+        std::uint64_t fingerprint = 0;  ///< the running submit's id
         std::atomic<bool> cancel{false};
+        SnapshotCache snapshots;
+        std::string efficiency;     ///< canonical options, "" = none
+        std::unique_ptr<BaselineCache> baseline;
+        RunnerConfig config;
+        std::unique_ptr<CampaignEngine> engine;
     };
 
     void serveClient(int fd);
-    void handleSubmit(int fd, const JsonValue &msg);
+    void handleSubmit(int fd, const JsonValue &msg, ConnState &conn);
     void handleControl(int fd, const JsonValue &msg);
     std::string statusJson();
     void cancelCampaigns(const std::string &fp_hex);
@@ -109,7 +121,7 @@ class Daemon
     std::atomic<bool> stopping{false};
 
     std::mutex reg_mu;
-    std::vector<std::shared_ptr<LiveCampaign>> live;  ///< active submits
+    std::vector<ConnState *> live;  ///< connections running a submit
     std::uint64_t campaigns_done = 0;
 
     std::mutex conn_mu;

@@ -3,7 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "avf/stratum.hh"
 #include "rmt/fault_injector.hh"
 #include "sim/simulator.hh"
 
@@ -20,6 +19,10 @@ namespace rmt
 namespace serve
 {
 
+namespace
+{
+
+/** One job as a JSON object (the "jobs" array element). */
 std::string
 jobJson(const JobSpec &spec)
 {
@@ -60,15 +63,18 @@ jobJson(const JobSpec &spec)
     return os.str();
 }
 
+} // namespace
+
 std::string
-submitJson(const Campaign &campaign, bool include_timing)
+submitJson(const Campaign &campaign, const SimOptions *efficiency)
 {
     std::ostringstream os;
     os << "{\"type\":\"submit\""
        << ",\"name\":\"" << jsonEscape(campaign.name) << "\""
-       << ",\"seed\":\"" << campaign.seed << "\""
-       << ",\"timing\":" << (include_timing ? "true" : "false")
-       << ",\"jobs\":[";
+       << ",\"seed\":\"" << campaign.seed << "\"";
+    if (efficiency)
+        os << ",\"efficiency\":" << optionsCanonicalJson(*efficiency);
+    os << ",\"jobs\":[";
     for (std::size_t i = 0; i < campaign.jobs.size(); ++i) {
         if (i)
             os << ",";
@@ -118,19 +124,6 @@ strMember(const JsonValue &obj, const char *key)
     return v->str();
 }
 
-TrailingFetchMode
-parseFrontend(const std::string &name)
-{
-    if (name == "lpq")
-        return TrailingFetchMode::LinePredictionQueue;
-    if (name == "boq")
-        return TrailingFetchMode::BranchOutcomeQueue;
-    if (name == "sharedlp")
-        return TrailingFetchMode::SharedLinePredictor;
-    throw std::invalid_argument("serve: unknown frontend '" + name +
-                                "'");
-}
-
 } // namespace
 
 SimOptions
@@ -162,17 +155,39 @@ parseCanonicalOptions(const JsonValue &obj)
     o.cpu.iq_entries = static_cast<unsigned>(u64Member(obj, "iq"));
     o.recovery = boolMember(obj, "recovery");
     o.snapshot_every = u64Member(obj, "snapshot_every");
+
+    // Re-canonicalising must reproduce the sent pre-image byte for
+    // byte; otherwise this daemon would simulate something other than
+    // what the client asked for.
+    std::ostringstream sent;
+    const char *sep = "{";
+    for (const auto &[key, value] : obj.members()) {
+        sent << sep << "\"" << key << "\":";
+        if (value.isString())
+            sent << "\"" << jsonEscape(value.str()) << "\"";
+        else
+            sent << jsonNum(value.number());
+        sep = ",";
+    }
+    sent << "}";
+    const std::string canon = optionsCanonicalJson(o);
+    if (sent.str() != canon)
+        throw std::invalid_argument(
+            "serve: options do not round-trip (client/daemon "
+            "option-schema drift): got " + sent.str() + ", canonical " +
+            canon);
     return o;
 }
 
 Campaign
-parseSubmit(const JsonValue &msg, bool &include_timing)
+parseSubmit(const JsonValue &msg, std::optional<SimOptions> &efficiency)
 {
     Campaign campaign;
     campaign.name = msg.strOr("name", "campaign");
     campaign.seed = u64Member(msg, "seed");
-    const JsonValue *timing = msg.find("timing");
-    include_timing = !timing || !timing->isBool() || timing->boolean();
+    efficiency.reset();
+    if (const JsonValue *base = msg.find("efficiency"))
+        efficiency = parseCanonicalOptions(*base);
 
     const JsonValue *jobs = msg.find("jobs");
     if (!jobs || !jobs->isArray())
@@ -202,35 +217,6 @@ parseSubmit(const JsonValue &msg, bool &include_timing)
         spec.options = parseCanonicalOptions(*opts);
         spec.options.collect_stats_json =
             j.numberOr("stats", 0) != 0;
-
-        // Round-trip check: re-canonicalising the parsed options must
-        // reproduce the sent pre-image byte-for-byte.  A mismatch
-        // means this daemon would simulate something other than what
-        // the client asked for — reject loudly.
-        {
-            std::ostringstream sent;
-            bool first = true;
-            sent << "{";
-            for (const auto &[key, value] : opts->members()) {
-                if (!first)
-                    sent << ",";
-                first = false;
-                sent << "\"" << key << "\":";
-                if (value.isString())
-                    sent << "\"" << jsonEscape(value.str()) << "\"";
-                else
-                    sent << jsonNum(value.number());
-            }
-            sent << "}";
-            const std::string canon =
-                optionsCanonicalJson(spec.options);
-            if (sent.str() != canon)
-                throw std::invalid_argument(
-                    "serve: job " + std::to_string(spec.id) +
-                    " options do not round-trip (client/daemon "
-                    "option-schema drift): got " + sent.str() +
-                    ", canonical " + canon);
-        }
 
         if (const JsonValue *faults = j.find("faults")) {
             if (!faults->isArray())

@@ -10,19 +10,28 @@
  * first payload byte is a tag:
  *
  *   'C'  control message — a JSON object with a "type" member
- *   'R'  result row — one raw JSONL line (no trailing newline),
- *        exactly the bytes rmtsim_batch would have written locally
+ *   'R'  result row — one wire::encodeJobResult payload, the same
+ *        JobResult codec the result store persists.  The client
+ *        decodes it and renders the row through its own JsonlSink, so
+ *        --no-timing is applied in one place, and the codec's version
+ *        byte makes a client/daemon build mismatch fail loudly.
  *
- * Control types client -> server:
- *   {"type":"submit","name":...,"seed":N,"timing":bool,"jobs":[...]}
+ * Control types client -> server (several submits may share one
+ * connection; the rounds of a stratified campaign do):
+ *   {"type":"submit","name":...,"seed":"N",
+ *    ["efficiency":{canonical options},] "jobs":[...]}
  *   {"type":"status"} | {"type":"flush"} | {"type":"stop"}
  *   {"type":"cancel","campaign":"<16-hex fingerprint>"}
  *
  * Control types server -> client:
  *   {"type":"accepted","campaign":"<hex>","jobs":N}
- *   {"type":"done","rows":N,"hits":N,"misses":N,"failed":N,
- *    "draining":bool}
+ *   {"type":"done","rows":N,"hits":N,"awaited":N,"simulated":N,
+ *    "failed":N,"skipped":N,"goldens":N,"draining":bool}
  *   {"type":"status",...}  {"type":"ok",...}  {"type":"error",...}
+ *
+ * "done" carries the daemon engine's EngineTally; rows counts the 'R'
+ * frames sent, and skipped jobs (a drain or a cancel) send none — a
+ * submit to a draining daemon gets a "done" with every job skipped.
  *
  * The campaign codec serialises the existing JobSpec/Campaign structs:
  * per job id, label, seed, workloads, the canonical-options pre-image
@@ -30,12 +39,16 @@
  * to re-canonicalise to the same string, so option drift is an error,
  * not a silent mis-simulation), the stats-embed flag, and the
  * scheduled fault records.  post_run hooks do not travel: the daemon
- * reattaches fault oracles itself from the fault records.
+ * reattaches fault oracles itself from the fault records.  The
+ * optional "efficiency" member carries the base options of the
+ * SMT-efficiency baselines in the same checked codec; the daemon then
+ * computes efficiencies against a BaselineCache over its own store.
  */
 
 #ifndef RMTSIM_SERVE_PROTOCOL_HH
 #define RMTSIM_SERVE_PROTOCOL_HH
 
+#include <optional>
 #include <string>
 
 #include "common/json.hh"
@@ -51,32 +64,28 @@ namespace serve
 constexpr char tagControl = 'C';
 constexpr char tagRow = 'R';
 
-/** Default socket filename for examples/docs. */
-constexpr const char *defaultSocketName = "rmtsimd.sock";
-
 // --------------------------------------------------------- campaign codec
 
-/** One job as a JSON object (the "jobs" array element). */
-std::string jobJson(const JobSpec &spec);
-
-/** The submit control message for @p campaign. */
-std::string submitJson(const Campaign &campaign, bool include_timing);
+/** The submit control message for @p campaign; @p efficiency, when
+ *  given, is the base options of the SMT-efficiency baselines. */
+std::string submitJson(const Campaign &campaign,
+                       const SimOptions *efficiency = nullptr);
 
 /**
  * Parse the canonical-options object (the optionsCanonicalJson shape)
  * back into a SimOptions.  Throws std::invalid_argument on unknown
- * mode/frontend names or missing members.
+ * mode/frontend names, missing members, or an object that does not
+ * re-canonicalise to itself (client/daemon option-schema drift).
  */
 SimOptions parseCanonicalOptions(const JsonValue &obj);
 
 /**
- * Parse a submit message into a Campaign (+ the timing flag).  Every
- * job's options are re-canonicalised and compared against the sent
- * pre-image: a mismatch (a client built with different option
- * semantics) throws std::invalid_argument rather than silently
- * simulating something else.
+ * Parse a submit message into a Campaign, setting @p efficiency from
+ * its optional "efficiency" member.  Throws std::invalid_argument on a
+ * malformed job or options object (see parseCanonicalOptions).
  */
-Campaign parseSubmit(const JsonValue &msg, bool &include_timing);
+Campaign parseSubmit(const JsonValue &msg,
+                     std::optional<SimOptions> &efficiency);
 
 // ------------------------------------------------------------ socket I/O
 

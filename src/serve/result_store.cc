@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "ckpt/serializer.hh"
+#include "common/bits.hh"
 #include "common/fingerprint.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -31,42 +32,6 @@ constexpr char kStoreMagic[8] = {'R', 'M', 'T', 'R', 'E', 'S', '\0', '\0'};
 constexpr std::uint32_t kFrameMagic = 0x53544D52u;
 
 constexpr std::size_t kHeaderBytes = sizeof(kStoreMagic) + 4;
-
-void
-appendLe32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void
-appendLe64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-std::uint32_t
-readLe32(const std::string &buf, std::size_t at)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<std::uint8_t>(buf[at + i]))
-             << (8 * i);
-    return v;
-}
-
-std::uint64_t
-readLe64(const std::string &buf, std::size_t at)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<std::uint8_t>(buf[at + i]))
-             << (8 * i);
-    return v;
-}
 
 /** Frame payload: u8 mode length | mode | wire-encoded JobResult. */
 std::string
@@ -127,8 +92,8 @@ resultKeyU64(const JobSpec &spec, const RunnerConfig &config)
            << f.mask << ',' << unsigned(f.pairLogical);
         fnv1a64Field(h, os.str());
     }
-    // Runner features that only local campaigns turn on.  Each adds a
-    // field only when set, so a default config keeps the plain key.
+    // Runner features a campaign may turn on.  Each adds a field only
+    // when set, so a default config keeps the plain key.
     if (config.baseline)
         fnv1a64Field(h, "efficiency:" + optionsCanonicalJson(
                                             config.baseline->options()));
@@ -201,7 +166,7 @@ ResultStore::load(const std::string &dir)
     // A header cut short by a crash during the very first write is an
     // empty store, not a foreign file.
     std::string header(kStoreMagic, sizeof(kStoreMagic));
-    appendLe32(header, resultStoreVersion);
+    putLe(header, resultStoreVersion);
     if (data.size() < kHeaderBytes &&
         header.compare(0, data.size(), data) == 0)
         data.clear();
@@ -214,7 +179,7 @@ ResultStore::load(const std::string &dir)
             throw StoreError("result store: '" + path +
                              "' is not a result store (bad magic)");
         const std::uint32_t version =
-            readLe32(data, sizeof(kStoreMagic));
+            getLe<std::uint32_t>(data, sizeof(kStoreMagic));
         if (version != resultStoreVersion)
             throw StoreError(
                 "result store: '" + path + "' has format version " +
@@ -229,8 +194,8 @@ ResultStore::load(const std::string &dir)
             // CRC over key + payload
             if (data.size() - at < 16)
                 break;                          // torn header
-            const std::uint32_t magic = readLe32(data, at);
-            const std::uint32_t len = readLe32(data, at + 4);
+            const std::uint32_t magic = getLe<std::uint32_t>(data, at);
+            const std::uint32_t len = getLe<std::uint32_t>(data, at + 4);
             if (magic != kFrameMagic || len > wire::maxPayloadBytes) {
                 warn("result store '%s': bad frame header at offset "
                      "%zu; keeping the %llu rows before it",
@@ -240,9 +205,9 @@ ResultStore::load(const std::string &dir)
             }
             if (data.size() - at - 16 < std::size_t{len} + 4)
                 break;                          // torn payload/crc
-            const std::uint64_t key = readLe64(data, at + 8);
+            const std::uint64_t key = getLe<std::uint64_t>(data, at + 8);
             const std::uint32_t stored_crc =
-                readLe32(data, at + 16 + len);
+                getLe<std::uint32_t>(data, at + 16 + len);
             if (stored_crc != crc32(data.data() + at + 8, 8 + len)) {
                 warn("result store '%s': frame at offset %zu failed "
                      "its CRC; keeping the rows before it",
@@ -362,12 +327,12 @@ ResultStore::appendFrame(std::uint64_t key, const std::string &mode,
                          const JobResult &result)
 {
     const std::string payload = encodePayload(mode, result);
-    appendLe32(buffer, kFrameMagic);
-    appendLe32(buffer, static_cast<std::uint32_t>(payload.size()));
+    putLe(buffer, kFrameMagic);
+    putLe(buffer, static_cast<std::uint32_t>(payload.size()));
     const std::size_t keyed = buffer.size();
-    appendLe64(buffer, key);
+    putLe(buffer, key);
     buffer += payload;
-    appendLe32(buffer, crc32(buffer.data() + keyed, 8 + payload.size()));
+    putLe(buffer, crc32(buffer.data() + keyed, 8 + payload.size()));
     counters.stored_bytes += 20 + payload.size();
     if (++unsynced >= sync_every)
         syncLocked();

@@ -21,7 +21,13 @@
  *    byte-identically;
  *  - rows computed under `--max-insts` are keyed on the capped
  *    options, so an uncapped daemon on the same store never serves
- *    them.
+ *    them;
+ *  - RemoteEngine, the remote twin of CampaignEngine: the rounds of a
+ *    stratified campaign on one connection emit the rows of a local
+ *    engine run and build each golden once; an efficiency submit's
+ *    rows and store keys equal a local BaselineCache run; a daemon
+ *    that drains mid-run leaves jobs skipped; and a "done" whose row
+ *    count disagrees with the rows received throws.
  */
 
 #include <gtest/gtest.h>
@@ -34,11 +40,15 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "avf/sampler.hh"
 #include "rmt/fault_oracle.hh"
 #include "runner/runner.hh"
+#include "runner/wire.hh"
+#include "serve/campaign_engine.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 #include "serve/protocol.hh"
@@ -147,6 +157,43 @@ statusStoreCounter(const std::string &sock, const char *key)
     return store ? store->numberOr(key, -1) : -1;
 }
 
+/**
+ * Run a small stratified campaign through @p engine round by round,
+ * as rmtsim_batch --stratify does; returns each round's tally and
+ * appends every no-timing row, then the summary, to @p rows.
+ */
+template <typename Engine>
+std::vector<EngineTally>
+runStratifiedRounds(Engine &engine, std::string &rows)
+{
+    SimOptions options;
+    options.mode = SimMode::Srt;
+    options.warmup_insts = 200;
+    options.measure_insts = 1500;
+    SamplerConfig scfg;
+    scfg.kinds = {FaultRecord::Kind::TransientReg};
+    scfg.windows = 1;
+    scfg.batch = 2;
+    scfg.max_trials = 4;    // two fixed-budget rounds
+    scfg.max_reg = 31;
+    StratifiedSampler strat({{"srt:compress", {"compress"}, options}},
+                            scfg, 5);
+    std::vector<EngineTally> tallies;
+    for (;;) {
+        std::vector<JobSpec> jobs = strat.nextRound();
+        if (jobs.empty())
+            break;
+        tallies.push_back(engine.run(
+            std::move(jobs), [&](const JobSpec &spec, const JobResult &r) {
+                rows += resultJson(spec, r, false) + "\n";
+                strat.record(spec, r);
+                return true;
+            }));
+    }
+    rows += strat.summaryJson();
+    return tallies;
+}
+
 } // namespace
 
 TEST(ServeDaemon, ResubmissionIsByteIdenticalAndAllHits)
@@ -242,7 +289,7 @@ TEST(ServeDaemon, ReconnectAfterMidStreamDisconnectRestartsAtRowZero)
         const int fd = connectUnix(fx.cfg.socket_path, error);
         ASSERT_GE(fd, 0) << error;
         ASSERT_TRUE(sendFrame(fd, tagControl,
-                              submitJson(campaign, false)));
+                              submitJson(campaign)));
         FrameReader reader(fd);
         std::string payload;
         ASSERT_TRUE(reader.next(payload));
@@ -375,7 +422,7 @@ TEST(ServeDaemon, SigkillMidCampaignLeavesStoreUsable)
         fd = connectUnix(sock, error);
     }
     ASSERT_GE(fd, 0) << error;
-    ASSERT_TRUE(sendFrame(fd, tagControl, submitJson(campaign, false)));
+    ASSERT_TRUE(sendFrame(fd, tagControl, submitJson(campaign)));
     {
         FrameReader reader(fd);
         std::string payload;
@@ -432,4 +479,158 @@ TEST(ServeDaemon, CappedRowsAreNeverServedToAnUncappedDaemon)
     EXPECT_EQ(r.misses, campaign.jobs.size());
     EXPECT_EQ(r.hits, 0u);
     EXPECT_EQ(out.str(), localJsonl(campaign));
+}
+
+TEST(ServeDaemon, RemoteStratifiedRoundsMatchLocalAndShareGoldens)
+{
+    TempDir dir("serve_daemon_stratified");
+    DaemonFixture fx(dir.path);
+
+    ThreadPool pool(2);
+    ResultStore store;
+    CampaignEngine local(pool, store, RunnerConfig{});
+    std::string local_rows;
+    const std::vector<EngineTally> local_tallies =
+        runStratifiedRounds(local, local_rows);
+
+    RemoteEngine remote(fx.cfg.socket_path, RunnerConfig{});
+    std::string remote_rows;
+    const std::vector<EngineTally> remote_tallies =
+        runStratifiedRounds(remote, remote_rows);
+
+    EXPECT_EQ(remote_rows, local_rows);
+    ASSERT_EQ(remote_tallies.size(), 2u);
+    ASSERT_EQ(local_tallies.size(), 2u);
+    // One connection, one engine: the second round reuses the golden.
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(remote_tallies[i].goldens, local_tallies[i].goldens);
+        EXPECT_EQ(remote_tallies[i].simulated, 2u);
+        EXPECT_EQ(remote_tallies[i].skipped, 0u);
+    }
+    EXPECT_EQ(remote_tallies[0].goldens, 1u);
+    EXPECT_EQ(remote_tallies[1].goldens, 0u);
+}
+
+TEST(ServeDaemon, EfficiencySubmitMatchesLocalBaselineRun)
+{
+    TempDir dir("serve_daemon_efficiency");
+    DaemonFixture fx(dir.path);
+    Campaign campaign = makeCampaign({{"gcc", 0}, {"compress", 32}});
+    JobSpec mix = makeSpec(2, "gcc", 0);
+    mix.label = "gcc+swim";
+    mix.workloads = {"gcc", "swim"};
+    campaign.jobs.push_back(mix);
+
+    SimOptions base;
+    base.warmup_insts = 200;
+    base.measure_insts = 1500;
+    const auto render = [](std::string &rows) {
+        return [&rows](const JobSpec &spec, const JobResult &r) {
+            rows += resultJson(spec, r, false) + "\n";
+            return true;
+        };
+    };
+
+    ResultStore store;
+    BaselineCache local_baseline(base, &store);
+    RunnerConfig lcfg;
+    lcfg.baseline = &local_baseline;
+    ThreadPool pool(2);
+    std::string local_rows;
+    CampaignEngine(pool, store, lcfg).run(campaign.jobs, render(local_rows));
+
+    // Only the options of the client's cache travel; the daemon
+    // simulates the baselines against its own store.
+    BaselineCache remote_baseline(base);
+    RunnerConfig rcfg;
+    rcfg.baseline = &remote_baseline;
+    std::string remote_rows;
+    {
+        RemoteEngine remote(fx.cfg.socket_path, rcfg);
+        const EngineTally t =
+            remote.run(campaign.jobs, render(remote_rows));
+        EXPECT_EQ(t.simulated, campaign.jobs.size());
+    }
+    EXPECT_EQ(remote_rows, local_rows);
+    EXPECT_NE(remote_rows.find("\"mean_efficiency\""), std::string::npos);
+    EXPECT_EQ(remote_baseline.simulations(), 0u);
+
+    // The daemon stored every row under the key a local run computes.
+    fx.stop();
+    fx.daemon.reset();      // releases the store's lock
+    ResultStore stored;
+    stored.open(fx.cfg.store_dir);
+    for (const JobSpec &job : campaign.jobs) {
+        JobResult row;
+        EXPECT_EQ(stored.tryClaim(resultKeyU64(job, lcfg), row),
+                  ResultStore::Claim::Hit)
+            << job.label;
+    }
+}
+
+TEST(ServeDaemon, DrainMidRunLeavesJobsSkipped)
+{
+    TempDir dir("serve_daemon_drain");
+    DaemonFixture fx(dir.path, /*jobs=*/1);
+    Campaign campaign;
+    for (std::uint64_t id = 0; id < 8; ++id) {
+        JobSpec spec = makeSpec(id, id % 2 ? "gcc" : "compress",
+                                static_cast<unsigned>(8 * id));
+        spec.options.measure_insts = 100000;
+        campaign.jobs.push_back(spec);
+    }
+
+    RemoteEngine remote(fx.cfg.socket_path, RunnerConfig{});
+    std::uint64_t rows = 0;
+    const EngineTally t =
+        remote.run(campaign.jobs, [&](const JobSpec &, const JobResult &) {
+            if (rows++ == 0)
+                fx.daemon->requestStop();
+            return true;
+        });
+    EXPECT_GT(t.skipped, 0u);
+    EXPECT_EQ(rows + t.skipped, campaign.jobs.size());
+    EXPECT_TRUE(remote.draining());
+
+    // The next round on the connection is refused the same way.
+    const EngineTally next = remote.run(
+        campaign.jobs, [](const JobSpec &, const JobResult &) {
+            return true;
+        });
+    EXPECT_EQ(next.skipped, campaign.jobs.size());
+    EXPECT_TRUE(remote.draining());
+}
+
+TEST(ServeDaemon, DoneWithWrongRowCountThrows)
+{
+    TempDir dir("serve_daemon_bad_done");
+    const std::string sock = dir.path + "/fake.sock";
+    std::string error;
+    const int listen_fd = listenUnix(sock, error);
+    ASSERT_GE(listen_fd, 0) << error;
+
+    // A fake daemon: accept the submit, send one row, claim two.
+    std::thread fake([listen_fd] {
+        const int fd = ::accept(listen_fd, nullptr, nullptr);
+        FrameReader reader(fd);
+        std::string submit;
+        reader.next(submit);
+        sendFrame(fd, tagControl,
+                  "{\"type\":\"accepted\",\"campaign\":\"0\",\"jobs\":2}");
+        JobResult r;
+        r.status = JobStatus::Ok;
+        sendFrame(fd, tagRow, wire::encodeJobResult(r));
+        sendFrame(fd, tagControl, "{\"type\":\"done\",\"rows\":2}");
+        ::close(fd);
+    });
+
+    const Campaign campaign = makeCampaign({{"gcc", 0}, {"gcc", 32}});
+    RemoteEngine remote(sock, RunnerConfig{});
+    EXPECT_THROW(remote.run(campaign.jobs,
+                            [](const JobSpec &, const JobResult &) {
+                                return true;
+                            }),
+                 std::runtime_error);
+    fake.join();
+    ::close(listen_fd);
 }

@@ -4,8 +4,9 @@
  *
  *  - the campaign codec round-trips: submitJson -> parseSubmit yields
  *    a campaign with the same per-job ids, labels and result keys,
- *    fault records and timing flag — and canonical options survive
- *    exactly (the daemon-side drift check would throw otherwise);
+ *    fault records and efficiency baseline options — and canonical
+ *    options survive exactly (the daemon-side drift check throws
+ *    otherwise);
  *  - framed socket I/O over a socketpair: multiple frames in one
  *    stream, clean EOF, and the three corruption signatures — garbage
  *    bytes, an oversized length, and a connection cut mid-frame — all
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,14 +83,23 @@ TEST(ServeCodec, SubmitRoundTripsCampaign)
     const Campaign sent = faultyCampaign();
     ASSERT_FALSE(sent.jobs.empty());
 
+    // The efficiency member carries the baseline options through the
+    // same checked canonical codec as the jobs' options.
+    SimOptions base;
+    base.warmup_insts = 300;
+    base.measure_insts = 4000;
+    base.snapshot_every = 1500;
     JsonValue msg;
     std::string error;
-    ASSERT_TRUE(parseJson(submitJson(sent, false), msg, error))
+    ASSERT_TRUE(parseJson(submitJson(sent, &base), msg, error))
         << error;
+    EXPECT_EQ(msg.find("timing"), nullptr);
 
-    bool timing = true;
-    const Campaign got = parseSubmit(msg, timing);
-    EXPECT_FALSE(timing);
+    std::optional<SimOptions> efficiency;
+    const Campaign got = parseSubmit(msg, efficiency);
+    ASSERT_TRUE(efficiency.has_value());
+    EXPECT_EQ(optionsCanonicalJson(*efficiency),
+              optionsCanonicalJson(base));
     EXPECT_EQ(got.name, sent.name);
     EXPECT_EQ(got.seed, sent.seed);
     ASSERT_EQ(got.jobs.size(), sent.jobs.size());
@@ -115,6 +126,21 @@ TEST(ServeCodec, SubmitRoundTripsCampaign)
             EXPECT_EQ(a.faults[f].mask, b.faults[f].mask);
         }
     }
+
+    // Without the member there is no baseline.
+    JsonValue plain;
+    ASSERT_TRUE(parseJson(submitJson(sent), plain, error)) << error;
+    parseSubmit(plain, efficiency);
+    EXPECT_FALSE(efficiency.has_value());
+
+    // Efficiency options that do not re-canonicalise are drift.
+    const std::string canon = optionsCanonicalJson(base);
+    const std::string drifted =
+        "{\"type\":\"submit\",\"seed\":1,\"jobs\":[],\"efficiency\":" +
+        canon.substr(0, canon.size() - 1) + ",\"extra\":1}}";
+    JsonValue bad;
+    ASSERT_TRUE(parseJson(drifted, bad, error)) << error;
+    EXPECT_THROW(parseSubmit(bad, efficiency), std::invalid_argument);
 }
 
 TEST(ServeCodec, CanonicalOptionsSurviveExactly)
@@ -151,8 +177,8 @@ TEST(ServeCodec, RejectsUnknownNames)
     ASSERT_TRUE(parseJson("{\"type\":\"submit\",\"jobs\":[{\"id\":0,"
                           "\"seed\":1,\"workloads\":[]}]}",
                           v));
-    bool timing = true;
-    EXPECT_THROW(parseSubmit(v, timing), std::invalid_argument);
+    std::optional<SimOptions> efficiency;
+    EXPECT_THROW(parseSubmit(v, efficiency), std::invalid_argument);
 }
 
 TEST(ServeFrames, StreamsMultipleFramesThenCleanEof)

@@ -6,11 +6,13 @@
  *  - the JobResult codec round-trips every field through a frame, even
  *    delivered one byte at a time;
  *  - the decoder rejects bad magic, oversized payloads, truncation and
- *    garbage payloads instead of yielding a short record.
+ *    garbage payloads (saturated element counts, out-of-range enum
+ *    bytes) instead of yielding a short record or a huge allocation.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -183,4 +185,42 @@ TEST(Wire, DecodeRejectsTruncatedAndGarbagePayloads)
     std::string bumped = payload;
     bumped[0] = static_cast<char>(wire::codecVersion + 1);
     EXPECT_THROW(wire::decodeJobResult(bumped), wire::WireError);
+
+    // Locate a field as the first byte where two encodings differ.
+    const auto offsetOf = [&](const std::function<void(JobResult &)> &f) {
+        JobResult changed = fullResult();
+        f(changed);
+        const std::string other = wire::encodeJobResult(changed);
+        std::size_t at = 0;
+        while (at < payload.size() && payload[at] == other[at])
+            ++at;
+        return at;
+    };
+
+    // A saturated element count must fail on the bytes left, before
+    // any allocation sized by it.
+    const std::size_t counts[] = {
+        offsetOf([](JobResult &r) { r.run.threads.resize(1); }),
+        offsetOf([](JobResult &r) { r.efficiencies.pop_back(); }),
+        offsetOf([](JobResult &r) { r.extra.pop_back(); }),
+    };
+    for (const std::size_t at : counts) {
+        std::string saturated = payload;
+        saturated.replace(at, 4, 4, '\xff');
+        EXPECT_THROW(wire::decodeJobResult(saturated), wire::WireError)
+            << "count at byte " << at;
+    }
+
+    // Enum bytes past the last enumerator are corruption too.
+    const std::size_t enums[] = {
+        offsetOf([](JobResult &r) { r.status = JobStatus::Failed; }),
+        offsetOf([](JobResult &r) { r.run.outcome = Outcome::Hang; }),
+        offsetOf([](JobResult &r) { r.verdict = FaultVerdict::Sdc; }),
+    };
+    for (const std::size_t at : enums) {
+        std::string bad = payload;
+        bad[at] = static_cast<char>(0x7f);
+        EXPECT_THROW(wire::decodeJobResult(bad), wire::WireError)
+            << "enum at byte " << at;
+    }
 }

@@ -166,9 +166,10 @@ grep -q '"avf_summary"' build/avf_j1.jsonl
 echo "== serve: daemon resubmission is byte-identical and >=5x faster =="
 # Start rmtsimd on a fresh store, run the same client campaign twice:
 # the cold pass simulates every trial, the warm pass must be all store
-# hits — byte-identical output, at least 5x faster wall clock — and a
-# snapshot fault campaign must match its local run; then the daemon
-# must drain cleanly on SIGTERM (socket + pid file gone).
+# hits — byte-identical output, at least 5x faster wall clock — and
+# snapshot fault, stratified, efficiency and failing-job campaigns must
+# match their local runs; then the daemon must drain cleanly on SIGTERM
+# (socket + pid file gone).
 cmake --build build -j "$jobs" --target rmtsimd >/dev/null
 rm -rf build/serve_gate
 mkdir -p build/serve_gate
@@ -204,6 +205,44 @@ snap_args="--modes srt,crt --workloads gcc,compress --fault-trials 4
 ./build/tools/rmtsim_batch $snap_args --out build/serve_gate/snap_local.jsonl
 diff build/serve_gate/snap_local.jsonl build/serve_gate/snap_server.jsonl
 grep -q '"snapshot_hit":1' build/serve_gate/snap_server.jsonl
+# A --server run goes through the same emit, sink, summary and exit-code
+# path as a local one: a stratified campaign (ending in its avf_summary
+# record), an --efficiency campaign and a failing-job campaign (with its
+# failure digest, exit 3 on both sides) must match their local runs byte
+# for byte.
+serve_same() {
+    name=$1; want_rc=$2; shift 2
+    rc=0
+    ./build/tools/rmtsim_batch "$@" --quiet \
+        --server build/serve_gate/d.sock \
+        --out "build/serve_gate/${name}_server.jsonl" || rc=$?
+    [ "$rc" -eq "$want_rc" ]
+    rc=0
+    ./build/tools/rmtsim_batch "$@" --quiet \
+        --out "build/serve_gate/${name}_local.jsonl" || rc=$?
+    [ "$rc" -eq "$want_rc" ]
+    diff "build/serve_gate/${name}_local.jsonl" \
+        "build/serve_gate/${name}_server.jsonl"
+}
+avf48_args="--modes srt --workloads gcc,compress --stratify --kinds reg,pc
+            --windows 2 --batch 3 --fault-trials 6 --warmup 500
+            --insts 4000 --no-timing"
+serve_same avf 0 $avf48_args
+tail -n 1 build/serve_gate/avf_server.jsonl | grep -q '"avf_summary"'
+serve_same eff 0 --modes srt,crt --workloads gcc,compress --mix gcc+swim \
+    --efficiency --warmup 500 --insts 4000 --no-timing
+grep -q '"mean_efficiency"' build/serve_gate/eff_server.jsonl
+serve_same fail 3 --modes srt --workloads gcc,nosuch --warmup 500 \
+    --insts 4000 --no-timing
+tail -n 1 build/serve_gate/fail_server.jsonl \
+    | grep -q '"schema":"rmtsim-failures-v1"'
+# Rerunning the stratified campaign regenerates the same rounds, and the
+# daemon's store serves every one of its 48 trials.
+./build/tools/rmtsim_batch $avf48_args --server build/serve_gate/d.sock \
+    --out build/serve_gate/avf_rerun.jsonl 2> build/serve_gate/avf_rerun.err
+grep -Eq '^48 jobs, 0 failed \(0 quarantined\) \(48 resumed from rmtsimd' \
+    build/serve_gate/avf_rerun.err
+diff build/serve_gate/avf_server.jsonl build/serve_gate/avf_rerun.jsonl
 kill -TERM "$(cat build/serve_gate/d.pid)"
 wait
 [ ! -e build/serve_gate/d.sock ]

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -37,6 +38,7 @@
 #include "common/logging.hh"
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
+#include "runner/wire.hh"
 #include "serve/campaign_engine.hh"
 #include "serve/client.hh"
 #include "serve/result_store.hh"
@@ -125,16 +127,15 @@ usage()
         "record\n"
         "  --no-timing       omit wall_ms/host (byte-diffable "
         "output)\n"
-        "  --server SOCK     submit the campaign to the rmtsimd at "
-        "SOCK instead of\n"
-        "                    simulating in-process; rows stream back "
-        "in the same\n"
-        "                    order (previously-computed jobs come "
-        "from the daemon's\n"
-        "                    result store).  Incompatible with "
-        "--stratify,\n"
-        "                    --efficiency, --store and "
-        "--no-snapshot-fork\n"
+        "  --server SOCK     run the campaign on the rmtsimd at SOCK "
+        "instead of in-process;\n"
+        "                    rows, summary and exit code are those of "
+        "a local run, and\n"
+        "                    jobs already in the daemon's store are "
+        "not run again.  Not\n"
+        "                    with --store (the daemon's store is the "
+        "store) or the local-only\n"
+        "                    --no-snapshot-fork\n"
         "  --quiet           no stderr progress\n"
         "  --progress        force the stderr heartbeat (done/total, "
         "elapsed, ETA)\n"
@@ -184,7 +185,8 @@ main(int argc, char **argv)
     std::vector<std::vector<std::string>> mixes;
     std::vector<std::pair<std::string, std::vector<std::string>>> sweeps;
     unsigned fault_trials = 0;
-    unsigned max_reg = 31;
+    SamplerConfig scfg;     // --stratify
+    scfg.max_reg = 31;
     std::uint64_t seed = 1;
 
     RunnerConfig cfg;
@@ -199,11 +201,6 @@ main(int argc, char **argv)
     bool force_progress = false;
     bool stratify = false;
     long long test_crash = -1;
-    double ci_width = 0;
-    double confidence = 0.95;
-    unsigned windows = 2;
-    unsigned batch = 16;
-    std::string kinds_csv;
     JsonlSink::Options sink_opts;
 
     try {
@@ -244,7 +241,7 @@ main(int argc, char **argv)
                 fault_trials =
                     static_cast<unsigned>(std::stoul(next()));
             } else if (arg == "--max-reg") {
-                max_reg = static_cast<unsigned>(std::stoul(next()));
+                scfg.max_reg = static_cast<unsigned>(std::stoul(next()));
             } else if (arg == "--seed") {
                 seed = std::stoull(next());
             } else if (arg == "--insts") {
@@ -277,15 +274,15 @@ main(int argc, char **argv)
             } else if (arg == "--stratify") {
                 stratify = true;
             } else if (arg == "--ci-width") {
-                ci_width = std::stod(next());
+                scfg.ci_width = std::stod(next());
             } else if (arg == "--confidence") {
-                confidence = std::stod(next());
+                scfg.confidence = std::stod(next());
             } else if (arg == "--windows") {
-                windows = static_cast<unsigned>(std::stoul(next()));
+                scfg.windows = static_cast<unsigned>(std::stoul(next()));
             } else if (arg == "--batch") {
-                batch = static_cast<unsigned>(std::stoul(next()));
+                scfg.batch = static_cast<unsigned>(std::stoul(next()));
             } else if (arg == "--kinds") {
-                kinds_csv = next();
+                scfg.kinds = parseFaultKinds(next());
             } else if (arg == "--store") {
                 store_dir = next();
             } else if (arg == "--no-timing") {
@@ -314,22 +311,14 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (!server_sock.empty()) {
-        // Server mode ships JobSpecs, not local machinery: adaptive
-        // sampling, the baseline cache and a local store all live on
-        // this side of the socket and cannot ride along, and the
-        // daemon always restores fault trials from snapshots.
-        const char *clash = nullptr;
-        if (stratify)
-            clash = "--stratify";
-        else if (want_efficiency)
-            clash = "--efficiency";
-        else if (!store_dir.empty())
-            clash = "--store";
-        else if (!snapshot_fork)
-            clash = "--no-snapshot-fork";
-        else if (test_crash >= 0)
-            clash = "--test-crash-trial";
+    const bool remote = !server_sock.empty();
+    if (remote) {
+        // The daemon owns the store and always restores fault trials
+        // from snapshots; the crash hook is local machinery too.
+        const char *clash = !store_dir.empty() ? "--store"
+                            : !snapshot_fork   ? "--no-snapshot-fork"
+                            : test_crash >= 0  ? "--test-crash-trial"
+                                               : nullptr;
         if (clash) {
             std::fprintf(stderr,
                          "rmtsim_batch: %s cannot be combined with "
@@ -360,7 +349,7 @@ main(int argc, char **argv)
         // grid expansion then only provides the cells (one job per
         // grid point, faultless).
         if (fault_trials && !stratify)
-            builder.transientRegTrials(fault_trials, max_reg);
+            builder.transientRegTrials(fault_trials, scfg.max_reg);
         campaign = builder.build();
     } catch (const std::exception &e) {
         std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
@@ -380,9 +369,9 @@ main(int argc, char **argv)
     // crashed or interrupted campaign resumes by rerunning the same
     // command.  A file --out gets its own store, removed once the
     // campaign finishes; an explicit --store is always kept; --out -
-    // runs against a memory-only store.
-    const bool auto_store =
-        server_sock.empty() && store_dir.empty() && out_path != "-";
+    // runs against a memory-only store.  A --server run resumes from
+    // the daemon's store.
+    const bool auto_store = !remote && store_dir.empty() && out_path != "-";
     if (auto_store)
         store_dir = out_path + ".store";
     auto store = std::make_unique<ResultStore>();
@@ -408,34 +397,6 @@ main(int argc, char **argv)
         }
     }
     std::ostream &out = out_path == "-" ? std::cout : file;
-
-#if defined(__unix__) || defined(__APPLE__)
-    if (!server_sock.empty()) {
-        std::signal(SIGPIPE, SIG_IGN);
-        try {
-            const serve::RemoteCampaignResult r =
-                serve::runRemoteCampaign(server_sock, campaign,
-                                         sink_opts.include_timing, out);
-            if (!quiet) {
-                std::fprintf(
-                    stderr,
-                    "%llu rows from rmtsimd (%llu store hits, %llu "
-                    "simulated, %llu failed)%s\n",
-                    static_cast<unsigned long long>(r.rows),
-                    static_cast<unsigned long long>(r.hits),
-                    static_cast<unsigned long long>(r.misses),
-                    static_cast<unsigned long long>(r.failed),
-                    r.draining ? " [daemon draining]" : "");
-            }
-            if (r.draining || r.rows < campaign.jobs.size())
-                return 4;
-            return r.failed ? 3 : 0;
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
-            return 1;
-        }
-    }
-#endif
 
     if (want_fsync && out_path != "-")
         sink_opts.fsync_path = out_path;
@@ -464,13 +425,9 @@ main(int argc, char **argv)
 
     // Snapshot store for fault trials, shared across workers.
     SnapshotCache snapshots;
-    if (base.snapshot_every && snapshot_fork)
+    if (!remote && base.snapshot_every && snapshot_fork)
         cfg.snapshots = &snapshots;
 
-    // One pool for the whole process: goldens, jobs and every
-    // stratified round run on it.
-    ThreadPool pool(cfg.jobs);
-    CampaignEngine engine(pool, *store, cfg);
     std::vector<JobResult> failures;
     StratifiedSampler *sampler = nullptr;
     const auto emit = [&](const JobSpec &spec, const JobResult &r) {
@@ -481,6 +438,34 @@ main(int argc, char **argv)
             sampler->record(spec, r);
         return true;
     };
+
+    // The one place a local and a --server run differ: which engine
+    // turns job lists into rows.  Both have the run(jobs, emit) ->
+    // EngineTally shape.  Locally one pool serves the whole process:
+    // goldens, jobs and every stratified round run on it.
+    std::unique_ptr<ThreadPool> pool;
+    std::function<EngineTally(std::vector<JobSpec>)> runEngine;
+    const auto use = [&](auto engine) {
+        runEngine = [engine, &emit](std::vector<JobSpec> jobs) {
+            return engine->run(std::move(jobs), emit);
+        };
+    };
+    try {
+        if (!remote) {
+            pool = std::make_unique<ThreadPool>(cfg.jobs);
+            use(std::make_shared<CampaignEngine>(*pool, *store, cfg));
+        }
+#if defined(__unix__) || defined(__APPLE__)
+        else {
+            std::signal(SIGPIPE, SIG_IGN);
+            use(std::make_shared<serve::RemoteEngine>(server_sock, cfg));
+        }
+#endif
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
+        return 1;
+    }
+
     std::uint64_t total_jobs = 0, resumed = 0, goldens = 0, skipped = 0;
     const auto runJobs = [&](std::vector<JobSpec> jobs) {
         // Test hook: die after the named job's work but before its row
@@ -491,7 +476,7 @@ main(int argc, char **argv)
                                   JobResult &) { std::_Exit(9); };
         }
         const std::size_t n = jobs.size();
-        const EngineTally t = engine.run(std::move(jobs), emit);
+        const EngineTally t = runEngine(std::move(jobs));
         resumed += t.hits;
         goldens += t.goldens;
         skipped += t.skipped;
@@ -500,22 +485,13 @@ main(int argc, char **argv)
 
     try {
         if (stratify) {
-            SamplerConfig scfg;
-            scfg.kinds = parseFaultKinds(kinds_csv);
-            scfg.windows = windows;
-            scfg.batch = batch;
-            scfg.max_trials = fault_trials ? fault_trials : 256;
-            scfg.ci_width = ci_width;
-            scfg.confidence = confidence;
-            scfg.max_reg = max_reg;
+            if (fault_trials)
+                scfg.max_trials = fault_trials;
             // Pair-resident kinds (lvq/lpq/boq) only exist on machines
             // with redundant pairs; drop them from the default kind set
             // as soon as one sampled mode lacks pairs.
-            scfg.has_pairs = true;
-            for (const SimMode m : modes) {
-                if (m != SimMode::Srt && m != SimMode::Crt)
-                    scfg.has_pairs = false;
-            }
+            for (const SimMode m : modes)
+                scfg.has_pairs &= m == SimMode::Srt || m == SimMode::Crt;
 
             std::vector<StratifiedSampler::Cell> cells;
             for (const JobSpec &j : campaign.jobs)
@@ -525,8 +501,10 @@ main(int argc, char **argv)
             sampler = &strat;
             // Rounds are a pure function of the seed and the recorded
             // verdicts, so a rerun regenerates the same trials and the
-            // store serves every one that finished before.
-            while (!g_stop.load(std::memory_order_relaxed)) {
+            // store serves every one that finished before.  A round
+            // with skipped jobs (an interrupt, a draining daemon) ends
+            // the loop.
+            while (!g_stop.load(std::memory_order_relaxed) && !skipped) {
                 const auto jobs = strat.nextRound();
                 if (jobs.empty())
                     break;
@@ -562,6 +540,10 @@ main(int argc, char **argv)
             runJobs(campaign.jobs);
             sink.end();
         }
+    } catch (const wire::WireError &e) {
+        // The connection to rmtsimd broke: a hard failure.
+        std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
+        return 1;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
         return 2;
@@ -608,14 +590,16 @@ main(int argc, char **argv)
     }
 
     if (!quiet) {
+        const std::string kept_in =
+            remote ? "rmtsimd at " + server_sock : store_dir;
         std::string note;
         if (resumed)
             note = " (" + std::to_string(resumed) + " resumed from " +
-                   store_dir + ")";
+                   kept_in + ")";
         if (fault_trials || stratify)
             note += " (" + std::to_string(goldens) +
                     " golden runs)";
-        if (want_efficiency)
+        if (want_efficiency && !remote)
             note += " (" + std::to_string(baseline.simulations()) +
                     " baseline sims)";
         if (cfg.snapshots)
@@ -627,11 +611,11 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(failures.size()),
                      static_cast<unsigned long long>(quarantined),
                      note.c_str());
-        if (interrupted && !store_dir.empty()) {
+        if (interrupted && !kept_in.empty()) {
             std::fprintf(stderr,
                          "interrupted — results kept in %s; rerun the "
                          "same command to resume\n",
-                         store_dir.c_str());
+                         kept_in.c_str());
         }
     }
     if (interrupted)
