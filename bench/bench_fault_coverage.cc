@@ -2,8 +2,7 @@
  * @file
  * Fault-coverage experiment (Sections 2.1, 4.5): deterministic fault
  * campaigns against the SRT machine, driven through the campaign
- * runner so the independent trials fan out over all host cores
- * (override with RMTSIM_JOBS=N).
+ * runner so the independent trials fan out over all host cores.
  *
  *  1. Transient register strikes: random (register, bit, cycle) flips
  *     in one redundant copy.  Outcomes: detected (store comparator /
@@ -24,13 +23,14 @@
  * actually landed in.
  */
 
-#include "bench_util.hh"
+#include <cstdio>
+
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "rmt/fault_oracle.hh"
 #include "runner/runner.hh"
 
 using namespace rmt;
-using namespace rmtbench;
 
 namespace
 {
@@ -110,7 +110,7 @@ transientRegCampaign(const std::string &workload, unsigned trials,
         attachFaultOracle(spec, &oracle);
 
     RunnerConfig cfg;
-    cfg.jobs = benchJobs();
+    cfg.jobs = 0;    // one worker per core
     return tally(runCampaign(campaign, cfg));
 }
 
@@ -145,7 +145,7 @@ permanentFuCampaign(const std::string &workload, bool psr,
     }
 
     RunnerConfig cfg;
-    cfg.jobs = benchJobs();
+    cfg.jobs = 0;    // one worker per core
     return tally(runCampaign(campaign, cfg));
 }
 
@@ -222,7 +222,7 @@ main()
         }
 
         RunnerConfig cfg;
-        cfg.jobs = benchJobs();
+        cfg.jobs = 0;    // one worker per core
         const auto results = runCampaign(campaign, cfg);
         unsigned detected = 0, corrected = 0;
         for (const JobResult &r : results) {

@@ -29,12 +29,11 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
 #include "common/json.hh"
+#include "common/logging.hh"
 #include "runner/runner.hh"
 
 using namespace rmt;
-using namespace rmtbench;
 
 namespace
 {

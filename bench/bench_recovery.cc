@@ -11,10 +11,12 @@
  *     up front but discard less on a fault).
  */
 
-#include "bench_util.hh"
+#include <cstdio>
+
+#include "common/logging.hh"
+#include "sim/simulator.hh"
 
 using namespace rmt;
-using namespace rmtbench;
 
 namespace
 {

@@ -1,0 +1,53 @@
+/**
+ * @file
+ * The one parser for unsigned numbers that come from outside the
+ * process: command-line values of every tool, sweep settings, and the
+ * u64 members of the serve protocol.
+ */
+
+#ifndef RMTSIM_COMMON_PARSE_HH
+#define RMTSIM_COMMON_PARSE_HH
+
+#include <charconv>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
+namespace rmt
+{
+
+/**
+ * Parse @p text as an unsigned integer, decimal or 0x/0X hex.  Throws
+ * std::invalid_argument("bad value for <what>: '<text>'") on empty
+ * input, a sign, whitespace, trailing text, or a value above @p max.
+ */
+inline std::uint64_t
+parseUnsigned(const std::string &text, const std::string &what,
+              std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    const bool hex = text.size() > 2 && text[0] == '0' &&
+                     (text[1] == 'x' || text[1] == 'X');
+    const char *first = text.data() + (hex ? 2 : 0);
+    const char *last = text.data() + text.size();
+    // from_chars takes no sign or whitespace for unsigned types and
+    // reports overflow; it must also consume every character.
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(first, last, v, hex ? 16 : 10);
+    if (first == last || ec != std::errc() || end != last || v > max)
+        throw std::invalid_argument("bad value for " + what + ": '" +
+                                    text + "'");
+    return v;
+}
+
+/** parseUnsigned bounded to the range of unsigned. */
+inline unsigned
+parseUnsigned32(const std::string &text, const std::string &what)
+{
+    return static_cast<unsigned>(
+        parseUnsigned(text, what, std::numeric_limits<unsigned>::max()));
+}
+
+} // namespace rmt
+
+#endif // RMTSIM_COMMON_PARSE_HH

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse.hh"
 #include "cpu/smt_cpu.hh"
 
 namespace rmt
@@ -66,15 +67,12 @@ splitFields(const std::string &spec, std::string &kind)
         }
         if (tok.empty())
             badSpec(spec, "empty field");
-        std::size_t pos = 0;
         std::uint64_t v = 0;
         try {
-            v = std::stoull(tok, &pos);
-        } catch (const std::exception &) {
+            v = parseUnsigned(tok, "fault field");
+        } catch (const std::invalid_argument &) {
             badSpec(spec, "non-numeric field");
         }
-        if (pos != tok.size())
-            badSpec(spec, "non-numeric field");
         fields.push_back(v);
     }
     if (first)

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/parse.hh"
 #include "common/random.hh"
 
 namespace rmt
@@ -34,33 +35,6 @@ parseFrontend(const std::string &name)
 namespace
 {
 
-std::uint64_t
-parseUint(const std::string &key, const std::string &value)
-{
-    std::size_t pos = 0;
-    std::uint64_t v = 0;
-    try {
-        v = std::stoull(value, &pos, 0);
-    } catch (const std::exception &) {
-        pos = 0;
-    }
-    if (pos != value.size())
-        throw std::invalid_argument("sweep " + key + ": bad value '" +
-                                    value + "'");
-    return v;
-}
-
-bool
-parseBool(const std::string &key, const std::string &value)
-{
-    const std::uint64_t v = parseUint(key, value);
-    if (v > 1)
-        throw std::invalid_argument("sweep " + key +
-                                    ": expected 0 or 1, got '" + value +
-                                    "'");
-    return v != 0;
-}
-
 /** SplitMix64: spreads a counter into an independent 64-bit stream so
  *  per-trial fault draws do not correlate across grid points. */
 std::uint64_t
@@ -78,33 +52,39 @@ void
 applySweepSetting(SimOptions &o, const std::string &key,
                   const std::string &value)
 {
+    const std::string what = "sweep " + key;
+    const auto u32 = [&] { return parseUnsigned32(value, what); };
+    const auto flag = [&] { return parseUnsigned(value, what, 1) != 0; };
     if (key == "slack") {
-        o.slack_fetch = static_cast<unsigned>(parseUint(key, value));
+        o.slack_fetch = u32();
     } else if (key == "checker") {
-        o.checker_penalty = static_cast<unsigned>(parseUint(key, value));
+        o.checker_penalty = u32();
     } else if (key == "storeq") {
-        o.cpu.store_queue_entries =
-            static_cast<unsigned>(parseUint(key, value));
+        o.cpu.store_queue_entries = u32();
     } else if (key == "lvq") {
-        o.cpu.lvq_entries = static_cast<unsigned>(parseUint(key, value));
+        o.cpu.lvq_entries = u32();
     } else if (key == "lpq") {
-        o.cpu.lpq_entries = static_cast<unsigned>(parseUint(key, value));
+        o.cpu.lpq_entries = u32();
     } else if (key == "rob") {
-        o.cpu.rob_entries = static_cast<unsigned>(parseUint(key, value));
+        o.cpu.rob_entries = u32();
     } else if (key == "iq") {
-        o.cpu.iq_entries = static_cast<unsigned>(parseUint(key, value));
+        o.cpu.iq_entries = u32();
+    } else if (key == "physregs") {
+        o.cpu.phys_regs = u32();
     } else if (key == "insts") {
-        o.measure_insts = parseUint(key, value);
+        o.measure_insts = parseUnsigned(value, what);
     } else if (key == "warmup") {
-        o.warmup_insts = parseUint(key, value);
+        o.warmup_insts = parseUnsigned(value, what);
     } else if (key == "ptsq") {
-        o.per_thread_store_queues = parseBool(key, value);
+        o.per_thread_store_queues = flag();
     } else if (key == "nosc") {
-        o.store_comparison = !parseBool(key, value);
+        o.store_comparison = !flag();
     } else if (key == "psr") {
-        o.preferential_space_redundancy = parseBool(key, value);
+        o.preferential_space_redundancy = flag();
     } else if (key == "ecc") {
-        o.lvq_ecc = parseBool(key, value);
+        o.lvq_ecc = flag();
+    } else if (key == "dynlsq") {
+        o.cpu.dynamic_lsq_partition = flag();
     } else if (key == "frontend") {
         o.trailing_fetch = parseFrontend(value);
     } else {

@@ -47,10 +47,11 @@ TrailingFetchMode parseFrontend(const std::string &name);
  * Apply one named sweep setting to @p options.  Known keys:
  *
  *   slack, checker, storeq, lvq, lpq, insts, warmup, rob, iq,
- *   ptsq, nosc, psr, ecc, frontend (lpq|boq|sharedlp)
+ *   physregs, ptsq, nosc, psr, ecc, dynlsq, frontend (lpq|boq|sharedlp)
  *
- * Numeric keys parse the value as an integer; boolean keys accept
- * 0/1.  Throws std::invalid_argument on unknown keys or bad values.
+ * Numeric keys parse the value with parseUnsigned (decimal or 0x
+ * hex); boolean keys accept 0/1.  Throws std::invalid_argument on
+ * unknown keys or bad values.
  */
 void applySweepSetting(SimOptions &options, const std::string &key,
                        const std::string &value);

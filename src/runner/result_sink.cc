@@ -129,7 +129,9 @@ resultJson(const JobSpec &spec, const JobResult &r, bool include_timing)
            << ",\"sq_full_stalls\":" << run.sq_full_stalls
            << ",\"lvq_full_stalls\":" << run.lvq_full_stalls
            << ",\"branch_mispredicts\":" << run.branch_mispredicts
-           << ",\"line_mispredicts\":" << run.line_mispredicts;
+           << ",\"line_mispredicts\":" << run.line_mispredicts
+           << ",\"avg_leading_store_lifetime\":"
+           << num(run.avg_leading_store_lifetime);
         if (r.has_verdict) {
             os << ",\"verdict\":\"" << verdictName(r.verdict) << "\"";
             if (r.detection_latency >= 0) {

@@ -101,7 +101,11 @@ RemoteEngine::run(std::vector<JobSpec> jobs,
     std::uint64_t rows = 0;
     std::string payload;
     bool accepted = false;
-    while (reader.next(payload)) {
+    bool halted = false;
+    // Without a stop flag there is nothing to poll for.
+    const std::function<bool()> poll_stop =
+        config.stop ? std::function<bool()>(stopped) : nullptr;
+    while (!halted && reader.next(payload, poll_stop)) {
         if (payload.empty())
             throw wire::WireError("serve: empty frame");
         if (payload[0] == tagRow) {
@@ -114,11 +118,7 @@ RemoteEngine::run(std::vector<JobSpec> jobs,
                                          " is out of order");
             ++rows;
             tally.failed += !r.ok();
-            if (!emit(specs[next++], r) || stopped()) {
-                close();
-                tally.skipped = specs.size() - rows;
-                return tally;
-            }
+            halted = !emit(specs[next++], r) || stopped();
             continue;
         }
         const JsonValue msg = parseControl(payload.substr(1));
@@ -141,6 +141,11 @@ RemoteEngine::run(std::vector<JobSpec> jobs,
                  count("failed"), count("skipped"), count("goldens")};
         const JsonValue *d = msg.find("draining");
         was_draining = d && d->isBool() && d->boolean();
+        return tally;
+    }
+    if (halted || stopped()) {
+        close();
+        tally.skipped = specs.size() - rows;
         return tally;
     }
     throw wire::WireError(

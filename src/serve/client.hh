@@ -50,9 +50,10 @@ class RemoteEngine
      * Submit @p jobs and emit each returned row, decoded into a
      * JobResult and matched to its spec by id, in job order; jobs the
      * daemon skipped have no row.  Returns the tally "done" reports.
-     * Once emit returns false or config.stop reads true, stops at that
-     * row and closes the connection (the daemon abandons the unstarted
-     * jobs; later runs skip every job).  Throws wire::WireError on a
+     * Once emit returns false or config.stop reads true (checked after
+     * every row and every 100 ms while waiting for one), stops and
+     * closes the connection (the daemon abandons the unstarted jobs;
+     * later runs skip every job).  Throws wire::WireError on a
      * protocol violation, a connection cut before "done", or a "done"
      * whose row count differs from the rows received, and
      * std::runtime_error on a daemon-side error.

@@ -1,14 +1,17 @@
 #include "serve/protocol.hh"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse.hh"
 #include "rmt/fault_injector.hh"
 #include "sim/simulator.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <cerrno>
 #include <cstring>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -91,21 +94,20 @@ std::uint64_t
 u64Member(const JsonValue &obj, const char *key)
 {
     // Full-width u64 fields arrive as strings (see jobJson); small
-    // ones as numbers.  Accept both everywhere.
+    // ones as numbers.  Accept both everywhere, and only unsigned
+    // integers in either form.
+    const std::string what = std::string("serve: member '") + key + "'";
     const JsonValue *v = obj.find(key);
-    if (v && v->isString()) {
-        try {
-            return std::stoull(v->str());
-        } catch (const std::exception &) {
-            throw std::invalid_argument(
-                std::string("serve: member '") + key +
-                "' is not a u64: '" + v->str() + "'");
-        }
-    }
+    if (v && v->isString())
+        return parseUnsigned(v->str(), what);
     if (!v || !v->isNumber())
         throw std::invalid_argument(
             std::string("serve: missing numeric member '") + key + "'");
-    return static_cast<std::uint64_t>(v->number());
+    const double n = v->number();
+    if (!(n >= 0) || n != std::floor(n) || n >= 0x1p64)
+        throw std::invalid_argument("bad value for " + what + ": " +
+                                    jsonNum(n));
+    return static_cast<std::uint64_t>(n);
 }
 
 bool
@@ -155,6 +157,11 @@ parseCanonicalOptions(const JsonValue &obj)
     o.cpu.iq_entries = static_cast<unsigned>(u64Member(obj, "iq"));
     o.recovery = boolMember(obj, "recovery");
     o.snapshot_every = u64Member(obj, "snapshot_every");
+    if (obj.find("physregs"))
+        o.cpu.phys_regs =
+            static_cast<unsigned>(u64Member(obj, "physregs"));
+    if (obj.find("dynlsq"))
+        o.cpu.dynamic_lsq_partition = boolMember(obj, "dynlsq");
 
     // Re-canonicalising must reproduce the sent pre-image byte for
     // byte; otherwise this daemon would simulate something other than
@@ -256,11 +263,23 @@ sendFrame(int fd, char tag, const std::string &body)
 }
 
 bool
-FrameReader::next(std::string &payload)
+FrameReader::next(std::string &payload, const std::function<bool()> &stop)
 {
     for (;;) {
         if (dec.next(payload))
             return true;
+        if (stop) {
+            pollfd p{fd, POLLIN, 0};
+            const int ready = ::poll(&p, 1, 100);
+            if (ready < 0 && errno != EINTR)
+                throw wire::WireError(std::string("serve: poll failed: ") +
+                                      std::strerror(errno));
+            if (ready <= 0) {
+                if (stop())
+                    return false;
+                continue;
+            }
+        }
         char buf[4096];
         const long n = wire::readSome(fd, buf, sizeof(buf));
         if (n < 0)

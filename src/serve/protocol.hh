@@ -48,6 +48,7 @@
 #ifndef RMTSIM_SERVE_PROTOCOL_HH
 #define RMTSIM_SERVE_PROTOCOL_HH
 
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -109,8 +110,11 @@ class FrameReader
   public:
     explicit FrameReader(int fd) : fd(fd) {}
 
-    /** Next payload (tag byte included).  False on clean EOF. */
-    bool next(std::string &payload);
+    /** Next payload (tag byte included).  False on clean EOF.  With
+     *  @p stop, waits in poll() on a 100 ms tick and also returns false
+     *  once stop() reads true. */
+    bool next(std::string &payload,
+              const std::function<bool()> &stop = nullptr);
 
   private:
     int fd;

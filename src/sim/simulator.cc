@@ -612,8 +612,14 @@ optionsCanonicalJson(const SimOptions &o)
        << ",\"rob\":" << o.cpu.rob_entries
        << ",\"iq\":" << o.cpu.iq_entries
        << ",\"recovery\":" << (o.recovery ? 1 : 0)
-       << ",\"snapshot_every\":" << o.snapshot_every
-       << "}";
+       << ",\"snapshot_every\":" << o.snapshot_every;
+    // Later members appear only off their defaults, so the pre-image
+    // (and every stored key) of a default machine stays the same.
+    if (o.cpu.phys_regs != SmtParams{}.phys_regs)
+        os << ",\"physregs\":" << o.cpu.phys_regs;
+    if (o.cpu.dynamic_lsq_partition)
+        os << ",\"dynlsq\":1";
+    os << "}";
     return os.str();
 }
 

@@ -88,7 +88,8 @@ struct SimOptions
 /**
  * Canonical one-line JSON of every timing-relevant option: the
  * pre-image of the options fingerprint used to key snapshots, baseline
- * caches, and campaign records.
+ * caches, and campaign records.  "physregs" and "dynlsq" are present
+ * only when they differ from the SmtParams defaults.
  */
 std::string optionsCanonicalJson(const SimOptions &options);
 

@@ -29,10 +29,12 @@
 #include <vector>
 
 #include "rmt/fault_oracle.hh"
+#include "runner/figures.hh"
 #include "runner/result_sink.hh"
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
 #include "sim/metrics.hh"
+#include "workloads/workloads.hh"
 
 using namespace rmt;
 
@@ -464,6 +466,284 @@ TEST(FaultCampaign, SinkGetsEveryRecordInIdOrderIncludingFailures)
         ++id;
     }
     EXPECT_EQ(id, jobs.size());
+}
+
+TEST(CampaignBuilder, SweepValuesAreStrictUnsigned)
+{
+    SimOptions o;
+    applySweepSetting(o, "storeq", "0x20");
+    EXPECT_EQ(o.cpu.store_queue_entries, 32u);
+    applySweepSetting(o, "physregs", "384");
+    EXPECT_EQ(o.cpu.phys_regs, 384u);
+    applySweepSetting(o, "dynlsq", "1");
+    EXPECT_TRUE(o.cpu.dynamic_lsq_partition);
+    applySweepSetting(o, "insts", "18446744073709551615");
+    EXPECT_EQ(o.measure_insts, ~std::uint64_t{0});
+
+    for (const char *bad :
+         {"-1", "2x", "", " 1", "1 ", "+1", "0x", "0x-1", "4294967296"})
+        EXPECT_THROW(applySweepSetting(o, "storeq", bad),
+                     std::invalid_argument)
+            << "'" << bad << "'";
+    EXPECT_THROW(applySweepSetting(o, "insts", "18446744073709551616"),
+                 std::invalid_argument);
+    EXPECT_THROW(applySweepSetting(o, "dynlsq", "2"),
+                 std::invalid_argument);
+    try {
+        applySweepSetting(o, "storeq", "-1");
+        FAIL() << "storeq=-1 accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "bad value for sweep storeq: '-1'");
+    }
+}
+
+TEST(Figures, Fig6IsTheGridOfTheFigure6Main)
+{
+    // The grid the retired Figure 6 main built: every SPEC95 workload
+    // x {Base2, SRT, SRT+ptsq, SRT+nosc}, row-major, at 20k + 40k.
+    struct Variant
+    {
+        const char *name;
+        void (*apply)(SimOptions &);
+    };
+    const Variant variants[] = {
+        {"Base2", [](SimOptions &o) { o.mode = SimMode::Base2; }},
+        {"SRT", [](SimOptions &o) { o.mode = SimMode::Srt; }},
+        {"SRT+ptsq",
+         [](SimOptions &o) {
+             o.mode = SimMode::Srt;
+             o.per_thread_store_queues = true;
+         }},
+        {"SRT+nosc",
+         [](SimOptions &o) {
+             o.mode = SimMode::Srt;
+             o.store_comparison = false;
+         }},
+    };
+    const Campaign c = figureCampaign(selectFigures("fig6"));
+    ASSERT_EQ(c.jobs.size(), spec95Names().size() * 4);
+    EXPECT_EQ(spec95Names().size(), 18u);
+    std::size_t i = 0;
+    for (const std::string &name : spec95Names()) {
+        for (const Variant &v : variants) {
+            SimOptions o;
+            o.warmup_insts = 20000;
+            o.measure_insts = 40000;
+            v.apply(o);
+            const JobSpec &job = c.jobs[i];
+            EXPECT_EQ(job.id, i);
+            EXPECT_EQ(job.label, std::string(v.name) + ":" + name);
+            EXPECT_EQ(job.workloads, std::vector<std::string>{name});
+            EXPECT_EQ(optionsCanonicalJson(job.options),
+                      optionsCanonicalJson(o))
+                << job.label;
+            ++i;
+        }
+    }
+
+    EXPECT_THROW(selectFigures("fig6,nosuch"), std::invalid_argument);
+    EXPECT_THROW(selectFigures("fig6,fig6"), std::invalid_argument);
+    EXPECT_EQ(selectFigures("all").size(), 13u);
+}
+
+/** The record rmtsim_batch writes for @p spec, every figure metric
+ *  reading @p v. */
+JsonValue
+syntheticRecord(const JobSpec &spec, double v)
+{
+    JobResult r;
+    r.id = spec.id;
+    r.status = JobStatus::Ok;
+    r.attempts = 1;
+    r.mean_efficiency = v;
+    r.efficiencies = {v};
+    ThreadResult t;
+    t.workload = spec.workloads[0];
+    t.ipc = v;
+    r.run.threads = {t};
+    r.run.fu_pairs = 1000;
+    r.run.fu_same_unit = static_cast<std::uint64_t>(v * 1000);
+    r.run.sq_full_stalls = static_cast<std::uint64_t>(v * 1000);
+    r.run.avg_leading_store_lifetime = v;
+    JsonValue out;
+    EXPECT_TRUE(parseJson(resultJson(spec, r, false), out));
+    return out;
+}
+
+/** Two three-row figures: A and B per row, A/B as a mean of ratios and
+ *  as a ratio of means, A-B; "tiny2" claims against "tiny". */
+std::vector<Figure>
+tinyFigures()
+{
+    Figure f;
+    f.name = "tiny";
+    f.rows = {{"gcc"}, {"swim"}, {"gcc", "swim"}};
+    f.configs = {{"A", "mode=srt"}, {"B", "mode=srt,ptsq=1"}};
+    FigureColumn ratio_of_means{
+        .header = "A/B(m)", .config = "A", .op = '/', .other = "B"};
+    ratio_of_means.ratio_of_means = true;
+    f.tables = {
+        {"Tiny",
+         {{.header = "A", .config = "A"},
+          {.header = "B", .config = "B"},
+          {.header = "A/B", .config = "A", .op = '/', .other = "B"},
+          ratio_of_means,
+          {.header = "A-B", .config = "A", .op = '-', .other = "B"}}}};
+    f.claims = {"mean: A > B", "rows: A > B", "mean: B < A-B < A",
+                "swim: A/B > 1"};
+    Figure g = f;
+    g.name = "tiny2";
+    g.claims = {"mean: tiny:A < A"};
+    return {f, g};
+}
+
+/** tiny: A = .5 .6 .4, B = .25 .3 .1; tiny2 doubles every value. */
+std::vector<JsonValue>
+tinyRecords(const Campaign &c, std::size_t doctored = ~std::size_t{0},
+            double doctored_value = 0)
+{
+    const double a[] = {0.5, 0.6, 0.4}, b[] = {0.25, 0.3, 0.1};
+    std::vector<JsonValue> records;
+    for (const JobSpec &job : c.jobs) {
+        const std::size_t k = job.id % 6;   // row-major, 2 configs
+        double v = (k % 2 ? b : a)[k / 2] * (job.id >= 6 ? 2 : 1);
+        if (job.id == doctored)
+            v = doctored_value;
+        records.push_back(syntheticRecord(job, v));
+    }
+    return records;
+}
+
+std::vector<std::string>
+lineTokens(const std::string &text, const std::string &first)
+{
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+        std::istringstream words(line);
+        std::vector<std::string> toks;
+        for (std::string w; words >> w;)
+            toks.push_back(w);
+        if (!toks.empty() && toks[0] == first)
+            return {toks.begin() + 1, toks.end()};
+    }
+    return {};
+}
+
+TEST(Figures, ReducerPlacesCellsMeansAndRatios)
+{
+    const std::vector<Figure> figs = tinyFigures();
+    const std::vector<const Figure *> sel = {&figs[0], &figs[1]};
+    const Campaign c = figureCampaign(sel);
+    ASSERT_EQ(c.jobs.size(), 12u);
+    EXPECT_EQ(c.jobs[5].label, "B:gcc+swim");
+
+    const FigureReport r = reportFigures(sel, tinyRecords(c));
+    EXPECT_EQ(r.claims, 5u);
+    EXPECT_EQ(r.failed, 0u) << r.text;
+    EXPECT_EQ(lineTokens(r.text, "benchmark"),
+              (std::vector<std::string>{"A", "B", "A/B", "A/B(m)", "A-B"}));
+    EXPECT_EQ(lineTokens(r.text, "swim"),
+              (std::vector<std::string>{"0.600", "0.300", "2.000", "2.000",
+                                        "0.300"}));
+    EXPECT_EQ(lineTokens(r.text, "gcc+swim"),
+              (std::vector<std::string>{"0.400", "0.100", "4.000", "4.000",
+                                        "0.300"}));
+    // Mean of the per-row ratios (2, 2, 4) vs ratio of the means
+    // (0.5 / 0.2167).
+    EXPECT_EQ(lineTokens(r.text, "MEAN"),
+              (std::vector<std::string>{"0.500", "0.217", "2.667", "2.308",
+                                        "0.283"}));
+    EXPECT_NE(r.text.find("claim tiny2 mean: tiny:A < A  [0.500 < 1.000]"
+                          "  OK"),
+              std::string::npos)
+        << r.text;
+}
+
+TEST(Figures, EachClaimKindFailsOnADoctoredRecord)
+{
+    const std::vector<Figure> figs = tinyFigures();
+    const std::vector<const Figure *> sel = {&figs[0], &figs[1]};
+    const Campaign c = figureCampaign(sel);
+    const struct
+    {
+        std::size_t job;
+        double value;
+        const char *claim;
+    } cases[] = {
+        {1, 2.0, "claim tiny mean: A > B "},            // mean ordering
+        {3, 0.7, "claim tiny rows: A > B "},            // per-row
+        {1, 0.9, "claim tiny mean: B < A-B < A "},      // monotone chain
+        {3, 0.6, "claim tiny swim: A/B > 1 "},          // named row
+        {0, 5.0, "claim tiny2 mean: tiny:A < A "},      // cross-figure
+    };
+    for (const auto &k : cases) {
+        const FigureReport r =
+            reportFigures(sel, tinyRecords(c, k.job, k.value));
+        EXPECT_GE(r.failed, 1u) << k.claim;
+        const std::size_t at = r.text.find(k.claim);
+        ASSERT_NE(at, std::string::npos) << k.claim << "\n" << r.text;
+        const std::size_t eol = r.text.find('\n', at);
+        EXPECT_EQ(r.text.substr(eol - 4, 4), "FAIL") << r.text;
+    }
+    // A row claim names the rows it fails on.
+    const FigureReport r = reportFigures(sel, tinyRecords(c, 3, 0.7));
+    EXPECT_NE(r.text.find("[2/3 rows; fails on swim]  FAIL"),
+              std::string::npos)
+        << r.text;
+}
+
+TEST(Figures, StreamOfOtherJobsIsRefused)
+{
+    const std::vector<Figure> figs = tinyFigures();
+    const std::vector<const Figure *> sel = {&figs[0]};
+    const Campaign c = figureCampaign(sel);
+
+    std::vector<JsonValue> records = tinyRecords(c);
+    JobSpec other = c.jobs[2];
+    other.options.slack_fetch = 32;     // another fingerprint, same id
+    records[2] = syntheticRecord(other, 0.5);
+    EXPECT_THROW(reportFigures(sel, records), FigureStreamError);
+
+    records = tinyRecords(c);
+    records.pop_back();
+    EXPECT_THROW(reportFigures(sel, records), FigureStreamError);
+
+    // A claim that reads a figure outside the selection is skipped.
+    const std::vector<const Figure *> only2 = {&figs[1]};
+    const FigureReport r =
+        reportFigures(only2, tinyRecords(figureCampaign(only2)));
+    EXPECT_EQ(r.failed, 0u);
+    EXPECT_NE(r.text.find("SKIP (needs tiny)"), std::string::npos);
+
+    // A failed job has no cells.
+    records = tinyRecords(c);
+    JobResult failed;
+    failed.id = c.jobs[1].id;
+    failed.error = "boom";
+    JsonValue failed_row;
+    ASSERT_TRUE(parseJson(resultJson(c.jobs[1], failed, false), failed_row));
+    records[1] = failed_row;
+    EXPECT_THROW(reportFigures(sel, records), std::runtime_error);
+}
+
+TEST(Figures, EveryPaperClaimEvaluates)
+{
+    // Constant records: every table renders and every claim parses
+    // and names real columns and rows (the verdicts do not matter).
+    const std::vector<const Figure *> all = selectFigures("all");
+    const Campaign c = figureCampaign(all);
+    std::vector<JsonValue> records;
+    for (const JobSpec &job : c.jobs)
+        records.push_back(syntheticRecord(job, 0.5));
+    const FigureReport r = reportFigures(all, records);
+    std::size_t claims = 0;
+    for (const Figure *f : all) {
+        claims += f->claims.size();
+        for (const FigureTable &t : f->tables)
+            EXPECT_NE(r.text.find(t.title + "\n"), std::string::npos);
+    }
+    EXPECT_EQ(r.claims, claims);
+    EXPECT_EQ(r.text.find("SKIP"), std::string::npos);
 }
 
 } // namespace

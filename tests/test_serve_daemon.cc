@@ -26,12 +26,16 @@
  *    stratified campaign on one connection emit the rows of a local
  *    engine run and build each golden once; an efficiency submit's
  *    rows and store keys equal a local BaselineCache run; a daemon
- *    that drains mid-run leaves jobs skipped; and a "done" whose row
+ *    that drains mid-run leaves jobs skipped; a stop set during a
+ *    long job returns on the engine's poll tick, before that job's
+ *    row, and a rerun matches the control; and a "done" whose row
  *    count disagrees with the rows received throws.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -599,6 +603,66 @@ TEST(ServeDaemon, DrainMidRunLeavesJobsSkipped)
         });
     EXPECT_EQ(next.skipped, campaign.jobs.size());
     EXPECT_TRUE(remote.draining());
+}
+
+TEST(ServeDaemon, StopDuringALongJobReturnsPromptly)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto seconds = [](Clock::duration d) {
+        return std::chrono::duration<double>(d).count();
+    };
+    TempDir dir("serve_daemon_prompt_stop");
+    DaemonFixture fx(dir.path, /*jobs=*/1);
+    Campaign campaign = makeCampaign({{"compress", 0}, {"gcc", 0}});
+    for (JobSpec &job : campaign.jobs)
+        job.options.measure_insts = 300000;
+
+    // The control run, and how long one of its jobs takes on this host.
+    const auto t0 = Clock::now();
+    const std::string control = localJsonl(campaign);
+    const double per_job =
+        seconds(Clock::now() - t0) / static_cast<double>(campaign.jobs.size());
+
+    // Stop a tenth of the way into the first job: the engine must see
+    // it on its poll tick, not when that job's row arrives.
+    std::atomic<bool> stop{false};
+    RunnerConfig cfg;
+    cfg.stop = &stop;
+    std::uint64_t rows = 0;
+    EngineTally t;
+    double took = 0;
+    {
+        RemoteEngine remote(fx.cfg.socket_path, cfg);
+        std::thread stopper([&] {
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(per_job / 10));
+            stop.store(true);
+        });
+        const auto start = Clock::now();
+        t = remote.run(campaign.jobs,
+                       [&](const JobSpec &, const JobResult &) {
+                           ++rows;
+                           return true;
+                       });
+        took = seconds(Clock::now() - start);
+        stopper.join();
+    }
+    EXPECT_EQ(rows, 0u);
+    EXPECT_EQ(t.skipped, campaign.jobs.size());
+    EXPECT_LT(took, per_job * 0.8)
+        << "returned after " << took << " s; one job takes " << per_job;
+
+    // A rerun on a new connection finishes what was abandoned and
+    // matches the control.
+    RemoteEngine again(fx.cfg.socket_path, RunnerConfig{});
+    std::string out;
+    const EngineTally rerun = again.run(
+        campaign.jobs, [&](const JobSpec &spec, const JobResult &r) {
+            out += resultJson(spec, r, false) + "\n";
+            return true;
+        });
+    EXPECT_EQ(rerun.skipped, 0u);
+    EXPECT_EQ(out, control);
 }
 
 TEST(ServeDaemon, DoneWithWrongRowCountThrows)

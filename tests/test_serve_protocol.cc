@@ -168,6 +168,47 @@ TEST(ServeCodec, CanonicalOptionsSurviveExactly)
     EXPECT_EQ(optionsCanonicalJson(back), canon);
 }
 
+TEST(ServeCodec, OffDefaultMachineMembersRoundTrip)
+{
+    // physregs and dynlsq join the pre-image only off their defaults,
+    // so a default machine keeps its key and an ablation machine gets
+    // its own.
+    SimOptions o;
+    const std::string plain = optionsCanonicalJson(o);
+    EXPECT_EQ(plain.find("physregs"), std::string::npos);
+    EXPECT_EQ(plain.find("dynlsq"), std::string::npos);
+    o.cpu.phys_regs = 384;
+    o.cpu.dynamic_lsq_partition = true;
+    const std::string canon = optionsCanonicalJson(o);
+    EXPECT_NE(canon, plain);
+    JsonValue parsed;
+    ASSERT_TRUE(parseJson(canon, parsed));
+    const SimOptions back = parseCanonicalOptions(parsed);
+    EXPECT_EQ(back.cpu.phys_regs, 384u);
+    EXPECT_TRUE(back.cpu.dynamic_lsq_partition);
+    EXPECT_EQ(optionsCanonicalJson(back), canon);
+}
+
+TEST(ServeCodec, U64MembersAreStrictUnsignedIntegers)
+{
+    const auto submit = [](const std::string &seed) {
+        JsonValue v;
+        EXPECT_TRUE(parseJson("{\"type\":\"submit\",\"seed\":" + seed +
+                                  ",\"jobs\":[]}",
+                              v));
+        std::optional<SimOptions> efficiency;
+        return parseSubmit(v, efficiency).seed;
+    };
+    EXPECT_EQ(submit("\"18446744073709551615\""), ~std::uint64_t{0});
+    EXPECT_EQ(submit("\"0x10\""), 16u);
+    EXPECT_EQ(submit("7"), 7u);
+    for (const char *bad :
+         {"\"-1\"", "\"12abc\"", "\"\"", "\" 1\"", "\"+1\"",
+          "\"18446744073709551616\"", "-1", "1.5", "1e30"}) {
+        EXPECT_THROW(submit(bad), std::invalid_argument) << bad;
+    }
+}
+
 TEST(ServeCodec, RejectsUnknownNames)
 {
     JsonValue v;

@@ -4,8 +4,9 @@
 #   tools/check.sh            # build + full ctest, then TSan, ASan and
 #                             # UBSan on the `sanitize`-labelled tests,
 #                             # the perf smoke (KIPS regression gate),
-#                             # and the whole-sphere fault smoke
-#                             # (zero-SDC gate)
+#                             # the whole-sphere fault smoke (zero-SDC
+#                             # gate), the campaign gates and the
+#                             # paper's figures with their shape claims
 #   tools/check.sh --fast     # tier-1 only (skip sanitizers + smokes)
 #
 # Uses build/ for the normal tree and build-{tsan,asan,ubsan}/ for the
@@ -162,6 +163,35 @@ avf_args="--modes srt --workloads gcc,compress --stratify
 ./build/tools/rmtsim_batch $avf_args -j 4 --out build/avf_j4.jsonl
 diff build/avf_j1.jsonl build/avf_j4.jsonl
 grep -q '"avf_summary"' build/avf_j1.jsonl
+
+echo "== paper: every figure as one campaign, shape claims gated =="
+# The paper's figures and ablations run as one store-backed campaign;
+# rmtsim_report --figure prints their tables and exits 1 when any shape
+# claim EXPERIMENTS.md records reads FAIL.  A rerun against the same
+# store must be all hits, and a bad numeric flag must be a usage error
+# that leaves no <out>.store behind.
+rm -rf build/paper_store build/paper_bad.jsonl build/paper_bad.jsonl.store
+paper_jobs=$(./build/tools/rmtsim_batch --figure all --list | tail -n 1 \
+    | cut -d' ' -f1)
+t0=$(date +%s%N)
+./build/tools/rmtsim_batch --figure all -j "$jobs" --store build/paper_store \
+    --quiet --out build/paper.jsonl
+t1=$(date +%s%N)
+echo "paper: $paper_jobs jobs in $(( (t1 - t0) / 1000000 )) ms at -j $jobs"
+./build/tools/rmtsim_report --figure all build/paper.jsonl
+./build/tools/rmtsim_batch --figure all -j "$jobs" --store build/paper_store \
+    --out build/paper.jsonl 2> build/paper_rerun.err
+grep -q "($paper_jobs resumed from build/paper_store)" build/paper_rerun.err
+rc=0
+./build/tools/rmtsim_batch --figure fig6 -j -1 --out build/paper_bad.jsonl \
+    2> build/paper_bad.err || rc=$?
+[ "$rc" -eq 2 ]
+grep -q "bad value for -j: '-1'" build/paper_bad.err
+[ ! -e build/paper_bad.jsonl.store ]
+rc=0
+./build/tools/rmtsim_batch --figure fig6 --modes srt --out - \
+    > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ]
 
 echo "== serve: daemon resubmission is byte-identical and >=5x faster =="
 # Start rmtsimd on a fresh store, run the same client campaign twice:

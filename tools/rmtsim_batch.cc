@@ -7,6 +7,7 @@
  *                --sweep slack=0,32,64 -j 8 --out results.jsonl
  *   rmtsim_batch --modes srt --workloads compress --fault-trials 100 \
  *                --insts 12000 --warmup 0 -j 8 --out faults.jsonl
+ *   rmtsim_batch --figure all -j 8 --out paper.jsonl
  *
  * Job ids are assigned in grid order and results are emitted in id
  * order, so the output file is deterministic and independent of -j
@@ -24,6 +25,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -36,6 +38,8 @@
 
 #include "avf/sampler.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
+#include "runner/figures.hh"
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
 #include "runner/wire.hh"
@@ -76,14 +80,20 @@ usage()
         "  --mix A+B[+C...]  add one multiprogrammed mix "
         "(repeatable)\n"
         "  --sweep K=V,V,... cartesian axis (repeatable); keys: slack "
-        "checker storeq lvq lpq rob iq insts warmup ptsq nosc psr ecc "
-        "frontend\n"
+        "checker storeq lvq lpq rob iq physregs insts warmup ptsq nosc "
+        "psr ecc dynlsq frontend\n"
         "  --fault-trials N  N seeded transient-reg strikes per grid "
         "point (each trial gets an oracle verdict vs a golden run); "
         "with --stratify, the trial budget per stratum\n"
         "  --max-reg N       victim register bound for fault trials "
         "(default 31)\n"
         "  --seed S          campaign seed (default 1)\n"
+        "  --figure F,F,...  the paper's figures (fig6..fig12, abl_*) or "
+        "'all' with their\n"
+        "                    budgets and --efficiency; not with the grid, "
+        "budget, fault or\n"
+        "                    --embed-stats flags.  rmtsim_report --figure "
+        "prints them\n"
         "\n"
         "statistical campaigns (src/avf/):\n"
         "  --stratify        stratified sampling over fault kinds x "
@@ -202,6 +212,13 @@ main(int argc, char **argv)
     bool stratify = false;
     long long test_crash = -1;
     JsonlSink::Options sink_opts;
+    std::vector<const Figure *> figures;    // --figure
+    // What --figure fixes itself: the grid, the budgets, the rows.
+    const std::set<std::string> grid_flags = {
+        "--modes", "--workloads", "--mix", "--sweep", "--warmup", "--insts",
+        "--max-insts", "--fault-trials", "--stratify", "--snapshot-every",
+        "--embed-stats"};
+    std::string grid_flag;
 
     try {
         for (int i = 1; i < argc; ++i) {
@@ -212,6 +229,10 @@ main(int argc, char **argv)
                                                 arg);
                 return argv[++i];
             };
+            const auto u64 = [&] { return parseUnsigned(next(), arg); };
+            const auto u32 = [&] { return parseUnsigned32(next(), arg); };
+            if (grid_flags.count(arg))
+                grid_flag = arg;
             if (arg == "--help" || arg == "-h") {
                 usage();
                 return 0;
@@ -238,25 +259,25 @@ main(int argc, char **argv)
                 sweeps.emplace_back(spec.substr(0, eq),
                                     split(spec.substr(eq + 1), ','));
             } else if (arg == "--fault-trials") {
-                fault_trials =
-                    static_cast<unsigned>(std::stoul(next()));
+                fault_trials = u32();
             } else if (arg == "--max-reg") {
-                scfg.max_reg = static_cast<unsigned>(std::stoul(next()));
+                scfg.max_reg = u32();
             } else if (arg == "--seed") {
-                seed = std::stoull(next());
+                seed = u64();
             } else if (arg == "--insts") {
-                base.measure_insts = std::stoull(next());
+                base.measure_insts = u64();
             } else if (arg == "--warmup") {
-                base.warmup_insts = std::stoull(next());
+                base.warmup_insts = u64();
             } else if (arg == "--max-insts") {
-                cfg.max_insts = std::stoull(next());
+                cfg.max_insts = u64();
             } else if (arg == "--timeout-ms") {
                 cfg.timeout_seconds = std::stod(next()) / 1e3;
             } else if (arg == "-j" || arg == "--jobs") {
-                cfg.jobs = static_cast<unsigned>(std::stoul(next()));
+                cfg.jobs = u32();
             } else if (arg == "--retries") {
-                cfg.max_attempts =
-                    static_cast<unsigned>(std::stoul(next()));
+                cfg.max_attempts = u32();
+            } else if (arg == "--figure") {
+                figures = selectFigures(next());
             } else if (arg == "--out") {
                 out_path = next();
             } else if (arg == "--server") {
@@ -266,7 +287,7 @@ main(int argc, char **argv)
             } else if (arg == "--embed-stats") {
                 base.collect_stats_json = true;
             } else if (arg == "--snapshot-every") {
-                base.snapshot_every = std::stoull(next());
+                base.snapshot_every = u64();
             } else if (arg == "--no-snapshot-fork") {
                 snapshot_fork = false;
             } else if (arg == "--fsync") {
@@ -278,9 +299,9 @@ main(int argc, char **argv)
             } else if (arg == "--confidence") {
                 scfg.confidence = std::stod(next());
             } else if (arg == "--windows") {
-                scfg.windows = static_cast<unsigned>(std::stoul(next()));
+                scfg.windows = u32();
             } else if (arg == "--batch") {
-                scfg.batch = static_cast<unsigned>(std::stoul(next()));
+                scfg.batch = u32();
             } else if (arg == "--kinds") {
                 scfg.kinds = parseFaultKinds(next());
             } else if (arg == "--store") {
@@ -297,7 +318,7 @@ main(int argc, char **argv)
                 // named job's (or sampler trial's) post_run, before
                 // its record is stored — a deterministic mid-campaign
                 // crash for the resilience gates (tools/check.sh).
-                test_crash = std::stoll(next());
+                test_crash = static_cast<long long>(u32());
             } else if (arg == "--list") {
                 list_only = true;
             } else {
@@ -308,6 +329,12 @@ main(int argc, char **argv)
         }
     } catch (const std::exception &e) {
         std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
+        return 2;
+    }
+    if (!figures.empty() && !grid_flag.empty()) {
+        std::fprintf(stderr,
+                     "rmtsim_batch: %s cannot be combined with --figure\n",
+                     grid_flag.c_str());
         return 2;
     }
 
@@ -339,18 +366,24 @@ main(int argc, char **argv)
 
     Campaign campaign;
     try {
-        CampaignBuilder builder("batch", seed);
-        builder.base(base).modes(modes);
-        if (!mixes.empty())
-            builder.mixes(mixes);
-        for (const auto &[key, values] : sweeps)
-            builder.sweep(key, values);
-        // Stratified campaigns draw their own faults per stratum; the
-        // grid expansion then only provides the cells (one job per
-        // grid point, faultless).
-        if (fault_trials && !stratify)
-            builder.transientRegTrials(fault_trials, scfg.max_reg);
-        campaign = builder.build();
+        if (!figures.empty()) {
+            campaign = figureCampaign(figures);
+            base = figureOptions();
+            want_efficiency = true;
+        } else {
+            CampaignBuilder builder("batch", seed);
+            builder.base(base).modes(modes);
+            if (!mixes.empty())
+                builder.mixes(mixes);
+            for (const auto &[key, values] : sweeps)
+                builder.sweep(key, values);
+            // Stratified campaigns draw their own faults per stratum;
+            // the grid expansion then only provides the cells (one job
+            // per grid point, faultless).
+            if (fault_trials && !stratify)
+                builder.transientRegTrials(fault_trials, scfg.max_reg);
+            campaign = builder.build();
+        }
     } catch (const std::exception &e) {
         std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
         return 2;

@@ -20,7 +20,9 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "obs/pipetrace.hh"
+#include "runner/campaign.hh"
 #include "sim/metrics.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -146,32 +148,35 @@ main(int argc, char **argv)
                 fatal("missing value for %s", arg.c_str());
             return argv[++i];
         };
+        // A bad value is a usage error (exit 2), as in the other tools.
+        const auto valid = [&](auto parse) {
+            try {
+                return parse(next());
+            } catch (const std::invalid_argument &e) {
+                std::fprintf(stderr, "rmtsim: %s\n", e.what());
+                std::exit(2);
+            }
+        };
+        const auto u64 = [&] {
+            return valid([&](const auto &v) { return parseUnsigned(v, arg); });
+        };
+        const auto u32 = [&] {
+            return valid(
+                [&](const auto &v) { return parseUnsigned32(v, arg); });
+        };
         if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
         } else if (arg == "--mode") {
-            const std::string m = next();
-            if (m == "base")
-                opts.mode = SimMode::Base;
-            else if (m == "base2")
-                opts.mode = SimMode::Base2;
-            else if (m == "srt")
-                opts.mode = SimMode::Srt;
-            else if (m == "lockstep")
-                opts.mode = SimMode::Lockstep;
-            else if (m == "crt")
-                opts.mode = SimMode::Crt;
-            else
-                fatal("unknown mode '%s'", m.c_str());
+            opts.mode = valid(parseMode);
         } else if (arg == "--workloads") {
             workloads = splitCommas(next());
         } else if (arg == "--insts") {
-            opts.measure_insts = std::strtoull(next().c_str(), nullptr, 0);
+            opts.measure_insts = u64();
         } else if (arg == "--warmup") {
-            opts.warmup_insts = std::strtoull(next().c_str(), nullptr, 0);
+            opts.warmup_insts = u64();
         } else if (arg == "--checker") {
-            opts.checker_penalty =
-                static_cast<unsigned>(std::atoi(next().c_str()));
+            opts.checker_penalty = u32();
         } else if (arg == "--ptsq") {
             opts.per_thread_store_queues = true;
         } else if (arg == "--nosc") {
@@ -187,30 +192,17 @@ main(int argc, char **argv)
         } else if (arg == "--no-merge-ecc") {
             opts.merge_buffer_ecc = false;
         } else if (arg == "--hang") {
-            opts.hang_cycles =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.hang_cycles = u64();
         } else if (arg == "--slack") {
-            opts.slack_fetch =
-                static_cast<unsigned>(std::atoi(next().c_str()));
+            opts.slack_fetch = u32();
         } else if (arg == "--frontend") {
-            const std::string f = next();
-            if (f == "lpq")
-                opts.trailing_fetch =
-                    TrailingFetchMode::LinePredictionQueue;
-            else if (f == "boq")
-                opts.trailing_fetch = TrailingFetchMode::BranchOutcomeQueue;
-            else if (f == "sharedlp")
-                opts.trailing_fetch =
-                    TrailingFetchMode::SharedLinePredictor;
-            else
-                fatal("unknown frontend '%s'", f.c_str());
+            opts.trailing_fetch = valid(parseFrontend);
         } else if (arg == "--fault") {
             fault_specs.push_back(next());
         } else if (arg == "--recover") {
             opts.recovery = true;
         } else if (arg == "--recover-interval") {
-            opts.recovery_params.interval_insts =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.recovery_params.interval_insts = u64();
         } else if (arg == "--cosim") {
             opts.cosim = true;
         } else if (arg == "--efficiency") {
@@ -218,11 +210,11 @@ main(int argc, char **argv)
         } else if (arg == "--trace") {
             trace_file = next();
         } else if (arg == "--trace-max") {
-            trace_max = std::strtoull(next().c_str(), nullptr, 0);
+            trace_max = u64();
         } else if (arg == "--pipetrace") {
             pipetrace_file = next();
         } else if (arg == "--pipetrace-max") {
-            pipetrace_max = std::strtoull(next().c_str(), nullptr, 0);
+            pipetrace_max = u64();
         } else if (arg == "--stats") {
             want_stats = true;
         } else if (arg == "--stats-json") {
@@ -230,11 +222,9 @@ main(int argc, char **argv)
         } else if (arg == "--timeline") {
             timeline_file = next();
         } else if (arg == "--timeline-interval") {
-            opts.timeline_interval =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.timeline_interval = u64();
         } else if (arg == "--snapshot-every") {
-            opts.snapshot_every =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.snapshot_every = u64();
         } else if (arg == "--save-snapshot") {
             save_snapshot_file = next();
         } else if (arg == "--restore-snapshot") {

@@ -11,7 +11,9 @@
  *
  * With --coverage the stream is treated as a fault campaign instead:
  * trials are grouped by fault kind and summarised as verdict tallies,
- * detection rate, and detection-latency statistics.
+ * detection rate, and detection-latency statistics.  With --figure it
+ * is the job list of rmtsim_batch --figure: the paper's tables, then
+ * one "claim ... OK|FAIL" line per shape claim.
  */
 
 #include <cstdio>
@@ -23,6 +25,7 @@
 
 #include "common/json.hh"
 #include "obs/report.hh"
+#include "runner/figures.hh"
 #include "serve/client.hh"
 
 using namespace rmt;
@@ -72,6 +75,10 @@ usage()
         "                    the conservation invariant on every "
         "record and\n"
         "                    exits 1 on violation\n"
+        "  --figure F,F,...  tables of rmtsim_batch --figure F,... and a "
+        "'claim ... OK|FAIL'\n"
+        "                    line per shape claim; exits 1 on a FAIL, 2 "
+        "on other jobs\n"
         "  --serve-summary SOCK\n"
         "                    query the rmtsimd at SOCK instead of "
         "reading a\n"
@@ -93,6 +100,7 @@ main(int argc, char **argv)
     bool attribution = false;
     bool failures = false;
     double confidence = 0.95;
+    std::vector<const Figure *> figures;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -131,6 +139,13 @@ main(int argc, char **argv)
             failures = true;
         } else if (arg == "--attribution") {
             attribution = true;
+        } else if (arg == "--figure") {
+            try {
+                figures = selectFigures(i + 1 < argc ? argv[++i] : "");
+            } catch (const std::invalid_argument &e) {
+                std::fprintf(stderr, "rmtsim_report: %s\n", e.what());
+                return 2;
+            }
         } else if (arg == "--serve-summary") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr,
@@ -250,6 +265,25 @@ main(int argc, char **argv)
         return 1;
     }
 
+    if (!figures.empty()) {
+        try {
+            const FigureReport report = reportFigures(figures, records);
+            std::fputs(report.text.c_str(), stdout);
+            if (report.failed) {
+                std::fprintf(stderr,
+                             "rmtsim_report: %u of %u claims failed\n",
+                             report.failed, report.claims);
+                return 1;
+            }
+            return 0;
+        } catch (const FigureStreamError &e) {
+            std::fprintf(stderr, "rmtsim_report: %s\n", e.what());
+            return 2;
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "rmtsim_report: %s\n", e.what());
+            return 1;
+        }
+    }
     if (failures) {
         const FailuresReport report = buildFailuresReport(records);
         std::fputs(formatFailuresReport(report).c_str(), stdout);

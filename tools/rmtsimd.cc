@@ -34,6 +34,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 
@@ -111,17 +112,15 @@ main(int argc, char **argv)
             } else if (arg == "--store") {
                 cfg.store_dir = next();
             } else if (arg == "-j" || arg == "--jobs") {
-                cfg.jobs = static_cast<unsigned>(std::stoul(next()));
+                cfg.jobs = parseUnsigned32(next(), arg);
             } else if (arg == "--retries") {
-                cfg.max_attempts =
-                    static_cast<unsigned>(std::stoul(next()));
+                cfg.max_attempts = parseUnsigned32(next(), arg);
             } else if (arg == "--timeout-ms") {
                 cfg.timeout_seconds = std::stod(next()) / 1e3;
             } else if (arg == "--max-insts") {
-                cfg.max_insts = std::stoull(next());
+                cfg.max_insts = parseUnsigned(next(), arg);
             } else if (arg == "--store-sync") {
-                cfg.store_sync_every =
-                    static_cast<unsigned>(std::stoul(next()));
+                cfg.store_sync_every = parseUnsigned32(next(), arg);
             } else if (arg == "--pid-file") {
                 pid_file = next();
             } else if (arg == "--campaign") {
