@@ -121,6 +121,7 @@ struct DynInst
     std::uint8_t fuIndex = 0;   ///< global functional-unit instance id
     std::uint8_t dispatchSlot = 0;  ///< position in the map chunk
     std::uint8_t leadHalf = 0;  ///< trailing: leading copy's IQ half
+    std::uint32_t iqSlot = 0;   ///< IssueQueue entry while inIq
     Cycle issuableCycle = 0;    ///< earliest select (QBOX front latency)
 
     // --------------------------------------------------------- result
@@ -134,8 +135,7 @@ struct DynInst
     bool addrReady = false;
     std::uint64_t storeData = 0;
     bool dataReady = false;
-    InstSeq depStoreSeq = ~InstSeq{0};  ///< store-sets wait target
-    DynInstPtr depStore;        ///< resolved wait target (scan-free check)
+    DynInstPtr depStore;        ///< store-sets wait target, if in the SQ
     int lqIndex = -1;
     std::uint64_t storeIdx = 0;     ///< per-thread store order (RMT match)
     std::uint64_t loadTag = 0;      ///< LVQ correlation tag

@@ -15,30 +15,29 @@ namespace rmt
 void
 SmtCpu::processEvents()
 {
-    while (!calendar.empty() && calendar.begin()->first <= now) {
-        // Take ownership: handlers may schedule new events.
-        std::vector<Event> batch = std::move(calendar.begin()->second);
-        calendar.erase(calendar.begin());
-        for (Event &ev : batch) {
-            if (ev.inst->squashed)
-                continue;
-            switch (ev.kind) {
-              case EvKind::Compute:
-                computeInst(ev.inst);
-                break;
-              case EvKind::ExecDone:
-                completeInst(ev.inst);
-                break;
-              case EvKind::MemAgen:
-                memAgen(ev.inst);
-                break;
-              case EvKind::StoreData:
-                storeDataArrive(ev.inst);
-                break;
-              case EvKind::LoadDone:
-                finishLoad(ev.inst, ev.payload);
-                break;
-            }
+    // Handlers may schedule new events; those always land in a later
+    // cycle, so this drains exactly the events due now, in the order
+    // they were scheduled.
+    Event ev;
+    while (calendar.pop(now, ev)) {
+        if (ev.inst->squashed)
+            continue;
+        switch (ev.kind) {
+          case EvKind::Compute:
+            computeInst(ev.inst);
+            break;
+          case EvKind::ExecDone:
+            completeInst(ev.inst);
+            break;
+          case EvKind::MemAgen:
+            memAgen(ev.inst);
+            break;
+          case EvKind::StoreData:
+            storeDataArrive(ev.inst);
+            break;
+          case EvKind::LoadDone:
+            finishLoad(ev.inst, ev.payload);
+            break;
         }
     }
 }
@@ -66,6 +65,9 @@ SmtCpu::computeInst(const DynInstPtr &inst)
     inst->branchTaken = r.taken;
     inst->branchTarget = r.target;
     writePhys(inst->pdst, r.value);
+    // readyAt[pdst] was set to this cycle at issue: wake the consumers.
+    if (inst->pdst != invalidPhysReg)
+        iq.wakeReg(inst->pdst);
 }
 
 void

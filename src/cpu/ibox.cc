@@ -11,7 +11,6 @@
 #include "common/logging.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace rmt
 {
@@ -340,7 +339,7 @@ SmtCpu::fetchLeadingChunks(ThreadId tid)
         if (predicted != next_fetch_pc) {
             linePred.noteMispredict();
             ++statLineMispredicts;
-            if (std::getenv("RMT_LP_DEBUG")) {
+            if (lpDebug) {
                 std::fprintf(stderr,
                              "LP cyc=%llu tid=%u start=%llx pred=%llx "
                              "actual=%llx\n",
@@ -388,11 +387,6 @@ SmtCpu::fetchTrailingLpq(ThreadId tid)
             break;
         }
         pair.lpq.commitFetch();
-        if (std::getenv("RMT_LPQ_DEBUG") && core == 1 && tid == 2) {
-            std::fprintf(stderr, "CHUNK cyc=%llu start=%llx count=%u\n",
-                         (unsigned long long)now,
-                         (unsigned long long)chunk.start, chunk.count);
-        }
 
         bool halt_seen = false;
         for (unsigned i = 0; i < chunk.count; ++i) {

@@ -141,8 +141,10 @@ SmtCpu::finishLoad(const DynInstPtr &inst, std::uint64_t value)
 {
     inst->result = value;
     writePhys(inst->pdst, value);
-    if (inst->pdst != invalidPhysReg)
+    if (inst->pdst != invalidPhysReg) {
         readyAt[inst->pdst] = now;
+        iq.wakeReg(inst->pdst);
+    }
     inst->executed = true;
     inst->completed = true;
     inst->completeCycle = now;
@@ -173,6 +175,9 @@ SmtCpu::storeDataArrive(const DynInstPtr &inst)
     inst->executed = true;
     inst->completed = true;
     inst->completeCycle = now;
+    // Address and data are both in the queue now: release any load
+    // that store sets told to wait for this store.
+    iq.wakeStore(inst.get());
 
     if (t.role == Role::Trailing) {
         if (_params.srt_store_comparison) {
@@ -221,9 +226,9 @@ SmtCpu::retryWaitingLoads()
 {
     if (waitingLoads.empty())
         return;
-    std::vector<DynInstPtr> pending;
-    pending.swap(waitingLoads);
-    for (auto &inst : pending) {
+    // Loads that wait again land in the (now empty) waitingLoads.
+    retryLoads.swap(waitingLoads);
+    for (auto &inst : retryLoads) {
         if (inst->squashed || inst->completed)
             continue;
         ThreadState &t = threads[inst->tid];
@@ -232,6 +237,7 @@ SmtCpu::retryWaitingLoads()
         else
             loadAgen(inst);
     }
+    retryLoads.clear();
 }
 
 void
@@ -363,8 +369,10 @@ SmtCpu::commitUncached(ThreadState &t, const DynInstPtr &inst)
         }
         inst->result = value;
         writePhys(inst->pdst, value);
-        if (inst->pdst != invalidPhysReg)
+        if (inst->pdst != invalidPhysReg) {
             readyAt[inst->pdst] = now;
+            iq.wakeReg(inst->pdst);
+        }
         inst->executed = true;
         inst->completed = true;
         inst->completeCycle = now;

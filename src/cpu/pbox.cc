@@ -163,7 +163,6 @@ SmtCpu::dispatchOne(ThreadId tid, DynInstPtr &inst, unsigned slot)
         inst->issuableCycle =
             now + _params.pbox_latency + _params.qbox_front_latency;
         inst->inIq = true;
-        iq.push_back(inst);
         ++iqHalfOcc[inst->iqHalf];
         ++iqOccByThread[tid];
     } else if (!si.isUncached()) {
@@ -187,20 +186,18 @@ SmtCpu::dispatchOne(ThreadId tid, DynInstPtr &inst, unsigned slot)
         if (usesLoadQueue(t)) {
             t.lq.push_back(inst);
             inst->lqIndex = 1;
-            inst->depStoreSeq = storeSets.loadDependence(tid, inst->pc);
-            if (inst->depStoreSeq != StoreSets::noStore) {
+            const InstSeq dep = storeSets.loadDependence(tid, inst->pc);
+            if (dep != StoreSets::noStore) {
                 // Resolve the wait target to a pointer once, here, so
-                // the per-cycle readiness check in QBOX issue never has
-                // to search the store queue.  A store that already left
-                // the machine simply clears the dependence.
+                // the issue queue never has to search the store queue.
+                // A store that already left the machine simply clears
+                // the dependence.
                 for (auto it = t.sq.rbegin(); it != t.sq.rend(); ++it) {
-                    if ((*it)->seq == inst->depStoreSeq) {
+                    if ((*it)->seq == dep) {
                         inst->depStore = *it;
                         break;
                     }
                 }
-                if (!inst->depStore)
-                    inst->depStoreSeq = StoreSets::noStore;
             }
         }
     }
@@ -213,6 +210,21 @@ SmtCpu::dispatchOne(ThreadId tid, DynInstPtr &inst, unsigned slot)
         t.sq.push_back(inst);
         if (t.role != Role::Trailing)
             storeSets.storeFetched(tid, inst->pc, inst->seq);
+    }
+
+    if (needs_iq) {
+        // Enter the queue waiting on every select condition not yet met
+        // (see IssueQueue): source registers without a value by now,
+        // and the store-sets wait target until its data arrives.
+        const auto pending = [&](PhysRegIndex p) {
+            return p != invalidPhysReg && readyAt[p] > now ? p
+                                                           : invalidPhysReg;
+        };
+        const DynInst *st = inst->depStore.get();
+        const bool store_pending =
+            st && !st->squashed && !(st->addrReady && st->dataReady);
+        iq.insert(inst, pending(inst->psrc1), pending(inst->psrc2),
+                  store_pending ? st : nullptr);
     }
 
     t.rob.push_back(inst);

@@ -12,34 +12,9 @@
 #include "obs/pipetrace.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace rmt
 {
-
-bool
-SmtCpu::operandsReady(const DynInstPtr &inst) const
-{
-    const auto ready = [&](PhysRegIndex p) {
-        return p == invalidPhysReg || readyAt[p] <= now;
-    };
-    return ready(inst->psrc1) && ready(inst->psrc2);
-}
-
-bool
-SmtCpu::memDepSatisfied(const DynInstPtr &inst) const
-{
-    // The wait-target store was resolved to a direct pointer at
-    // dispatch, so no store-queue search happens here.  A squashed
-    // store left the machine; a released store retired with address
-    // and data ready, so the flag check below covers it too.
-    if (!inst->isLoad() || inst->depStoreSeq == StoreSets::noStore)
-        return true;
-    const DynInst *st = inst->depStore.get();
-    if (!st || st->squashed)
-        return true;    // the store left the machine
-    return st->addrReady && st->dataReady;
-}
 
 void
 SmtCpu::issue()
@@ -49,65 +24,50 @@ SmtCpu::issue()
         half = {0, 0, 0, 0};
     if (iq.empty())
         return;
+    iq.wakeIssuable(now);
     unsigned total = 0;
     unsigned loads_issued = 0;
     unsigned stores_issued = 0;
 
-    // One age-ordered pass, compacting survivors in place: issued and
-    // dead (squashed / already-issued) entries drop out without the
-    // per-erase shuffling a middle-of-vector erase costs.  Selection
-    // order and every issue decision are identical to an erase-as-you-
-    // go walk, so cycle timing is unchanged.
-    const std::size_t n = iq.size();
-    std::size_t out = 0;
-    for (std::size_t in = 0; in < n; ++in) {
-        DynInstPtr &slot = iq[in];
-        DynInst *const inst = slot.get();
-        if (inst->squashed || !inst->inIq) {
-            slot.reset();
-            continue;
-        }
-
-        bool issue_now = false;
-        unsigned cls_idx = 0;
-        unsigned pool = 0;
-        unsigned unit = 0;
+    // Select walks the ready list, oldest first: exactly the entries
+    // past their front latency whose operands are available and whose
+    // store dependence (if any) has resolved.  Wakeup keeps that list
+    // current, so no cycle scans the whole queue.
+    std::uint32_t next = IssueQueue::none;
+    for (std::uint32_t slot = iq.oldestReady();
+         slot != IssueQueue::none && total < _params.issue_width;
+         slot = next) {
+        next = iq.nextReady(slot);
+        const DynInstPtr &ptr = iq.inst(slot);
+        DynInst *const inst = ptr.get();
         const std::uint8_t half = inst->iqHalf;
-        if (total < _params.issue_width && now >= inst->issuableCycle &&
-            issuedThisCycle[half] < _params.issue_per_half &&
-            !(inst->isLoad() &&
-              loads_issued >= _params.max_loads_per_cycle) &&
-            !(inst->isStore() &&
-              stores_issued >= _params.max_stores_per_cycle) &&
-            operandsReady(slot) && memDepSatisfied(slot)) {
-            // Functional-unit selection within the half: position-
-            // preferred (deterministic, which is what makes redundant
-            // copies collide on the same unit without PSR — Fig. 7),
-            // falling back to the next free unit.
-            const FuClass cls = inst->si.fuClass();
-            cls_idx = static_cast<unsigned>(cls);
-            pool = fuPoolSize(cls);
-            const std::uint8_t busy = fuBusy[half][cls_idx];
-            const unsigned pref =
-                static_cast<unsigned>(inst->pc / instBytes) % pool;
-            unit = pool;
-            for (unsigned k = 0; k < pool; ++k) {
-                const unsigned u = (pref + k) % pool;
-                if (!(busy & (1u << u))) {
-                    unit = u;
-                    break;
-                }
-            }
-            // unit == pool: all units of this class busy in this half.
-            issue_now = unit != pool;
-        }
-
-        if (!issue_now) {
-            if (out != in)
-                iq[out] = std::move(slot);
-            ++out;
+        if (issuedThisCycle[half] >= _params.issue_per_half ||
+            (inst->isLoad() &&
+             loads_issued >= _params.max_loads_per_cycle) ||
+            (inst->isStore() &&
+             stores_issued >= _params.max_stores_per_cycle)) {
             continue;
         }
+        // Functional-unit selection within the half: position-preferred
+        // (deterministic, which is what makes redundant copies collide
+        // on the same unit without PSR — Fig. 7), falling back to the
+        // next free unit.
+        const FuClass cls = inst->si.fuClass();
+        const unsigned cls_idx = static_cast<unsigned>(cls);
+        const unsigned pool = fuPoolSize(cls);
+        const std::uint8_t busy = fuBusy[half][cls_idx];
+        const unsigned pref =
+            static_cast<unsigned>(inst->pc / instBytes) % pool;
+        unsigned unit = pool;
+        for (unsigned k = 0; k < pool; ++k) {
+            const unsigned u = (pref + k) % pool;
+            if (!(busy & (1u << u))) {
+                unit = u;
+                break;
+            }
+        }
+        if (unit == pool)
+            continue;   // all units of this class busy in this half
 
         fuBusy[half][cls_idx] = static_cast<std::uint8_t>(
             fuBusy[half][cls_idx] | (1u << unit));
@@ -123,22 +83,23 @@ SmtCpu::issue()
         inst->issueCycle = now;
 
         if (inst->si.isMemRef()) {
-            schedule(now + _params.rbox_latency, EvKind::MemAgen, slot);
+            schedule(now + _params.rbox_latency, EvKind::MemAgen, ptr);
             if (inst->isLoad())
                 ++loads_issued;
             else
                 ++stores_issued;
         } else {
             // Wakeup and bypass: dependents see the result after the
-            // execution latency; the Compute event writes the value at
-            // exactly that time.  Completion (and branch resolution)
-            // happens after the full QBOX-back + RBOX + EBOX depth.
+            // execution latency; the Compute event writes the value and
+            // wakes them at exactly that time.  Completion (and branch
+            // resolution) happens after the full QBOX-back + RBOX + EBOX
+            // depth.
             if (inst->pdst != invalidPhysReg)
                 readyAt[inst->pdst] = now + inst->si.latency();
-            schedule(now + inst->si.latency(), EvKind::Compute, slot);
+            schedule(now + inst->si.latency(), EvKind::Compute, ptr);
             schedule(now + _params.qbox_back_latency +
                          _params.rbox_latency + inst->si.latency(),
-                     EvKind::ExecDone, slot);
+                     EvKind::ExecDone, ptr);
         }
 
         inst->inIq = false;
@@ -147,9 +108,8 @@ SmtCpu::issue()
         ++issuedThisCycle[half];
         ++statIssued;
         ++total;
-        slot.reset();
+        iq.remove(slot);
     }
-    iq.resize(out);
 }
 
 bool
@@ -326,7 +286,7 @@ SmtCpu::commitOne(ThreadId tid)
     // actually followed it is a detected fault.
     if (trailing) {
         if (t.haveExpectedPc && inst->pc != t.expectedPc) {
-            if (std::getenv("RMT_DIV_DEBUG")) {
+            if (divDebug) {
                 std::fprintf(stderr,
                              "DIV cyc=%llu core=%u tid=%u pc=%llx "
                              "expected=%llx seq=%llu %s\n",
@@ -609,6 +569,7 @@ SmtCpu::squashThread(ThreadId tid, InstSeq last_good_seq, Addr restart_pc,
 
         if (inst->inIq) {
             inst->inIq = false;
+            iq.remove(inst->iqSlot);
             --iqHalfOcc[inst->iqHalf];
             --iqOccByThread[tid];
         }
@@ -651,6 +612,7 @@ SmtCpu::flushAllInflight(ThreadId tid, bool drop_retired_stores)
         inst->squashed = true;
         if (inst->inIq) {
             inst->inIq = false;
+            iq.remove(inst->iqSlot);
             --iqHalfOcc[inst->iqHalf];
             --iqOccByThread[tid];
         }
@@ -670,12 +632,11 @@ SmtCpu::flushAllInflight(ThreadId tid, bool drop_retired_stores)
     } else {
         // Interrupt/iret redirect: retired stores stay for
         // verification and release; only speculative entries go.
-        std::erase_if(t.sq, [](const DynInstPtr &e) {
+        t.sq.erase_if([](const DynInstPtr &e) {
             return e->squashed && !e->retired;
         });
     }
-    std::erase_if(t.lq,
-                  [](const DynInstPtr &ld) { return ld->squashed; });
+    t.lq.erase_if([](const DynInstPtr &ld) { return ld->squashed; });
     storeSets.squashThread(tid);
 }
 
@@ -695,8 +656,10 @@ SmtCpu::recoverThread(ThreadId tid, const RecoveryCheckpoint &ckpt)
     for (unsigned r = 1; r < numArchRegs; ++r) {
         const PhysRegIndex p = t.renameMap[r];
         writePhys(p, ckpt.regs[r]);
-        if (p != invalidPhysReg)
+        if (p != invalidPhysReg) {
             readyAt[p] = now;
+            iq.wakeReg(p);
+        }
     }
     t.archRegs = ckpt.regs;
 

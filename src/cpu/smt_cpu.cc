@@ -1,5 +1,6 @@
 #include "cpu/smt_cpu.hh"
 
+#include <cstdlib>
 #include <ostream>
 
 #include "common/bits.hh"
@@ -17,6 +18,7 @@ SmtCpu::SmtCpu(const SmtParams &params, MemSystem &mem_system,
       physRegs(params.phys_regs, 0),
       readyAt(params.phys_regs, notReady),
       physInUse(params.num_threads, 0),
+      iq(params.iq_entries, params.phys_regs),
       l1i(params.icache),
       l1d(params.dcache),
       mergeBuf(params.merge_buffer),
@@ -81,6 +83,9 @@ SmtCpu::SmtCpu(const SmtParams &params, MemSystem &mem_system,
             std::string("commit slots charged: ") + stallCauseName(cause));
     }
 
+    lpDebug = std::getenv("RMT_LP_DEBUG") != nullptr;
+    divDebug = std::getenv("RMT_DIV_DEBUG") != nullptr;
+
     for (auto &thread : threads) {
         thread.storeLifetime = std::make_unique<Average>(
             statGroup, "store_lifetime_t" +
@@ -129,6 +134,13 @@ SmtCpu::addThread(ThreadId tid, const Program &program, DataMemory &memory,
     t.fetchPc = program.entry();
     t.nextCommitPc = program.entry();
     t.startCycle = now;
+
+    // Queue rings sized from the machine: the ROB can hold the whole
+    // completion unit, the LQ and SQ a thread's largest quota.
+    t.rmb.reserve(_params.rmb_chunks * chunkSize);
+    t.rob.reserve(_params.rob_entries);
+    t.lq.reserve(_params.load_queue_entries);
+    t.sq.reserve(_params.store_queue_entries);
 
     if ((role == Role::Leading || role == Role::Trailing) && !pair)
         fatal("addThread: redundant role without a pair");
@@ -313,7 +325,7 @@ SmtCpu::schedule(Cycle when, EvKind kind, const DynInstPtr &inst,
 {
     if (when <= now)
         when = now + 1;
-    calendar[when].push_back(Event{kind, inst, payload});
+    calendar.schedule(when, Event{kind, inst, payload});
 }
 
 std::uint64_t

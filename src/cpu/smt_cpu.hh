@@ -21,11 +21,13 @@
 #include <array>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
+#include "common/ring.hh"
+#include "common/timing_wheel.hh"
 #include "cpu/dyn_inst.hh"
+#include "cpu/issue_queue.hh"
 #include "cpu/smt_params.hh"
 #include "isa/arch_state.hh"
 #include "isa/program.hh"
@@ -293,20 +295,20 @@ class SmtCpu : public Snapshottable
         Cycle fetchStallUntil = 0;
         FetchStall fetchStallReason = FetchStall::None;
         bool fetchHalted = false;   ///< halt fetched; stop fetching
-        std::deque<DynInstPtr> rmb; ///< rate-matching buffer
+        Ring<DynInstPtr> rmb;       ///< rate-matching buffer
         InstSeq nextSeq = 0;
 
         // Rename / in-flight.
         std::array<PhysRegIndex, numArchRegs> renameMap{};
-        std::deque<DynInstPtr> rob;
+        Ring<DynInstPtr> rob;
         /** Committed architectural register values (checkpointing). */
         std::array<std::uint64_t, numArchRegs> archRegs{};
 
         // Memory queues (statically partitioned; see quotas).  Store
         // entry state (alloc/retire cycle, verified) lives in the
         // DynInst itself, so no queue search is ever needed.
-        std::deque<DynInstPtr> lq;
-        std::deque<DynInstPtr> sq;
+        Ring<DynInstPtr> lq;
+        Ring<DynInstPtr> sq;
         unsigned lqQuota = 0;
         unsigned sqQuota = 0;
 
@@ -361,7 +363,7 @@ class SmtCpu : public Snapshottable
 
     struct Event
     {
-        EvKind kind;
+        EvKind kind = EvKind::Compute;
         DynInstPtr inst;
         std::uint64_t payload = 0;  ///< LoadDone: the value
     };
@@ -384,8 +386,6 @@ class SmtCpu : public Snapshottable
     bool physRegsAvailable(ThreadId tid) const;
 
     void issue();                           // qbox.cc
-    bool operandsReady(const DynInstPtr &inst) const;
-    bool memDepSatisfied(const DynInstPtr &inst) const;
 
     void processEvents();                   // ebox.cc
     void computeInst(const DynInstPtr &inst);       // ebox.cc
@@ -455,7 +455,7 @@ class SmtCpu : public Snapshottable
     Cycle now = 0;
 
     // The instruction pool must be declared before every structure that
-    // holds a DynInstPtr (threads, iq, calendar, waitingLoads): members
+    // holds a DynInstPtr (threads, iq, calendar, waiting loads): members
     // destroy in reverse order, and the pool has to outlive the last
     // handle.
     DynInstPool instPool;
@@ -469,17 +469,19 @@ class SmtCpu : public Snapshottable
     std::vector<unsigned> physInUse;        ///< per-thread allocation count
     static constexpr Cycle notReady = ~Cycle{0};
 
-    // Instruction queue: age-ordered, two logical halves.
-    std::vector<DynInstPtr> iq;
+    // Instruction queue: wakeup-driven select state, two logical halves.
+    IssueQueue iq;
     std::array<unsigned, 2> iqHalfOcc{};
     std::array<unsigned, 4> iqOccByThread{};
     unsigned robOccupancy = 0;              ///< shared completion unit
 
     // Event calendar.
-    std::map<Cycle, std::vector<Event>> calendar;
+    TimingWheel<Event> calendar;
 
-    // Loads waiting on SQ/LVQ conditions; retried each cycle.
+    // Loads waiting on SQ/LVQ conditions; retried each cycle.  The
+    // retry pass swaps the two so both keep their capacity.
     std::vector<DynInstPtr> waitingLoads;
+    std::vector<DynInstPtr> retryLoads;
 
     // Structures.
     Cache l1i;
@@ -504,6 +506,12 @@ class SmtCpu : public Snapshottable
 
     // Snapshot drain (see setDraining()).
     bool draining = false;
+
+    // Debug hooks, read from the environment once at construction:
+    // RMT_LP_DEBUG logs line mispredictions, RMT_DIV_DEBUG trailing
+    // committed-stream divergences (stderr).
+    bool lpDebug = false;
+    bool divDebug = false;
 
     // Commit tracing.
     std::ostream *traceOut = nullptr;

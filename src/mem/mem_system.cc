@@ -18,20 +18,19 @@ Cycle
 MemSystem::access(Cache &l1, Addr addr, Cycle now, bool &hit)
 {
     const Addr block = l1.blockAlign(addr);
-    auto &l1_pending = pending[&l1];
+    Fills &l1_pending = fillsOf(&l1);
 
     // A fill to this block may already be in flight (or have completed
     // without being installed yet: fills are lazy).
-    auto it = l1_pending.find(block);
-    if (it != l1_pending.end()) {
-        if (now >= it->second.ready) {
+    if (const Cycle *ready = l1_pending.find(block)) {
+        if (now >= *ready) {
             l1.fill(block);
-            l1_pending.erase(it);
+            l1_pending.erase(block);
             hit = true;
             return now;
         }
         hit = false;        // merged into in-flight miss
-        return it->second.ready;
+        return *ready;
     }
 
     if (l1.access(block)) {
@@ -42,8 +41,29 @@ MemSystem::access(Cache &l1, Addr addr, Cycle now, bool &hit)
     hit = false;
     Cycle ready = serviceMiss(block, now);
     ready += _checkerPenalty;   // lockstep: miss request crosses checker
-    l1_pending.emplace(block, Pending{ready});
+    l1_pending.insert(block, ready);
     return ready;
+}
+
+MemSystem::Fills &
+MemSystem::fillsOf(const Cache *l1)
+{
+    for (auto &[cache, fills] : pending) {
+        if (cache == l1)
+            return fills;
+    }
+    pending.emplace_back(l1, Fills(16));
+    return pending.back().second;
+}
+
+const MemSystem::Fills *
+MemSystem::findFills(const Cache *l1) const
+{
+    for (const auto &[cache, fills] : pending) {
+        if (cache == l1)
+            return &fills;
+    }
+    return nullptr;
 }
 
 Cycle
@@ -67,10 +87,10 @@ std::vector<std::pair<Addr, Cycle>>
 MemSystem::exportPending(const Cache *l1) const
 {
     std::vector<std::pair<Addr, Cycle>> fills;
-    auto it = pending.find(l1);
-    if (it != pending.end()) {
-        for (const auto &[block, p] : it->second)
-            fills.emplace_back(block, p.ready);
+    if (const Fills *table = findFills(l1)) {
+        table->forEach([&](Addr block, Cycle ready) {
+            fills.emplace_back(block, ready);
+        });
     }
     std::sort(fills.begin(), fills.end());
     return fills;
@@ -80,10 +100,10 @@ void
 MemSystem::importPending(const Cache *l1,
                          const std::vector<std::pair<Addr, Cycle>> &fills)
 {
-    auto &l1_pending = pending[l1];
+    Fills &l1_pending = fillsOf(l1);
     l1_pending.clear();
     for (const auto &[block, ready] : fills)
-        l1_pending.emplace(block, Pending{ready});
+        l1_pending.insert(block, ready);
 }
 
 } // namespace rmt

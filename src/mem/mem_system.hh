@@ -24,10 +24,10 @@
 #define RMTSIM_MEM_MEM_SYSTEM_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/open_table.hh"
 #include "mem/cache.hh"
 #include "mem/main_memory.hh"
 
@@ -85,7 +85,7 @@ class MemSystem
     /**
      * In-flight (or completed-but-uninstalled: fills are lazy) block
      * fills for one L1, sorted by block address so snapshot images are
-     * independent of hash-map iteration order.
+     * independent of hash-table iteration order.
      */
     std::vector<std::pair<Addr, Cycle>> exportPending(const Cache *l1) const;
 
@@ -103,13 +103,17 @@ class MemSystem
     unsigned l2Latency;
     unsigned _checkerPenalty;
 
-    /** In-flight block fills per L1 cache (MSHR merge). */
-    struct Pending
-    {
-        Cycle ready;
-    };
-    std::unordered_map<const Cache *,
-                       std::unordered_map<Addr, Pending>> pending;
+    /** In-flight block fills of one L1 cache (MSHR merge): block
+     *  address -> ready cycle.  An entry lives until the first access
+     *  at or after its ready cycle installs the block. */
+    using Fills = OpenTable<Cycle>;
+
+    /** @p l1's fill table, created on its first miss. */
+    Fills &fillsOf(const Cache *l1);
+    const Fills *findFills(const Cache *l1) const;
+
+    /** One table per L1 (a handful per chip: linear lookup). */
+    std::vector<std::pair<const Cache *, Fills>> pending;
 };
 
 } // namespace rmt

@@ -9,6 +9,7 @@ namespace rmt
 Lpq::Lpq(unsigned capacity, std::string name, bool ecc)
     : capacity(capacity),
       eccProtected(ecc),
+      chunks(capacity),
       statGroup(std::move(name)),
       statPushes(statGroup, "pushes", "chunks forwarded from retirement"),
       statAcks(statGroup, "acks", "chunks accepted by the address driver"),

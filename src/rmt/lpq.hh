@@ -24,8 +24,8 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -95,7 +95,7 @@ class Lpq
   private:
     unsigned capacity;
     bool eccProtected;
-    std::deque<LpqChunk> chunks;    ///< front = recovery head
+    Ring<LpqChunk> chunks;          ///< front = recovery head
     std::size_t activeOffset = 0;   ///< active head - recovery head
 
     StatGroup statGroup;

@@ -1,12 +1,15 @@
 #include "rmt/lvq.hh"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/bits.hh"
 
 namespace rmt
 {
 
 Lvq::Lvq(unsigned capacity, bool ecc_protected, std::string name)
-    : capacity(capacity), eccProtected(ecc_protected),
+    : capacity(capacity), eccProtected(ecc_protected), entries(capacity),
       statGroup(std::move(name)),
       statInserts(statGroup, "inserts", "leading loads forwarded"),
       statHits(statGroup, "hits", "trailing loads satisfied"),
@@ -25,7 +28,7 @@ Lvq::insert(std::uint64_t tag, Addr addr, std::uint64_t data,
 {
     if (full())
         return false;
-    entries.emplace(tag, Entry{addr, data, available_at});
+    entries.insert(tag, Entry{addr, data, available_at});
     ++statInserts;
     return true;
 }
@@ -34,13 +37,13 @@ Lvq::Lookup
 Lvq::lookup(std::uint64_t tag, Addr expected_addr, Cycle now,
             std::uint64_t &data)
 {
-    auto it = entries.find(tag);
-    if (it == entries.end() || now < it->second.availableAt)
+    const Entry *e = entries.find(tag);
+    if (!e || now < e->availableAt)
         return Lookup::NotPresent;
 
-    const bool addr_ok = it->second.addr == expected_addr;
-    data = it->second.data;
-    entries.erase(it);
+    const bool addr_ok = e->addr == expected_addr;
+    data = e->data;
+    entries.erase(tag);
     if (!addr_ok) {
         ++statAddrMismatches;
         return Lookup::AddrMismatch;
@@ -54,16 +57,22 @@ Lvq::injectDataBitFlip(Random &rng)
 {
     if (entries.empty())
         return false;
-    // Pick a deterministic "random" resident entry.
-    auto it = entries.begin();
-    std::advance(it, static_cast<long>(rng.range(entries.size())));
+    const auto k = static_cast<std::ptrdiff_t>(rng.range(entries.size()));
     if (eccProtected) {
         // SECDED corrects the single-bit flip on read; data unchanged.
         ++statEccCorrected;
         return true;
     }
-    it->second.data = flipBit(it->second.data,
-                              static_cast<unsigned>(rng.range(64)));
+    // The k-th resident entry in tag order (a fault path: the scratch
+    // vector is fine here).
+    std::vector<std::uint64_t> tags;
+    tags.reserve(entries.size());
+    entries.forEach(
+        [&](std::uint64_t tag, const Entry &) { tags.push_back(tag); });
+    std::nth_element(tags.begin(), tags.begin() + k, tags.end());
+    Entry &victim = *entries.find(tags[static_cast<std::size_t>(k)]);
+    victim.data =
+        flipBit(victim.data, static_cast<unsigned>(rng.range(64)));
     ++statCorruptions;
     return true;
 }

@@ -15,8 +15,8 @@
 #define RMTSIM_RMT_LVQ_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/open_table.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -56,7 +56,8 @@ class Lvq
                   std::uint64_t &data);
 
     /**
-     * Transient fault: flip one bit of one resident entry's data.
+     * Transient fault: flip one bit of one resident entry's data.  The
+     * victim is the rng.range(size())-th resident entry in tag order.
      * With ECC the flip is corrected (counted); without it the
      * corruption propagates to the trailing thread.
      * @return true if an entry existed to strike
@@ -80,7 +81,7 @@ class Lvq
 
     unsigned capacity;
     bool eccProtected;
-    std::unordered_map<std::uint64_t, Entry> entries;
+    OpenTable<Entry> entries;       ///< by load tag
 
     StatGroup statGroup;
     Counter statInserts;

@@ -168,7 +168,7 @@ RedundantPair::recordDetection(DetectionKind kind, Cycle now)
 void
 RedundantPair::pushLeadingFu(std::uint8_t half, std::uint8_t fu)
 {
-    leadFuTrace.emplace_back(half, fu);
+    leadFuTrace.push_back({half, fu});
 }
 
 void

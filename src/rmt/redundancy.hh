@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "ckpt/snapshot.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "rmt/lpq.hh"
@@ -278,8 +279,13 @@ class RedundantPair : public Snapshottable
     RedundantPairParams _params;
     ChunkAgg agg;
     std::deque<std::pair<std::uint64_t, Cycle>> uncachedLoads;
-    std::deque<BoqEntry> boq;
-    std::deque<std::pair<std::uint8_t, std::uint8_t>> leadFuTrace;
+    /** Used only by the branch-outcome front ends, so it grows to its
+     *  working depth (at most boq_entries) rather than being reserved. */
+    Ring<BoqEntry> boq;
+    /** Leading (half, unit) placements awaiting their trailing copy:
+     *  as deep as the leading/trailing retirement gap, which no machine
+     *  parameter bounds, so it grows to its peak during warm-up. */
+    Ring<std::pair<std::uint8_t, std::uint8_t>> leadFuTrace;
 
     bool detected = false;
     std::vector<DetectionEvent> events;

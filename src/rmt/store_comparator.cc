@@ -6,7 +6,8 @@ namespace rmt
 {
 
 StoreComparator::StoreComparator(std::string name)
-    : statGroup(std::move(name)),
+    : trailing(64),
+      statGroup(std::move(name)),
       statComparisons(statGroup, "comparisons", "store pairs compared"),
       statMismatches(statGroup, "mismatches",
                      "store mismatches (detected faults)")
@@ -18,10 +19,8 @@ StoreComparator::pushTrailing(std::uint64_t store_idx, Addr addr,
                               std::uint64_t data, unsigned size,
                               Cycle available_at)
 {
-    const auto [it, inserted] = trailing.emplace(
-        store_idx, Record{store_idx, addr, data, size, available_at});
-    (void)it;
-    if (!inserted)
+    if (!trailing.insert(store_idx,
+                         Record{addr, data, size, available_at}))
         panic("store comparator: duplicate trailing store index %llu",
               static_cast<unsigned long long>(store_idx));
 }
@@ -35,15 +34,14 @@ StoreComparator::tryVerify(std::uint64_t store_idx, Addr addr,
     // search of the store queue: trailing stores execute (and deliver
     // their data) out of order, so arrival order carries no meaning.
     mismatch = false;
-    auto it = trailing.find(store_idx);
-    if (it == trailing.end() || now < it->second.availableAt)
+    const Record *rec = trailing.find(store_idx);
+    if (!rec || now < rec->availableAt)
         return false;
-    const Record &rec = it->second;
-    mismatch = rec.addr != addr || rec.data != data || rec.size != size;
+    mismatch = rec->addr != addr || rec->data != data || rec->size != size;
     ++statComparisons;
     if (mismatch)
         ++statMismatches;
-    trailing.erase(it);
+    trailing.erase(store_idx);
     return true;
 }
 

@@ -15,8 +15,8 @@
 #define RMTSIM_RMT_STORE_COMPARATOR_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/open_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -57,14 +57,15 @@ class StoreComparator
   private:
     struct Record
     {
-        std::uint64_t idx;
-        Addr addr;
-        std::uint64_t data;
-        unsigned size;
-        Cycle availableAt;
+        Addr addr = 0;
+        std::uint64_t data = 0;
+        unsigned size = 0;
+        Cycle availableAt = 0;
     };
 
-    std::unordered_map<std::uint64_t, Record> trailing;  ///< by index
+    /** By store index; sized for a 64-entry store queue's worth of
+     *  pending records, and grows beyond that if needed. */
+    OpenTable<Record> trailing;
 
     StatGroup statGroup;
     Counter statComparisons;

@@ -84,3 +84,29 @@ TEST(Lvq, FlipOnEmptyReportsFalse)
     Random rng(1);
     EXPECT_FALSE(lvq.injectDataBitFlip(rng));
 }
+
+TEST(Lvq, UnprotectedStrikeVictimIsTheKthEntryInTagOrder)
+{
+    // The victim is defined by tag order, not by the table's layout:
+    // draw k = rng.range(size) then the bit, exactly as the strike does.
+    const std::uint64_t tags[] = {40, 3, 17, 8, 25};
+    const std::uint64_t sorted[] = {3, 8, 17, 25, 40};
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        Lvq lvq(8, false, "lvq");
+        for (std::uint64_t tag : tags)
+            lvq.insert(tag, tag * 8, 1000 + tag, 0);
+        Random rng(seed);
+        Random ref(seed);
+        const std::uint64_t k = ref.range(5);
+        const unsigned bit = static_cast<unsigned>(ref.range(64));
+        ASSERT_TRUE(lvq.injectDataBitFlip(rng));
+        for (std::uint64_t tag : sorted) {
+            std::uint64_t data = 0;
+            ASSERT_EQ(lvq.lookup(tag, tag * 8, 1, data), Lvq::Lookup::Hit);
+            const std::uint64_t want =
+                tag == sorted[k] ? (1000 + tag) ^ (std::uint64_t{1} << bit)
+                                 : 1000 + tag;
+            EXPECT_EQ(data, want) << "seed " << seed << " tag " << tag;
+        }
+    }
+}

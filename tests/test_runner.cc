@@ -182,8 +182,9 @@ TEST(CampaignRunner, ThrowingJobIsRecordedNotFatal)
     // Retry-once semantics: default is two attempts, then record.
     EXPECT_EQ(results[5].attempts, 2u);
     for (std::size_t i = 0; i < results.size(); ++i) {
-        if (i != 5)
+        if (i != 5) {
             EXPECT_TRUE(results[i].ok()) << results[i].error;
+        }
     }
 }
 
