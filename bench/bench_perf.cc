@@ -31,6 +31,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "runner/runner.hh"
 
 using namespace rmt;
@@ -231,33 +232,38 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
+        auto next = [&]() -> std::string {
             if (i + 1 >= argc) {
                 usage();
                 std::exit(2);
             }
             return argv[++i];
         };
-        if (arg == "--json") {
-            json_path = next();
-        } else if (arg == "--baseline") {
-            baseline_path = next();
-        } else if (arg == "--max-regress") {
-            max_regress = std::atof(next());
-        } else if (arg == "--repeat") {
-            repeats = static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--insts") {
-            measure = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--warmup") {
-            warmup = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--workloads") {
-            workloads = splitList(next());
-        } else if (arg == "--fault-trials") {
-            fault_trials = static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--min-fork-speedup") {
-            min_fork_speedup = std::atof(next());
-        } else {
-            usage();
+        try {
+            if (arg == "--json") {
+                json_path = next();
+            } else if (arg == "--baseline") {
+                baseline_path = next();
+            } else if (arg == "--max-regress") {
+                max_regress = parseReal(next(), arg, 0);
+            } else if (arg == "--repeat") {
+                repeats = parseUnsigned32(next(), arg);
+            } else if (arg == "--insts") {
+                measure = parseUnsigned(next(), arg);
+            } else if (arg == "--warmup") {
+                warmup = parseUnsigned(next(), arg);
+            } else if (arg == "--workloads") {
+                workloads = splitList(next());
+            } else if (arg == "--fault-trials") {
+                fault_trials = parseUnsigned32(next(), arg);
+            } else if (arg == "--min-fork-speedup") {
+                min_fork_speedup = parseReal(next(), arg, 0);
+            } else {
+                usage();
+                return 2;
+            }
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr, "bench_perf: %s\n", e.what());
             return 2;
         }
     }

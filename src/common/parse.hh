@@ -1,14 +1,16 @@
 /**
  * @file
- * The one parser for unsigned numbers that come from outside the
- * process: command-line values of every tool, sweep settings, and the
- * u64 members of the serve protocol.
+ * The parsers for numbers that come from outside the process:
+ * command-line values of every tool, sweep settings, and the u64
+ * members of the serve protocol.  Both throw the same
+ * "bad value for <what>: '<text>'" on anything they refuse.
  */
 
 #ifndef RMTSIM_COMMON_PARSE_HH
 #define RMTSIM_COMMON_PARSE_HH
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -46,6 +48,29 @@ parseUnsigned32(const std::string &text, const std::string &what)
 {
     return static_cast<unsigned>(
         parseUnsigned(text, what, std::numeric_limits<unsigned>::max()));
+}
+
+/**
+ * Parse @p text as a finite real number (decimal, optional fraction
+ * and exponent, a leading '-' only) between @p lo and @p hi; an end
+ * named open is excluded.  Throws like parseUnsigned on empty input,
+ * '+', whitespace, trailing text, inf, nan, or a value out of range.
+ */
+inline double
+parseReal(const std::string &text, const std::string &what, double lo,
+          double hi = std::numeric_limits<double>::infinity(),
+          bool lo_open = false, bool hi_open = false)
+{
+    const char *first = text.data();
+    const char *last = text.data() + text.size();
+    double v = 0;
+    const auto [end, ec] = std::from_chars(first, last, v);
+    if (first == last || ec != std::errc() || end != last ||
+        !std::isfinite(v) || v < lo || v > hi || (lo_open && v == lo) ||
+        (hi_open && v == hi))
+        throw std::invalid_argument("bad value for " + what + ": '" +
+                                    text + "'");
+    return v;
 }
 
 } // namespace rmt

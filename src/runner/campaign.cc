@@ -87,9 +87,30 @@ applySweepSetting(SimOptions &o, const std::string &key,
         o.cpu.dynamic_lsq_partition = flag();
     } else if (key == "frontend") {
         o.trailing_fetch = parseFrontend(value);
+    } else if (key == "recovery") {
+        o.recovery = flag();
     } else {
         throw std::invalid_argument("unknown sweep key '" + key + "'");
     }
+}
+
+FaultRecord
+transientRegStrike(std::uint64_t seed, std::uint64_t trial,
+                   const SimOptions &options, unsigned max_reg)
+{
+    Random rng(mixSeed(seed, trial));
+    const std::uint64_t insts = options.warmup_insts + options.measure_insts;
+    FaultRecord f;
+    f.kind = FaultRecord::Kind::TransientReg;
+    // Land inside the run: cycle count is at least the committed-
+    // instruction count (IPC <= 8 per thread but >= 1/8 of the budget
+    // in cycles).
+    f.when = insts / 12 +
+             rng.range(std::max<std::uint64_t>(1, (insts * 2) / 3));
+    f.tid = static_cast<ThreadId>(rng.range(2));
+    f.reg = static_cast<RegIndex>(1 + rng.range(max_reg - 1));
+    f.bit = static_cast<unsigned>(rng.range(64));
+    return f;
 }
 
 CampaignBuilder::CampaignBuilder(std::string name, std::uint64_t seed)
@@ -194,23 +215,8 @@ CampaignBuilder::build() const
                     if (_fault_trials) {
                         spec.label +=
                             " trial=" + std::to_string(t);
-                        Random rng(spec.seed);
-                        const std::uint64_t insts =
-                            o.warmup_insts + o.measure_insts;
-                        FaultRecord f;
-                        f.kind = FaultRecord::Kind::TransientReg;
-                        // Land inside the run: cycle count is at least
-                        // the committed-instruction count (IPC <= 8 per
-                        // thread but >= 1/8 of the budget in cycles).
-                        f.when = insts / 12 +
-                                 rng.range(std::max<std::uint64_t>(
-                                     1, (insts * 2) / 3));
-                        f.core = 0;
-                        f.tid = static_cast<ThreadId>(rng.range(2));
-                        f.reg = static_cast<RegIndex>(
-                            1 + rng.range(_fault_max_reg - 1));
-                        f.bit = static_cast<unsigned>(rng.range(64));
-                        spec.faults.push_back(f);
+                        spec.faults.push_back(transientRegStrike(
+                            _seed, spec.id, o, _fault_max_reg));
                     }
                     c.jobs.push_back(std::move(spec));
                 }

@@ -47,7 +47,8 @@ TrailingFetchMode parseFrontend(const std::string &name);
  * Apply one named sweep setting to @p options.  Known keys:
  *
  *   slack, checker, storeq, lvq, lpq, insts, warmup, rob, iq,
- *   physregs, ptsq, nosc, psr, ecc, dynlsq, frontend (lpq|boq|sharedlp)
+ *   physregs, ptsq, nosc, psr, ecc, dynlsq, recovery,
+ *   frontend (lpq|boq|sharedlp)
  *
  * Numeric keys parse the value with parseUnsigned (decimal or 0x
  * hex); boolean keys accept 0/1.  Throws std::invalid_argument on
@@ -55,6 +56,15 @@ TrailingFetchMode parseFrontend(const std::string &name);
  */
 void applySweepSetting(SimOptions &options, const std::string &key,
                        const std::string &value);
+
+/**
+ * The seeded transient register strike of fault trial @p trial of a
+ * campaign seeded @p seed: a cycle inside the budget of @p options, a
+ * victim copy, a register in [1, @p max_reg) and a bit.  The draw of
+ * CampaignBuilder::transientRegTrials and of the faults_reg figure.
+ */
+FaultRecord transientRegStrike(std::uint64_t seed, std::uint64_t trial,
+                               const SimOptions &options, unsigned max_reg);
 
 /** One sweep axis: a key and the values it takes. */
 struct SweepAxis
@@ -89,9 +99,8 @@ class CampaignBuilder
     /**
      * Per grid point, add @p trials jobs with one deterministic
      * transient register strike each (random cycle / victim copy /
-     * register / bit, derived from the campaign seed and trial index —
-     * the bench_fault_coverage campaign shape).  @p max_reg bounds the
-     * victim register index.
+     * register / bit: transientRegStrike of the campaign seed and the
+     * job id).  @p max_reg bounds the victim register index.
      */
     CampaignBuilder &transientRegTrials(unsigned trials,
                                         unsigned max_reg);

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "common/random.hh"
 #include "runner/result_sink.hh"
 #include "workloads/workloads.hh"
 
@@ -35,6 +36,172 @@ col(const std::string &header, const std::string &config,
     const std::string &other = "")
 {
     return {header, metric, config, op, other};
+}
+
+/** The per-trial folds of a fault cell, and their column-id suffix. */
+struct VerdictColumn
+{
+    const char *header;
+    const char *key;
+    Metric metric;
+};
+constexpr VerdictColumn kVerdicts[] = {
+    {"detected", "det", Metric::Detected},
+    {"masked", "masked", Metric::Masked},
+    {"sdc", "sdc", Metric::Sdc},
+    {"hang", "hang", Metric::Hang},
+    {"cap", "cap", Metric::CapExceeded},
+    {"latency", "lat", Metric::Latency},
+};
+
+/** @p v of fault config @p config, id "<config> <v.key>". */
+FigureColumn
+verdictCol(const std::string &header, const std::string &config,
+           const VerdictColumn &v)
+{
+    FigureColumn c = col(header, config, v.metric);
+    c.key = config + " " + v.key;
+    return c;
+}
+
+/** A fault figure on @p rows, one table of every verdict fold per
+ *  config, titled "<title>: <config>". */
+Figure
+faultFigure(const std::string &name, const std::vector<std::string> &rows,
+            const std::vector<FigureConfig> &configs, const std::string &title,
+            unsigned trials, FaultPlan plan)
+{
+    Figure fig{.name = name,
+               .rows = singles(rows),
+               .configs = configs,
+               .mean_row = false,
+               .decimals = 0,
+               .trials = trials,
+               .fault = std::move(plan)};
+    for (const FigureConfig &c : configs) {
+        FigureTable &table = fig.tables.emplace_back(title + ": " + c.name);
+        for (const VerdictColumn &v : kVerdicts)
+            table.columns.push_back(verdictCol(v.header, c.name, v));
+    }
+    return fig;
+}
+
+/** Trial @p i of the whole-sphere figure: a strike of @p kind. */
+FaultRecord
+sphereStrike(FaultRecord::Kind kind, unsigned i)
+{
+    FaultRecord f;
+    f.kind = kind;
+    f.when = 1200 + 713 * i;
+    // Low bits keep a corrupted PC inside the program image so the
+    // strike exercises detection rather than only the hang watchdog.
+    const unsigned bits[] = {2, 5, 9, 13};
+    f.bit = bits[i % 4];
+    // Register and decode strikes alternate the victim copy.
+    if (kind == FaultRecord::Kind::TransientReg ||
+        kind == FaultRecord::Kind::TransientDecode)
+        f.tid = static_cast<ThreadId>(i % 2);
+    if (kind == FaultRecord::Kind::TransientReg)
+        f.reg = static_cast<RegIndex>(4 + i);
+    if (kind == FaultRecord::Kind::PermanentFu) {
+        f.fuIndex = i % 8;
+        f.mask = std::uint64_t{1} << (i % 16);
+    }
+    return f;
+}
+
+/** The fault-coverage experiments of Sections 2.1 and 4.5. */
+void
+addFaultFigures(std::vector<Figure> &figs)
+{
+    const std::string srt12k = "mode=srt,warmup=0,insts=12000";
+
+    // Transient register strikes over the whole architectural file
+    // (most land in dead state) and over the kernels' live r1-r13.
+    figs.push_back(faultFigure(
+        "faults_reg", {"compress", "gcc"}, {{"all", srt12k}, {"live", srt12k}},
+        "Transient register strikes (SRT, 12k instructions, 40 trials), "
+        "registers",
+        40, [](const FigureConfig &c, const SimOptions &o, unsigned t) {
+            const unsigned max_reg = c.name == "live" ? 14 : numArchRegs;
+            return transientRegStrike(0xFA117 + max_reg, t, o, max_reg);
+        }));
+    figs.back().claims = {"rows: all sdc <= 0", "rows: live sdc <= 0",
+                          "rows: all det < all masked",
+                          "rows: live det > all det"};
+
+    figs.push_back(faultFigure(
+        "faults_lvq", {"gcc"},
+        {{"ECC", srt12k + ",ecc=1"}, {"noECC", srt12k + ",ecc=0"}},
+        "LVQ strikes (10 trials)", 10,
+        [](const FigureConfig &, const SimOptions &, unsigned t) {
+            FaultRecord f;
+            f.kind = FaultRecord::Kind::TransientLvq;
+            f.when = 1500 + 700 * t;
+            return f;
+        }));
+    figs.back().claims = {"gcc: ECC det <= 0", "gcc: ECC sdc <= 0",
+                          "gcc: noECC masked <= 0", "gcc: noECC sdc <= 0",
+                          "gcc: ECC det < noECC det"};
+
+    figs.push_back(faultFigure(
+        "faults_fu", {"applu"},
+        {{"PSR", srt12k + ",psr=1"}, {"noPSR", srt12k + ",psr=0"}},
+        "Permanent functional-unit faults (20 trials)", 20,
+        [](const FigureConfig &, const SimOptions &, unsigned t) {
+            // One seeded sequence: trial t strikes its draw's integer
+            // (even t, ids 0-7) or logic (odd t, ids 16-23) unit.
+            Random rng(0xFE11);
+            FaultRecord f;
+            f.kind = FaultRecord::Kind::PermanentFu;
+            f.when = 500;
+            for (unsigned i = 0; i <= t; ++i) {
+                f.fuIndex = static_cast<unsigned>(
+                    i % 2 ? 16 + rng.range(8) : rng.range(8));
+                f.mask = std::uint64_t{1} << rng.range(16);
+            }
+            return f;
+        }));
+    figs.back().claims = {"applu: PSR sdc <= 0", "applu: noPSR sdc <= 0",
+                          "applu: PSR det > 0", "applu: noPSR det > 0",
+                          "applu: PSR lat < noPSR lat"};
+
+    // Every fault kind against SRT with checkpoint recovery, one table
+    // per verdict fold; the merge buffer is outside the sphere and
+    // must be ECC-corrected.
+    std::vector<FigureConfig> kinds;
+    for (auto k = FaultRecord::Kind::TransientReg;
+         k <= FaultRecord::Kind::TransientMergeBuffer;
+         k = static_cast<FaultRecord::Kind>(static_cast<unsigned>(k) + 1)) {
+        const bool boq = k == FaultRecord::Kind::TransientBoq;
+        kinds.push_back({faultKindName(k),
+                         std::string("mode=srt,recovery=1,warmup=0,"
+                                     "insts=10000") +
+                             (boq ? ",frontend=boq" : "")});
+    }
+    Figure sphere{.name = "faults_sphere",
+                  .rows = singles({"gcc"}),
+                  .configs = kinds,
+                  .mean_row = false,
+                  .decimals = 0,
+                  .trials = 4,
+                  .fault = [](const FigureConfig &c, const SimOptions &,
+                              unsigned t) {
+                      return sphereStrike(parseFaultKind(c.name), t);
+                  }};
+    for (const VerdictColumn &v : kVerdicts) {
+        FigureTable &table = sphere.tables.emplace_back(
+            std::string("Whole-sphere strikes (SRT + recovery, 10k "
+                        "instructions, 4 trials per kind): ") +
+            v.header);
+        for (const FigureConfig &c : kinds)
+            table.columns.push_back(verdictCol(c.name, c.name, v));
+    }
+    for (const FigureConfig &c : kinds) {
+        sphere.claims.push_back("gcc: " + c.name + " sdc <= 0");
+        sphere.claims.push_back("gcc: " + c.name + " cap <= 0");
+    }
+    figs.push_back(sphere);
 }
 
 std::vector<Figure>
@@ -215,6 +382,7 @@ buildFigures()
          .tables = {{"LQ/SQ partitioning, four-program mixes "
                      "(SMT-Efficiency)"}},
          .claims = {"mean: Lock8-stat > Lock8-dyn"}});
+    addFaultFigures(figs);
     return figs;
 }
 
@@ -273,6 +441,10 @@ double
 metricOf(const JsonValue &rec, Metric metric)
 {
     const JsonValue *threads = rec.find("threads");
+    const auto missing = [&](const char *key) {
+        return FigureStreamError("record " + jsonNum(rec.numberOr("id", -1)) +
+                                 " has no " + key);
+    };
     const auto get = [&](const char *key) {
         const JsonValue *v =
             metric != Metric::Ipc ? rec.find(key)
@@ -280,10 +452,14 @@ metricOf(const JsonValue &rec, Metric metric)
                 ? threads->array()[0].find(key)
                 : nullptr;
         if (!v || !v->isNumber())
-            throw FigureStreamError("record " +
-                                    jsonNum(rec.numberOr("id", -1)) +
-                                    " has no " + key);
+            throw missing(key);
         return v->number();
+    };
+    const auto is = [&](const char *key, const char *want) {
+        const JsonValue *v = rec.find(key);
+        if (!v || !v->isString())
+            throw missing(key);
+        return v->str() == want ? 1.0 : 0.0;
     };
     switch (metric) {
       case Metric::Efficiency:
@@ -298,8 +474,46 @@ metricOf(const JsonValue &rec, Metric metric)
         return get("sq_full_stalls");
       case Metric::StoreLifetime:
         return get("avg_leading_store_lifetime");
+      case Metric::Masked:
+        return is("verdict", verdictName(FaultVerdict::Masked));
+      case Metric::Detected:
+        return is("verdict", verdictName(FaultVerdict::Detected));
+      case Metric::Sdc:
+        return is("verdict", verdictName(FaultVerdict::Sdc));
+      case Metric::Hang:
+        return is("verdict", verdictName(FaultVerdict::Hang));
+      case Metric::CapExceeded:
+        return is("outcome", outcomeName(Outcome::CapExceeded));
+      case Metric::Latency:
+        return get("detection_latency");
     }
     return 0;
+}
+
+/** A cell: @p metric folded over the @p n trial records at @p recs.
+ *  Verdict and outcome counts sum; latency averages the trials that
+ *  have one; any other metric averages every trial. */
+double
+cellOf(const JsonValue *const *recs, std::size_t n, Metric metric)
+{
+    double sum = 0;
+    std::size_t used = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (metric == Metric::Latency && !recs[i]->find("detection_latency"))
+            continue;
+        sum += metricOf(*recs[i], metric);
+        ++used;
+    }
+    const bool count =
+        metric >= Metric::Masked && metric <= Metric::CapExceeded;
+    return count ? sum : used ? sum / static_cast<double>(used) : 0;
+}
+
+/** Jobs per (row, config) cell of @p fig. */
+std::size_t
+cellJobs(const Figure &fig)
+{
+    return std::max(1u, fig.trials);
 }
 
 /** One reduced column: a cell per row and its MEAN cell. */
@@ -324,9 +538,10 @@ reduceFigure(const Figure &fig, const std::vector<const JsonValue *> &recs,
             [&](const FigureConfig &k) { return k.name == config; });
         if (c == fig.configs.end())
             throw std::logic_error(fig.name + ": no config " + config);
-        return metricOf(*recs[first + row * fig.configs.size() +
-                              (c - fig.configs.begin())],
-                        metric);
+        const std::size_t cell =
+            row * fig.configs.size() + (c - fig.configs.begin());
+        return cellOf(&recs[first + cell * cellJobs(fig)], cellJobs(fig),
+                      metric);
     };
 
     std::string out;
@@ -507,21 +722,28 @@ figureCampaign(const std::vector<const Figure *> &figures)
     for (const Figure *f : figures) {
         for (const auto &mix : f->rows) {
             for (const FigureConfig &config : f->configs) {
-                JobSpec spec;
-                spec.id = campaign.jobs.size();
-                spec.label = config.name + ":" + joined(mix, "+");
-                spec.workloads = mix;
-                spec.options = figureOptions();
+                SimOptions options = figureOptions();
                 std::istringstream settings(config.settings);
                 for (std::string s; std::getline(settings, s, ',');) {
                     const std::size_t eq = s.find('=');
                     if (s.compare(0, eq, "mode") == 0)
-                        spec.options.mode = parseMode(s.substr(eq + 1));
+                        options.mode = parseMode(s.substr(eq + 1));
                     else
-                        applySweepSetting(spec.options, s.substr(0, eq),
+                        applySweepSetting(options, s.substr(0, eq),
                                           s.substr(eq + 1));
                 }
-                campaign.jobs.push_back(std::move(spec));
+                for (unsigned t = 0; t < cellJobs(*f); ++t) {
+                    JobSpec spec;
+                    spec.id = campaign.jobs.size();
+                    spec.label = config.name + ":" + joined(mix, "+");
+                    spec.workloads = mix;
+                    spec.options = options;
+                    if (f->trials) {
+                        spec.label += " trial=" + std::to_string(t);
+                        spec.faults.push_back(f->fault(config, options, t));
+                    }
+                    campaign.jobs.push_back(std::move(spec));
+                }
             }
         }
     }
@@ -564,7 +786,7 @@ reportFigures(const std::vector<const Figure *> &figures,
     std::size_t first = 0;
     for (const Figure *f : figures) {
         tables.push_back(reduceFigure(*f, recs, first, data[f->name]));
-        first += f->rows.size() * f->configs.size();
+        first += f->rows.size() * f->configs.size() * cellJobs(*f);
     }
     for (std::size_t i = 0; i < figures.size(); ++i) {
         report.text += (i ? "\n" : "") + tables[i];

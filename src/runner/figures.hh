@@ -1,7 +1,8 @@
 /**
  * @file
- * The paper's evaluation as campaigns: Figures 6-12 and the six
- * ablations.  This is the only place that knows what a figure is.
+ * The paper's evaluation as campaigns: Figures 6-12, the six ablations
+ * and the four fault-coverage experiments.  This is the only place
+ * that knows what a figure is.
  *
  *   rmtsim_batch --figure all -j 8 --out paper.jsonl
  *   rmtsim_report --figure all paper.jsonl
@@ -11,7 +12,10 @@
  * mixes), prints tables whose columns read one metric of one
  * configuration or a ratio or delta of two (no columns: every
  * configuration's SMT-efficiency), optionally ends them in a MEAN row,
- * and checks the shape claims EXPERIMENTS.md records.
+ * and checks the shape claims EXPERIMENTS.md records.  A fault figure
+ * runs each (row, configuration) cell as that many single-fault
+ * trials, each strike drawn by the figure's fault plan, and its cells
+ * fold the trials' oracle verdicts.
  *
  * A claim is "<scope>: <operand> <op> <operand> [<op> <operand> ...]",
  * op one of < <= > >=.  The scope is "mean" (operands are MEAN cells),
@@ -23,6 +27,7 @@
 #ifndef RMTSIM_RUNNER_FIGURES_HH
 #define RMTSIM_RUNNER_FIGURES_HH
 
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -41,6 +46,13 @@ enum class FigureMetric
     Ipc,            ///< threads[0].ipc
     SqStalls,       ///< sq_full_stalls
     StoreLifetime,  ///< avg_leading_store_lifetime
+    // The fault-trial counts, Masked to CapExceeded, stay contiguous.
+    Masked,         ///< trials whose verdict is masked
+    Detected,       ///< ... detected
+    Sdc,            ///< ... sdc
+    Hang,           ///< ... hang
+    CapExceeded,    ///< trials whose outcome is cap_exceeded
+    Latency,        ///< mean detection_latency of the trials with one
 };
 
 struct FigureConfig
@@ -69,6 +81,11 @@ struct FigureTable
     std::vector<FigureColumn> columns{};
 };
 
+/** The one strike of fault trial @p trial of @p config, whose jobs run
+ *  under @p options. */
+using FaultPlan = std::function<FaultRecord(
+    const FigureConfig &config, const SimOptions &options, unsigned trial)>;
+
 struct Figure
 {
     std::string name{};
@@ -78,6 +95,11 @@ struct Figure
     bool mean_row = true;
     int decimals = 3;
     std::vector<std::string> claims{};
+    /** Fault trials per (row, config) cell, each a job with the one
+     *  strike @ref fault plans; 0: one faultless job per cell.  A cell
+     *  sums the count metrics over its trials and averages the rest. */
+    unsigned trials = 0;
+    FaultPlan fault{};
 };
 
 /** "fig6,abl_slack" or "all" (every figure, in report order); throws
@@ -90,7 +112,8 @@ std::vector<const Figure *> selectFigures(const std::string &list);
 SimOptions figureOptions();
 
 /** The figures' jobs, row-major per figure, dense ids, labelled
- *  "<config>:<workload>[+<workload>...]". */
+ *  "<config>:<workload>[+<workload>...]"; a fault figure's cell is its
+ *  trials in order, labelled "<config>:<mix> trial=<t>". */
 Campaign figureCampaign(const std::vector<const Figure *> &figures);
 
 /** A result stream that is not the figures' job list. */

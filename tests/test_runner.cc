@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -28,6 +29,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/parse.hh"
+#include "common/random.hh"
 #include "rmt/fault_oracle.hh"
 #include "runner/figures.hh"
 #include "runner/result_sink.hh"
@@ -469,9 +472,11 @@ TEST(FaultCampaign, SinkGetsEveryRecordInIdOrderIncludingFailures)
     EXPECT_EQ(id, jobs.size());
 }
 
-TEST(CampaignBuilder, SweepValuesAreStrictUnsigned)
+TEST(CampaignBuilder, OutsideValuesAreStrict)
 {
     SimOptions o;
+    applySweepSetting(o, "recovery", "1");
+    EXPECT_TRUE(o.recovery);
     applySweepSetting(o, "storeq", "0x20");
     EXPECT_EQ(o.cpu.store_queue_entries, 32u);
     applySweepSetting(o, "physregs", "384");
@@ -495,6 +500,35 @@ TEST(CampaignBuilder, SweepValuesAreStrictUnsigned)
         FAIL() << "storeq=-1 accepted";
     } catch (const std::invalid_argument &e) {
         EXPECT_STREQ(e.what(), "bad value for sweep storeq: '-1'");
+    }
+
+    // Real-valued flags: finite decimals inside the flag's range.
+    EXPECT_EQ(parseReal("250", "--timeout-ms", 0), 250.0);
+    EXPECT_EQ(parseReal("0", "--timeout-ms", 0), 0.0);
+    EXPECT_EQ(parseReal("1e3", "--timeout-ms", 0), 1000.0);
+    EXPECT_EQ(parseReal("0.95", "--confidence", 0, 1, true, true), 0.95);
+    EXPECT_EQ(parseReal("0", "--ci-width", 0, 1, false, true), 0.0);
+    EXPECT_EQ(parseReal("-2.5", "x", -3, 0), -2.5);
+
+    // --timeout-ms: a real >= 0.
+    for (const char *bad : {"abc", "-5", "", " 1", "1 ", "+1", "1ms", "nan",
+                            "inf", "-inf", "0x10", "1e999"})
+        EXPECT_THROW(parseReal(bad, "--timeout-ms", 0), std::invalid_argument)
+            << "'" << bad << "'";
+    // --ci-width: [0, 1); --confidence: (0, 1).
+    for (const char *bad : {"1", "1.5", "-0.1", "nan"})
+        EXPECT_THROW(parseReal(bad, "--ci-width", 0, 1, false, true),
+                     std::invalid_argument)
+            << "'" << bad << "'";
+    for (const char *bad : {"0", "1", "1.5", "-0.5", "nan"})
+        EXPECT_THROW(parseReal(bad, "--confidence", 0, 1, true, true),
+                     std::invalid_argument)
+            << "'" << bad << "'";
+    try {
+        parseReal("1.5", "--confidence", 0, 1, true, true);
+        FAIL() << "--confidence 1.5 accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "bad value for --confidence: '1.5'");
     }
 }
 
@@ -544,7 +578,160 @@ TEST(Figures, Fig6IsTheGridOfTheFigure6Main)
 
     EXPECT_THROW(selectFigures("fig6,nosuch"), std::invalid_argument);
     EXPECT_THROW(selectFigures("fig6,fig6"), std::invalid_argument);
-    EXPECT_EQ(selectFigures("all").size(), 13u);
+    EXPECT_EQ(selectFigures("all").size(), 17u);
+}
+
+void
+expectSameFault(const FaultRecord &a, const FaultRecord &b,
+                const std::string &label)
+{
+    EXPECT_EQ(a.kind, b.kind) << label;
+    EXPECT_EQ(a.when, b.when) << label;
+    EXPECT_EQ(a.core, b.core) << label;
+    EXPECT_EQ(a.tid, b.tid) << label;
+    EXPECT_EQ(a.reg, b.reg) << label;
+    EXPECT_EQ(a.bit, b.bit) << label;
+    EXPECT_EQ(a.fuIndex, b.fuIndex) << label;
+    EXPECT_EQ(a.mask, b.mask) << label;
+    EXPECT_EQ(a.pairLogical, b.pairLogical) << label;
+}
+
+/** Check @p figure's grid: one single-fault job per trial of each
+ *  (row, config) cell, cells row-major, against the retired tool's
+ *  options and strikes. */
+void
+expectFaultGrid(
+    const std::string &figure, const std::vector<std::string> &rows,
+    const std::vector<std::string> &configs, unsigned trials,
+    const std::function<SimOptions(const std::string &)> &options,
+    const std::function<FaultRecord(const std::string &, unsigned)> &fault)
+{
+    const Campaign c = figureCampaign(selectFigures(figure));
+    ASSERT_EQ(c.jobs.size(), rows.size() * configs.size() * trials);
+    std::size_t i = 0;
+    for (const std::string &row : rows) {
+        for (const std::string &config : configs) {
+            for (unsigned t = 0; t < trials; ++t) {
+                const JobSpec &job = c.jobs[i];
+                EXPECT_EQ(job.id, i);
+                EXPECT_EQ(job.label,
+                          config + ":" + row + " trial=" + std::to_string(t));
+                EXPECT_EQ(job.workloads, std::vector<std::string>{row});
+                EXPECT_EQ(optionsCanonicalJson(job.options),
+                          optionsCanonicalJson(options(config)))
+                    << job.label;
+                EXPECT_EQ(job.faults.size(), 1u) << job.label;
+                if (!job.faults.empty())
+                    expectSameFault(job.faults[0], fault(config, t),
+                                    job.label);
+                ++i;
+            }
+        }
+    }
+}
+
+TEST(Figures, FaultFiguresAreTheGridsOfTheRetiredFaultTools)
+{
+    // bench_fault_coverage: SRT, no warm-up, 12k measured instructions.
+    const auto srt12k = [](const std::string &config) {
+        SimOptions o;
+        o.mode = SimMode::Srt;
+        o.warmup_insts = 0;
+        o.measure_insts = 12000;
+        o.lvq_ecc = config != "noECC";
+        o.preferential_space_redundancy = config != "noPSR";
+        return o;
+    };
+
+    // Register strikes: trial t of the cell seeded 0xFA117 + max_reg
+    // draws from Random(SplitMix64(seed, t)).
+    expectFaultGrid(
+        "faults_reg", {"compress", "gcc"}, {"all", "live"}, 40, srt12k,
+        [](const std::string &config, unsigned t) {
+            const unsigned max_reg = config == "live" ? 14 : numArchRegs;
+            std::uint64_t z = 0xFA117 + max_reg +
+                              0x9E3779B97F4A7C15ull * (t + 1);
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+            Random rng(z ^ (z >> 31));
+            FaultRecord f;
+            f.kind = FaultRecord::Kind::TransientReg;
+            f.when = 12000 / 12 + rng.range(12000 * 2 / 3);
+            f.core = 0;
+            f.tid = static_cast<ThreadId>(rng.range(2));
+            f.reg = static_cast<RegIndex>(1 + rng.range(max_reg - 1));
+            f.bit = static_cast<unsigned>(rng.range(64));
+            return f;
+        });
+
+    expectFaultGrid("faults_lvq", {"gcc"}, {"ECC", "noECC"}, 10, srt12k,
+                    [](const std::string &, unsigned t) {
+                        FaultRecord f;
+                        f.kind = FaultRecord::Kind::TransientLvq;
+                        f.when = 1500 + 700 * t;
+                        return f;
+                    });
+
+    // One Random(0xFE11) sequence per config: an integer unit (0-7) on
+    // even trials, a logic unit (16-23) on odd ones, then the mask.
+    std::vector<FaultRecord> fu;
+    Random rng(0xFE11);
+    for (unsigned t = 0; t < 20; ++t) {
+        FaultRecord f;
+        f.kind = FaultRecord::Kind::PermanentFu;
+        f.when = 500;
+        f.fuIndex = static_cast<unsigned>(t % 2 ? 16 + rng.range(8)
+                                                : rng.range(8));
+        f.mask = std::uint64_t{1} << rng.range(16);
+        fu.push_back(f);
+    }
+    expectFaultGrid("faults_fu", {"applu"}, {"PSR", "noPSR"}, 20, srt12k,
+                    [&](const std::string &, unsigned t) { return fu[t]; });
+
+    // rmtsim_faultsmoke: SRT with recovery, 0 + 10k, one config per kind.
+    const std::vector<std::string> kinds = {"reg", "lvq", "fu",  "sqd",
+                                            "sqa", "lpq", "boq", "pc",
+                                            "dec", "mb"};
+    expectFaultGrid(
+        "faults_sphere", {"gcc"}, kinds, 4,
+        [](const std::string &kind) {
+            SimOptions o;
+            o.mode = SimMode::Srt;
+            o.recovery = true;
+            o.warmup_insts = 0;
+            o.measure_insts = 10000;
+            if (kind == "boq")
+                o.trailing_fetch = TrailingFetchMode::BranchOutcomeQueue;
+            return o;
+        },
+        [](const std::string &kind, unsigned i) {
+            FaultRecord f;
+            f.kind = parseFaultKind(kind);
+            f.when = 1200 + 713 * i;
+            const unsigned bits[] = {2, 5, 9, 13};
+            f.bit = bits[i % 4];
+            if (kind == "reg") {
+                f.tid = static_cast<ThreadId>(i % 2);
+                f.reg = static_cast<RegIndex>(4 + i);
+            } else if (kind == "fu") {
+                f.fuIndex = i % 8;
+                f.mask = std::uint64_t{1} << (i % 16);
+            } else if (kind == "dec") {
+                f.tid = static_cast<ThreadId>(i % 2);
+            }
+            return f;
+        });
+
+    // Appended after the 562 jobs of Figures 6-12 and the ablations.
+    const Campaign all = figureCampaign(selectFigures("all"));
+    const Campaign paper = figureCampaign(selectFigures(
+        "fig6,fig7,fig8,fig9,fig10,fig11,fig12,abl_frontend,abl_slack,"
+        "abl_storeq,abl_checker,abl_window,abl_partition"));
+    ASSERT_EQ(paper.jobs.size(), 562u);
+    ASSERT_EQ(all.jobs.size(), 562u + 160 + 20 + 40 + 40);
+    for (std::size_t i = 0; i < paper.jobs.size(); ++i)
+        EXPECT_EQ(all.jobs[i].label, paper.jobs[i].label);
+    EXPECT_EQ(all.jobs[562].label, "all:compress trial=0");
 }
 
 /** The record rmtsim_batch writes for @p spec, every figure metric
@@ -566,6 +753,29 @@ syntheticRecord(const JobSpec &spec, double v)
     r.run.fu_same_unit = static_cast<std::uint64_t>(v * 1000);
     r.run.sq_full_stalls = static_cast<std::uint64_t>(v * 1000);
     r.run.avg_leading_store_lifetime = v;
+    r.has_verdict = !spec.faults.empty();
+    JsonValue out;
+    EXPECT_TRUE(parseJson(resultJson(spec, r, false), out));
+    return out;
+}
+
+/** A fault trial's record: @p verdict, a detection latency when
+ *  @p latency >= 0, and @p outcome. */
+JsonValue
+verdictRecord(const JobSpec &spec, FaultVerdict verdict, double latency,
+              Outcome outcome = Outcome::Completed)
+{
+    JobResult r;
+    r.id = spec.id;
+    r.status = JobStatus::Ok;
+    r.attempts = 1;
+    ThreadResult t;
+    t.workload = spec.workloads[0];
+    r.run.threads = {t};
+    r.run.outcome = outcome;
+    r.has_verdict = true;
+    r.verdict = verdict;
+    r.detection_latency = latency;
     JsonValue out;
     EXPECT_TRUE(parseJson(resultJson(spec, r, false), out));
     return out;
@@ -725,6 +935,170 @@ TEST(Figures, StreamOfOtherJobsIsRefused)
     ASSERT_TRUE(parseJson(resultJson(c.jobs[1], failed, false), failed_row));
     records[1] = failed_row;
     EXPECT_THROW(reportFigures(sel, records), std::runtime_error);
+}
+
+TEST(Figures, FaultCellsFoldTheirTrials)
+{
+    Figure f{.name = "tinyfault",
+             .rows = {{"gcc"}, {"swim"}},
+             .configs = {{"A", "mode=srt"}},
+             .mean_row = false,
+             .decimals = 1,
+             .trials = 4,
+             .fault = [](const FigureConfig &, const SimOptions &,
+                         unsigned t) {
+                 FaultRecord r;
+                 r.kind = FaultRecord::Kind::TransientPc;
+                 r.when = 100 * t;
+                 return r;
+             }};
+    FigureTable table{"Trials"};
+    for (const auto &[header, metric] :
+         std::vector<std::pair<std::string, FigureMetric>>{
+             {"det", FigureMetric::Detected},
+             {"masked", FigureMetric::Masked},
+             {"sdc", FigureMetric::Sdc},
+             {"hang", FigureMetric::Hang},
+             {"cap", FigureMetric::CapExceeded},
+             {"lat", FigureMetric::Latency}})
+        table.columns.push_back(
+            {.header = header, .metric = metric, .config = "A"});
+    f.tables = {table};
+    f.claims = {"rows: sdc <= 0", "gcc: lat < 25"};
+    const std::vector<const Figure *> sel = {&f};
+    const Campaign c = figureCampaign(sel);
+    ASSERT_EQ(c.jobs.size(), 8u);
+    EXPECT_EQ(c.jobs[6].label, "A:swim trial=2");
+    EXPECT_EQ(c.jobs[6].faults.at(0).when, 200u);
+
+    // gcc: three detections, one without a latency, and a mask; swim:
+    // an sdc and a hang that ran into the cap, a detection, a mask.
+    const FaultVerdict D = FaultVerdict::Detected, M = FaultVerdict::Masked;
+    std::vector<JsonValue> records = {
+        verdictRecord(c.jobs[0], D, 10),
+        verdictRecord(c.jobs[1], D, -1),
+        verdictRecord(c.jobs[2], D, 30),
+        verdictRecord(c.jobs[3], M, -1),
+        verdictRecord(c.jobs[4], FaultVerdict::Sdc, -1,
+                      Outcome::CapExceeded),
+        verdictRecord(c.jobs[5], FaultVerdict::Hang, -1,
+                      Outcome::CapExceeded),
+        verdictRecord(c.jobs[6], D, 7),
+        verdictRecord(c.jobs[7], M, -1, Outcome::Hang),
+    };
+    const FigureReport r = reportFigures(sel, records);
+    EXPECT_EQ(lineTokens(r.text, "gcc"),
+              (std::vector<std::string>{"3.0", "1.0", "0.0", "0.0", "0.0",
+                                        "20.0"}))
+        << r.text;
+    EXPECT_EQ(lineTokens(r.text, "swim"),
+              (std::vector<std::string>{"1.0", "1.0", "1.0", "1.0", "2.0",
+                                        "7.0"}))
+        << r.text;
+    EXPECT_EQ(r.failed, 1u) << r.text;
+    EXPECT_NE(r.text.find("claim tinyfault rows: sdc <= 0  [1/2 rows; "
+                          "fails on swim]  FAIL"),
+              std::string::npos)
+        << r.text;
+    EXPECT_NE(r.text.find("claim tinyfault gcc: lat < 25  [20.0 < 25.0]  OK"),
+              std::string::npos)
+        << r.text;
+
+    // A trial without a verdict has no cell.
+    JobSpec unfaulted = c.jobs[3];
+    unfaulted.faults.clear();
+    records[3] = syntheticRecord(unfaulted, 0.5);
+    EXPECT_THROW(reportFigures(sel, records), FigureStreamError);
+}
+
+/** The fault figures' records with every claim holding: the first
+ *  trial of a cell detects (latency 100, 200 without PSR), as does a
+ *  live cell's second and every noECC trial; the rest are masked.
+ *  @p doctor then edits the result of the job labelled @p label. */
+std::vector<JsonValue>
+faultRecords(const Campaign &c, const std::string &label = "",
+             const std::function<void(JobResult &)> &doctor = {})
+{
+    std::vector<JsonValue> records;
+    for (const JobSpec &job : c.jobs) {
+        const std::string config = job.label.substr(0, job.label.find(':'));
+        const unsigned t = static_cast<unsigned>(
+            std::stoul(job.label.substr(job.label.find("trial=") + 6)));
+        JobResult r;
+        r.id = job.id;
+        r.status = JobStatus::Ok;
+        r.attempts = 1;
+        ThreadResult thread;
+        thread.workload = job.workloads[0];
+        r.run.threads = {thread};
+        r.run.outcome = Outcome::Completed;
+        r.has_verdict = true;
+        const bool detected =
+            config == "noECC" ||
+            (config != "ECC" && (t == 0 || (config == "live" && t == 1)));
+        r.verdict = detected ? FaultVerdict::Detected : FaultVerdict::Masked;
+        r.detection_latency = !detected ? -1 : config == "noPSR" ? 200 : 100;
+        if (job.label == label)
+            doctor(r);
+        records.emplace_back();
+        EXPECT_TRUE(parseJson(resultJson(job, r, false), records.back()));
+    }
+    return records;
+}
+
+TEST(Figures, EachFaultClaimKindFailsOnADoctoredRecord)
+{
+    const std::vector<const Figure *> sel =
+        selectFigures("faults_reg,faults_lvq,faults_fu,faults_sphere");
+    const Campaign c = figureCampaign(sel);
+    const FigureReport healthy = reportFigures(sel, faultRecords(c));
+    EXPECT_EQ(healthy.failed, 0u) << healthy.text;
+    EXPECT_EQ(healthy.claims, 4u + 5 + 5 + 20);
+
+    const auto verdict = [](FaultVerdict v) {
+        return [v](JobResult &r) {
+            r.verdict = v;
+            r.detection_latency = v == FaultVerdict::Detected ? 100 : -1;
+        };
+    };
+    const struct
+    {
+        const char *label;
+        std::function<void(JobResult &)> doctor;
+        const char *claim;
+    } cases[] = {
+        // zero sdc per row and config
+        {"all:gcc trial=5", verdict(FaultVerdict::Sdc),
+         "claim faults_reg rows: all sdc <= 0 "},
+        // a count ordering across configs
+        {"all:compress trial=3", verdict(FaultVerdict::Detected),
+         "claim faults_reg rows: live det > all det "},
+        // a count bound within one config
+        {"ECC:gcc trial=2", verdict(FaultVerdict::Detected),
+         "claim faults_lvq gcc: ECC det <= 0 "},
+        {"noECC:gcc trial=9", verdict(FaultVerdict::Masked),
+         "claim faults_lvq gcc: noECC masked <= 0 "},
+        {"noPSR:applu trial=0", verdict(FaultVerdict::Masked),
+         "claim faults_fu applu: noPSR det > 0 "},
+        // a mean-latency ordering
+        {"PSR:applu trial=0", [](JobResult &r) { r.detection_latency = 900; },
+         "claim faults_fu applu: PSR lat < noPSR lat "},
+        // one sdc row, and one run out through the cap, per kind
+        {"sqd:gcc trial=1", verdict(FaultVerdict::Sdc),
+         "claim faults_sphere gcc: sqd sdc <= 0 "},
+        {"pc:gcc trial=3",
+         [](JobResult &r) { r.run.outcome = Outcome::CapExceeded; },
+         "claim faults_sphere gcc: pc cap <= 0 "},
+    };
+    for (const auto &k : cases) {
+        const FigureReport r =
+            reportFigures(sel, faultRecords(c, k.label, k.doctor));
+        EXPECT_GE(r.failed, 1u) << k.claim << "\n" << r.text;
+        const std::size_t at = r.text.find(k.claim);
+        ASSERT_NE(at, std::string::npos) << k.claim << "\n" << r.text;
+        const std::size_t eol = r.text.find('\n', at);
+        EXPECT_EQ(r.text.substr(eol - 4, 4), "FAIL") << r.text;
+    }
 }
 
 TEST(Figures, EveryPaperClaimEvaluates)

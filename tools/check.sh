@@ -4,9 +4,9 @@
 #   tools/check.sh            # build + full ctest, then TSan, ASan and
 #                             # UBSan on the `sanitize`-labelled tests,
 #                             # the perf smoke (KIPS regression gate),
-#                             # the whole-sphere fault smoke (zero-SDC
-#                             # gate), the campaign gates and the
-#                             # paper's figures with their shape claims
+#                             # the campaign gates and the paper's
+#                             # figures with their shape claims (the
+#                             # fault-coverage ones included)
 #   tools/check.sh --fast     # tier-1 only (skip sanitizers + smokes)
 #
 # Uses build/ for the normal tree and build-{tsan,asan,ubsan}/ for the
@@ -58,12 +58,6 @@ else
     exit 1
 fi
 
-echo "== fault smoke: whole-sphere zero-SDC gate (SRT + recovery) =="
-cmake --build build -j "$jobs" --target rmtsim_faultsmoke \
-    rmtsim_report >/dev/null
-./build/tools/rmtsim_faultsmoke --trials 2 --out build/fault_smoke.jsonl
-./build/tools/rmtsim_report --coverage build/fault_smoke.jsonl
-
 echo "== ckpt: snapshot round-trip determinism gate =="
 cmake --build build -j "$jobs" --target rmtsim_cli rmtsim_batch >/dev/null
 ckpt_args="--mode srt --workloads gcc --warmup 2000 --insts 8000
@@ -85,8 +79,8 @@ sed 's/,"host":{[^}]*}//' build/ckpt_restore.json \
 diff build/ckpt_straight_nohost.json build/ckpt_restore_nohost.json
 
 echo "== ckpt: snapshot-forked fault campaign vs from-scratch =="
-# rmtsim_faultsmoke runs with recovery on, which snapshots refuse, so
-# the forked smoke goes through rmtsim_batch.  Records must match the
+# Snapshots refuse recovery, so the forked campaign runs without it
+# (unlike the faults_sphere figure).  Records must match the
 # from-scratch control byte-for-byte once the snapshot bookkeeping
 # ("extra") is stripped, and at least one trial must actually fork.
 ckpt_batch="--modes srt --workloads gcc,compress --fault-trials 2
@@ -165,9 +159,11 @@ diff build/avf_j1.jsonl build/avf_j4.jsonl
 grep -q '"avf_summary"' build/avf_j1.jsonl
 
 echo "== paper: every figure as one campaign, shape claims gated =="
-# The paper's figures and ablations run as one store-backed campaign;
-# rmtsim_report --figure prints their tables and exits 1 when any shape
-# claim EXPERIMENTS.md records reads FAIL.  A rerun against the same
+# The paper's figures, ablations and fault-coverage experiments run as
+# one store-backed campaign; rmtsim_report --figure prints their tables
+# and exits 1 when any claim EXPERIMENTS.md records reads FAIL, zero
+# sdc and no run out through the instruction cap for each of the ten
+# fault kinds at 4 trials per kind included.  A rerun against the same
 # store must be all hits, and a bad numeric flag must be a usage error
 # that leaves no <out>.store behind.
 rm -rf build/paper_store build/paper_bad.jsonl build/paper_bad.jsonl.store
@@ -182,11 +178,20 @@ echo "paper: $paper_jobs jobs in $(( (t1 - t0) / 1000000 )) ms at -j $jobs"
 ./build/tools/rmtsim_batch --figure all -j "$jobs" --store build/paper_store \
     --out build/paper.jsonl 2> build/paper_rerun.err
 grep -q "($paper_jobs resumed from build/paper_store)" build/paper_rerun.err
+# The whole-sphere kind matrix, from the same store (all hits).
+./build/tools/rmtsim_batch --figure faults_sphere --store build/paper_store \
+    --quiet --out - | ./build/tools/rmtsim_report --coverage -
 rc=0
 ./build/tools/rmtsim_batch --figure fig6 -j -1 --out build/paper_bad.jsonl \
     2> build/paper_bad.err || rc=$?
 [ "$rc" -eq 2 ]
 grep -q "bad value for -j: '-1'" build/paper_bad.err
+[ ! -e build/paper_bad.jsonl.store ]
+rc=0
+./build/tools/rmtsim_batch --modes srt --stratify --confidence 1.5 \
+    --out build/paper_bad.jsonl 2> build/paper_bad.err || rc=$?
+[ "$rc" -eq 2 ]
+grep -q "bad value for --confidence: '1.5'" build/paper_bad.err
 [ ! -e build/paper_bad.jsonl.store ]
 rc=0
 ./build/tools/rmtsim_batch --figure fig6 --modes srt --out - \

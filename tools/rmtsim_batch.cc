@@ -81,19 +81,20 @@ usage()
         "(repeatable)\n"
         "  --sweep K=V,V,... cartesian axis (repeatable); keys: slack "
         "checker storeq lvq lpq rob iq physregs insts warmup ptsq nosc "
-        "psr ecc dynlsq frontend\n"
+        "psr ecc dynlsq frontend recovery\n"
         "  --fault-trials N  N seeded transient-reg strikes per grid "
         "point (each trial gets an oracle verdict vs a golden run); "
         "with --stratify, the trial budget per stratum\n"
         "  --max-reg N       victim register bound for fault trials "
         "(default 31)\n"
         "  --seed S          campaign seed (default 1)\n"
-        "  --figure F,F,...  the paper's figures (fig6..fig12, abl_*) or "
-        "'all' with their\n"
-        "                    budgets and --efficiency; not with the grid, "
-        "budget, fault or\n"
-        "                    --embed-stats flags.  rmtsim_report --figure "
-        "prints them\n"
+        "  --figure F,F,...  the paper's figures (fig6..fig12, abl_*, "
+        "faults_*) or 'all'\n"
+        "                    with their budgets, fault trials and "
+        "--efficiency; not with\n"
+        "                    the grid, budget, fault, sampler or "
+        "--embed-stats flags.\n"
+        "                    rmtsim_report --figure prints them\n"
         "\n"
         "statistical campaigns (src/avf/):\n"
         "  --stratify        stratified sampling over fault kinds x "
@@ -213,11 +214,13 @@ main(int argc, char **argv)
     long long test_crash = -1;
     JsonlSink::Options sink_opts;
     std::vector<const Figure *> figures;    // --figure
-    // What --figure fixes itself: the grid, the budgets, the rows.
+    // What --figure fixes itself: the grid, the budgets, the rows, the
+    // fault draws; and the sampler's flags, which it never reads.
     const std::set<std::string> grid_flags = {
         "--modes", "--workloads", "--mix", "--sweep", "--warmup", "--insts",
-        "--max-insts", "--fault-trials", "--stratify", "--snapshot-every",
-        "--embed-stats"};
+        "--max-insts", "--fault-trials", "--max-reg", "--seed", "--stratify",
+        "--ci-width", "--confidence", "--windows", "--batch", "--kinds",
+        "--snapshot-every", "--embed-stats"};
     std::string grid_flag;
 
     try {
@@ -271,7 +274,7 @@ main(int argc, char **argv)
             } else if (arg == "--max-insts") {
                 cfg.max_insts = u64();
             } else if (arg == "--timeout-ms") {
-                cfg.timeout_seconds = std::stod(next()) / 1e3;
+                cfg.timeout_seconds = parseReal(next(), arg, 0) / 1e3;
             } else if (arg == "-j" || arg == "--jobs") {
                 cfg.jobs = u32();
             } else if (arg == "--retries") {
@@ -295,9 +298,9 @@ main(int argc, char **argv)
             } else if (arg == "--stratify") {
                 stratify = true;
             } else if (arg == "--ci-width") {
-                scfg.ci_width = std::stod(next());
+                scfg.ci_width = parseReal(next(), arg, 0, 1, false, true);
             } else if (arg == "--confidence") {
-                scfg.confidence = std::stod(next());
+                scfg.confidence = parseReal(next(), arg, 0, 1, true, true);
             } else if (arg == "--windows") {
                 scfg.windows = u32();
             } else if (arg == "--batch") {
@@ -629,7 +632,7 @@ main(int argc, char **argv)
         if (resumed)
             note = " (" + std::to_string(resumed) + " resumed from " +
                    kept_in + ")";
-        if (fault_trials || stratify)
+        if (goldens || fault_trials || stratify)
             note += " (" + std::to_string(goldens) +
                     " golden runs)";
         if (want_efficiency && !remote)

@@ -17,13 +17,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/json.hh"
+#include "common/parse.hh"
 #include "obs/report.hh"
 #include "runner/figures.hh"
 #include "serve/client.hh"
@@ -102,71 +102,49 @@ main(int argc, char **argv)
     double confidence = 0.95;
     std::vector<const Figure *> figures;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--base") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "rmtsim_report: missing value for "
-                             "--base\n");
-                return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            const auto next = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    throw std::invalid_argument("missing value for " +
+                                                arg);
+                return argv[++i];
+            };
+            if (arg == "--help" || arg == "-h") {
+                usage();
+                return 0;
+            } else if (arg == "--base") {
+                opts.base_mode = next();
+            } else if (arg == "--per-mix") {
+                opts.per_mix = true;
+            } else if (arg == "--coverage") {
+                coverage = true;
+            } else if (arg == "--confidence") {
+                confidence = parseReal(next(), arg, 0, 1, true, true);
+            } else if (arg == "--snapshots") {
+                snapshots = true;
+            } else if (arg == "--failures") {
+                failures = true;
+            } else if (arg == "--attribution") {
+                attribution = true;
+            } else if (arg == "--figure") {
+                figures = selectFigures(next());
+            } else if (arg == "--serve-summary") {
+                serve_sock = next();
+            } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
+                usage();
+                throw std::invalid_argument("unknown argument '" + arg +
+                                            "'");
+            } else if (path.empty()) {
+                path = arg;
+            } else {
+                throw std::invalid_argument("more than one input file");
             }
-            opts.base_mode = argv[++i];
-        } else if (arg == "--per-mix") {
-            opts.per_mix = true;
-        } else if (arg == "--coverage") {
-            coverage = true;
-        } else if (arg == "--confidence") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "rmtsim_report: missing value for "
-                             "--confidence\n");
-                return 2;
-            }
-            confidence = std::atof(argv[++i]);
-            if (confidence <= 0 || confidence >= 1) {
-                std::fprintf(stderr,
-                             "rmtsim_report: --confidence must be in "
-                             "(0, 1)\n");
-                return 2;
-            }
-        } else if (arg == "--snapshots") {
-            snapshots = true;
-        } else if (arg == "--failures") {
-            failures = true;
-        } else if (arg == "--attribution") {
-            attribution = true;
-        } else if (arg == "--figure") {
-            try {
-                figures = selectFigures(i + 1 < argc ? argv[++i] : "");
-            } catch (const std::invalid_argument &e) {
-                std::fprintf(stderr, "rmtsim_report: %s\n", e.what());
-                return 2;
-            }
-        } else if (arg == "--serve-summary") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "rmtsim_report: missing value for "
-                             "--serve-summary\n");
-                return 2;
-            }
-            serve_sock = argv[++i];
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            usage();
-            std::fprintf(stderr,
-                         "rmtsim_report: unknown argument '%s'\n",
-                         arg.c_str());
-            return 2;
-        } else if (path.empty()) {
-            path = arg;
-        } else {
-            std::fprintf(stderr,
-                         "rmtsim_report: more than one input file\n");
-            return 2;
         }
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "rmtsim_report: %s\n", e.what());
+        return 2;
     }
 #if defined(__unix__) || defined(__APPLE__)
     if (!serve_sock.empty()) {

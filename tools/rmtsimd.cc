@@ -116,7 +116,7 @@ main(int argc, char **argv)
             } else if (arg == "--retries") {
                 cfg.max_attempts = parseUnsigned32(next(), arg);
             } else if (arg == "--timeout-ms") {
-                cfg.timeout_seconds = std::stod(next()) / 1e3;
+                cfg.timeout_seconds = parseReal(next(), arg, 0) / 1e3;
             } else if (arg == "--max-insts") {
                 cfg.max_insts = parseUnsigned(next(), arg);
             } else if (arg == "--store-sync") {
