@@ -13,17 +13,36 @@ namespace
 
 constexpr char kMagic[8] = {'R', 'M', 'T', 'S', 'N', 'A', 'P', '\0'};
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/** Slice-by-8 tables: t[0] is the bytewise table of the reflected IEEE
+ *  polynomial, and t[k][i] is the CRC of byte i followed by k zero
+ *  bytes, so eight table lookups fold eight input bytes at once. */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < 8; ++k) {
+        for (std::uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+    return t;
+}
+
+constexpr CrcTables kCrc = makeCrcTables();
+
+/** The little-endian u32 at @p p (any alignment, any host order). */
+inline std::uint32_t
+le32(const std::uint8_t *p)
+{
+    return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+           std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
 }
 
 } // namespace
@@ -31,11 +50,18 @@ makeCrcTable()
 std::uint32_t
 crc32(const void *data, std::size_t size)
 {
-    static const std::array<std::uint32_t, 256> table = makeCrcTable();
     const auto *p = static_cast<const std::uint8_t *>(data);
     std::uint32_t c = 0xffffffffu;
-    for (std::size_t i = 0; i < size; ++i)
-        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    for (; size >= 8; p += 8, size -= 8) {
+        const std::uint32_t lo = le32(p) ^ c;
+        const std::uint32_t hi = le32(p + 4);
+        c = kCrc[7][lo & 0xffu] ^ kCrc[6][(lo >> 8) & 0xffu] ^
+            kCrc[5][(lo >> 16) & 0xffu] ^ kCrc[4][lo >> 24] ^
+            kCrc[3][hi & 0xffu] ^ kCrc[2][(hi >> 8) & 0xffu] ^
+            kCrc[1][(hi >> 16) & 0xffu] ^ kCrc[0][hi >> 24];
+    }
+    for (; size > 0; ++p, --size)
+        c = kCrc[0][(c ^ *p) & 0xffu] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 
@@ -109,66 +135,10 @@ Serializer::finish(std::uint64_t fingerprint) const
     return out;
 }
 
-void
-validateSnapshotImage(const std::string &image,
-                      std::uint64_t expect_fingerprint)
-{
-    // Header checks (magic/version/fingerprint) are shared with the
-    // Deserializer constructor; the section walk below is what it
-    // cannot do up front, because apply-time consumption is lazy.
-    Deserializer header(image, expect_fingerprint);
-    (void)header;
-
-    const auto sections = getLe<std::uint32_t>(image, 20);
-    std::size_t at = 24;
-    for (std::uint32_t i = 0; i < sections; ++i) {
-        const std::size_t section_start = at;
-        auto truncated = [&](const char *what) {
-            throw SnapshotError(
-                "snapshot: image truncated in " + std::string(what) +
-                " of section " + std::to_string(i) + " at byte offset " +
-                std::to_string(section_start) + " (image is " +
-                std::to_string(image.size()) + " bytes)");
-        };
-        if (image.size() - at < 4)
-            truncated("the name length");
-        const auto name_len = getLe<std::uint32_t>(image, at);
-        at += 4;
-        if (image.size() - at < name_len)
-            truncated("the name");
-        const std::string name(image, at, name_len);
-        at += name_len;
-        if (image.size() - at < 8)
-            truncated("the payload length");
-        const auto payload_len = getLe<std::uint64_t>(image, at);
-        at += 8;
-        // Two-step compare: a corrupt payload_len near 2^64 must not
-        // overflow the arithmetic into a passing check.
-        if (payload_len > image.size() - at ||
-            image.size() - at - payload_len < 4)
-            truncated(("the payload of '" + name + "'").c_str());
-        const auto stored = getLe<std::uint32_t>(image, at + payload_len);
-        const std::uint32_t actual =
-            crc32(image.data() + at, static_cast<std::size_t>(payload_len));
-        if (stored != actual) {
-            throw SnapshotError(
-                "snapshot: section '" + name + "' (offset " +
-                std::to_string(section_start) +
-                ") failed its CRC check");
-        }
-        at += payload_len + 4;
-    }
-    if (at != image.size()) {
-        throw SnapshotError(
-            "snapshot: " + std::to_string(image.size() - at) +
-            " trailing bytes after the last section (offset " +
-            std::to_string(at) + ")");
-    }
-}
-
-Deserializer::Deserializer(std::string image,
-                           std::uint64_t expect_fingerprint)
-    : data(std::move(image))
+Deserializer::Deserializer(std::string_view image,
+                           std::uint64_t expect_fingerprint,
+                           std::span<const std::string_view> sections)
+    : data(image)
 {
     if (data.size() < 8 + 4 + 8 + 4)
         throw SnapshotError("snapshot: image truncated (no header)");
@@ -195,6 +165,65 @@ Deserializer::Deserializer(std::string image,
     }
     sectionsLeft = getLe<std::uint32_t>(data, 20);
     nextSection = 24;
+    if (sectionsLeft != sections.size()) {
+        throw SnapshotError(
+            "snapshot: header counts " + std::to_string(sectionsLeft) +
+            " sections, expected " + std::to_string(sections.size()));
+    }
+
+    // The one validation walk: every frame, name and CRC, before any
+    // value is read.  beginSection() relies on it and re-reads frames
+    // without bounds checks.
+    std::size_t at = nextSection;
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+        const std::size_t section_start = at;
+        auto truncated = [&](const std::string &what) {
+            throw SnapshotError(
+                "snapshot: image truncated in " + what + " of section " +
+                std::to_string(i) + " at byte offset " +
+                std::to_string(section_start) + " (image is " +
+                std::to_string(data.size()) + " bytes)");
+        };
+        if (data.size() - at < 4)
+            truncated("the name length");
+        const auto name_len = getLe<std::uint32_t>(data, at);
+        at += 4;
+        if (data.size() - at < name_len)
+            truncated("the name");
+        const std::string_view name = data.substr(at, name_len);
+        at += name_len;
+        if (name != sections[i]) {
+            throw SnapshotError(
+                "snapshot: section " + std::to_string(i) + " (offset " +
+                std::to_string(section_start) + ") is named '" +
+                std::string(name) + "', expected '" +
+                std::string(sections[i]) + "'");
+        }
+        if (data.size() - at < 8)
+            truncated("the payload length");
+        const auto payload_len = getLe<std::uint64_t>(data, at);
+        at += 8;
+        // Two-step compare: a corrupt payload_len near 2^64 must not
+        // overflow the arithmetic into a passing check.
+        if (payload_len > data.size() - at ||
+            data.size() - at - payload_len < 4)
+            truncated("the payload of '" + std::string(name) + "'");
+        const auto stored = getLe<std::uint32_t>(data, at + payload_len);
+        if (stored != crc32(data.data() + at,
+                            static_cast<std::size_t>(payload_len))) {
+            throw SnapshotError(
+                "snapshot: section '" + std::string(name) +
+                "' (offset " + std::to_string(section_start) +
+                ") failed its CRC check");
+        }
+        at += payload_len + 4;
+    }
+    if (at != data.size()) {
+        throw SnapshotError(
+            "snapshot: " + std::to_string(data.size() - at) +
+            " trailing bytes after the last section (offset " +
+            std::to_string(at) + ")");
+    }
 }
 
 void
@@ -206,47 +235,33 @@ Deserializer::fail(const std::string &why) const
 void
 Deserializer::need(std::size_t n) const
 {
-    if (pos + n > payloadEnd) {
-        fail("section '" + curName + "' truncated (needs " +
+    if (n > payloadEnd - pos) {
+        fail("section '" + std::string(curName) + "' truncated (needs " +
              std::to_string(n) + " more bytes)");
     }
 }
 
 void
-Deserializer::beginSection(const std::string &name)
+Deserializer::beginSection(std::string_view name)
 {
     if (inSection)
-        fail("section '" + curName + "' still open");
-    if (sectionsLeft == 0)
-        fail("expected section '" + name + "' but image is exhausted");
+        fail("section '" + std::string(curName) + "' still open");
+    if (sectionsLeft == 0) {
+        fail("expected section '" + std::string(name) +
+             "' but image is exhausted");
+    }
+    // The constructor's walk has bounds- and CRC-checked this frame.
     std::size_t at = nextSection;
-    auto avail = [&](std::size_t n) {
-        if (at + n > data.size())
-            fail("image truncated in section header");
-    };
-    avail(4);
     const auto name_len = getLe<std::uint32_t>(data, at);
     at += 4;
-    avail(name_len);
-    curName.assign(data, at, name_len);
+    curName = data.substr(at, name_len);
     at += name_len;
-    avail(8);
     const auto payload_len = getLe<std::uint64_t>(data, at);
     at += 8;
-    // Two-step compare: a corrupt payload_len near 2^64 must not
-    // overflow the arithmetic into a passing check.
-    if (payload_len > data.size() - at ||
-        data.size() - at - payload_len < 4)
-        fail("section '" + curName + "' truncated mid-payload");
     if (curName != name) {
-        fail("expected section '" + name + "' but found '" + curName +
-             "'");
+        fail("expected section '" + std::string(name) + "' but found '" +
+             std::string(curName) + "'");
     }
-    const auto stored_crc = getLe<std::uint32_t>(data, at + payload_len);
-    const std::uint32_t actual =
-        crc32(data.data() + at, static_cast<std::size_t>(payload_len));
-    if (stored_crc != actual)
-        fail("section '" + curName + "' failed its CRC check");
     pos = at;
     payloadEnd = at + static_cast<std::size_t>(payload_len);
     nextSection = payloadEnd + 4;
@@ -260,7 +275,7 @@ Deserializer::endSection()
     if (!inSection)
         fail("no section open");
     if (pos != payloadEnd) {
-        fail("section '" + curName + "' has " +
+        fail("section '" + std::string(curName) + "' has " +
              std::to_string(payloadEnd - pos) + " unconsumed bytes");
     }
     inSection = false;
@@ -272,26 +287,23 @@ Deserializer::f64()
     return std::bit_cast<double>(u64());
 }
 
-std::string
+std::string_view
 Deserializer::str()
 {
     const std::uint32_t n = u32();
     need(n);
-    std::string s(data, pos, n);
     pos += n;
-    return s;
+    return data.substr(pos - n, n);
 }
 
-std::vector<std::uint8_t>
+std::span<const std::uint8_t>
 Deserializer::blob()
 {
     const std::uint64_t n = u64();
     need(static_cast<std::size_t>(n));
-    std::vector<std::uint8_t> out(
-        data.begin() + static_cast<std::ptrdiff_t>(pos),
-        data.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    const auto *p = reinterpret_cast<const std::uint8_t *>(data.data());
     pos += static_cast<std::size_t>(n);
-    return out;
+    return {p + pos - n, static_cast<std::size_t>(n)};
 }
 
 } // namespace rmt

@@ -11,10 +11,13 @@
  *
  * All integers are little-endian regardless of host byte order, so an
  * image written on one machine restores on any other.  Every section
- * carries its own CRC; the Deserializer verifies the CRC, the section
- * name, and exact payload consumption, and throws SnapshotError on the
- * first disagreement — a truncated, corrupted, or mismatched image can
- * never restore into a half-written machine.
+ * carries its own CRC.  The Deserializer constructor walks the whole
+ * image once -- header, every section frame and name, every CRC, exact
+ * end of image -- and throws SnapshotError on the first disagreement,
+ * so a truncated, corrupted, or mismatched image is rejected before a
+ * single value is read and can never restore into a half-written
+ * machine.  Reads then only check section order and exact payload
+ * consumption.
  *
  * The header fingerprint pins the image to one simulator configuration:
  * restoring under different SimOptions (which would change the barrier
@@ -25,9 +28,10 @@
 #define RMTSIM_CKPT_SERIALIZER_HH
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "common/bits.hh"
 
@@ -43,21 +47,8 @@ class SnapshotError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** CRC32 (IEEE 802.3 polynomial) of @p data. */
+/** CRC32 (IEEE 802.3 polynomial, reflected, as zlib) of @p data. */
 std::uint32_t crc32(const void *data, std::size_t size);
-
-/**
- * Structurally validate a whole snapshot image — header (magic,
- * version, @p expect_fingerprint), every section frame, every section
- * CRC, and exact end-of-image — WITHOUT applying anything.  Throws
- * SnapshotError naming the damaged section and its byte offset, so a
- * truncated download or a torn write is diagnosable from the message
- * alone.  Restore paths call this first: an image that fails here is
- * rejected before any machine state has been touched, never
- * half-applied.
- */
-void validateSnapshotImage(const std::string &image,
-                           std::uint64_t expect_fingerprint);
 
 /** Builds a snapshot image section by section. */
 class Serializer
@@ -98,18 +89,27 @@ class Serializer
     std::uint32_t sections = 0;
 };
 
-/** Reads a snapshot image produced by Serializer, validating as it
- *  goes.  Sections must be consumed in write order. */
+/** Reads a snapshot image produced by Serializer in place.  The
+ *  image is validated whole by the constructor; sections must then be
+ *  consumed in write order. */
 class Deserializer
 {
   public:
-    /** Parse the header; throws SnapshotError unless magic, version
-     *  and fingerprint all match. */
-    Deserializer(std::string image, std::uint64_t expect_fingerprint);
+    /**
+     * Validate all of @p image before anything is read: the header
+     * (magic, version, @p expect_fingerprint), then one walk over the
+     * section frames, in which each frame must fit in the image, carry
+     * the next name of @p sections and match its payload CRC, and the
+     * last frame must end the image.  Throws SnapshotError naming the
+     * damaged section and its byte offset, so a truncated download or
+     * a torn write is diagnosable from the message alone.  @p image is
+     * not copied and must outlive the Deserializer.
+     */
+    Deserializer(std::string_view image, std::uint64_t expect_fingerprint,
+                 std::span<const std::string_view> sections);
 
-    /** Enter the next section; throws unless its name is @p name and
-     *  its payload CRC verifies. */
-    void beginSection(const std::string &name);
+    /** Enter the next section; throws unless its name is @p name. */
+    void beginSection(std::string_view name);
     /** Leave the section; throws unless the payload was consumed
      *  exactly. */
     void endSection();
@@ -121,8 +121,10 @@ class Deserializer
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     double f64();
     bool boolean() { return u8() != 0; }
-    std::string str();
-    std::vector<std::uint8_t> blob();
+    /** A str() value, viewed in the image. */
+    std::string_view str();
+    /** A blob() value, viewed in the image. */
+    std::span<const std::uint8_t> blob();
 
     /** Fingerprint carried in the image header. */
     std::uint64_t fingerprint() const { return fp; }
@@ -139,13 +141,13 @@ class Deserializer
         return getLe<T>(data, pos - sizeof(T));
     }
 
-    std::string data;
+    std::string_view data;
     std::size_t pos = 0;        ///< cursor within the current payload
     std::size_t payloadEnd = 0; ///< one past the current payload
     std::size_t nextSection = 0;///< offset of the next section header
     std::uint32_t sectionsLeft = 0;
     bool inSection = false;
-    std::string curName;
+    std::string_view curName;
     std::uint64_t fp = 0;
 };
 

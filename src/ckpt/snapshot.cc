@@ -73,9 +73,10 @@ loadChipStats(Deserializer &d, Chip &chip)
             std::to_string(groups.size()));
     }
     for (auto &[path, group] : groups) {
-        const std::string img_path = d.str();
+        const std::string_view img_path = d.str();
         if (img_path != path) {
-            throw SnapshotError("stats: group path '" + img_path +
+            throw SnapshotError("stats: group path '" +
+                                std::string(img_path) +
                                 "' where '" + path + "' expected");
         }
         const auto &stats = group->statList();
@@ -87,11 +88,12 @@ loadChipStats(Deserializer &d, Chip &chip)
                 std::to_string(stats.size()) + " in this machine");
         }
         for (StatBase *stat : stats) {
-            const std::string name = d.str();
-            const std::string kind = d.str();
+            const std::string_view name = d.str();
+            const std::string_view kind = d.str();
             if (name != stat->name() || kind != stat->kind()) {
                 throw SnapshotError(
-                    "stats: '" + path + "." + name + "' (" + kind +
+                    "stats: '" + path + "." + std::string(name) +
+                    "' (" + std::string(kind) +
                     ") where '" + path + "." + stat->name() + "' (" +
                     stat->kind() + ") expected");
             }
@@ -105,7 +107,7 @@ loadChipStats(Deserializer &d, Chip &chip)
                 const std::uint32_t buckets = d.u32();
                 if (buckets != h->numBuckets()) {
                     throw SnapshotError("stats: histogram '" + path +
-                                        "." + name +
+                                        "." + std::string(name) +
                                         "' bucket layout mismatch");
                 }
                 std::vector<std::uint64_t> counts(buckets);

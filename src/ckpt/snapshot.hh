@@ -1,8 +1,9 @@
 /**
  * @file
  * Snapshottable: the interface a component implements to participate
- * in whole-machine checkpoint/restore (src/ckpt/serializer.hh), plus
- * the stat-tree walker shared by Chip save and load.
+ * in whole-machine checkpoint/restore (src/ckpt/serializer.hh), the
+ * stat-tree walker shared by Chip save and load, and the periodic
+ * snapshot set one fault-free run collects for trials to fork from.
  *
  * The contract is positional and symmetric: loadState() must read
  * exactly the primitives saveState() wrote, in the same order, and a
@@ -16,7 +17,12 @@
 #ifndef RMTSIM_CKPT_SNAPSHOT_HH
 #define RMTSIM_CKPT_SNAPSHOT_HH
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "ckpt/serializer.hh"
+#include "common/types.hh"
 
 namespace rmt
 {
@@ -37,6 +43,17 @@ class Snapshottable
      *  constructed component of identical shape. */
     virtual void loadState(Deserializer &d) = 0;
 };
+
+/** One periodic snapshot: the barrier cycle and the serialized image
+ *  (shared so trials on many workers alias one copy). */
+struct CachedSnapshot
+{
+    Cycle cycle = 0;
+    std::shared_ptr<const std::string> image;
+};
+
+/** All snapshots of one fault-free run, sorted by ascending cycle. */
+using SnapshotSet = std::vector<CachedSnapshot>;
 
 /** Serialize every stat (counter/average/histogram) reachable from the
  *  chip's stat-group walk, path- and name-tagged. */

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace rmt
 {
@@ -76,7 +77,7 @@ putLe(std::string &out, T v)
 /** The little-endian T at byte @p at of @p buf (no bounds check). */
 template <typename T>
 inline T
-getLe(const std::string &buf, std::size_t at)
+getLe(std::string_view buf, std::size_t at)
 {
     std::uint64_t v = 0;
     for (std::size_t i = 0; i < sizeof(T); ++i)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 namespace rmt
 {
@@ -18,28 +19,62 @@ verdictName(FaultVerdict verdict)
     return "?";
 }
 
+namespace
+{
+
+/** The one fault-free reference run behind goldens and snapshot sets:
+ *  @p workloads under @p options to the end, appending a snapshot at
+ *  every barrier to @p snapshots when set. */
+std::unique_ptr<Simulation>
+finishedRun(const std::vector<std::string> &workloads,
+            const SimOptions &options, SnapshotSet *snapshots)
+{
+    auto sim = std::make_unique<Simulation>(workloads, options);
+    if (snapshots) {
+        // The hook fires at barriers in cycle order; no sort needed.
+        sim->setSnapshotHook([snapshots](Cycle cycle, Simulation &s) {
+            snapshots->push_back(
+                {cycle, std::make_shared<const std::string>(
+                            s.saveSnapshotBuffer())});
+        });
+    }
+    sim->run();
+    return sim;
+}
+
+} // namespace
+
+FaultOracle
+FaultOracle::reference(const std::vector<std::string> &workloads,
+                       const SimOptions &options, unsigned logical,
+                       SnapshotSet *snapshots)
+{
+    const auto sim = finishedRun(workloads, options, snapshots);
+    const DataMemory &mem = sim->memory(logical);
+    return FaultOracle(mem.data(), mem.size(), logical);
+}
+
 std::vector<std::uint8_t>
 FaultOracle::goldenImage(const std::vector<std::string> &workloads,
                          const SimOptions &options, unsigned logical)
 {
-    Simulation sim(workloads, options);
-    sim.run();
-    const DataMemory &mem = sim.memory(logical);
+    const auto sim = finishedRun(workloads, options, nullptr);
+    const DataMemory &mem = sim->memory(logical);
     return {mem.data(), mem.data() + mem.size()};
 }
 
-FaultOracle::FaultOracle(std::vector<std::uint8_t> golden,
+FaultOracle::FaultOracle(const std::uint8_t *golden, std::size_t size,
                          unsigned logical)
-    : goldenSize(golden.size()), logical(logical)
+    : goldenSize(size), logical(logical)
 {
     constexpr std::size_t page = DataMemory::pageBytes;
-    for (std::size_t at = 0; at < golden.size(); at += page) {
-        const std::size_t n = std::min(page, golden.size() - at);
-        if (DataMemory::zeroBytes(golden.data() + at, n))
+    for (std::size_t at = 0; at < size; at += page) {
+        const std::size_t n = std::min(page, size - at);
+        if (DataMemory::zeroBytes(golden + at, n))
             continue;
         goldenPages.push_back(static_cast<std::uint32_t>(at / page));
-        goldenBytes.insert(goldenBytes.end(), golden.begin() + at,
-                           golden.begin() + at + n);
+        goldenBytes.insert(goldenBytes.end(), golden + at,
+                           golden + at + n);
     }
 }
 

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/snapshot.hh"
 #include "common/types.hh"
 #include "rmt/fault_injector.hh"
 #include "sim/simulator.hh"
@@ -52,18 +53,32 @@ class FaultOracle
 {
   public:
     /**
-     * Final memory image of logical thread @p logical after a
-     * fault-free run of @p workloads under @p options — the reference
-     * every faulted trial's memory is compared against.
+     * The oracle of one fault-free run of @p workloads under @p options
+     * to the end: the reference every faulted trial's memory (logical
+     * thread @p logical) is compared against, kept sparse straight from
+     * the finished run.  When @p snapshots is set, the same run also
+     * appends a snapshot at every barrier to it (in cycle order), so one
+     * reference run per point is both the golden and the snapshot
+     * producer trials fork from.
      */
+    static FaultOracle
+    reference(const std::vector<std::string> &workloads,
+              const SimOptions &options, unsigned logical = 0,
+              SnapshotSet *snapshots = nullptr);
+
+    /** The whole final memory image of logical thread @p logical after
+     *  the same fault-free run reference() makes, zero pages included. */
     static std::vector<std::uint8_t>
     goldenImage(const std::vector<std::string> &workloads,
                 const SimOptions &options, unsigned logical = 0);
 
     /** Keeps only the nonzero pages of @p golden (the snapshot rule),
      *  so an oracle costs what its workload touched, not the image. */
-    explicit FaultOracle(std::vector<std::uint8_t> golden,
-                         unsigned logical = 0);
+    explicit FaultOracle(const std::vector<std::uint8_t> &golden,
+                         unsigned logical = 0)
+        : FaultOracle(golden.data(), golden.size(), logical)
+    {
+    }
 
     /**
      * Classify a finished trial.  Call while the trial's Simulation is
@@ -74,6 +89,9 @@ class FaultOracle
                               const FaultRecord &fault) const;
 
   private:
+    FaultOracle(const std::uint8_t *golden, std::size_t size,
+                unsigned logical);
+
     /** True when @p mem differs from the golden image anywhere. */
     bool differs(const DataMemory &mem) const;
 

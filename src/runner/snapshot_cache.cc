@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "rmt/fault_oracle.hh"
+
 namespace rmt
 {
 
@@ -30,14 +32,9 @@ std::shared_ptr<const SnapshotSet>
 produce(const std::vector<std::string> &workloads,
         const SimOptions &options)
 {
+    // The same fault-free run a golden is; only its snapshots are kept.
     auto set = std::make_shared<SnapshotSet>();
-    Simulation sim(workloads, options);
-    sim.setSnapshotHook([&set](Cycle cycle, Simulation &s) {
-        set->push_back({cycle, std::make_shared<const std::string>(
-                                   s.saveSnapshotBuffer())});
-    });
-    sim.run();
-    // The hook fires at barriers in cycle order; no sort needed.
+    FaultOracle::reference(workloads, options, 0, set.get());
     return set;
 }
 

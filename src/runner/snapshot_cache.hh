@@ -6,14 +6,19 @@
  * options) point, differing only in the injected fault.  Everything
  * before the injection cycle is identical across trials, so the runner
  * can fork each trial from a periodic snapshot instead of re-simulating
- * the common prefix: one fault-free producer run per distinct
+ * the common prefix: one fault-free run per distinct
  * (mix, options-fingerprint) collects a snapshot at every barrier, and
  * each trial restores the latest snapshot strictly before its first
  * fault's activation cycle.
  *
- * Thread-safe with single-flight semantics, exactly like BaselineCache:
- * when N workers ask for the same point's snapshots at once, one runs
- * the producer simulation while the rest block until it publishes.
+ * CampaignEngine fills the cache up front: its golden run of a point
+ * is that fault-free run (FaultOracle::reference with a SnapshotSet),
+ * and it insert()s the set before any trial of the point starts.  When
+ * a trial finds no entry -- runCampaignJobs, which builds no goldens,
+ * or a point whose set was invalidate()d -- snapshots() runs the same
+ * fault-free run lazily, with single-flight semantics exactly like
+ * BaselineCache: when N workers ask for the same point at once, one
+ * runs it while the rest block until it publishes.
  */
 
 #ifndef RMTSIM_RUNNER_SNAPSHOT_CACHE_HH
@@ -27,30 +32,21 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ckpt/snapshot.hh"
 #include "sim/simulator.hh"
 
 namespace rmt
 {
 
-/** One periodic snapshot: the barrier cycle and the serialized image
- *  (shared so trials on many workers alias one copy). */
-struct CachedSnapshot
-{
-    Cycle cycle = 0;
-    std::shared_ptr<const std::string> image;
-};
-
-/** All snapshots of one producer run, sorted by ascending cycle. */
-using SnapshotSet = std::vector<CachedSnapshot>;
-
 class SnapshotCache
 {
   public:
     /**
-     * Snapshots for (@p workloads, @p options), producing them on first
-     * use with one fault-free run.  @p options must have snapshot_every
-     * set and must be the exact options the trials run under (the
-     * snapshot fingerprint check enforces this at restore time).
+     * Snapshots for (@p workloads, @p options), producing them with one
+     * fault-free run if no entry exists yet.  @p options must have
+     * snapshot_every set and must be the exact options the trials run
+     * under (the snapshot fingerprint check enforces this at restore
+     * time).
      * Returns an empty set when the producer run placed no barriers
      * (budget shorter than snapshot_every).
      */
@@ -69,9 +65,9 @@ class SnapshotCache
 
     /**
      * Publish @p set for (@p workloads, @p options) without a producer
-     * run, replacing any existing entry.  Tests use it to pre-seed
-     * corrupted images; restore-time validation is what must catch
-     * them.
+     * run, replacing any existing entry.  CampaignEngine publishes its
+     * golden runs' snapshots here; tests also pre-seed corrupted
+     * images, which restore-time validation must catch.
      */
     void insert(const std::vector<std::string> &workloads,
                 const SimOptions &options,
@@ -86,8 +82,9 @@ class SnapshotCache
     void invalidate(const std::vector<std::string> &workloads,
                     const SimOptions &options);
 
-    /** Producer simulations actually executed (the single-flight
-     *  invariant: one per distinct key). */
+    /** Lazy producer simulations snapshots() actually executed (the
+     *  single-flight invariant: at most one per distinct key and
+     *  invalidation; zero when every entry was insert()ed). */
     std::uint64_t producerRuns() const;
 
   private:

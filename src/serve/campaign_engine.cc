@@ -63,9 +63,11 @@ std::uint64_t
 CampaignEngine::attachGoldens(Run &run,
                               const std::vector<std::size_t> &owned)
 {
-    // One golden per (mix, capped options) point, under the capped
-    // budgets the trials really run with: a budget difference would
-    // read as memory corruption.  The goldens are independent runs, so
+    // One fault-free reference run per (mix, capped options) point,
+    // under the capped budgets the trials really run with: a budget
+    // difference would read as memory corruption.  It is the point's
+    // golden and, when trials fork, also its snapshot producer, so no
+    // trial waits on a lazy producer.  The runs are independent, so
     // they are built side by side on the pool; a bad point must throw
     // here, not fatal() in Simulation.
     using Golden = std::unique_ptr<const FaultOracle>;
@@ -84,9 +86,18 @@ CampaignEngine::attachGoldens(Run &run,
             auto build = std::make_shared<std::packaged_task<Golden()>>(
                 [this, &job] {
                     validateJobSpec(job);
-                    return std::make_unique<const FaultOracle>(
-                        FaultOracle::goldenImage(
-                            job.workloads, cappedOptions(job, config)));
+                    const SimOptions capped = cappedOptions(job, config);
+                    std::shared_ptr<SnapshotSet> snaps;
+                    if (config.snapshots && capped.snapshot_every)
+                        snaps = std::make_shared<SnapshotSet>();
+                    auto golden = std::make_unique<const FaultOracle>(
+                        FaultOracle::reference(job.workloads, capped, 0,
+                                               snaps.get()));
+                    if (snaps) {
+                        config.snapshots->insert(job.workloads, capped,
+                                                 std::move(snaps));
+                    }
+                    return golden;
                 });
             builds.emplace(point, build->get_future());
             pool.submit([build] { (*build)(); });

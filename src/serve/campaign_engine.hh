@@ -10,10 +10,13 @@
  *     Owner claim is this run's to simulate, and an InFlight key (the
  *     same content claimed by another client, or earlier in the same
  *     list) is await()ed and re-claimed if its owner abandons it;
- *  2. one golden run is built per (mix, capped options) point that has
- *     an *owned* faulted job, in parallel on the pool, and every owned
- *     faulted job gets attachFaultOracle — a resubmission that is all
- *     hits builds no golden;
+ *  2. one fault-free reference run is built per (mix, capped options)
+ *     point that has an *owned* faulted job, in parallel on the pool:
+ *     it yields the point's golden (every owned faulted job gets
+ *     attachFaultOracle) and, when config.snapshots is set and the
+ *     options place barriers, the point's snapshots, insert()ed into
+ *     config.snapshots before any trial starts — a resubmission that
+ *     is all hits builds no reference run;
  *  3. owned jobs run on the caller's pool (executeJob) and each result
  *     is publish()ed before it is emitted;
  *  4. emit(spec, result) is called on the calling thread, in job order;
@@ -53,7 +56,7 @@ struct EngineTally
     std::uint64_t simulated = 0;    ///< owned jobs executed by this run
     std::uint64_t failed = 0;       ///< emitted rows whose job failed
     std::uint64_t skipped = 0;      ///< jobs left without a row
-    std::uint64_t goldens = 0;      ///< golden runs built
+    std::uint64_t goldens = 0;      ///< fault-free reference runs built
 };
 
 class CampaignEngine
@@ -70,7 +73,7 @@ class CampaignEngine
     /**
      * Claim, simulate and emit @p jobs (see the file comment).  Throws
      * std::runtime_error("golden run failed: ...") once every claim
-     * this run held is released, when a golden cannot be built.
+     * this run held is released, when a reference run cannot be built.
      */
     EngineTally run(std::vector<JobSpec> jobs, const Emit &emit);
 

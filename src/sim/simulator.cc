@@ -685,8 +685,8 @@ loadSparseMemory(Deserializer &d, DataMemory &m)
     for (std::uint32_t i = 0; i < stored; ++i) {
         const std::uint64_t off =
             std::uint64_t{d.u32()} * snapshotPageBytes;
-        const std::vector<std::uint8_t> page = d.blob();
-        if (off + page.size() > m.size())
+        const std::span<const std::uint8_t> page = d.blob();
+        if (page.size() > m.size() || off > m.size() - page.size())
             throw SnapshotError("snapshot: memory page out of range");
         std::copy(page.begin(), page.end(), m.data() + off);
     }
@@ -744,13 +744,13 @@ Simulation::restoreSnapshotBuffer(const std::string &image)
             "restore requires a freshly built simulation");
     }
 
-    // Whole-image structural validation (header, every section frame,
-    // every CRC) before a single byte is applied: a truncated or
-    // corrupted image must reject with the machine still pristine,
-    // never half-restored.
-    validateSnapshotImage(image, optionsFingerprintU64(opts));
-
-    Deserializer d(image, optionsFingerprintU64(opts));
+    // The constructor validates the whole image (header, every section
+    // frame, name and CRC) before a single byte is applied: a truncated
+    // or corrupted image must reject with the machine still pristine,
+    // never half-restored.  The image is read in place, not copied.
+    static constexpr std::string_view sections[] = {"meta", "chip",
+                                                    "memory", "stats"};
+    Deserializer d(image, optionsFingerprintU64(opts), sections);
 
     d.beginSection("meta");
     const Cycle cyc = d.u64();

@@ -6,7 +6,12 @@
  *    run with the same barrier schedule, for all five modes (compared
  *    on the full campaign JSON record with timing suppressed, which
  *    includes cycle counts, IPCs, and the embedded stats tree);
- *  - a flipped payload byte is rejected by the per-section CRC;
+ *  - crc32 is the IEEE CRC: the standard check value, and equal to a
+ *    bitwise reference at every start alignment and length up to 4 KiB;
+ *  - a flipped payload byte is rejected by the per-section CRC, and a
+ *    flipped bit in the header, in any byte of any section frame or at
+ *    a stride through every payload is rejected before any state is
+ *    touched;
  *  - a truncated image (header or mid-section) is rejected with an
  *    offset-bearing error and no partial state application, and
  *    file-level restores name the damaged file;
@@ -20,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -30,6 +36,7 @@
 #include <vector>
 
 #include "ckpt/serializer.hh"
+#include "common/random.hh"
 #include "runner/runner.hh"
 #include "sim/simulator.hh"
 
@@ -199,6 +206,92 @@ TEST(Checkpoint, CorruptedSectionFailsItsCrc)
         EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos)
             << e.what();
     }
+}
+
+TEST(Checkpoint, Crc32KnownAnswers)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Checkpoint, Crc32MatchesABitwiseReferenceAtEveryAlignment)
+{
+    constexpr std::size_t maxLen = 4096;
+    std::vector<std::uint8_t> buf(maxLen + 8);
+    Random rng(0xC2C32);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+
+    for (std::size_t align = 0; align < 8; ++align) {
+        const std::uint8_t *p = buf.data() + align;
+        // The bitwise CRC register after len bytes gives the reference
+        // for every prefix length in one pass.
+        std::uint32_t c = 0xffffffffu;
+        for (std::size_t len = 0;; ++len) {
+            ASSERT_EQ(crc32(p, len), c ^ 0xffffffffu)
+                << "align " << align << " len " << len;
+            if (len == maxLen)
+                break;
+            c ^= p[len];
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        }
+    }
+}
+
+TEST(Checkpoint, EveryFrameBitFlipIsRejectedBeforeAnyStateIsTouched)
+{
+    const auto workloads = modeWorkloads(SimMode::Srt);
+    const SimOptions o = snapshotOptions(SimMode::Srt);
+    std::string image;
+    Cycle snap_cycle = 0;
+    runCapturing(workloads, o, image, snap_cycle);
+    ASSERT_FALSE(image.empty());
+
+    Simulation straight(workloads, o);
+    const std::string expect = recordJson(workloads, o, straight.run());
+
+    // Offsets to flip: every header byte (magic, version, fingerprint,
+    // section count), every byte of each section frame (name length,
+    // name, payload length, stored CRC), and a stride through each
+    // payload, its first and last bytes included.
+    std::vector<std::size_t> offsets;
+    for (std::size_t at = 0; at < 24; ++at)
+        offsets.push_back(at);
+    const auto sections = getLe<std::uint32_t>(image, 20);
+    std::size_t at = 24;
+    for (std::uint32_t i = 0; i < sections; ++i) {
+        const std::size_t name_len = getLe<std::uint32_t>(image, at);
+        const std::size_t payload = at + 4 + name_len + 8;
+        const std::size_t payload_len = static_cast<std::size_t>(
+            getLe<std::uint64_t>(image, payload - 8));
+        ASSERT_LE(payload + payload_len + 4, image.size());
+        for (std::size_t b = at; b < payload; ++b)
+            offsets.push_back(b);
+        const std::size_t stride = std::max<std::size_t>(
+            1, payload_len / 61);
+        for (std::size_t b = 0; b < payload_len; b += stride)
+            offsets.push_back(payload + b);
+        if (payload_len)
+            offsets.push_back(payload + payload_len - 1);
+        for (std::size_t b = 0; b < 4; ++b)
+            offsets.push_back(payload + payload_len + b);
+        at = payload + payload_len + 4;
+    }
+    ASSERT_EQ(at, image.size());
+
+    // One simulation rejects every flipped image: restore needs a
+    // freshly built machine, so a single half-applied image would make
+    // the later restores, or the final run, disagree.
+    Simulation sim(workloads, o);
+    for (const std::size_t off : offsets) {
+        std::string bytes = image;
+        bytes[off] = static_cast<char>(bytes[off] ^ (1 << (off % 8)));
+        EXPECT_THROW(sim.restoreSnapshotBuffer(bytes), SnapshotError)
+            << "bit " << off % 8 << " of byte " << off << " flipped";
+    }
+    EXPECT_EQ(sim.restoredCycle(), 0u);
+    EXPECT_EQ(expect, recordJson(workloads, o, sim.run()));
 }
 
 TEST(Checkpoint, TruncatedImageIsRejectedWithoutPartialApplication)

@@ -25,7 +25,11 @@
  *    one run simulate once and keep their own id and label, runs on a
  *    shared pool return when their own jobs finish, a stop abandons
  *    unstarted keys, and a failing golden is one error that releases
- *    every claim.
+ *    every claim;
+ *  - a forked fault campaign through the engine runs exactly one
+ *    fault-free reference run per point and no lazy snapshot producer,
+ *    restores every trial that strikes after a barrier, and emits rows
+ *    identical to the same jobs through runCampaignJobs.
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +39,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -685,4 +691,76 @@ TEST(CampaignEngine, FailingGoldenIsOneErrorAndReleasesEveryClaim)
                   ResultStore::Claim::Owner)
             << job.label;
     }
+}
+
+TEST(CampaignEngine, ForkedCampaignRunsOneReferenceRunPerPoint)
+{
+    // Two points (gcc, compress) with barriers every 1500 cycles.
+    SimOptions base;
+    base.warmup_insts = 500;
+    base.measure_insts = 5000;
+    base.snapshot_every = 1500;
+    CampaignBuilder builder("engine-fork", 7);
+    builder.base(base).modes({SimMode::Srt}).mixes({{"gcc"}, {"compress"}});
+    builder.transientRegTrials(4, 15);
+    const std::vector<JobSpec> jobs = builder.build().jobs;
+    constexpr std::uint64_t points = 2;
+
+    SnapshotCache cache;
+    RunnerConfig cfg;
+    cfg.snapshots = &cache;
+    ThreadPool pool(2);
+    ResultStore store;
+    CampaignEngine engine(pool, store, cfg);
+    std::vector<std::string> rows;
+    std::vector<bool> restored;
+    const EngineTally t = engine.run(
+        jobs, [&](const JobSpec &spec, const JobResult &r) {
+            rows.push_back(resultJson(spec, r, false));
+            bool hit = false;
+            for (const auto &[key, value] : r.extra)
+                hit = hit || (key == "snapshot_hit" && value > 0);
+            restored.push_back(hit);
+            return true;
+        });
+    EXPECT_EQ(t.goldens, points);
+    EXPECT_EQ(t.simulated, jobs.size());
+    EXPECT_EQ(cache.producerRuns(), 0u);
+    ASSERT_EQ(rows.size(), jobs.size());
+
+    // Every trial whose strike falls after a barrier was restored.
+    std::size_t after_barrier = 0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const JobSpec &job = jobs[i];
+        const auto set = cache.snapshots(job.workloads, job.options);
+        const bool forkable =
+            SnapshotCache::latestBefore(*set, job.faults.front().when);
+        after_barrier += forkable;
+        EXPECT_EQ(restored[i], forkable) << job.label;
+    }
+    EXPECT_GT(after_barrier, 0u);
+    EXPECT_EQ(cache.producerRuns(), 0u);
+
+    // The same jobs through runCampaignJobs take the lazy-producer
+    // path and must produce the same rows.
+    std::map<std::string, std::unique_ptr<FaultOracle>> oracles;
+    std::vector<JobSpec> lazy_jobs = jobs;
+    for (JobSpec &job : lazy_jobs) {
+        auto &oracle = oracles[job.workloads.front()];
+        if (!oracle) {
+            oracle = std::make_unique<FaultOracle>(
+                FaultOracle::goldenImage(job.workloads, job.options));
+        }
+        attachFaultOracle(job, oracle.get());
+    }
+    SnapshotCache lazy_cache;
+    RunnerConfig lazy_cfg;
+    lazy_cfg.jobs = 2;
+    lazy_cfg.snapshots = &lazy_cache;
+    const std::vector<JobResult> lazy =
+        runCampaignJobs(lazy_jobs, lazy_cfg);
+    EXPECT_EQ(lazy_cache.producerRuns(), points);
+    ASSERT_EQ(lazy.size(), rows.size());
+    for (std::size_t i = 0; i < lazy.size(); ++i)
+        EXPECT_EQ(resultJson(lazy_jobs[i], lazy[i], false), rows[i]) << i;
 }

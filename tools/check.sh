@@ -83,16 +83,25 @@ echo "== ckpt: snapshot-forked fault campaign vs from-scratch =="
 # (unlike the faults_sphere figure).  Records must match the
 # from-scratch control byte-for-byte once the snapshot bookkeeping
 # ("extra") is stripped, and at least one trial must actually fork.
+# Work counters: the forked campaign runs exactly one fault-free
+# reference run per point (gcc, compress), which also produces the
+# snapshots, so its summary names no lazy snapshot producer.
 ckpt_batch="--modes srt --workloads gcc,compress --fault-trials 2
             --warmup 500 --insts 5000 --snapshot-every 1500
-            --no-timing --quiet"
-./build/tools/rmtsim_batch $ckpt_batch --out build/ckpt_forked.jsonl
-./build/tools/rmtsim_batch $ckpt_batch --no-snapshot-fork \
+            --no-timing"
+./build/tools/rmtsim_batch $ckpt_batch --out build/ckpt_forked.jsonl \
+    2> build/ckpt_forked.log
+./build/tools/rmtsim_batch $ckpt_batch --quiet --no-snapshot-fork \
     --out build/ckpt_scratch.jsonl
 sed 's/,"extra":{[^}]*}//' build/ckpt_forked.jsonl \
     > build/ckpt_forked_stripped.jsonl
 diff build/ckpt_forked_stripped.jsonl build/ckpt_scratch.jsonl
 grep -q '"snapshot_hit":1' build/ckpt_forked.jsonl
+grep -q '(2 fault-free reference runs)' build/ckpt_forked.log
+if grep -q 'producer' build/ckpt_forked.log; then
+    echo "check.sh: the forked campaign ran a lazy snapshot producer" >&2
+    exit 1
+fi
 
 echo "== attribution: conservation gate (all modes, gcc+compress) =="
 # Every record's commit-slot buckets must sum to cycles * commit_width;

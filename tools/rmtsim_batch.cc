@@ -125,8 +125,8 @@ usage()
         "\n"
         "execution:\n"
         "  -j, --jobs N      worker threads for jobs, fault trials and "
-        "golden runs\n"
-        "                    (default 1; 0 = all cores)\n"
+        "fault-free\n"
+        "                    reference runs (default 1; 0 = all cores)\n"
         "  --retries N       attempts per job (default 2 = retry "
         "once)\n"
         "  --out FILE        .jsonl output (default '-' = stdout)\n"
@@ -634,13 +634,15 @@ main(int argc, char **argv)
                    kept_in + ")";
         if (goldens || fault_trials || stratify)
             note += " (" + std::to_string(goldens) +
-                    " golden runs)";
+                    " fault-free reference runs)";
         if (want_efficiency && !remote)
             note += " (" + std::to_string(baseline.simulations()) +
                     " baseline sims)";
-        if (cfg.snapshots)
+        // A lazy producer runs only when a point's snapshots were
+        // invalidated after its reference run.
+        if (snapshots.producerRuns())
             note += " (" + std::to_string(snapshots.producerRuns()) +
-                    " snapshot producers)";
+                    " lazy snapshot producers)";
         std::fprintf(stderr, "%llu jobs, %llu failed (%llu "
                      "quarantined)%s\n",
                      static_cast<unsigned long long>(total_jobs),
