@@ -55,8 +55,10 @@ class Serializer
 {
   public:
     /** v2: per-thread fetch-stall reason added to the core section
-     *  (commit-slot attribution). */
-    static constexpr std::uint32_t formatVersion = 2;
+     *  (commit-slot attribution).
+     *  v3: line-predictor sections store only valid entries and
+     *  branch-predictor sections only counters off their reset value. */
+    static constexpr std::uint32_t formatVersion = 3;
 
     /** Open a new tagged section; primitives go to it until end(). */
     void beginSection(const std::string &name);

@@ -160,8 +160,12 @@ SmtCpu::addThread(ThreadId tid, const Program &program, DataMemory &memory,
 
     if (_params.cosim) {
         t.refMem = std::make_unique<DataMemory>(memory.size());
-        std::copy(memory.data(), memory.data() + memory.size(),
-                  t.refMem->data());
+        DataMemory &ref = *t.refMem;
+        memory.forEachTouchedPage(
+            [&ref](std::size_t p, std::span<const std::uint8_t> bytes) {
+                ref.fill(p * DataMemory::pageBytes, bytes.data(),
+                         bytes.size());
+            });
         t.ref = std::make_unique<ArchState>(program, *t.refMem);
     }
 

@@ -15,40 +15,27 @@
 namespace rmt
 {
 
-namespace
-{
-
-#ifdef RMT_DATA_MEMORY_MMAP
-/** Fresh zero pages over @p size bytes (at @p at when non-null). */
-std::uint8_t *
-mapZeroPages(void *at, std::size_t size)
-{
-    void *p = ::mmap(at, size, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | (at ? MAP_FIXED : 0),
-                     -1, 0);
-    if (p == MAP_FAILED)
-        return nullptr;
-#ifdef MADV_NOHUGEPAGE
-    // A huge page would make one touched byte cost 2 MiB of residency.
-    ::madvise(p, size, MADV_NOHUGEPAGE);
-#endif
-    return static_cast<std::uint8_t *>(p);
-}
-#endif
-
-} // namespace
-
-DataMemory::DataMemory(std::size_t size_bytes) : _size(size_bytes)
+DataMemory::DataMemory(std::size_t size_bytes)
+    : _size(size_bytes),
+      touchedMap((size_bytes + 64 * pageBytes - 1) / (64 * pageBytes))
 {
     if (_size == 0)
         return;
 #ifdef RMT_DATA_MEMORY_MMAP
-    mem = mapZeroPages(nullptr, _size);
+    void *p = ::mmap(nullptr, _size, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+#ifdef MADV_NOHUGEPAGE
+    // A huge page would make one touched byte cost 2 MiB of residency.
+    ::madvise(p, _size, MADV_NOHUGEPAGE);
+#endif
+    mem = static_cast<std::uint8_t *>(p);
 #else
     mem = static_cast<std::uint8_t *>(std::calloc(_size, 1));
-#endif
     if (!mem)
         throw std::bad_alloc();
+#endif
 }
 
 DataMemory::~DataMemory()
@@ -77,20 +64,24 @@ DataMemory::zeroBytes(const std::uint8_t *bytes, std::size_t len)
 void
 DataMemory::clear()
 {
-    if (!mem)
+    // Zeroing in place keeps the pages resident: a restore refills
+    // most of them at once, and a remap would fault each one back in.
+    forEachTouchedPage(
+        [this](std::size_t p, std::span<const std::uint8_t> bytes) {
+            std::memset(mem + p * pageBytes, 0, bytes.size());
+        });
+    std::fill(touchedMap.begin(), touchedMap.end(), 0);
+}
+
+void
+DataMemory::fill(Addr addr, const std::uint8_t *bytes, std::size_t len)
+{
+    if (len == 0 || !inBounds(addr, len))
         return;
-#ifdef RMT_DATA_MEMORY_MMAP
-    // Replacing the mapping in place drops the touched pages without
-    // writing a byte.  A failed MAP_FIXED may leave the range unmapped,
-    // so the image degrades to empty (every access out of bounds).
-    if (!mapZeroPages(mem, _size)) {
-        mem = nullptr;
-        _size = 0;
-        throw std::bad_alloc();
-    }
-#else
-    std::memset(mem, 0, _size);
-#endif
+    std::memcpy(mem + addr, bytes, len);
+    for (std::size_t p = addr / pageBytes; p <= (addr + len - 1) / pageBytes;
+         ++p)
+        mark(p);
 }
 
 ProgramBuilder &

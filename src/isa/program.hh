@@ -8,7 +8,10 @@
 #ifndef RMTSIM_ISA_PROGRAM_HH
 #define RMTSIM_ISA_PROGRAM_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -249,6 +252,11 @@ class ProgramBuilder
  * a page becomes resident only once it is written (the workloads touch
  * a small fraction of their address space).  Elsewhere it falls back
  * to calloc.
+ *
+ * A bitmap marks every page write() or fill() stored to.  Those are
+ * the only paths that change a byte, so a page that is not marked is
+ * all zero: snapshots, the fault oracle and clear() visit only marked
+ * pages and cost what the workload touched, not the image size.
  */
 class DataMemory
 {
@@ -259,8 +267,8 @@ class DataMemory
     DataMemory(const DataMemory &) = delete;
     DataMemory &operator=(const DataMemory &) = delete;
 
-    /** Residency granule, and the page of every sparse image of it
-     *  (snapshots, fault-oracle goldens). */
+    /** Residency and touched-map granule, and the page of every sparse
+     *  image of it (snapshots, fault-oracle goldens). */
     static constexpr std::size_t pageBytes = 4096;
 
     /** True when the @p len bytes at @p bytes are all zero. */
@@ -268,11 +276,11 @@ class DataMemory
 
     std::size_t size() const { return _size; }
 
-    /** Zero the whole image, releasing every page it had touched. */
+    /** Zero every touched page in place and unmark it. */
     void clear();
 
     bool
-    inBounds(Addr addr, unsigned bytes) const
+    inBounds(Addr addr, std::size_t bytes) const
     {
         return addr + bytes <= _size && addr + bytes >= addr;
     }
@@ -295,17 +303,61 @@ class DataMemory
     {
         if (!inBounds(addr, bytes))
             return;
+        // At most two pages: mark the first and the last byte's.
+        mark(addr / pageBytes);
+        mark((addr + bytes - 1) / pageBytes);
         for (unsigned i = 0; i < bytes; ++i)
             mem[addr + i] = static_cast<std::uint8_t>(value >> (8 * i));
     }
 
-    /** Raw access for workload initialisation. */
-    std::uint8_t *data() { return mem; }
+    /** Copy @p len bytes from @p bytes to @p addr, marking every page
+     *  they land on; dropped whole when out of bounds, as write(). */
+    void fill(Addr addr, const std::uint8_t *bytes, std::size_t len);
+
+    /** True when a write or fill has stored to page @p p since
+     *  construction or the last clear(). */
+    bool
+    touched(std::size_t p) const
+    {
+        return (touchedMap[p / 64] >> (p % 64)) & 1;
+    }
+
+    /** The bytes of page @p p (the last page may be short). */
+    std::span<const std::uint8_t>
+    page(std::size_t p) const
+    {
+        const std::size_t at = p * pageBytes;
+        return {mem + at, std::min(pageBytes, _size - at)};
+    }
+
+    /** Call @p fn(page index, page bytes) for every touched page in
+     *  ascending order; @p fn must not write this image. */
+    template <typename Fn>
+    void
+    forEachTouchedPage(Fn &&fn) const
+    {
+        for (std::size_t w = 0; w < touchedMap.size(); ++w) {
+            for (std::uint64_t bits = touchedMap[w]; bits;
+                 bits &= bits - 1) {
+                const std::size_t p = w * 64 + std::countr_zero(bits);
+                fn(p, page(p));
+            }
+        }
+    }
+
+    /** Read-only view of the whole image. */
     const std::uint8_t *data() const { return mem; }
 
   private:
+    void
+    mark(std::size_t p)
+    {
+        touchedMap[p / 64] |= std::uint64_t{1} << (p % 64);
+    }
+
     std::uint8_t *mem = nullptr;
     std::size_t _size = 0;
+    std::vector<std::uint64_t> touchedMap;  ///< one bit per page
 };
 
 } // namespace rmt

@@ -18,6 +18,10 @@ HostTiming::json() const
     s += jsonNum(measure_seconds * 1e3);
     s += ",\"kips\":";
     s += jsonNum(sim_kips);
+    s += ",\"restore_ms\":";
+    s += jsonNum(restore_seconds * 1e3);
+    s += ",\"oracle_ms\":";
+    s += jsonNum(oracle_seconds * 1e3);
     s += "}";
     return s;
 }

@@ -1,8 +1,9 @@
 /**
  * @file
- * Host-side profiling: wall-clock time of a run's build / warmup /
- * measure phases plus the achieved simulation rate, attached to every
- * RunResult so campaigns can report where host time goes.
+ * Host-side profiling: wall-clock time of a run's build / restore /
+ * warmup / measure / oracle phases plus the achieved simulation rate,
+ * attached to every RunResult so campaigns can report where host time
+ * goes.
  */
 
 #ifndef RMTSIM_OBS_HOST_PROFILE_HH
@@ -21,14 +22,18 @@ struct HostTiming
     double warmup_seconds = 0;      ///< cycles until warm-up boundary
     double measure_seconds = 0;     ///< remaining cycles + drain
     double sim_kips = 0;            ///< committed kilo-insts / wall sec
+    double restore_seconds = 0;     ///< snapshot restore (0 if none)
+    double oracle_seconds = 0;      ///< fault-oracle verdict (0 if none)
 
     double
     totalSeconds() const
     {
-        return build_seconds + warmup_seconds + measure_seconds;
+        return build_seconds + restore_seconds + warmup_seconds +
+               measure_seconds + oracle_seconds;
     }
 
-    /** `{"build_ms":...,"warmup_ms":...,"measure_ms":...,"kips":...}` */
+    /** `{"build_ms":...,"warmup_ms":...,"measure_ms":...,"kips":...,
+     *  "restore_ms":...,"oracle_ms":...}` (one flat object). */
     std::string json() const;
 };
 

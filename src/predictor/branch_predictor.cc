@@ -1,15 +1,67 @@
 #include "predictor/branch_predictor.hh"
 
+#include <algorithm>
+
 #include "common/bits.hh"
 #include "common/logging.hh"
 
 namespace rmt
 {
 
+namespace
+{
+
+/** Counter values at construction (weakly not-taken; the chooser
+ *  weakly prefers gshare). */
+constexpr std::uint8_t directionReset = 1;
+constexpr std::uint8_t chooserReset = 2;
+
+/** A counter table as its size, then (index, value) for each counter
+ *  off @p reset: most counters are never trained. */
+void
+saveCounters(Serializer &s, const std::vector<std::uint8_t> &table,
+             std::uint8_t reset)
+{
+    s.u32(static_cast<std::uint32_t>(table.size()));
+    s.u32(static_cast<std::uint32_t>(
+        table.size() - std::count(table.begin(), table.end(), reset)));
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        if (table[i] == reset)
+            continue;
+        s.u32(static_cast<std::uint32_t>(i));
+        s.u8(table[i]);
+    }
+}
+
+void
+loadCounters(Deserializer &d, std::vector<std::uint8_t> &table,
+             std::uint8_t reset)
+{
+    if (d.u32() != table.size())
+        throw SnapshotError("branch predictor: table size mismatch");
+    const std::uint32_t trained = d.u32();
+    if (trained > table.size())
+        throw SnapshotError("branch predictor: counter count out of range");
+    std::fill(table.begin(), table.end(), reset);
+    for (std::uint32_t i = 0; i < trained; ++i) {
+        const std::uint32_t idx = d.u32();
+        const std::uint8_t value = d.u8();
+        if (idx >= table.size())
+            throw SnapshotError(
+                "branch predictor: counter index out of range");
+        if (value > 3)      // 2-bit counters
+            throw SnapshotError(
+                "branch predictor: counter value out of range");
+        table[idx] = value;
+    }
+}
+
+} // namespace
+
 BranchPredictor::BranchPredictor(const BranchPredictorParams &params)
-    : gshare(params.gshare_entries, 1),
-      bimodal(params.bimodal_entries, 1),
-      chooser(params.chooser_entries, 2),
+    : gshare(params.gshare_entries, directionReset),
+      bimodal(params.bimodal_entries, directionReset),
+      chooser(params.chooser_entries, chooserReset),
       histories(params.max_threads, 0),
       historyMask((std::uint64_t{1} << params.history_bits) - 1),
       statGroup("bpred"),
@@ -77,15 +129,9 @@ BranchPredictor::update(ThreadId tid, Addr pc, bool taken_dir,
 void
 BranchPredictor::saveState(Serializer &s) const
 {
-    s.u32(static_cast<std::uint32_t>(gshare.size()));
-    for (const std::uint8_t c : gshare)
-        s.u8(c);
-    s.u32(static_cast<std::uint32_t>(bimodal.size()));
-    for (const std::uint8_t c : bimodal)
-        s.u8(c);
-    s.u32(static_cast<std::uint32_t>(chooser.size()));
-    for (const std::uint8_t c : chooser)
-        s.u8(c);
+    saveCounters(s, gshare, directionReset);
+    saveCounters(s, bimodal, directionReset);
+    saveCounters(s, chooser, chooserReset);
     s.u32(static_cast<std::uint32_t>(histories.size()));
     for (const HistorySnapshot h : histories)
         s.u64(h);
@@ -94,15 +140,9 @@ BranchPredictor::saveState(Serializer &s) const
 void
 BranchPredictor::loadState(Deserializer &d)
 {
-    auto counters = [&d](std::vector<std::uint8_t> &vec) {
-        if (d.u32() != vec.size())
-            throw SnapshotError("branch predictor: table size mismatch");
-        for (std::uint8_t &c : vec)
-            c = d.u8();
-    };
-    counters(gshare);
-    counters(bimodal);
-    counters(chooser);
+    loadCounters(d, gshare, directionReset);
+    loadCounters(d, bimodal, directionReset);
+    loadCounters(d, chooser, chooserReset);
     if (d.u32() != histories.size())
         throw SnapshotError("branch predictor: history count mismatch");
     for (HistorySnapshot &h : histories)

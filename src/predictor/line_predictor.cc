@@ -1,5 +1,7 @@
 #include "predictor/line_predictor.hh"
 
+#include <algorithm>
+
 #include "common/bits.hh"
 #include "common/logging.hh"
 
@@ -69,10 +71,18 @@ LinePredictor::train(ThreadId tid, Addr chunk_addr, Addr next_chunk)
 void
 LinePredictor::saveState(Serializer &s) const
 {
+    // Only valid entries are stored, as in Cache: an invalid entry
+    // predicts the sequential chunk, and train() overwrites its target
+    // and hysteresis before they are read, so both are dead state.
     s.u32(static_cast<std::uint32_t>(table.size()));
-    for (const Entry &e : table) {
+    s.u32(static_cast<std::uint32_t>(std::count_if(
+        table.begin(), table.end(), [](const Entry &e) { return e.valid; })));
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        const Entry &e = table[i];
+        if (!e.valid)
+            continue;
+        s.u32(static_cast<std::uint32_t>(i));
         s.u64(e.target);
-        s.boolean(e.valid);
         s.boolean(e.hysteresis);
     }
 }
@@ -82,9 +92,17 @@ LinePredictor::loadState(Deserializer &d)
 {
     if (d.u32() != table.size())
         throw SnapshotError("line predictor: table size mismatch");
-    for (Entry &e : table) {
+    const std::uint32_t valid = d.u32();
+    if (valid > table.size())
+        throw SnapshotError("line predictor: entry count out of range");
+    std::fill(table.begin(), table.end(), Entry{});
+    for (std::uint32_t i = 0; i < valid; ++i) {
+        const std::uint32_t idx = d.u32();
+        if (idx >= table.size())
+            throw SnapshotError("line predictor: entry index out of range");
+        Entry &e = table[idx];
+        e.valid = true;
         e.target = d.u64();
-        e.valid = d.boolean();
         e.hysteresis = d.boolean();
     }
 }

@@ -51,7 +51,12 @@ FaultOracle::reference(const std::vector<std::string> &workloads,
 {
     const auto sim = finishedRun(workloads, options, snapshots);
     const DataMemory &mem = sim->memory(logical);
-    return FaultOracle(mem.data(), mem.size(), logical);
+    FaultOracle oracle(mem.size(), logical);
+    mem.forEachTouchedPage(
+        [&oracle](std::size_t p, std::span<const std::uint8_t> bytes) {
+            oracle.keepPage(p, bytes);
+        });
+    return oracle;
 }
 
 std::vector<std::uint8_t>
@@ -60,22 +65,33 @@ FaultOracle::goldenImage(const std::vector<std::string> &workloads,
 {
     const auto sim = finishedRun(workloads, options, nullptr);
     const DataMemory &mem = sim->memory(logical);
-    return {mem.data(), mem.data() + mem.size()};
+    std::vector<std::uint8_t> image(mem.size());
+    mem.forEachTouchedPage(
+        [&image](std::size_t p, std::span<const std::uint8_t> bytes) {
+            std::copy(bytes.begin(), bytes.end(),
+                      image.begin() + p * DataMemory::pageBytes);
+        });
+    return image;
 }
 
-FaultOracle::FaultOracle(const std::uint8_t *golden, std::size_t size,
+FaultOracle::FaultOracle(const std::vector<std::uint8_t> &golden,
                          unsigned logical)
-    : goldenSize(size), logical(logical)
+    : FaultOracle(golden.size(), logical)
 {
     constexpr std::size_t page = DataMemory::pageBytes;
-    for (std::size_t at = 0; at < size; at += page) {
-        const std::size_t n = std::min(page, size - at);
-        if (DataMemory::zeroBytes(golden + at, n))
-            continue;
-        goldenPages.push_back(static_cast<std::uint32_t>(at / page));
-        goldenBytes.insert(goldenBytes.end(), golden + at,
-                           golden + at + n);
+    for (std::size_t at = 0; at < golden.size(); at += page) {
+        keepPage(at / page,
+                 {golden.data() + at, std::min(page, golden.size() - at)});
     }
+}
+
+void
+FaultOracle::keepPage(std::size_t page, std::span<const std::uint8_t> bytes)
+{
+    if (DataMemory::zeroBytes(bytes.data(), bytes.size()))
+        return;
+    goldenPages.push_back(static_cast<std::uint32_t>(page));
+    goldenBytes.insert(goldenBytes.end(), bytes.begin(), bytes.end());
 }
 
 bool
@@ -83,22 +99,28 @@ FaultOracle::differs(const DataMemory &mem) const
 {
     if (mem.size() != goldenSize)
         return true;
-    constexpr std::size_t page = DataMemory::pageBytes;
+    // Every kept page must match: a kept page is nonzero, so one the
+    // trial never touched (all zero) differs without a compare.
     const std::uint8_t *stored = goldenBytes.data();
-    std::size_t next = 0;   // next stored page to match
-    for (std::size_t at = 0; at < goldenSize; at += page) {
-        const std::size_t n = std::min(page, goldenSize - at);
-        const std::uint8_t *bytes = mem.data() + at;
-        if (next < goldenPages.size() && goldenPages[next] == at / page) {
-            if (std::memcmp(bytes, stored, n) != 0)
-                return true;
-            stored += n;
-            ++next;
-        } else if (!DataMemory::zeroBytes(bytes, n)) {
+    for (const std::uint32_t p : goldenPages) {
+        const std::span<const std::uint8_t> bytes = mem.page(p);
+        if (!mem.touched(p) ||
+            std::memcmp(bytes.data(), stored, bytes.size()) != 0)
             return true;
-        }
+        stored += bytes.size();
     }
-    return false;
+    // Every other page must be zero; only touched ones can be nonzero.
+    bool dirty = false;
+    std::size_t next = 0;   // first kept page not below the current one
+    mem.forEachTouchedPage(
+        [&](std::size_t p, std::span<const std::uint8_t> bytes) {
+            while (next < goldenPages.size() && goldenPages[next] < p)
+                ++next;
+            if (dirty || (next < goldenPages.size() && goldenPages[next] == p))
+                return;
+            dirty = !DataMemory::zeroBytes(bytes.data(), bytes.size());
+        });
+    return dirty;
 }
 
 namespace

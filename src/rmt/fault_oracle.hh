@@ -16,6 +16,7 @@
 #define RMTSIM_RMT_FAULT_ORACLE_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,10 +76,7 @@ class FaultOracle
     /** Keeps only the nonzero pages of @p golden (the snapshot rule),
      *  so an oracle costs what its workload touched, not the image. */
     explicit FaultOracle(const std::vector<std::uint8_t> &golden,
-                         unsigned logical = 0)
-        : FaultOracle(golden.data(), golden.size(), logical)
-    {
-    }
+                         unsigned logical = 0);
 
     /**
      * Classify a finished trial.  Call while the trial's Simulation is
@@ -89,10 +87,19 @@ class FaultOracle
                               const FaultRecord &fault) const;
 
   private:
-    FaultOracle(const std::uint8_t *golden, std::size_t size,
-                unsigned logical);
+    FaultOracle(std::size_t size, unsigned logical)
+        : goldenSize(size), logical(logical)
+    {
+    }
 
-    /** True when @p mem differs from the golden image anywhere. */
+    /** Keep page @p page of the golden when any of its bytes is set. */
+    void keepPage(std::size_t page, std::span<const std::uint8_t> bytes);
+
+    /**
+     * True when @p mem differs from the golden image anywhere: a kept
+     * page differs, or any other touched page of @p mem is nonzero.
+     * Untouched pages are zero on both sides, so they are never read.
+     */
     bool differs(const DataMemory &mem) const;
 
     std::size_t goldenSize = 0;

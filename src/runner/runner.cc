@@ -223,7 +223,9 @@ attachFaultOracle(JobSpec &spec, const FaultOracle *oracle)
                                           JobResult &res) {
         if (prev)
             prev(sim, run, res);
+        const WallTimer timer;
         const FaultTrialReport report = oracle->classify(sim, run, fault);
+        res.run.host.oracle_seconds = timer.elapsed();
         res.has_verdict = true;
         res.verdict = report.verdict;
         res.detection_latency =

@@ -175,6 +175,8 @@ encodeJobResult(const JobResult &r)
     putF64(out, run.host.warmup_seconds);
     putF64(out, run.host.measure_seconds);
     putF64(out, run.host.sim_kips);
+    putF64(out, run.host.restore_seconds);
+    putF64(out, run.host.oracle_seconds);
     putStr(out, run.stats_json);
 
     putF64(out, r.mean_efficiency);
@@ -241,6 +243,8 @@ decodeJobResult(const std::string &payload)
     run.host.warmup_seconds = in.f64();
     run.host.measure_seconds = in.f64();
     run.host.sim_kips = in.f64();
+    run.host.restore_seconds = in.f64();
+    run.host.oracle_seconds = in.f64();
     run.stats_json = in.str();
 
     r.mean_efficiency = in.f64();

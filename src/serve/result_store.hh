@@ -53,8 +53,9 @@ struct StoreError : std::runtime_error
     }
 };
 
-/** Store format version (2: the frame CRC covers the key). */
-constexpr std::uint32_t resultStoreVersion = 2;
+/** Store format version (2: the frame CRC covers the key; 3: frames
+ *  hold wire codec v3 rows, so a v2 store is refused, not truncated). */
+constexpr std::uint32_t resultStoreVersion = 3;
 
 struct RunnerConfig;
 

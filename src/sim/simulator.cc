@@ -448,6 +448,7 @@ Simulation::run()
 
     RunResult result;
     result.host.build_seconds = buildSeconds;
+    result.host.restore_seconds = restoreSeconds;
     result.host.warmup_seconds = warmup_seconds;
     result.host.measure_seconds = measure_seconds;
     result.total_cycles = _chip->cycle();
@@ -636,7 +637,8 @@ namespace
  * Data images are huge and almost entirely zero (the workloads touch a
  * small fraction of their address space), so the "memory" section stores
  * only the nonzero 4 KiB pages: total size, page size, page count, then
- * (page index, page bytes) per stored page.  Restore clears the image
+ * (page index, page bytes) per stored page.  Only touched pages can be
+ * nonzero, so saving walks those alone.  Restore clears the image
  * first, which is exact — the saved state fully defines the image.
  */
 constexpr std::size_t snapshotPageBytes = DataMemory::pageBytes;
@@ -644,31 +646,20 @@ constexpr std::size_t snapshotPageBytes = DataMemory::pageBytes;
 void
 saveSparseMemory(Serializer &s, const DataMemory &m)
 {
-    const std::uint8_t *bytes = m.data();
-    const std::size_t size = m.size();
-    const std::size_t pages =
-        (size + snapshotPageBytes - 1) / snapshotPageBytes;
+    std::vector<std::uint32_t> stored;
+    m.forEachTouchedPage(
+        [&stored](std::size_t p, std::span<const std::uint8_t> bytes) {
+            if (!DataMemory::zeroBytes(bytes.data(), bytes.size()))
+                stored.push_back(static_cast<std::uint32_t>(p));
+        });
 
-    const auto pageLen = [size](std::size_t p) {
-        return std::min(snapshotPageBytes, size - p * snapshotPageBytes);
-    };
-    const auto nonzero = [&](std::size_t p) {
-        return !DataMemory::zeroBytes(bytes + p * snapshotPageBytes,
-                                      pageLen(p));
-    };
-
-    std::uint32_t stored = 0;
-    for (std::size_t p = 0; p < pages; ++p)
-        stored += nonzero(p);
-
-    s.u64(size);
+    s.u64(m.size());
     s.u32(static_cast<std::uint32_t>(snapshotPageBytes));
-    s.u32(stored);
-    for (std::size_t p = 0; p < pages; ++p) {
-        if (nonzero(p)) {
-            s.u32(static_cast<std::uint32_t>(p));
-            s.blob(bytes + p * snapshotPageBytes, pageLen(p));
-        }
+    s.u32(static_cast<std::uint32_t>(stored.size()));
+    for (const std::uint32_t p : stored) {
+        const std::span<const std::uint8_t> bytes = m.page(p);
+        s.u32(p);
+        s.blob(bytes.data(), bytes.size());
     }
 }
 
@@ -688,7 +679,7 @@ loadSparseMemory(Deserializer &d, DataMemory &m)
         const std::span<const std::uint8_t> page = d.blob();
         if (page.size() > m.size() || off > m.size() - page.size())
             throw SnapshotError("snapshot: memory page out of range");
-        std::copy(page.begin(), page.end(), m.data() + off);
+        m.fill(off, page.data(), page.size());
     }
 }
 
@@ -743,6 +734,7 @@ Simulation::restoreSnapshotBuffer(const std::string &image)
         throw SnapshotError(
             "restore requires a freshly built simulation");
     }
+    const WallTimer timer;
 
     // The constructor validates the whole image (header, every section
     // frame, name and CRC) before a single byte is applied: a truncated
@@ -781,6 +773,7 @@ Simulation::restoreSnapshotBuffer(const std::string &image)
 
     restoredAt = cyc;
     injector.setRestoredCycle(cyc);
+    restoreSeconds = timer.elapsed();
 }
 
 void

@@ -267,6 +267,7 @@ class Simulation
     std::vector<Placement> placements;
     std::unique_ptr<TimelineProbe> probe;
     double buildSeconds = 0;
+    double restoreSeconds = 0;
     SnapshotHook snapshotHook;
     Cycle restoredAt = 0;
 };

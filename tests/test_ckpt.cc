@@ -15,8 +15,12 @@
  *  - a truncated image (header or mid-section) is rejected with an
  *    offset-bearing error and no partial state application, and
  *    file-level restores name the damaged file;
- *  - a bumped format version and a mismatched options fingerprint are
- *    both rejected before any state is touched;
+ *  - a bumped or previous format version and a mismatched options
+ *    fingerprint are both rejected before any state is touched;
+ *  - the sparse predictor sections (valid line-predictor entries,
+ *    counters off their reset value) restore predictors that predict
+ *    identically at every index and re-save byte-identically, and an
+ *    out-of-range index or count is rejected;
  *  - a fault scheduled at or before the restored cycle is rejected
  *    (it would fire immediately instead of at its nominal cycle);
  *  - snapshot-forked fault campaigns are -j invariant and verdict-
@@ -37,6 +41,8 @@
 
 #include "ckpt/serializer.hh"
 #include "common/random.hh"
+#include "predictor/branch_predictor.hh"
+#include "predictor/line_predictor.hh"
 #include "runner/runner.hh"
 #include "sim/simulator.hh"
 
@@ -370,13 +376,14 @@ TEST(Checkpoint, VersionAndFingerprintMismatchesAreRejected)
     ASSERT_FALSE(image.empty());
 
     // Header layout: 8-byte magic, u32 format version (little-endian).
-    std::string wrong_version = image;
-    wrong_version[8] = static_cast<char>(0x7f);
-    {
+    // Version 2 is the last format with dense predictor tables.
+    for (const char version : {char{2}, char{0x7f}}) {
+        std::string wrong_version = image;
+        wrong_version[8] = version;
         Simulation sim(workloads, o);
         try {
             sim.restoreSnapshotBuffer(wrong_version);
-            FAIL() << "future format version was accepted";
+            FAIL() << "format version " << int(version) << " was accepted";
         } catch (const SnapshotError &e) {
             EXPECT_NE(std::string(e.what()).find("version"),
                       std::string::npos)
@@ -529,5 +536,170 @@ TEST(Checkpoint, ForkedVerdictsMatchFromScratch)
             << i;
         EXPECT_EQ(forked[i].run.total_cycles, scratch[i].run.total_cycles)
             << i;
+    }
+}
+
+namespace
+{
+
+constexpr std::string_view partSection[] = {"part"};
+
+/** A one-section image written by @p write. */
+template <typename Write>
+std::string
+partImage(Write &&write)
+{
+    Serializer s;
+    s.beginSection("part");
+    write(s);
+    s.endSection();
+    return s.finish(0);
+}
+
+template <typename Component>
+std::string
+savedImage(const Component &c)
+{
+    return partImage([&c](Serializer &s) { c.saveState(s); });
+}
+
+template <typename Component>
+void
+loadImage(Component &c, const std::string &image)
+{
+    Deserializer d(image, 0, partSection);
+    d.beginSection("part");
+    c.loadState(d);
+    d.endSection();
+}
+
+} // namespace
+
+TEST(Checkpoint, SparseLinePredictorRestoresEveryEntry)
+{
+    const LinePredictorParams params;
+    LinePredictor trained(params);
+    Random rng(3);
+    // Repeat chunks so some entries flip targets and some sit with
+    // hysteresis set.
+    for (int i = 0; i < 20000; ++i) {
+        const ThreadId tid = static_cast<ThreadId>(rng.range(4));
+        const Addr chunk = Program::textBase + rng.range(1024) * instBytes;
+        trained.train(tid, chunk, Program::textBase +
+                                      rng.range(8) * chunkSize * instBytes);
+    }
+    const std::string image = savedImage(trained);
+    // Dense, the table alone is 28K * 10 bytes.
+    EXPECT_LT(image.size(), std::size_t{params.entries} * 10 / 2);
+
+    LinePredictor restored(params);
+    loadImage(restored, image);
+    EXPECT_EQ(savedImage(restored), image);
+    for (ThreadId tid = 0; tid < 4; ++tid) {
+        for (Addr i = 0; i < params.entries; ++i) {
+            ASSERT_EQ(trained.predict(tid, i * instBytes),
+                      restored.predict(tid, i * instBytes))
+                << "tid " << unsigned(tid) << " chunk " << i;
+        }
+    }
+}
+
+TEST(Checkpoint, SparseBranchPredictorRestoresEveryCounter)
+{
+    const BranchPredictorParams params;
+    BranchPredictor trained(params);
+    Random rng(5);
+    for (int i = 0; i < 2000; ++i) {
+        const ThreadId tid = static_cast<ThreadId>(rng.range(4));
+        const Addr pc = Program::textBase + rng.range(8192) * instBytes;
+        trained.update(tid, pc, rng.range(3) != 0, rng.range(1u << 16));
+    }
+    trained.restoreHistory(1, 0x1234);
+    const std::string image = savedImage(trained);
+    // Dense, the three counter tables alone are one byte per counter.
+    EXPECT_LT(image.size(), std::size_t{params.gshare_entries +
+                                        params.bimodal_entries +
+                                        params.chooser_entries} / 2);
+
+    BranchPredictor restored(params);
+    loadImage(restored, image);
+    EXPECT_EQ(savedImage(restored), image);
+    EXPECT_EQ(restored.history(1), 0x1234u);
+    // Every pc under a fixed history reaches every gshare, bimodal and
+    // chooser entry of thread 0.
+    for (const std::uint64_t hist : {0x0ull, 0x5a5aull, 0xffffull}) {
+        for (Addr i = 0; i < params.gshare_entries; ++i) {
+            trained.restoreHistory(0, hist);
+            restored.restoreHistory(0, hist);
+            ASSERT_EQ(trained.predict(0, i * instBytes),
+                      restored.predict(0, i * instBytes))
+                << "history " << hist << " pc index " << i;
+        }
+    }
+}
+
+TEST(Checkpoint, SparsePredictorIndexAndCountAreRangeChecked)
+{
+    // Each image is CRC-valid; only its contents are out of range.
+    const auto rejects = [](auto &component, const std::string &image,
+                            const char *why) {
+        try {
+            loadImage(component, image);
+            ADD_FAILURE() << why << " was accepted";
+        } catch (const SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find("out of range"),
+                      std::string::npos)
+                << why << ": " << e.what();
+        }
+    };
+
+    const LinePredictorParams lp;
+    LinePredictor line(lp);
+    rejects(line, partImage([&](Serializer &s) {
+                s.u32(lp.entries);
+                s.u32(1);
+                s.u32(lp.entries);      // one past the end
+                s.u64(Program::textBase);
+                s.boolean(false);
+            }),
+            "line-predictor index");
+    rejects(line, partImage([&](Serializer &s) {
+                s.u32(lp.entries);
+                s.u32(lp.entries + 1);
+            }),
+            "line-predictor count");
+
+    const BranchPredictorParams bp;
+    const unsigned sizes[3] = {bp.gshare_entries, bp.bimodal_entries,
+                               bp.chooser_entries};
+    BranchPredictor branch(bp);
+    for (int bad = 0; bad < 3; ++bad) {
+        // Tables before the bad one are well-formed and empty.
+        const auto upTo = [&](Serializer &s) {
+            for (int t = 0; t < bad; ++t) {
+                s.u32(sizes[t]);
+                s.u32(0);
+            }
+            s.u32(sizes[bad]);
+        };
+        rejects(branch, partImage([&](Serializer &s) {
+                    upTo(s);
+                    s.u32(1);
+                    s.u32(sizes[bad]);
+                    s.u8(3);
+                }),
+                "counter index");
+        rejects(branch, partImage([&](Serializer &s) {
+                    upTo(s);
+                    s.u32(sizes[bad] + 1);
+                }),
+                "counter count");
+        rejects(branch, partImage([&](Serializer &s) {
+                    upTo(s);
+                    s.u32(1);
+                    s.u32(0);
+                    s.u8(4);
+                }),
+                "counter value");
     }
 }

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "common/random.hh"
 #include "rmt/fault_oracle.hh"
 #include "runner/runner.hh"
 #include "sim/simulator.hh"
@@ -495,4 +497,103 @@ TEST(FaultOracle, SparseGoldenComparesEveryPageExactly)
     EXPECT_EQ(verdictAfter(stored, 0x10), FaultVerdict::Sdc);
     EXPECT_EQ(verdictAfter(zero_page + 100, 0x01), FaultVerdict::Sdc);
     EXPECT_EQ(verdictAfter(last, 0x80), FaultVerdict::Sdc);
+}
+
+TEST(FaultOracle, TouchedPageCompareEqualsWholeImageCompare)
+{
+    const SimOptions o = srtOpts(3000);
+    const std::vector<std::uint8_t> golden =
+        FaultOracle::goldenImage({"compress"}, o);
+    // Both goldens: one kept from the whole image, one from the
+    // reference run's touched pages.
+    const FaultOracle from_image(golden);
+    const FaultOracle from_run = FaultOracle::reference({"compress"}, o);
+
+    Simulation sim({"compress"}, o);
+    const RunResult run = sim.run();
+    DataMemory &m = sim.memory(0);
+    ASSERT_EQ(m.size(), golden.size());
+    std::vector<Addr> set_bytes;
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+        if (golden[i])
+            set_bytes.push_back(i);
+    }
+    ASSERT_FALSE(set_bytes.empty());
+
+    // Random trial images: a few bytes rewritten each time (in golden
+    // pages, next to them, or anywhere) with random, golden or zero
+    // values, then put back.  Putting back leaves the pages touched, so
+    // later images also cover touched pages equal to the golden's.
+    Random rng(41);
+    constexpr std::size_t page = DataMemory::pageBytes;
+    for (int trial = 0; trial < 80; ++trial) {
+        std::vector<std::pair<Addr, std::uint64_t>> undo;
+        const int writes = 1 + static_cast<int>(rng.range(3));
+        for (int w = 0; w < writes; ++w) {
+            Addr addr = 0;
+            switch (rng.range(3)) {
+              case 0:
+                addr = set_bytes[rng.range(set_bytes.size())];
+                break;
+              case 1:
+                addr = (set_bytes[rng.range(set_bytes.size())] / page +
+                        1) * page + rng.range(page);
+                break;
+              default:
+                addr = rng.range(golden.size());
+                break;
+            }
+            if (addr >= m.size())
+                continue;
+            std::uint64_t value = 0;
+            switch (rng.range(3)) {
+              case 0: value = rng.next() & 0xff; break;
+              case 1: value = golden[addr]; break;
+              default: value = 0; break;
+            }
+            undo.emplace_back(addr, m.read(addr, 1));
+            m.write(addr, 1, value);
+        }
+        const bool brute =
+            std::memcmp(m.data(), golden.data(), golden.size()) != 0;
+        EXPECT_EQ(from_image.classify(sim, run, FaultRecord{})
+                      .memory_corrupted,
+                  brute)
+            << "trial " << trial;
+        EXPECT_EQ(from_run.classify(sim, run, FaultRecord{})
+                      .memory_corrupted,
+                  brute)
+            << "trial " << trial;
+        for (auto it = undo.rbegin(); it != undo.rend(); ++it)
+            m.write(it->first, 1, it->second);
+    }
+}
+
+TEST(FaultOracle, PagesOutsideTheGoldenCountOnlyWhenNonzero)
+{
+    const SimOptions o = srtOpts(3000);
+    const FaultOracle oracle = FaultOracle::reference({"compress"}, o);
+    Simulation sim({"compress"}, o);
+    const RunResult run = sim.run();
+    DataMemory &m = sim.memory(0);
+    const auto verdict = [&] {
+        return oracle.classify(sim, run, FaultRecord{}).verdict;
+    };
+    ASSERT_EQ(verdict(), FaultVerdict::Masked);
+
+    // A page neither the golden run nor this one ever wrote.
+    std::size_t fresh = 0;
+    while (m.touched(fresh))
+        ++fresh;
+    const Addr addr = fresh * DataMemory::pageBytes + 40;
+    m.write(addr, 1, 0x5a);
+    EXPECT_EQ(verdict(), FaultVerdict::Sdc);
+    // Written back to zero: touched, yet equal to the golden.
+    m.write(addr, 1, 0);
+    EXPECT_TRUE(m.touched(fresh));
+    EXPECT_EQ(verdict(), FaultVerdict::Masked);
+
+    // Every golden page gone (untouched, so zero): corrupted.
+    m.clear();
+    EXPECT_EQ(verdict(), FaultVerdict::Sdc);
 }

@@ -16,7 +16,9 @@
 #include "obs/report.hh"
 #include "obs/stats_json.hh"
 #include "obs/timeline.hh"
+#include "rmt/fault_oracle.hh"
 #include "runner/runner.hh"
+#include "runner/snapshot_cache.hh"
 #include "sim/simulator.hh"
 
 using namespace rmt;
@@ -334,4 +336,49 @@ TEST(Obs, ConcurrentCampaignWithEmbeddedStats)
         EXPECT_TRUE(stats->find("groups")->isArray());
     }
     EXPECT_EQ(lines, 6u);
+}
+
+TEST(Obs, RowHostBlockTimesRestoreAndOracle)
+{
+    SimOptions o = tinyOptions(SimMode::Srt);
+    o.snapshot_every = 1000;
+    JobSpec spec;
+    spec.workloads = {"gcc"};
+    spec.options = o;
+    spec.faults.push_back(parseFaultSpec("reg:3000:0:3:5"));
+    const FaultOracle oracle = FaultOracle::reference(spec.workloads, o);
+    attachFaultOracle(spec, &oracle);
+
+    SnapshotCache cache;
+    RunnerConfig cfg;
+    cfg.snapshots = &cache;
+    const JobResult r = executeJob(spec, cfg);
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_TRUE(r.has_verdict);
+
+    const JsonValue row = parsed(resultJson(spec, r, true));
+    const JsonValue *extra = row.find("extra");
+    ASSERT_TRUE(extra);
+    ASSERT_EQ(extra->numberOr("snapshot_hit", 0), 1.0);
+    const JsonValue *host = row.find("host");
+    ASSERT_TRUE(host);
+    ASSERT_TRUE(host->find("restore_ms"));
+    ASSERT_TRUE(host->find("oracle_ms"));
+    EXPECT_GT(host->numberOr("restore_ms", 0), 0.0);
+    EXPECT_GE(host->numberOr("oracle_ms", -1), 0.0);
+    // --no-timing drops the whole block, the new keys with it.
+    EXPECT_EQ(resultJson(spec, r, false).find("restore_ms"),
+              std::string::npos);
+
+    // A plain run carries both keys too, at zero.
+    JobSpec plain;
+    plain.workloads = {"gcc"};
+    plain.options = tinyOptions(SimMode::Srt);
+    const JobResult p = executeJob(plain, RunnerConfig{});
+    ASSERT_TRUE(p.ok()) << p.error;
+    const JsonValue prow = parsed(resultJson(plain, p, true));
+    const JsonValue *phost = prow.find("host");
+    ASSERT_TRUE(phost);
+    EXPECT_EQ(phost->numberOr("restore_ms", -1), 0.0);
+    EXPECT_EQ(phost->numberOr("oracle_ms", -1), 0.0);
 }

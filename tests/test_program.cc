@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/random.hh"
 #include "isa/program.hh"
 
 using namespace rmt;
@@ -131,4 +135,121 @@ TEST(DataMemory, OutOfBoundsIsBenignAfterClear)
     EXPECT_EQ(mem.read(mem.size(), 1), 0u);
     EXPECT_EQ(mem.read(mem.size() - 4, 8), 0u);
     EXPECT_TRUE(DataMemory::zeroBytes(mem.data(), mem.size()));
+}
+
+namespace
+{
+
+/** Every nonzero byte lies in a touched page, forEachTouchedPage visits
+ *  exactly the touched pages in ascending order, and the image equals
+ *  @p shadow byte for byte. */
+void
+expectTouchedInvariant(const DataMemory &mem,
+                       const std::vector<std::uint8_t> &shadow,
+                       std::size_t step)
+{
+    const std::size_t pages =
+        (mem.size() + DataMemory::pageBytes - 1) / DataMemory::pageBytes;
+    std::vector<std::size_t> visited;
+    mem.forEachTouchedPage(
+        [&visited](std::size_t p, std::span<const std::uint8_t>) {
+            visited.push_back(p);
+        });
+    std::vector<std::size_t> touched;
+    for (std::size_t p = 0; p < pages; ++p) {
+        const std::span<const std::uint8_t> bytes = mem.page(p);
+        if (mem.touched(p))
+            touched.push_back(p);
+        else
+            EXPECT_TRUE(DataMemory::zeroBytes(bytes.data(), bytes.size()))
+                << "untouched page " << p << " is nonzero at step " << step;
+    }
+    EXPECT_EQ(visited, touched) << "step " << step;
+    EXPECT_TRUE(std::equal(shadow.begin(), shadow.end(), mem.data()))
+        << "image differs from its model at step " << step;
+}
+
+} // namespace
+
+TEST(DataMemory, EveryNonzeroByteLiesInATouchedPage)
+{
+    // A short last page, so straddling and end-of-image cases meet it.
+    constexpr std::size_t page = DataMemory::pageBytes;
+    DataMemory mem(5 * page + 100);
+    std::vector<std::uint8_t> shadow(mem.size(), 0);
+    Random rng(23);
+
+    // Addresses near page edges and the image end are where marking a
+    // single page would go wrong; mix them with uniform ones.
+    const auto pickAddr = [&]() -> Addr {
+        switch (rng.range(4)) {
+          case 0:
+            return rng.range(mem.size() + 16);
+          case 1:
+            return (rng.range(6) + 1) * page - rng.range(8);
+          case 2:
+            return mem.size() - rng.range(12);
+          default:
+            return ~Addr{0} - rng.range(8);     // wraps: dropped
+        }
+    };
+    for (std::size_t step = 0; step < 3000; ++step) {
+        const unsigned op = static_cast<unsigned>(rng.range(20));
+        if (op < 16) {
+            const unsigned bytes = 1u << rng.range(4);
+            const Addr addr = pickAddr();
+            // Some stores write zero: their page is touched yet clean.
+            const std::uint64_t value = rng.range(4) ? rng.next() : 0;
+            mem.write(addr, bytes, value);
+            if (addr + bytes <= mem.size() && addr + bytes >= addr) {
+                for (unsigned i = 0; i < bytes; ++i)
+                    shadow[addr + i] =
+                        static_cast<std::uint8_t>(value >> (8 * i));
+            }
+        } else if (op < 19) {
+            std::vector<std::uint8_t> bytes(rng.range(2 * page + 1));
+            for (std::uint8_t &b : bytes)
+                b = static_cast<std::uint8_t>(rng.next());
+            const Addr addr = pickAddr();
+            mem.fill(addr, bytes.data(), bytes.size());
+            if (!bytes.empty() && addr <= mem.size() &&
+                bytes.size() <= mem.size() - addr) {
+                std::copy(bytes.begin(), bytes.end(),
+                          shadow.begin() + static_cast<long>(addr));
+            }
+        } else {
+            mem.clear();
+            std::fill(shadow.begin(), shadow.end(), 0);
+            for (std::size_t p = 0; p * page < mem.size(); ++p)
+                EXPECT_FALSE(mem.touched(p)) << "page " << p;
+        }
+        expectTouchedInvariant(mem, shadow, step);
+        if (HasFailure())
+            return;
+    }
+}
+
+TEST(DataMemory, WritesMarkEveryPageTheyStoreTo)
+{
+    constexpr std::size_t page = DataMemory::pageBytes;
+    DataMemory mem(3 * page + 100);
+    mem.write(page - 4, 8, ~0ull);      // straddles pages 0 and 1
+    EXPECT_TRUE(mem.touched(0));
+    EXPECT_TRUE(mem.touched(1));
+    EXPECT_FALSE(mem.touched(2));
+    mem.write(mem.size() - 8, 8, 1);    // the short last page
+    EXPECT_TRUE(mem.touched(3));
+    mem.write(mem.size() - 4, 8, 1);    // out of bounds: marks nothing
+    mem.write(2 * page, 8, 0);          // a zero store still marks
+    EXPECT_TRUE(mem.touched(2));
+
+    const std::uint8_t bytes[3] = {1, 2, 3};
+    mem.clear();
+    mem.fill(2 * page - 1, bytes, sizeof bytes);
+    EXPECT_FALSE(mem.touched(0));
+    EXPECT_TRUE(mem.touched(1));
+    EXPECT_TRUE(mem.touched(2));
+    EXPECT_EQ(mem.read(2 * page - 1, 2), 0x0201u);
+    mem.fill(mem.size() - 2, bytes, sizeof bytes);   // dropped
+    EXPECT_FALSE(mem.touched(3));
 }

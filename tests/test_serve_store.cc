@@ -497,16 +497,18 @@ TEST(ResultStore, RejectsForeignFilesAndFutureVersions)
         EXPECT_THROW(store.open(dir.path), StoreError);
     }
 
-    // Version 1 frames had a CRC that skipped the key: refused, and
-    // the message says how to start over.
-    bytes = std::string("RMTRES\0\0", 8);
-    bytes += std::string("\x01\x00\x00\x00", 4);
-    spit(storeFile(dir), bytes);
-    {
+    // Version 1 frames had a CRC that skipped the key, and version 2
+    // frames hold rows of an older wire codec: both refused, and the
+    // message says how to start over.
+    for (const char version : {'\x01', '\x02'}) {
+        bytes = std::string("RMTRES\0\0", 8);
+        bytes += version;
+        bytes += std::string("\x00\x00\x00", 3);
+        spit(storeFile(dir), bytes);
         ResultStore store;
         try {
             store.open(dir.path);
-            ADD_FAILURE() << "a version-1 store opened";
+            ADD_FAILURE() << "a version-" << int(version) << " store opened";
         } catch (const StoreError &e) {
             EXPECT_NE(std::string(e.what()).find("delete"),
                       std::string::npos)

@@ -43,6 +43,9 @@ fullResult()
     r.run.store_comparisons = 999;
     r.run.store_mismatches = 2;
     r.run.branch_mispredicts = 41;
+    r.run.host.build_seconds = 0.5;
+    r.run.host.restore_seconds = 0.25;
+    r.run.host.oracle_seconds = 0.125;
     r.run.stats_json = "{\"stats\":{\"x\":1}}";
     r.mean_efficiency = 0.875;
     r.efficiencies = {0.9, 0.85};
@@ -72,6 +75,7 @@ expectSameResult(const JobResult &a, const JobResult &b)
     EXPECT_EQ(a.run.store_comparisons, b.run.store_comparisons);
     EXPECT_EQ(a.run.store_mismatches, b.run.store_mismatches);
     EXPECT_EQ(a.run.branch_mispredicts, b.run.branch_mispredicts);
+    EXPECT_EQ(a.run.host.json(), b.run.host.json());
     EXPECT_EQ(a.run.stats_json, b.run.stats_json);
     EXPECT_DOUBLE_EQ(a.mean_efficiency, b.mean_efficiency);
     EXPECT_EQ(a.efficiencies, b.efficiencies);

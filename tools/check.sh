@@ -97,6 +97,15 @@ sed 's/,"extra":{[^}]*}//' build/ckpt_forked.jsonl \
     > build/ckpt_forked_stripped.jsonl
 diff build/ckpt_forked_stripped.jsonl build/ckpt_scratch.jsonl
 grep -q '"snapshot_hit":1' build/ckpt_forked.jsonl
+# Image size, a host-independent work counter: stored state is sparse
+# (nonzero touched pages, valid cache lines, valid line-predictor
+# entries, counters off their reset value), so gcc's images read about
+# 91 KB.  Either dense predictor table coming back (the line predictor
+# alone is 280 KB) pushes them past the bound.
+max_image=$(grep -o '"snapshot_bytes":[0-9]*' build/ckpt_forked.jsonl \
+    | cut -d: -f2 | sort -n | tail -n 1)
+echo "ckpt: largest snapshot image ${max_image} bytes (bound 150000)"
+[ -n "$max_image" ] && [ "$max_image" -lt 150000 ]
 grep -q '(2 fault-free reference runs)' build/ckpt_forked.log
 if grep -q 'producer' build/ckpt_forked.log; then
     echo "check.sh: the forked campaign ran a lazy snapshot producer" >&2
