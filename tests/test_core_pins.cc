@@ -11,6 +11,9 @@
  * the per-logical-thread commits, the squashed (wrong-path) instruction
  * count, every commit-slot attribution bucket, and an FNV-1a-64 hash of
  * the full --stats-json document with its host-timing block removed.
+ *
+ * Table1.DefaultsMatchThePaper pins the default machine against the
+ * paper's Table 1 values that EXPERIMENTS.md states.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +24,9 @@
 
 #include "common/fingerprint.hh"
 #include "common/stats.hh"
+#include "cpu/smt_params.hh"
+#include "isa/isa.hh"
+#include "mem/mem_system.hh"
 #include "sim/simulator.hh"
 
 using namespace rmt;
@@ -198,5 +204,44 @@ pinName(const ::testing::TestParamInfo<Pin> &info)
 
 INSTANTIATE_TEST_SUITE_P(SimSweep, CorePins, ::testing::ValuesIn(kPins),
                          pinName);
+
+TEST(Table1, DefaultsMatchThePaper)
+{
+    const SmtParams p;
+    const MemSystemParams m;
+    constexpr std::uint64_t KB = 1024;
+
+    // Fetch: two 8-instruction chunks per cycle.
+    EXPECT_EQ(p.fetch_chunks_per_cycle, 2u);
+    EXPECT_EQ(chunkSize, 8u);
+    // A 128-entry IQ in two 64-entry halves, 8-issue (4 per half).
+    EXPECT_EQ(p.iq_entries, 128u);
+    EXPECT_EQ(p.issue_width, 8u);
+    EXPECT_EQ(p.issue_per_half, 4u);
+    EXPECT_EQ(p.phys_regs, 512u);
+    // 8 integer, 8 logic, 4 memory and 4 fp units over both halves.
+    EXPECT_EQ(2 * p.int_units_per_half, 8u);
+    EXPECT_EQ(2 * p.logic_units_per_half, 8u);
+    EXPECT_EQ(2 * p.mem_units_per_half, 4u);
+    EXPECT_EQ(2 * p.fp_units_per_half, 4u);
+    EXPECT_EQ(p.load_queue_entries, 64u);
+    EXPECT_EQ(p.store_queue_entries, 64u);
+    EXPECT_EQ(p.merge_buffer.entries, 16u);
+    EXPECT_EQ(p.merge_buffer.block_bytes, 64u);
+    EXPECT_EQ(p.icache.size_bytes, 64 * KB);
+    EXPECT_EQ(p.dcache.size_bytes, 64 * KB);
+    EXPECT_EQ(m.l2.size_bytes, 3 * KB * KB);
+    // Pipeline segments I=4, P=2, Q=4, R=4, E=1, M=2.
+    EXPECT_EQ(p.ibox_latency, 4u);
+    EXPECT_EQ(p.pbox_latency, 2u);
+    EXPECT_EQ(p.qbox_front_latency + p.qbox_back_latency, 4u);
+    EXPECT_EQ(p.rbox_latency, 4u);
+    EXPECT_EQ(StaticInst{Op::Add}.latency(), 1u);
+    EXPECT_EQ(p.mbox_latency, 2u);
+    // SRT forwarding, and CRT's extra cross-core hop.
+    EXPECT_EQ(p.lpq_forward_latency, 4u);
+    EXPECT_EQ(p.lvq_forward_latency, 2u);
+    EXPECT_EQ(p.cross_core_latency, 4u);
+}
 
 } // namespace

@@ -1,13 +1,18 @@
 #!/bin/sh
-# Tier-1 gate plus the sanitizer and perf passes, in one command:
+# Tier-1 gate plus the sanitizer passes, in one command:
 #
 #   tools/check.sh            # build + full ctest, then TSan, ASan and
 #                             # UBSan on the `sanitize`-labelled tests,
-#                             # the perf smoke (KIPS regression gate),
 #                             # the campaign gates and the paper's
 #                             # figures with their shape claims (the
 #                             # fault-coverage ones included)
 #   tools/check.sh --fast     # tier-1 only (skip sanitizers + smokes)
+#
+# Every gate is deterministic work or output, never host wall clock, so
+# a run passes or fails the same way on any host.  Simulated timing and
+# heap allocations per committed instruction are pinned in tier-1
+# (test_core_pins, test_steady_state_alloc); host speed is measured by
+# perfbench/run.py, not gated here.
 #
 # Uses build/ for the normal tree and build-{tsan,asan,ubsan}/ for the
 # instrumented ones so the configurations never fight over a cache.
@@ -24,7 +29,7 @@ echo "== tier-1: ctest =="
 ctest --test-dir build -j "$jobs" --output-on-failure
 
 if [ "$1" = "--fast" ]; then
-    echo "check.sh: tier-1 OK (sanitizer + perf passes skipped)"
+    echo "check.sh: tier-1 OK (sanitizer passes and smokes skipped)"
     exit 0
 fi
 
@@ -49,15 +54,6 @@ cmake --build build-ubsan -j "$jobs"
 echo "== sanitize: ctest -L sanitize (UBSan) =="
 ctest --test-dir build-ubsan -j "$jobs" -L sanitize --output-on-failure
 
-echo "== perf: KIPS smoke vs BENCH_perf.json =="
-if [ -f BENCH_perf.json ]; then
-    cmake --build build -j "$jobs" --target bench_perf >/dev/null
-    ./build/bench/bench_perf --baseline BENCH_perf.json --max-regress 10
-else
-    echo "check.sh: BENCH_perf.json missing; run tools/bench_perf.sh" >&2
-    exit 1
-fi
-
 echo "== ckpt: snapshot round-trip determinism gate =="
 cmake --build build -j "$jobs" --target rmtsim_cli rmtsim_batch >/dev/null
 ckpt_args="--mode srt --workloads gcc --warmup 2000 --insts 8000
@@ -78,25 +74,21 @@ sed 's/,"host":{[^}]*}//' build/ckpt_restore.json \
     > build/ckpt_restore_nohost.json
 diff build/ckpt_straight_nohost.json build/ckpt_restore_nohost.json
 
-echo "== ckpt: snapshot-forked fault campaign vs from-scratch =="
+echo "== ckpt: snapshot-forked fault campaign work counters =="
 # Snapshots refuse recovery, so the forked campaign runs without it
-# (unlike the faults_sphere figure).  Records must match the
-# from-scratch control byte-for-byte once the snapshot bookkeeping
-# ("extra") is stripped, and at least one trial must actually fork.
-# Work counters: the forked campaign runs exactly one fault-free
-# reference run per point (gcc, compress), which also produces the
-# snapshots, so its summary names no lazy snapshot producer.
+# (unlike the faults_sphere figure).  That forked records equal
+# from-scratch ones outside the snapshot bookkeeping ("extra"), and how
+# many trials restore and how many tail cycles they simulate, are
+# tier-1 tests (Checkpoint.ForkedVerdictsMatchFromScratch and
+# Checkpoint.ForkedCampaignWorkIsPinned).  Work counters here: the
+# campaign runs exactly one fault-free reference run per point (gcc,
+# compress), which also produces the snapshots, so its summary names no
+# lazy snapshot producer.
 ckpt_batch="--modes srt --workloads gcc,compress --fault-trials 2
             --warmup 500 --insts 5000 --snapshot-every 1500
             --no-timing"
 ./build/tools/rmtsim_batch $ckpt_batch --out build/ckpt_forked.jsonl \
     2> build/ckpt_forked.log
-./build/tools/rmtsim_batch $ckpt_batch --quiet --no-snapshot-fork \
-    --out build/ckpt_scratch.jsonl
-sed 's/,"extra":{[^}]*}//' build/ckpt_forked.jsonl \
-    > build/ckpt_forked_stripped.jsonl
-diff build/ckpt_forked_stripped.jsonl build/ckpt_scratch.jsonl
-grep -q '"snapshot_hit":1' build/ckpt_forked.jsonl
 # Image size, a host-independent work counter: stored state is sparse
 # (nonzero touched pages, valid cache lines, valid line-predictor
 # entries, counters off their reset value), so gcc's images read about
@@ -105,7 +97,10 @@ grep -q '"snapshot_hit":1' build/ckpt_forked.jsonl
 max_image=$(grep -o '"snapshot_bytes":[0-9]*' build/ckpt_forked.jsonl \
     | cut -d: -f2 | sort -n | tail -n 1)
 echo "ckpt: largest snapshot image ${max_image} bytes (bound 150000)"
-[ -n "$max_image" ] && [ "$max_image" -lt 150000 ]
+# Two tests, not one && list: set -e ignores a failure left of &&, so
+# a campaign that restored nothing (no snapshot_bytes) would pass.
+[ -n "$max_image" ]
+[ "$max_image" -lt 150000 ]
 grep -q '(2 fault-free reference runs)' build/ckpt_forked.log
 if grep -q 'producer' build/ckpt_forked.log; then
     echo "check.sh: the forked campaign ran a lazy snapshot producer" >&2
@@ -216,13 +211,14 @@ rc=0
     > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ]
 
-echo "== serve: daemon resubmission is byte-identical and >=5x faster =="
+echo "== serve: daemon resubmission is byte-identical and simulates nothing =="
 # Start rmtsimd on a fresh store, run the same client campaign twice:
-# the cold pass simulates every trial, the warm pass must be all store
-# hits — byte-identical output, at least 5x faster wall clock — and
-# snapshot fault, stratified, efficiency and failing-job campaigns must
-# match their local runs; then the daemon must drain cleanly on SIGTERM
-# (socket + pid file gone).
+# the cold pass simulates every job, the warm pass must be all store
+# hits — byte-identical output, and a summary that counts every job as
+# resumed from the daemon, so it simulated none — and snapshot fault,
+# stratified, efficiency and failing-job campaigns must match their
+# local runs; then the daemon must drain cleanly on SIGTERM (socket +
+# pid file gone).
 cmake --build build -j "$jobs" --target rmtsimd >/dev/null
 rm -rf build/serve_gate
 mkdir -p build/serve_gate
@@ -234,17 +230,14 @@ for _ in $(seq 50); do
     sleep 0.1
 done
 serve_args="--modes base,srt,crt --workloads gcc,compress --warmup 500
-            --insts 4000 --no-timing --quiet
-            --server build/serve_gate/d.sock"
-t0=$(date +%s%N)
-./build/tools/rmtsim_batch $serve_args --out build/serve_gate/cold.jsonl
-t1=$(date +%s%N)
-./build/tools/rmtsim_batch $serve_args --out build/serve_gate/warm.jsonl
-t2=$(date +%s%N)
+            --insts 4000 --no-timing --server build/serve_gate/d.sock"
+./build/tools/rmtsim_batch $serve_args --quiet \
+    --out build/serve_gate/cold.jsonl
+./build/tools/rmtsim_batch $serve_args --out build/serve_gate/warm.jsonl \
+    2> build/serve_gate/warm.err
 diff build/serve_gate/cold.jsonl build/serve_gate/warm.jsonl
-cold_ns=$((t1 - t0)); warm_ns=$((t2 - t1))
-echo "serve gate: cold ${cold_ns}ns, warm ${warm_ns}ns"
-[ $((warm_ns * 5)) -le "$cold_ns" ]
+grep -Eq '^6 jobs, 0 failed \(0 quarantined\) \(6 resumed from rmtsimd' \
+    build/serve_gate/warm.err
 ./build/tools/rmtsim_report --serve-summary build/serve_gate/d.sock \
     | grep -q 'hits'
 # A snapshot-barrier fault campaign through the daemon restores its

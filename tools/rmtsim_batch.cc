@@ -111,9 +111,7 @@ usage()
         "checkpointing:\n"
         "  --snapshot-every N  place a snapshot barrier every N cycles; "
         "fault trials restore the latest snapshot before their "
-        "strike\n"
-        "  --no-snapshot-fork  keep the barriers but run every trial "
-        "from scratch (timing-identical control for the restored run)\n"
+        "strike (a strike before the first barrier runs from scratch)\n"
         "\n"
         "budgets:\n"
         "  --insts N         measured instructions/thread (default "
@@ -145,8 +143,7 @@ usage()
         "                    jobs already in the daemon's store are "
         "not run again.  Not\n"
         "                    with --store (the daemon's store is the "
-        "store) or the local-only\n"
-        "                    --no-snapshot-fork\n"
+        "store)\n"
         "  --quiet           no stderr progress\n"
         "  --progress        force the stderr heartbeat (done/total, "
         "elapsed, ETA)\n"
@@ -206,7 +203,6 @@ main(int argc, char **argv)
     std::string store_dir;
     bool want_efficiency = false;
     bool list_only = false;
-    bool snapshot_fork = true;
     bool want_fsync = false;
     bool quiet = false;
     bool force_progress = false;
@@ -291,8 +287,6 @@ main(int argc, char **argv)
                 base.collect_stats_json = true;
             } else if (arg == "--snapshot-every") {
                 base.snapshot_every = u64();
-            } else if (arg == "--no-snapshot-fork") {
-                snapshot_fork = false;
             } else if (arg == "--fsync") {
                 want_fsync = true;
             } else if (arg == "--stratify") {
@@ -343,10 +337,9 @@ main(int argc, char **argv)
 
     const bool remote = !server_sock.empty();
     if (remote) {
-        // The daemon owns the store and always restores fault trials
-        // from snapshots; the crash hook is local machinery too.
+        // The daemon owns the store; the crash hook is local
+        // machinery.
         const char *clash = !store_dir.empty() ? "--store"
-                            : !snapshot_fork   ? "--no-snapshot-fork"
                             : test_crash >= 0  ? "--test-crash-trial"
                                                : nullptr;
         if (clash) {
@@ -461,7 +454,7 @@ main(int argc, char **argv)
 
     // Snapshot store for fault trials, shared across workers.
     SnapshotCache snapshots;
-    if (!remote && base.snapshot_every && snapshot_fork)
+    if (!remote && base.snapshot_every)
         cfg.snapshots = &snapshots;
 
     std::vector<JobResult> failures;
