@@ -65,12 +65,37 @@ crc32(const void *data, std::size_t size)
     return c ^ 0xffffffffu;
 }
 
+Serializer::Serializer(std::string_view reference,
+                       std::uint64_t fingerprint)
+    : comparing(true), ref(reference), refNext(24)
+{
+    differs = ref.size() < 24 ||
+              std::memcmp(ref.data(), kMagic, sizeof(kMagic)) != 0 ||
+              getLe<std::uint32_t>(ref, 8) != formatVersion ||
+              getLe<std::uint64_t>(ref, 12) != fingerprint;
+}
+
 std::string &
 Serializer::section()
 {
     if (!inSection)
         throw SnapshotError("serializer: write outside a section");
     return cur;
+}
+
+void
+Serializer::compare(const char *data, std::size_t size)
+{
+    if (!inSection)
+        throw SnapshotError("serializer: write outside a section");
+    if (differs)
+        return;
+    if (size > refEnd - refAt ||
+        std::memcmp(ref.data() + refAt, data, size) != 0) {
+        differs = true;
+        return;
+    }
+    refAt += size;
 }
 
 void
@@ -83,14 +108,14 @@ void
 Serializer::str(const std::string &s)
 {
     u32(static_cast<std::uint32_t>(s.size()));
-    section() += s;
+    bytes(s.data(), s.size());
 }
 
 void
 Serializer::blob(const void *data, std::size_t size)
 {
     u64(size);
-    section().append(static_cast<const char *>(data), size);
+    bytes(static_cast<const char *>(data), size);
 }
 
 void
@@ -102,6 +127,32 @@ Serializer::beginSection(const std::string &name)
     inSection = true;
     curName = name;
     cur.clear();
+    if (!comparing || differs)
+        return;
+    // The reference's next frame: name length, name, payload length
+    // (payload and CRC follow).  Bounds are checked here, since the
+    // reference is never validated as a whole.
+    std::size_t at = refNext;
+    if (ref.size() - at < 4 ||
+        ref.size() - at - 4 < getLe<std::uint32_t>(ref, at)) {
+        differs = true;
+        return;
+    }
+    const std::uint32_t name_len = getLe<std::uint32_t>(ref, at);
+    at += 4;
+    if (ref.substr(at, name_len) != name || ref.size() - at - name_len < 8) {
+        differs = true;
+        return;
+    }
+    at += name_len;
+    const auto payload_len = getLe<std::uint64_t>(ref, at);
+    at += 8;
+    if (payload_len > ref.size() - at || ref.size() - at - payload_len < 4) {
+        differs = true;
+        return;
+    }
+    refAt = at;
+    refEnd = at + static_cast<std::size_t>(payload_len);
 }
 
 void
@@ -109,19 +160,35 @@ Serializer::endSection()
 {
     if (!inSection)
         throw SnapshotError("serializer: no section open");
+    inSection = false;
+    ++sections;
+    if (comparing) {
+        // A payload that stopped short of the reference's differs too.
+        differs = differs || refAt != refEnd;
+        refNext = refEnd + 4;
+        return;
+    }
     putLe(body, static_cast<std::uint32_t>(curName.size()));
     body += curName;
     putLe<std::uint64_t>(body, cur.size());
     body += cur;
     putLe(body, crc32(cur.data(), cur.size()));
     cur.clear();
-    inSection = false;
-    ++sections;
+}
+
+bool
+Serializer::matchedWhole() const
+{
+    return comparing && !differs && !inSection &&
+           refNext == ref.size() &&
+           getLe<std::uint32_t>(ref, 20) == sections;
 }
 
 std::string
 Serializer::finish(std::uint64_t fingerprint) const
 {
+    if (comparing)
+        throw SnapshotError("serializer: finish() in compare mode");
     if (inSection)
         throw SnapshotError("serializer: section '" + curName +
                             "' still open at finish");

@@ -22,6 +22,11 @@
  * The header fingerprint pins the image to one simulator configuration:
  * restoring under different SimOptions (which would change the barrier
  * schedule and the machine shape) is rejected up front.
+ *
+ * A Serializer in compare mode writes the same sections against an
+ * existing image instead of building one: it answers "would this
+ * machine's image equal that one?" section by section, in place,
+ * without materialising the second image.
  */
 
 #ifndef RMTSIM_CKPT_SERIALIZER_HH
@@ -50,25 +55,42 @@ class SnapshotError : public std::runtime_error
 /** CRC32 (IEEE 802.3 polynomial, reflected, as zlib) of @p data. */
 std::uint32_t crc32(const void *data, std::size_t size);
 
-/** Builds a snapshot image section by section. */
+/** Builds a snapshot image section by section, or compares one. */
 class Serializer
 {
   public:
     /** v2: per-thread fetch-stall reason added to the core section
      *  (commit-slot attribution).
      *  v3: line-predictor sections store only valid entries and
-     *  branch-predictor sections only counters off their reset value. */
-    static constexpr std::uint32_t formatVersion = 3;
+     *  branch-predictor sections only counters off their reset value.
+     *  v4: indirect-predictor sections store only nonzero targets. */
+    static constexpr std::uint32_t formatVersion = 4;
+
+    /** Build mode: sealed sections accumulate for finish(). */
+    Serializer() = default;
+
+    /**
+     * Compare mode: nothing is built.  Every value is checked as it is
+     * written against the section at the same position of
+     * @p reference, a finished image taken under @p fingerprint (read
+     * in place, so it must outlive this).  The first difference -- a
+     * name, a byte, a payload length, the header -- ends the compare:
+     * matches() reads false and every later write is a no-op, so the
+     * caller can skip the sections still to come.  Nothing is
+     * allocated per write, and finish() throws.
+     */
+    Serializer(std::string_view reference, std::uint64_t fingerprint);
 
     /** Open a new tagged section; primitives go to it until end(). */
     void beginSection(const std::string &name);
-    /** Seal the open section (appends the payload CRC). */
+    /** Seal the open section (appends the payload CRC; in compare
+     *  mode, a payload shorter than the reference's differs). */
     void endSection();
 
-    void u8(std::uint8_t v) { putLe(section(), v); }
-    void u16(std::uint16_t v) { putLe(section(), v); }
-    void u32(std::uint32_t v) { putLe(section(), v); }
-    void u64(std::uint64_t v) { putLe(section(), v); }
+    void u8(std::uint8_t v) { le(v); }
+    void u16(std::uint16_t v) { le(v); }
+    void u32(std::uint32_t v) { le(v); }
+    void u64(std::uint64_t v) { le(v); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
     void f64(double v);
     void boolean(bool v) { u8(v ? 1 : 0); }
@@ -80,15 +102,49 @@ class Serializer
      *  Must be called with no section open. */
     std::string finish(std::uint64_t fingerprint) const;
 
+    /** Compare mode: no written byte has differed from the reference
+     *  so far (always true in build mode). */
+    bool matches() const { return !differs; }
+
+    /** Compare mode, once the last section is sealed: every section of
+     *  the reference was written, and none differed. */
+    bool matchedWhole() const;
+
   private:
+    template <typename T>
+    void le(T v)
+    {
+        char b[sizeof(T)];
+        storeLe(b, v);
+        bytes(b, sizeof(T));
+    }
+
+    /** Append @p size bytes to the open section, or compare them. */
+    void bytes(const char *data, std::size_t size)
+    {
+        if (!comparing)
+            section().append(data, size);
+        else
+            compare(data, size);
+    }
+
     /** The open section's payload; throws outside a section. */
     std::string &section();
+    void compare(const char *data, std::size_t size);
 
     std::string body;           ///< sealed sections
     std::string cur;            ///< open section payload
     std::string curName;
     bool inSection = false;
     std::uint32_t sections = 0;
+
+    // Compare mode: the reference image and a cursor into it.
+    bool comparing = false;
+    bool differs = false;
+    std::string_view ref;
+    std::size_t refAt = 0;      ///< next byte of the open payload
+    std::size_t refEnd = 0;     ///< one past the open payload
+    std::size_t refNext = 0;    ///< offset of the next section frame
 };
 
 /** Reads a snapshot image produced by Serializer in place.  The

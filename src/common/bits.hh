@@ -62,15 +62,23 @@ parity64(std::uint64_t v)
     return static_cast<unsigned>(v & 1);
 }
 
-/** Append @p v to @p out as sizeof(T) little-endian bytes, whatever the
+/** Store @p v at @p out as sizeof(T) little-endian bytes, whatever the
  *  host byte order. */
+template <typename T>
+inline void
+storeLe(char *out, T v)
+{
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        out[i] = static_cast<char>(static_cast<std::uint64_t>(v) >> (8 * i));
+}
+
+/** Append @p v to @p out as sizeof(T) little-endian bytes. */
 template <typename T>
 inline void
 putLe(std::string &out, T v)
 {
     char b[sizeof(T)];
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-        b[i] = static_cast<char>(static_cast<std::uint64_t>(v) >> (8 * i));
+    storeLe(b, v);
     out.append(b, sizeof(T));
 }
 

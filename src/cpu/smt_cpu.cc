@@ -570,6 +570,21 @@ SmtCpu::drainedForSnapshot() const
     return true;
 }
 
+bool
+SmtCpu::mappedRegsCommitted() const
+{
+    for (const ThreadState &t : threads) {
+        if (!t.active)
+            continue;
+        for (unsigned r = 0; r < numArchRegs; ++r) {
+            const PhysRegIndex p = t.renameMap[r];
+            if (p != invalidPhysReg && physRegs[p] != t.archRegs[r])
+                return false;
+        }
+    }
+    return true;
+}
+
 void
 SmtCpu::saveState(Serializer &s) const
 {

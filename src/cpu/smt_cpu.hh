@@ -262,6 +262,15 @@ class SmtCpu : public Snapshottable
     bool drainedForSnapshot() const;
 
     /**
+     * True iff every active thread's mapped physical registers hold
+     * its committed register values.  A snapshot stores only the
+     * committed values (loadState rebuilds the mapped registers from
+     * them), so a struck register still mapped and not yet overwritten
+     * is state no image shows.
+     */
+    bool mappedRegsCommitted() const;
+
+    /**
      * Architectural + timing-relevant microarchitectural state.  Valid
      * only at a quiesce point (drainedForSnapshot()); statistics are
      * restored separately through the chip stat walk.

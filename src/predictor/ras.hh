@@ -8,6 +8,7 @@
 #ifndef RMTSIM_PREDICTOR_RAS_HH
 #define RMTSIM_PREDICTOR_RAS_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -110,22 +111,39 @@ class IndirectPredictor
         targets[index(tid, pc)] = target;
     }
 
+    /** Only nonzero targets are stored, as (index, target): a zero
+     *  target is the reset value, and most tables hold few entries. */
     void
     saveState(Serializer &s) const
     {
         s.u32(static_cast<std::uint32_t>(targets.size()));
-        for (const Addr t : targets)
-            s.u64(t);
+        s.u32(static_cast<std::uint32_t>(
+            targets.size() - std::count(targets.begin(), targets.end(), 0)));
+        for (std::size_t i = 0; i < targets.size(); ++i) {
+            if (targets[i] == 0)
+                continue;
+            s.u32(static_cast<std::uint32_t>(i));
+            s.u64(targets[i]);
+        }
     }
 
     void
     loadState(Deserializer &d)
     {
-        const std::uint32_t n = d.u32();
-        if (n != targets.size())
+        if (d.u32() != targets.size())
             throw SnapshotError("indirect predictor: table size mismatch");
-        for (Addr &t : targets)
-            t = d.u64();
+        const std::uint32_t stored = d.u32();
+        if (stored > targets.size())
+            throw SnapshotError(
+                "indirect predictor: entry count out of range");
+        std::fill(targets.begin(), targets.end(), 0);
+        for (std::uint32_t i = 0; i < stored; ++i) {
+            const std::uint32_t idx = d.u32();
+            if (idx >= targets.size())
+                throw SnapshotError(
+                    "indirect predictor: entry index out of range");
+            targets[idx] = d.u64();
+        }
     }
 
   private:

@@ -24,10 +24,12 @@ namespace
 
 /** The one fault-free reference run behind goldens and snapshot sets:
  *  @p workloads under @p options to the end, appending a snapshot at
- *  every barrier to @p snapshots when set. */
+ *  every barrier to @p snapshots when set; @p result receives the
+ *  run's RunResult when set. */
 std::unique_ptr<Simulation>
 finishedRun(const std::vector<std::string> &workloads,
-            const SimOptions &options, SnapshotSet *snapshots)
+            const SimOptions &options, SnapshotSet *snapshots,
+            RunResult *result = nullptr)
 {
     auto sim = std::make_unique<Simulation>(workloads, options);
     if (snapshots) {
@@ -38,7 +40,9 @@ finishedRun(const std::vector<std::string> &workloads,
                             s.saveSnapshotBuffer())});
         });
     }
-    sim->run();
+    RunResult run = sim->run();
+    if (result)
+        *result = std::move(run);
     return sim;
 }
 
@@ -49,9 +53,11 @@ FaultOracle::reference(const std::vector<std::string> &workloads,
                        const SimOptions &options, unsigned logical,
                        SnapshotSet *snapshots)
 {
-    const auto sim = finishedRun(workloads, options, snapshots);
+    auto run = std::make_shared<RunResult>();
+    const auto sim = finishedRun(workloads, options, snapshots, run.get());
     const DataMemory &mem = sim->memory(logical);
     FaultOracle oracle(mem.size(), logical);
+    oracle.finalRun = std::move(run);
     mem.forEachTouchedPage(
         [&oracle](std::size_t p, std::span<const std::uint8_t> bytes) {
             oracle.keepPage(p, bytes);
@@ -160,6 +166,13 @@ FaultOracle::classify(Simulation &sim, const RunResult &result,
     FaultTrialReport report;
 
     RedundantPair *pair = faultedPair(sim, fault);
+    if (sim.stoppedAtBarrier()) {
+        // Rejoined: the verdict is the reference run's (executeJob
+        // rejoins only a reference that completed with no detection).
+        report.faulted_pair =
+            pair ? static_cast<int>(pair->logical()) : -1;
+        return report;
+    }
     if (pair) {
         report.faulted_pair = static_cast<int>(pair->logical());
         report.detections = pair->detectionCount();

@@ -16,6 +16,7 @@
 #define RMTSIM_RMT_FAULT_ORACLE_HH
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,10 +58,11 @@ class FaultOracle
      * The oracle of one fault-free run of @p workloads under @p options
      * to the end: the reference every faulted trial's memory (logical
      * thread @p logical) is compared against, kept sparse straight from
-     * the finished run.  When @p snapshots is set, the same run also
-     * appends a snapshot at every barrier to it (in cycle order), so one
-     * reference run per point is both the golden and the snapshot
-     * producer trials fork from.
+     * the finished run, and the run's final RunResult (referenceRun()).
+     * When @p snapshots is set, the same run also appends a snapshot at
+     * every barrier to it (in cycle order), so one reference run per
+     * point is both the golden and the snapshot producer trials fork
+     * from, and the run a trial that rejoins it at a barrier ends as.
      */
     static FaultOracle
     reference(const std::vector<std::string> &workloads,
@@ -78,10 +80,20 @@ class FaultOracle
     explicit FaultOracle(const std::vector<std::uint8_t> &golden,
                          unsigned logical = 0);
 
+    /** The reference run's final RunResult; null for an oracle built
+     *  from a golden image. */
+    const std::shared_ptr<const RunResult> &referenceRun() const
+    {
+        return finalRun;
+    }
+
     /**
      * Classify a finished trial.  Call while the trial's Simulation is
      * still alive (the oracle reads its memory image and the faulted
-     * pair's detection log).
+     * pair's detection log).  A trial whose run stopped at a barrier
+     * (Simulation::stoppedAtBarrier) rejoined its reference run there:
+     * @p result is that run's, which completed clean, so it is masked
+     * and the stopped machine's mid-run memory is not read.
      */
     FaultTrialReport classify(Simulation &sim, const RunResult &result,
                               const FaultRecord &fault) const;
@@ -106,6 +118,7 @@ class FaultOracle
     std::vector<std::uint32_t> goldenPages;    ///< ascending page indices
     std::vector<std::uint8_t> goldenBytes;     ///< those pages, in order
     unsigned logical;
+    std::shared_ptr<const RunResult> finalRun; ///< reference() only
 };
 
 } // namespace rmt

@@ -92,6 +92,12 @@ struct JobResult
     FaultVerdict verdict = FaultVerdict::Masked;
     double detection_latency = -1;  ///< cycles; negative = no detection
 
+    /** Barrier at which a fault trial rejoined its point's fault-free
+     *  reference run and stopped (0 = it ran to its end).  Work
+     *  bookkeeping only: no record format carries it, since a rejoined
+     *  trial's row equals the one it would have run to. */
+    Cycle rejoin_cycle = 0;
+
     bool ok() const { return status == JobStatus::Ok; }
 };
 

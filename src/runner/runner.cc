@@ -38,6 +38,76 @@ maxLogicalThreads(SimMode mode)
     return 1;
 }
 
+/**
+ * Can a trial of @p faults under @p options rejoin @p ref?  Only when
+ * the reference's final RunResult is known and completed with no
+ * detection (a rejoined trial is finished from it, as masked), no
+ * fault is a permanent one (it keeps striking past any barrier), and
+ * that RunResult renders the trial's row: the cache key ignores
+ * collect_stats_json.
+ */
+bool
+canRejoin(const std::vector<FaultRecord> &faults, const SimOptions &options,
+          const ReferenceRun &ref)
+{
+    if (!ref.snapshots || !ref.final ||
+        ref.final->outcome != Outcome::Completed ||
+        ref.final->detections != 0 ||
+        ref.final->stats_json.empty() == options.collect_stats_json)
+        return false;
+    return std::none_of(faults.begin(), faults.end(),
+                        [](const FaultRecord &f) {
+                            return f.kind == FaultRecord::Kind::PermanentFu;
+                        });
+}
+
+/**
+ * Has @p sim, quiesced at the barrier of @p cycle, rejoined the
+ * reference run that took @p set?  Its remaining run is that run's
+ * when its state equals the reference's at the same cycle, which an
+ * equal image alone does not show:
+ *  - every scheduled fault must have been applied: a strike still
+ *    waiting for a resident entry is in no image;
+ *  - every mapped physical register must hold its committed value: an
+ *    image stores committed registers only.
+ * Then the images are compared, streamed.  @p next is a cursor into
+ * @p set that only moves forward, as barriers do.
+ */
+bool
+rejoinsAt(Simulation &sim, Cycle cycle, const SnapshotSet &set,
+          std::size_t &next)
+{
+    while (next < set.size() && set[next].cycle < cycle)
+        ++next;
+    if (next == set.size() || set[next].cycle != cycle)
+        return false;
+    for (const FaultRecord &f : sim.faultInjector().scheduled()) {
+        if (!f.applied)
+            return false;
+    }
+    Chip &chip = sim.chip();
+    for (unsigned c = 0; c < chip.numCores(); ++c) {
+        if (!chip.cpu(c).mappedRegsCommitted())
+            return false;
+    }
+    return sim.matchesSnapshot(*set[next].image);
+}
+
+/** What a trial that rejoined @p reference returns: that run's
+ *  RunResult with the trial's own @p host timing, in its stats
+ *  document too. */
+RunResult
+rejoinedRun(const RunResult &reference, const HostTiming &host)
+{
+    RunResult run = reference;
+    run.host = host;
+    const std::string from = ",\"host\":" + reference.host.json();
+    const std::size_t at = run.stats_json.find(from);
+    if (at != std::string::npos)
+        run.stats_json.replace(at, from.size(), ",\"host\":" + host.json());
+    return run;
+}
+
 } // namespace
 
 SimOptions
@@ -133,14 +203,17 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
             SnapshotForkInfo snap;
             snap.enabled = config.snapshots && capped.snapshot_every &&
                            !spec.faults.empty();
+            ReferenceRun ref;
+            bool rejoinable = false;
             if (snap.enabled) {
                 Cycle first_fault = spec.faults.front().when;
                 for (const FaultRecord &f : spec.faults)
                     first_fault = std::min(first_fault, f.when);
-                const auto set =
-                    config.snapshots->snapshots(spec.workloads, capped);
+                ref = config.snapshots->reference(spec.workloads, capped);
+                rejoinable = canRejoin(spec.faults, capped, ref);
                 if (const CachedSnapshot *cached =
-                        SnapshotCache::latestBefore(*set, first_fault)) {
+                        SnapshotCache::latestBefore(*ref.snapshots,
+                                                    first_fault)) {
                     try {
                         sim->restoreSnapshotBuffer(*cached->image);
                         snap.hit = true;
@@ -161,6 +234,7 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
                                                      capped);
                         sim.emplace(spec.workloads, capped);
                         snap.scratch_fallback = true;
+                        rejoinable = false;     // the set is suspect
                     }
                 }
             }
@@ -182,7 +256,23 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
                 for (const FaultRecord &f : spec.faults)
                     sim->faultInjector().schedule(f);
             }
-            const RunResult run = sim->run();
+            // A trial whose state has rejoined the reference run at a
+            // barrier would only simulate that run's rest again: it
+            // stops there and takes the reference's end.
+            if (rejoinable) {
+                sim->setSnapshotHook(
+                    [set = ref.snapshots, next = std::size_t{0}](
+                        Cycle cycle, Simulation &s) mutable {
+                        if (rejoinsAt(s, cycle, *set, next))
+                            s.stopAtBarrier();
+                    });
+            }
+            RunResult run = sim->run();
+            Cycle rejoin_cycle = 0;
+            if (sim->stoppedAtBarrier()) {
+                rejoin_cycle = run.total_cycles;
+                run = rejoinedRun(*ref.final, run.host);
+            }
 
             result.wall_seconds =
                 std::chrono::duration<double>(Clock::now() - job_start)
@@ -197,6 +287,7 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
                 return result;
             }
 
+            result.rejoin_cycle = rejoin_cycle;
             finalizeJobResult(spec, config, *sim, run, snap, result);
             return result;
         } catch (const std::exception &e) {

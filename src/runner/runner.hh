@@ -42,8 +42,9 @@ struct RunnerConfig
     /** When set (and a job's options place snapshot barriers), fault
      *  trials fork from the latest cached snapshot strictly before the
      *  first fault's activation cycle instead of running the common
-     *  prefix from scratch.  The per-job "extra" metrics record the
-     *  hit and the cycles saved. */
+     *  prefix from scratch, and a trial that rejoins the point's
+     *  reference run at a later barrier stops there (executeJob).  The
+     *  per-job "extra" metrics record the hit and the cycles saved. */
     SnapshotCache *snapshots = nullptr;
 
     /** When set, receives each JobResult as it completes. */

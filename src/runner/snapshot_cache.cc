@@ -28,20 +28,22 @@ cacheKey(const std::vector<std::string> &workloads,
     return key;
 }
 
-std::shared_ptr<const SnapshotSet>
+ReferenceRun
 produce(const std::vector<std::string> &workloads,
         const SimOptions &options)
 {
-    // The same fault-free run a golden is; only its snapshots are kept.
+    // The same fault-free run a golden is; its snapshots and final
+    // RunResult are kept.
     auto set = std::make_shared<SnapshotSet>();
-    FaultOracle::reference(workloads, options, 0, set.get());
-    return set;
+    const FaultOracle oracle =
+        FaultOracle::reference(workloads, options, 0, set.get());
+    return {std::move(set), oracle.referenceRun()};
 }
 
 } // namespace
 
-std::shared_ptr<const SnapshotSet>
-SnapshotCache::snapshots(const std::vector<std::string> &workloads,
+ReferenceRun
+SnapshotCache::reference(const std::vector<std::string> &workloads,
                          const SimOptions &options)
 {
     const std::string key = cacheKey(workloads, options);
@@ -52,16 +54,16 @@ SnapshotCache::snapshots(const std::vector<std::string> &workloads,
         if (inserted)
             break;              // we own the placeholder
         if (it->second.ready)
-            return it->second.set;
+            return it->second.run;
         cv.wait(lock);
     }
 
     // We inserted the placeholder, so we are the single flight that
     // runs the producer; everyone else blocks above.
     lock.unlock();
-    std::shared_ptr<const SnapshotSet> set;
+    ReferenceRun run;
     try {
-        set = produce(workloads, options);
+        run = produce(workloads, options);
     } catch (...) {
         // Unpublish so waiters do not hang; the next caller retries.
         lock.lock();
@@ -71,22 +73,23 @@ SnapshotCache::snapshots(const std::vector<std::string> &workloads,
     }
     lock.lock();
     Entry &entry = cache.at(key);
-    entry.set = std::move(set);
+    entry.run = std::move(run);
     entry.ready = true;
     ++runs;
     cv.notify_all();
-    return entry.set;
+    return entry.run;
 }
 
 void
 SnapshotCache::insert(const std::vector<std::string> &workloads,
                       const SimOptions &options,
-                      std::shared_ptr<const SnapshotSet> set)
+                      std::shared_ptr<const SnapshotSet> set,
+                      std::shared_ptr<const RunResult> final)
 {
     const std::string key = cacheKey(workloads, options);
     std::lock_guard<std::mutex> lock(mu);
     Entry &entry = cache[key];
-    entry.set = std::move(set);
+    entry.run = {std::move(set), std::move(final)};
     entry.ready = true;
     cv.notify_all();
 }

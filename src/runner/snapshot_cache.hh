@@ -11,6 +11,10 @@
  * each trial restores the latest snapshot strictly before its first
  * fault's activation cycle.
  *
+ * The same entry keeps that run's final RunResult, so a trial that
+ * has rejoined the run at a barrier (its state equal to the snapshot
+ * taken there) can end at once with the run's result (executeJob).
+ *
  * CampaignEngine fills the cache up front: its golden run of a point
  * is that fault-free run (FaultOracle::reference with a SnapshotSet),
  * and it insert()s the set before any trial of the point starts.  When
@@ -38,21 +42,36 @@
 namespace rmt
 {
 
+/** One point's fault-free reference run, as its trials see it. */
+struct ReferenceRun
+{
+    std::shared_ptr<const SnapshotSet> snapshots;
+    /** The run's final RunResult; null when the set was insert()ed
+     *  without one. */
+    std::shared_ptr<const RunResult> final;
+};
+
 class SnapshotCache
 {
   public:
     /**
-     * Snapshots for (@p workloads, @p options), producing them with one
-     * fault-free run if no entry exists yet.  @p options must have
-     * snapshot_every set and must be the exact options the trials run
-     * under (the snapshot fingerprint check enforces this at restore
-     * time).
-     * Returns an empty set when the producer run placed no barriers
+     * The reference run of (@p workloads, @p options), producing it
+     * with one fault-free run if no entry exists yet.  @p options must
+     * have snapshot_every set and must be the exact options the trials
+     * run under (the snapshot fingerprint check enforces this at
+     * restore time).  The set is empty when the run placed no barriers
      * (budget shorter than snapshot_every).
      */
+    ReferenceRun reference(const std::vector<std::string> &workloads,
+                           const SimOptions &options);
+
+    /** reference(@p workloads, @p options).snapshots. */
     std::shared_ptr<const SnapshotSet>
     snapshots(const std::vector<std::string> &workloads,
-              const SimOptions &options);
+              const SimOptions &options)
+    {
+        return reference(workloads, options).snapshots;
+    }
 
     /**
      * The latest snapshot in @p set strictly before @p cycle, or
@@ -64,14 +83,16 @@ class SnapshotCache
     latestBefore(const SnapshotSet &set, Cycle cycle);
 
     /**
-     * Publish @p set for (@p workloads, @p options) without a producer
-     * run, replacing any existing entry.  CampaignEngine publishes its
-     * golden runs' snapshots here; tests also pre-seed corrupted
+     * Publish @p set, and the final RunResult @p final of the run that
+     * took it when known, for (@p workloads, @p options) without a
+     * producer run, replacing any existing entry.  CampaignEngine
+     * publishes its golden runs here; tests also pre-seed corrupted
      * images, which restore-time validation must catch.
      */
     void insert(const std::vector<std::string> &workloads,
                 const SimOptions &options,
-                std::shared_ptr<const SnapshotSet> set);
+                std::shared_ptr<const SnapshotSet> set,
+                std::shared_ptr<const RunResult> final = nullptr);
 
     /**
      * Drop the entry for (@p workloads, @p options), if any.  Called
@@ -91,7 +112,7 @@ class SnapshotCache
     struct Entry
     {
         bool ready = false;
-        std::shared_ptr<const SnapshotSet> set;
+        ReferenceRun run;
     };
 
     mutable std::mutex mu;

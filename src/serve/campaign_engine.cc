@@ -36,6 +36,7 @@ struct CampaignEngine::Run
     std::condition_variable cv;
     std::size_t outstanding = 0;    ///< owned jobs not yet retired
     std::uint64_t simulated = 0;
+    std::uint64_t rejoined = 0;
     std::atomic<bool> cancel{false};    ///< emit refused a row
 
     bool stopped(const RunnerConfig &config) const
@@ -95,7 +96,8 @@ CampaignEngine::attachGoldens(Run &run,
                                                snaps.get()));
                     if (snaps) {
                         config.snapshots->insert(job.workloads, capped,
-                                                 std::move(snaps));
+                                                 std::move(snaps),
+                                                 golden->referenceRun());
                     }
                     return golden;
                 });
@@ -170,6 +172,7 @@ CampaignEngine::run(std::vector<JobSpec> jobs, const Emit &emit)
             slot.state = skip ? Run::State::Skipped : Run::State::Ready;
             slot.result = std::move(r);
             run.simulated += !skip;
+            run.rejoined += slot.result.rejoin_cycle != 0;
             --run.outstanding;
             run.cv.notify_all();
         });
@@ -231,6 +234,7 @@ CampaignEngine::run(std::vector<JobSpec> jobs, const Emit &emit)
     }
     run.drain();
     tally.simulated = run.simulated;
+    tally.rejoined = run.rejoined;
     return tally;
 }
 

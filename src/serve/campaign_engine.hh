@@ -18,7 +18,9 @@
  *     config.snapshots before any trial starts — a resubmission that
  *     is all hits builds no reference run;
  *  3. owned jobs run on the caller's pool (executeJob) and each result
- *     is publish()ed before it is emitted;
+ *     is publish()ed before it is emitted; a fault trial that rejoins
+ *     its point's reference run at a barrier ends there (counted in
+ *     EngineTally::rejoined);
  *  4. emit(spec, result) is called on the calling thread, in job order;
  *  5. once emit returns false or config.stop reads true, unstarted
  *     owned jobs are abandoned (waiters elsewhere re-claim them).
@@ -57,6 +59,8 @@ struct EngineTally
     std::uint64_t failed = 0;       ///< emitted rows whose job failed
     std::uint64_t skipped = 0;      ///< jobs left without a row
     std::uint64_t goldens = 0;      ///< fault-free reference runs built
+    std::uint64_t rejoined = 0;     ///< simulated trials that rejoined
+                                    ///< their reference run
 };
 
 class CampaignEngine

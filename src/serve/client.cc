@@ -137,8 +137,9 @@ RemoteEngine::run(std::vector<JobSpec> jobs,
             throw wire::WireError(
                 "serve: daemon reported " + std::to_string(count("rows")) +
                 " rows but sent " + std::to_string(rows));
-        tally = {count("hits"),   count("awaited"), count("simulated"),
-                 count("failed"), count("skipped"), count("goldens")};
+        tally = {count("hits"),    count("awaited"), count("simulated"),
+                 count("failed"),  count("skipped"), count("goldens"),
+                 count("rejoined")};
         const JsonValue *d = msg.find("draining");
         was_draining = d && d->isBool() && d->boolean();
         return tally;

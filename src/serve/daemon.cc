@@ -45,6 +45,7 @@ doneJson(std::size_t jobs, const EngineTally &t, bool draining)
        << ",\"hits\":" << t.hits << ",\"awaited\":" << t.awaited
        << ",\"simulated\":" << t.simulated << ",\"failed\":" << t.failed
        << ",\"skipped\":" << t.skipped << ",\"goldens\":" << t.goldens
+       << ",\"rejoined\":" << t.rejoined
        << ",\"draining\":" << (draining ? "true" : "false") << "}";
     return os.str();
 }

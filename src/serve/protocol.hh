@@ -26,7 +26,7 @@
  * Control types server -> client:
  *   {"type":"accepted","campaign":"<hex>","jobs":N}
  *   {"type":"done","rows":N,"hits":N,"awaited":N,"simulated":N,
- *    "failed":N,"skipped":N,"goldens":N,"draining":bool}
+ *    "failed":N,"skipped":N,"goldens":N,"rejoined":N,"draining":bool}
  *   {"type":"status",...}  {"type":"ok",...}  {"type":"error",...}
  *
  * "done" carries the daemon engine's EngineTally; rows counts the 'R'

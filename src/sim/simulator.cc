@@ -432,8 +432,11 @@ Simulation::run()
                 }
             }
             _chip->setDraining(false);
-            if (!hung && _chip->quiescedForSnapshot() && snapshotHook)
+            if (!hung && _chip->quiescedForSnapshot() && snapshotHook) {
                 snapshotHook(_chip->cycle(), *this);
+                if (stopped)
+                    break;
+            }
             next_barrier = (_chip->cycle() / snap_every + 1) * snap_every;
         }
     }
@@ -646,21 +649,25 @@ constexpr std::size_t snapshotPageBytes = DataMemory::pageBytes;
 void
 saveSparseMemory(Serializer &s, const DataMemory &m)
 {
-    std::vector<std::uint32_t> stored;
+    // Two walks, one to count and one to write, so no list of stored
+    // pages is built for a save or a compare (matchesSnapshot).
+    std::uint32_t stored = 0;
     m.forEachTouchedPage(
-        [&stored](std::size_t p, std::span<const std::uint8_t> bytes) {
-            if (!DataMemory::zeroBytes(bytes.data(), bytes.size()))
-                stored.push_back(static_cast<std::uint32_t>(p));
+        [&stored](std::size_t, std::span<const std::uint8_t> bytes) {
+            stored += !DataMemory::zeroBytes(bytes.data(), bytes.size());
         });
 
     s.u64(m.size());
     s.u32(static_cast<std::uint32_t>(snapshotPageBytes));
-    s.u32(static_cast<std::uint32_t>(stored.size()));
-    for (const std::uint32_t p : stored) {
-        const std::span<const std::uint8_t> bytes = m.page(p);
-        s.u32(p);
-        s.blob(bytes.data(), bytes.size());
-    }
+    s.u32(stored);
+    m.forEachTouchedPage(
+        [&s](std::size_t p, std::span<const std::uint8_t> bytes) {
+            if (!s.matches() ||
+                DataMemory::zeroBytes(bytes.data(), bytes.size()))
+                return;
+            s.u32(static_cast<std::uint32_t>(p));
+            s.blob(bytes.data(), bytes.size());
+        });
 }
 
 void
@@ -699,16 +706,40 @@ Simulation::saveSnapshotBuffer() const
     }
 
     Serializer s;
+    writeSnapshot(s);
+    return s.finish(optionsFingerprintU64(opts));
+}
+
+bool
+Simulation::matchesSnapshot(std::string_view image) const
+{
+    if (!_chip->quiescedForSnapshot()) {
+        throw SnapshotError(
+            "snapshot compare requires a quiesced chip (compare from the "
+            "snapshot hook or after the run finished)");
+    }
+    Serializer s(image, optionsFingerprintU64(opts));
+    writeSnapshot(s);
+    return s.matchedWhole();
+}
+
+void
+Simulation::writeSnapshot(Serializer &s) const
+{
     s.beginSection("meta");
     s.u64(_chip->cycle());
     s.u32(static_cast<std::uint32_t>(workloads.size()));
     for (const Workload &w : workloads)
         s.str(w.name);
     s.endSection();
+    if (!s.matches())
+        return;
 
     s.beginSection("chip");
     _chip->saveState(s);
     s.endSection();
+    if (!s.matches())
+        return;
 
     s.beginSection("memory");
     s.u32(static_cast<std::uint32_t>(memories.size()));
@@ -718,9 +749,10 @@ Simulation::saveSnapshotBuffer() const
     for (const auto &m : copyMemories)
         saveSparseMemory(s, *m);
     s.endSection();
+    if (!s.matches())
+        return;
 
     saveChipStats(s, *_chip);
-    return s.finish(optionsFingerprintU64(opts));
 }
 
 void

@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cmp/chip.hh"
@@ -217,7 +218,8 @@ class Simulation
     // --------------------------------------------- checkpoint/restore
     /**
      * Called at every snapshot barrier, after the chip has quiesced;
-     * typically calls saveSnapshotBuffer()/saveSnapshot().
+     * typically calls saveSnapshotBuffer()/saveSnapshot(),
+     * matchesSnapshot() or stopAtBarrier().
      */
     using SnapshotHook = std::function<void(Cycle, Simulation &)>;
     void setSnapshotHook(SnapshotHook hook)
@@ -226,12 +228,31 @@ class Simulation
     }
 
     /**
+     * From the snapshot hook: end run() at this barrier, right after
+     * the hook returns.  The RunResult run() then returns describes a
+     * machine stopped mid-run (outcome cap_exceeded), and
+     * stoppedAtBarrier() reads true.
+     */
+    void stopAtBarrier() { stopped = true; }
+
+    /** run() ended at a barrier through stopAtBarrier(). */
+    bool stoppedAtBarrier() const { return stopped; }
+
+    /**
      * Serialize the whole simulation (chip, data memories, statistics)
      * into a snapshot image.  Only valid at a quiesce point — i.e. from
      * the snapshot hook, or after run() returned — and throws
      * SnapshotError otherwise.
      */
     std::string saveSnapshotBuffer() const;
+
+    /**
+     * Would saveSnapshotBuffer() return @p image, byte for byte?  The
+     * compare streams (Serializer's compare mode): each section is
+     * checked as it is written and the first differing section ends
+     * it, so no image is built.  Valid where saveSnapshotBuffer() is.
+     */
+    bool matchesSnapshot(std::string_view image) const;
 
     /**
      * Restore a snapshot image into this freshly built (never run)
@@ -256,6 +277,9 @@ class Simulation
     void buildBase(bool base2);
     void buildSrt();
     void buildCrt();
+    /** The sections of a snapshot image, written (or compared) into
+     *  @p s; stops after the first section that differs. */
+    void writeSnapshot(Serializer &s) const;
 
     SimOptions opts;
     std::string statsJsonPrefix;    ///< cached invariant stats-JSON head
@@ -269,6 +293,7 @@ class Simulation
     double buildSeconds = 0;
     double restoreSeconds = 0;
     SnapshotHook snapshotHook;
+    bool stopped = false;       ///< stopAtBarrier() was called
     Cycle restoredAt = 0;
 };
 

@@ -18,15 +18,21 @@
  *  - a bumped or previous format version and a mismatched options
  *    fingerprint are both rejected before any state is touched;
  *  - the sparse predictor sections (valid line-predictor entries,
- *    counters off their reset value) restore predictors that predict
- *    identically at every index and re-save byte-identically, and an
- *    out-of-range index or count is rejected;
+ *    counters off their reset value, nonzero indirect targets) restore
+ *    predictors that predict identically at every index and re-save
+ *    byte-identically, and an out-of-range index or count is rejected;
+ *  - a Serializer in compare mode matches an image only when every
+ *    section and byte matches, and stops at the first difference;
  *  - a fault scheduled at or before the restored cycle is rejected
  *    (it would fire immediately instead of at its nominal cycle);
  *  - snapshot-forked fault campaigns are -j invariant, their records
  *    are byte-identical to from-scratch ones outside the snapshot
  *    bookkeeping, and the trials they restore and the tail cycles they
- *    still simulate are pinned.
+ *    still simulate are pinned;
+ *  - trials that rejoin their reference run at a barrier leave their
+ *    rows unchanged (fault and stratified campaigns, every fault kind,
+ *    SRT and CRT, one and four workers), and neither a struck register
+ *    still mapped nor a strike still pending at a barrier rejoins.
  */
 
 #include <gtest/gtest.h>
@@ -36,16 +42,23 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "avf/sampler.hh"
 #include "ckpt/serializer.hh"
 #include "common/random.hh"
 #include "predictor/branch_predictor.hh"
 #include "predictor/line_predictor.hh"
+#include "predictor/ras.hh"
+#include "runner/result_sink.hh"
 #include "runner/runner.hh"
+#include "runner/thread_pool.hh"
+#include "serve/campaign_engine.hh"
+#include "serve/result_store.hh"
 #include "sim/simulator.hh"
 
 using namespace rmt;
@@ -378,8 +391,9 @@ TEST(Checkpoint, VersionAndFingerprintMismatchesAreRejected)
     ASSERT_FALSE(image.empty());
 
     // Header layout: 8-byte magic, u32 format version (little-endian).
-    // Version 2 is the last format with dense predictor tables.
-    for (const char version : {char{2}, char{0x7f}}) {
+    // Version 3 is the last format with a dense indirect-predictor
+    // table.
+    for (const char version : {char{3}, char{0x7f}}) {
         std::string wrong_version = image;
         wrong_version[8] = version;
         Simulation sim(workloads, o);
@@ -562,11 +576,14 @@ TEST(Checkpoint, ForkedVerdictsMatchFromScratch)
 TEST(Checkpoint, ForkedCampaignWorkIsPinned)
 {
     // The work a forked campaign saves, as exact counters: how many
-    // trials restored a snapshot and how many cycles the trials still
-    // simulated past it (every cycle for a trial that ran from
-    // scratch).  A campaign that stops restoring, or restores from an
-    // earlier barrier, simulates more tail cycles.  Recorded from the
-    // reference runner; the verdicts must not move either.
+    // trials restored a snapshot, how many cycles the rows count past
+    // it (every cycle for a trial that ran from scratch), how many
+    // trials rejoined their reference run and how many tail cycles
+    // were really simulated (a rejoined trial stops at its barrier).
+    // A campaign that stops restoring or rejoining, or restores from
+    // an earlier barrier, simulates more tail cycles.  The row-derived
+    // counters were recorded before trials rejoined and must not move;
+    // the verdicts must not move either.
     Campaign campaign = faultCampaign();
     std::map<std::string, std::unique_ptr<FaultOracle>> oracles;
     attachOracles(campaign, oracles);
@@ -575,24 +592,321 @@ TEST(Checkpoint, ForkedCampaignWorkIsPinned)
     SnapshotCache cache;
     runToJsonl(campaign, 2, &cache, results);
 
-    unsigned restored = 0;
-    std::uint64_t tail_cycles = 0;
+    unsigned restored = 0, rejoined = 0;
+    std::uint64_t tail_cycles = 0, simulated_cycles = 0;
     std::map<FaultVerdict, unsigned> verdicts;
     for (const JobResult &r : results) {
         ASSERT_TRUE(r.ok()) << r.error;
         if (!r.has_verdict)
             continue;
+        const auto from = static_cast<Cycle>(extraValue(r, "snapshot_cycle"));
         restored += extraValue(r, "snapshot_hit") > 0;
-        tail_cycles += r.run.total_cycles -
-                       static_cast<Cycle>(extraValue(r, "snapshot_cycle"));
+        tail_cycles += r.run.total_cycles - from;
+        rejoined += r.rejoin_cycle != 0;
+        simulated_cycles +=
+            (r.rejoin_cycle ? r.rejoin_cycle : r.run.total_cycles) - from;
         ++verdicts[r.verdict];
     }
     EXPECT_EQ(restored, 4u);
     EXPECT_EQ(tail_cycles, 31585u);
+    EXPECT_EQ(rejoined, 3u);
+    EXPECT_EQ(simulated_cycles, 21113u);
     EXPECT_EQ(verdicts[FaultVerdict::Detected], 1u);
     EXPECT_EQ(verdicts[FaultVerdict::Masked], 5u);
     EXPECT_EQ(verdicts[FaultVerdict::Sdc], 0u);
     EXPECT_EQ(verdicts[FaultVerdict::Hang], 0u);
+}
+
+namespace
+{
+
+/**
+ * Rows (timing off) of @p jobs run as the tools run them, through a
+ * CampaignEngine on @p workers threads: forked and rejoining when
+ * @p snapshots is set, from scratch otherwise.  @p rejoined receives
+ * the engine's count of rejoined trials.
+ */
+std::string
+engineRows(const std::vector<JobSpec> &jobs, unsigned workers,
+           SnapshotCache *snapshots, std::uint64_t &rejoined)
+{
+    RunnerConfig cfg;
+    cfg.jobs = workers;
+    cfg.snapshots = snapshots;
+    ThreadPool pool(workers);
+    ResultStore store;
+    CampaignEngine engine(pool, store, cfg);
+    std::string rows;
+    const EngineTally t =
+        engine.run(jobs, [&rows](const JobSpec &spec, const JobResult &r) {
+            EXPECT_TRUE(r.ok()) << r.error;
+            rows += resultJson(spec, r, false) + "\n";
+            return true;
+        });
+    rejoined = t.rejoined;
+    return rows;
+}
+
+/** Budgets of the identity campaigns: barriers every 1500 cycles. */
+SimOptions
+identityOptions()
+{
+    SimOptions base;
+    base.warmup_insts = 500;
+    base.measure_insts = 5000;
+    base.snapshot_every = 1500;
+    return base;
+}
+
+/** One stratified round over every fault kind in SRT and CRT. */
+std::vector<JobSpec>
+stratifiedRound()
+{
+    std::vector<StratifiedSampler::Cell> cells;
+    for (const SimMode mode : {SimMode::Srt, SimMode::Crt}) {
+        SimOptions o = identityOptions();
+        o.mode = mode;
+        cells.push_back({std::string(modeName(mode)) + ":gcc", {"gcc"}, o});
+    }
+    SamplerConfig cfg;
+    cfg.kinds = parseFaultKinds("reg,pc,dec,sqd,sqa,lpq,boq,lvq,mb,fu");
+    cfg.windows = 1;
+    cfg.batch = 3;
+    cfg.max_trials = 3;
+    cfg.max_reg = 15;
+    StratifiedSampler sampler(cells, cfg, 11);
+    return sampler.nextRound();
+}
+
+} // namespace
+
+TEST(Checkpoint, RejoinedTrialsMatchFromScratch)
+{
+    // A trial that rejoins its reference run at a barrier ends there
+    // and takes the reference's end; its row must still equal the
+    // from-scratch row outside the snapshot bookkeeping, for a fault
+    // campaign and for a stratified round over all ten fault kinds,
+    // in SRT and CRT, at one and at four workers.
+    CampaignBuilder builder("rejoin", 5);
+    builder.base(identityOptions())
+        .modes({SimMode::Srt, SimMode::Crt})
+        .workloads({"gcc", "swim"})
+        .transientRegTrials(6, 15);
+    const std::vector<JobSpec> faults = builder.build().jobs;
+    const std::vector<JobSpec> strata = stratifiedRound();
+    std::set<FaultRecord::Kind> kinds;
+    for (const JobSpec &job : strata)
+        kinds.insert(job.faults.front().kind);
+    ASSERT_EQ(kinds.size(), 10u);
+
+    for (const auto *jobs : {&faults, &strata}) {
+        std::uint64_t none = 0;
+        const std::string scratch = engineRows(*jobs, 4, nullptr, none);
+        EXPECT_EQ(none, 0u);
+        for (const unsigned workers : {1u, 4u}) {
+            SnapshotCache cache;
+            std::uint64_t rejoined = 0;
+            const std::string forked =
+                engineRows(*jobs, workers, &cache, rejoined);
+            EXPECT_EQ(stripExtra(forked), scratch) << workers << " workers";
+            EXPECT_GT(rejoined, 0u) << workers << " workers";
+            EXPECT_NE(forked.find("\"snapshot_hit\":1"), std::string::npos);
+        }
+    }
+}
+
+namespace
+{
+
+/** A fault trial of @p workloads under @p options, its oracle
+ *  attached, with the point's reference run in @p cache. */
+JobSpec
+trapTrial(const std::vector<std::string> &workloads,
+          const SimOptions &options, const std::string &fault,
+          SnapshotCache &cache, std::unique_ptr<FaultOracle> &oracle)
+{
+    JobSpec job;
+    job.label = fault;
+    job.workloads = workloads;
+    job.options = options;
+    job.faults = {parseFaultSpec(fault)};
+    oracle = std::make_unique<FaultOracle>(
+        FaultOracle::reference(workloads, options));
+    attachFaultOracle(job, oracle.get());
+    cache.reference(workloads, options);
+    return job;
+}
+
+/** Run @p job from scratch with a hook that calls @p at_barrier with
+ *  the reference image of each barrier the trial shares with it. */
+template <typename AtBarrier>
+void
+scanBarriers(const JobSpec &job, SnapshotCache &cache,
+             AtBarrier &&at_barrier)
+{
+    const auto set = cache.snapshots(job.workloads, job.options);
+    Simulation sim(job.workloads, job.options);
+    for (const FaultRecord &f : job.faults)
+        sim.faultInjector().schedule(f);
+    sim.setSnapshotHook([&](Cycle cycle, Simulation &s) {
+        for (const CachedSnapshot &snap : *set) {
+            if (snap.cycle == cycle)
+                at_barrier(s, *snap.image);
+        }
+    });
+    sim.run();
+}
+
+} // namespace
+
+TEST(Checkpoint, StruckMappedRegisterBlocksRejoin)
+{
+    // The image stores committed registers, and a restore rebuilds the
+    // mapped physical registers from them, so a struck register still
+    // mapped and not yet overwritten is in no image.  This CRT trial
+    // matches a reference image after its strike, yet is detected 1133
+    // cycles after it.
+    SimOptions o;
+    o.mode = SimMode::Crt;
+    o.warmup_insts = 500;
+    o.measure_insts = 6000;
+    o.snapshot_every = 1000;
+    SnapshotCache cache;
+    std::unique_ptr<FaultOracle> oracle;
+    const JobSpec job = trapTrial({"gcc", "swim"}, o, "reg:4188:0:0:14:52",
+                                  cache, oracle);
+
+    bool hidden = false;
+    scanBarriers(job, cache, [&](Simulation &s, const std::string &image) {
+        bool regs = true;
+        for (unsigned c = 0; c < s.chip().numCores(); ++c)
+            regs = regs && s.chip().cpu(c).mappedRegsCommitted();
+        hidden = hidden || (s.faultInjector().scheduled()[0].applied &&
+                            !regs && s.matchesSnapshot(image));
+    });
+    EXPECT_TRUE(hidden) << "the trial no longer shows the hole";
+
+    RunnerConfig cfg;
+    cfg.snapshots = &cache;
+    const JobResult r = executeJob(job, cfg);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.verdict, FaultVerdict::Detected);
+    EXPECT_EQ(r.detection_latency, 1133);
+    EXPECT_EQ(r.rejoin_cycle, 0u);
+}
+
+TEST(Checkpoint, PendingStrikeBlocksRejoin)
+{
+    // A store-queue strike retries until an entry is resident; the SQ
+    // is empty at a quiesced barrier, so this one waits across the
+    // barrier at 2226 while the trial's image equals the reference's.
+    // It strikes after the barrier and is detected.
+    SimOptions o = identityOptions();
+    o.mode = SimMode::Srt;
+    SnapshotCache cache;
+    std::unique_ptr<FaultOracle> oracle;
+    const JobSpec job =
+        trapTrial({"gcc"}, o, "sqd:2200:0:0:5", cache, oracle);
+
+    bool hidden = false;
+    scanBarriers(job, cache, [&](Simulation &s, const std::string &image) {
+        hidden = hidden || (!s.faultInjector().scheduled()[0].applied &&
+                            s.matchesSnapshot(image));
+    });
+    EXPECT_TRUE(hidden) << "the strike is no longer pending at a barrier";
+
+    RunnerConfig cfg;
+    cfg.snapshots = &cache;
+    const JobResult r = executeJob(job, cfg);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.verdict, FaultVerdict::Detected);
+    EXPECT_EQ(r.detection_latency, 65);
+    EXPECT_EQ(r.rejoin_cycle, 0u);
+}
+
+TEST(Checkpoint, RejoinedStatsCarryTheTrialsHostTiming)
+{
+    // The trailing copy's store-data strike is masked and the trial
+    // rejoins at the barrier at 3134.  Its row is the from-scratch
+    // row, and the host block of its stats document is the trial's.
+    SimOptions o = identityOptions();
+    o.mode = SimMode::Srt;
+    o.collect_stats_json = true;
+    SnapshotCache cache;
+    std::unique_ptr<FaultOracle> oracle;
+    const JobSpec job =
+        trapTrial({"gcc"}, o, "sqd:2200:0:1:5", cache, oracle);
+
+    RunnerConfig cfg;
+    cfg.snapshots = &cache;
+    const JobResult r = executeJob(job, cfg);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.rejoin_cycle, 3134u);
+    EXPECT_EQ(r.verdict, FaultVerdict::Masked);
+    HostTiming at_run_end = r.run.host;
+    at_run_end.oracle_seconds = 0;      // the document predates classify
+    EXPECT_NE(r.run.stats_json.find(",\"host\":" + at_run_end.json()),
+              std::string::npos);
+    const JobResult scratch = executeJob(job, RunnerConfig{});
+    EXPECT_EQ(stripExtra(resultJson(job, r, false)),
+              resultJson(job, scratch, false));
+
+    // A reference without a stats document cannot finish a trial that
+    // wants one (the cache key ignores collect_stats_json): no rejoin.
+    SimOptions bare = o;
+    bare.collect_stats_json = false;
+    SnapshotCache bare_cache;
+    bare_cache.reference(job.workloads, bare);
+    RunnerConfig bare_cfg;
+    bare_cfg.snapshots = &bare_cache;
+    const JobResult b = executeJob(job, bare_cfg);
+    ASSERT_TRUE(b.ok()) << b.error;
+    EXPECT_EQ(b.rejoin_cycle, 0u);
+    EXPECT_EQ(stripExtra(resultJson(job, b, false)),
+              resultJson(job, scratch, false));
+}
+
+TEST(Checkpoint, CompareModeStopsAtTheFirstDifference)
+{
+    const auto write = [](Serializer &s, std::uint32_t value,
+                          bool second) {
+        s.beginSection("one");
+        s.u32(7);
+        s.u32(value);
+        s.endSection();
+        if (!second || !s.matches())
+            return;
+        s.beginSection("two");
+        s.str("payload");
+        s.endSection();
+    };
+    Serializer build;
+    write(build, 9, true);
+    const std::string image = build.finish(42);
+
+    Serializer same(image, 42);
+    write(same, 9, true);
+    EXPECT_TRUE(same.matchedWhole());
+
+    Serializer differs(image, 42);
+    write(differs, 8, true);
+    EXPECT_FALSE(differs.matches());
+    EXPECT_FALSE(differs.matchedWhole());
+
+    Serializer shorter(image, 42);
+    write(shorter, 9, false);
+    EXPECT_TRUE(shorter.matches());
+    EXPECT_FALSE(shorter.matchedWhole());
+
+    Serializer other_options(image, 43);
+    write(other_options, 9, true);
+    EXPECT_FALSE(other_options.matchedWhole());
+
+    Serializer truncated(std::string_view(image).substr(0, image.size() - 3),
+                         42);
+    write(truncated, 9, true);
+    EXPECT_FALSE(truncated.matchedWhole());
+    EXPECT_THROW(same.finish(42), SnapshotError);
 }
 
 namespace
@@ -694,6 +1008,32 @@ TEST(Checkpoint, SparseBranchPredictorRestoresEveryCounter)
     }
 }
 
+TEST(Checkpoint, SparseIndirectPredictorRestoresEveryTarget)
+{
+    IndirectPredictor trained;
+    Random rng(9);
+    for (int i = 0; i < 300; ++i) {
+        const ThreadId tid = static_cast<ThreadId>(rng.range(4));
+        trained.update(tid, Program::textBase + rng.range(4096) * instBytes,
+                       Program::textBase + rng.range(1u << 16) * instBytes);
+    }
+    const std::string image = savedImage(trained);
+    // Dense, the 1024 targets alone are 8 KiB.
+    EXPECT_LT(image.size(), std::size_t{1024} * 8 / 2);
+
+    IndirectPredictor restored;
+    restored.update(0, 0x40, 0x1234);   // stale: the load must clear it
+    loadImage(restored, image);
+    EXPECT_EQ(savedImage(restored), image);
+    for (ThreadId tid = 0; tid < 4; ++tid) {
+        for (Addr i = 0; i < 1024; ++i) {
+            ASSERT_EQ(trained.predict(tid, i * instBytes),
+                      restored.predict(tid, i * instBytes))
+                << "tid " << unsigned(tid) << " pc index " << i;
+        }
+    }
+}
+
 TEST(Checkpoint, SparsePredictorIndexAndCountAreRangeChecked)
 {
     // Each image is CRC-valid; only its contents are out of range.
@@ -724,6 +1064,20 @@ TEST(Checkpoint, SparsePredictorIndexAndCountAreRangeChecked)
                 s.u32(lp.entries + 1);
             }),
             "line-predictor count");
+
+    IndirectPredictor indirect;
+    rejects(indirect, partImage([&](Serializer &s) {
+                s.u32(1024);
+                s.u32(1);
+                s.u32(1024);            // one past the end
+                s.u64(Program::textBase);
+            }),
+            "indirect-predictor index");
+    rejects(indirect, partImage([&](Serializer &s) {
+                s.u32(1024);
+                s.u32(1025);
+            }),
+            "indirect-predictor count");
 
     const BranchPredictorParams bp;
     const unsigned sizes[3] = {bp.gshare_entries, bp.bimodal_entries,

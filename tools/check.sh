@@ -78,22 +78,26 @@ echo "== ckpt: snapshot-forked fault campaign work counters =="
 # Snapshots refuse recovery, so the forked campaign runs without it
 # (unlike the faults_sphere figure).  That forked records equal
 # from-scratch ones outside the snapshot bookkeeping ("extra"), and how
-# many trials restore and how many tail cycles they simulate, are
-# tier-1 tests (Checkpoint.ForkedVerdictsMatchFromScratch and
+# many trials restore, rejoin their reference run and how many tail
+# cycles they simulate, are tier-1 tests
+# (Checkpoint.ForkedVerdictsMatchFromScratch,
+# Checkpoint.RejoinedTrialsMatchFromScratch and
 # Checkpoint.ForkedCampaignWorkIsPinned).  Work counters here: the
 # campaign runs exactly one fault-free reference run per point (gcc,
 # compress), which also produces the snapshots, so its summary names no
-# lazy snapshot producer.
-ckpt_batch="--modes srt --workloads gcc,compress --fault-trials 2
+# lazy snapshot producer, and exactly 5 of its 16 trials rejoin their
+# reference run at a barrier and stop there.
+ckpt_batch="--modes srt --workloads gcc,compress --fault-trials 8
             --warmup 500 --insts 5000 --snapshot-every 1500
             --no-timing"
 ./build/tools/rmtsim_batch $ckpt_batch --out build/ckpt_forked.jsonl \
     2> build/ckpt_forked.log
 # Image size, a host-independent work counter: stored state is sparse
 # (nonzero touched pages, valid cache lines, valid line-predictor
-# entries, counters off their reset value), so gcc's images read about
-# 91 KB.  Either dense predictor table coming back (the line predictor
-# alone is 280 KB) pushes them past the bound.
+# entries, counters off their reset value, nonzero indirect targets),
+# so gcc's images read about 83 KB.  Either dense line or branch
+# predictor table coming back (the line predictor alone is 280 KB)
+# pushes them past the bound.
 max_image=$(grep -o '"snapshot_bytes":[0-9]*' build/ckpt_forked.jsonl \
     | cut -d: -f2 | sort -n | tail -n 1)
 echo "ckpt: largest snapshot image ${max_image} bytes (bound 150000)"
@@ -102,6 +106,7 @@ echo "ckpt: largest snapshot image ${max_image} bytes (bound 150000)"
 [ -n "$max_image" ]
 [ "$max_image" -lt 150000 ]
 grep -q '(2 fault-free reference runs)' build/ckpt_forked.log
+grep -q '(5 trials rejoined their reference run)' build/ckpt_forked.log
 if grep -q 'producer' build/ckpt_forked.log; then
     echo "check.sh: the forked campaign ran a lazy snapshot producer" >&2
     exit 1

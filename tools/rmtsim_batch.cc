@@ -111,7 +111,9 @@ usage()
         "checkpointing:\n"
         "  --snapshot-every N  place a snapshot barrier every N cycles; "
         "fault trials restore the latest snapshot before their "
-        "strike (a strike before the first barrier runs from scratch)\n"
+        "strike (a strike before the first barrier runs from scratch) "
+        "and stop at the first later barrier where they have rejoined "
+        "the fault-free reference run\n"
         "\n"
         "budgets:\n"
         "  --insts N         measured instructions/thread (default "
@@ -495,7 +497,8 @@ main(int argc, char **argv)
         return 1;
     }
 
-    std::uint64_t total_jobs = 0, resumed = 0, goldens = 0, skipped = 0;
+    std::uint64_t total_jobs = 0, resumed = 0, goldens = 0, skipped = 0,
+                  rejoined = 0;
     const auto runJobs = [&](std::vector<JobSpec> jobs) {
         // Test hook: die after the named job's work but before its row
         // is stored.  A stored job never runs, so a rerun gets past it.
@@ -508,6 +511,7 @@ main(int argc, char **argv)
         const EngineTally t = runEngine(std::move(jobs));
         resumed += t.hits;
         goldens += t.goldens;
+        rejoined += t.rejoined;
         skipped += t.skipped;
         total_jobs += n - t.skipped;
     };
@@ -628,6 +632,9 @@ main(int argc, char **argv)
         if (goldens || fault_trials || stratify)
             note += " (" + std::to_string(goldens) +
                     " fault-free reference runs)";
+        if (rejoined || ((fault_trials || stratify) && base.snapshot_every))
+            note += " (" + std::to_string(rejoined) +
+                    " trials rejoined their reference run)";
         if (want_efficiency && !remote)
             note += " (" + std::to_string(baseline.simulations()) +
                     " baseline sims)";
