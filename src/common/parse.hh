@@ -13,8 +13,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace rmt
 {
@@ -71,6 +73,17 @@ parseReal(const std::string &text, const std::string &what, double lo,
         throw std::invalid_argument("bad value for " + what + ": '" +
                                     text + "'");
     return v;
+}
+
+/** The items of a @p sep-separated list ("a,b" -> {"a", "b"}). */
+inline std::vector<std::string>
+splitList(const std::string &text, char sep)
+{
+    std::vector<std::string> out;
+    std::istringstream in(text);
+    for (std::string item; std::getline(in, item, sep);)
+        out.push_back(item);
+    return out;
 }
 
 } // namespace rmt

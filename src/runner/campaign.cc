@@ -4,33 +4,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/parse.hh"
 #include "common/random.hh"
 
 namespace rmt
 {
-
-// modeName and the frontend names live in sim/simulator.cc; the
-// inverse mappings stay here with the rest of the spec parsing.
-SimMode
-parseMode(const std::string &name)
-{
-    if (name == "base")     return SimMode::Base;
-    if (name == "base2")    return SimMode::Base2;
-    if (name == "srt")      return SimMode::Srt;
-    if (name == "lockstep") return SimMode::Lockstep;
-    if (name == "crt")      return SimMode::Crt;
-    throw std::invalid_argument("unknown mode '" + name + "'");
-}
-
-TrailingFetchMode
-parseFrontend(const std::string &name)
-{
-    if (name == "lpq")      return TrailingFetchMode::LinePredictionQueue;
-    if (name == "boq")      return TrailingFetchMode::BranchOutcomeQueue;
-    if (name == "sharedlp") return TrailingFetchMode::SharedLinePredictor;
-    throw std::invalid_argument("unknown frontend '" + name + "'");
-}
 
 namespace
 {
@@ -47,52 +24,6 @@ mixSeed(std::uint64_t a, std::uint64_t b)
 }
 
 } // namespace
-
-void
-applySweepSetting(SimOptions &o, const std::string &key,
-                  const std::string &value)
-{
-    const std::string what = "sweep " + key;
-    const auto u32 = [&] { return parseUnsigned32(value, what); };
-    const auto flag = [&] { return parseUnsigned(value, what, 1) != 0; };
-    if (key == "slack") {
-        o.slack_fetch = u32();
-    } else if (key == "checker") {
-        o.checker_penalty = u32();
-    } else if (key == "storeq") {
-        o.cpu.store_queue_entries = u32();
-    } else if (key == "lvq") {
-        o.cpu.lvq_entries = u32();
-    } else if (key == "lpq") {
-        o.cpu.lpq_entries = u32();
-    } else if (key == "rob") {
-        o.cpu.rob_entries = u32();
-    } else if (key == "iq") {
-        o.cpu.iq_entries = u32();
-    } else if (key == "physregs") {
-        o.cpu.phys_regs = u32();
-    } else if (key == "insts") {
-        o.measure_insts = parseUnsigned(value, what);
-    } else if (key == "warmup") {
-        o.warmup_insts = parseUnsigned(value, what);
-    } else if (key == "ptsq") {
-        o.per_thread_store_queues = flag();
-    } else if (key == "nosc") {
-        o.store_comparison = !flag();
-    } else if (key == "psr") {
-        o.preferential_space_redundancy = flag();
-    } else if (key == "ecc") {
-        o.lvq_ecc = flag();
-    } else if (key == "dynlsq") {
-        o.cpu.dynamic_lsq_partition = flag();
-    } else if (key == "frontend") {
-        o.trailing_fetch = parseFrontend(value);
-    } else if (key == "recovery") {
-        o.recovery = flag();
-    } else {
-        throw std::invalid_argument("unknown sweep key '" + key + "'");
-    }
-}
 
 FaultRecord
 transientRegStrike(std::uint64_t seed, std::uint64_t trial,
@@ -154,6 +85,8 @@ CampaignBuilder::sweep(const std::string &key,
 {
     if (values.empty())
         throw std::invalid_argument("sweep " + key + ": no values");
+    if (key == "mode")
+        throw std::invalid_argument("sweep mode: modes() is that axis");
     _axes.push_back({key, values});
     return *this;
 }
@@ -198,8 +131,7 @@ CampaignBuilder::build() const
                     label += mix[w];
                 }
                 for (std::size_t a = 0; a < _axes.size(); ++a) {
-                    applySweepSetting(o, _axes[a].key,
-                                      _axes[a].values[idx[a]]);
+                    applySetting(o, _axes[a].key, _axes[a].values[idx[a]]);
                     label += " " + _axes[a].key + "=" +
                              _axes[a].values[idx[a]];
                 }

@@ -9,8 +9,8 @@
  *
  * into that list, assigning dense job ids in grid order so results can
  * be reassembled deterministically regardless of which worker finishes
- * first.  Sweep axes are named strings ("slack=0,32,64") so the batch
- * CLI can drive the same code path as C++ callers.
+ * first.  Sweep axes are settings (applySetting: "slack=0,32,64") so
+ * the batch CLI can drive the same code path as C++ callers.
  */
 
 #ifndef RMTSIM_RUNNER_CAMPAIGN_HH
@@ -32,30 +32,6 @@ struct Campaign
     std::uint64_t seed = 1;
     std::vector<JobSpec> jobs;
 };
-
-/** Printable name of a mode ("srt", "crt", ...). */
-const char *modeName(SimMode mode);
-
-/** Parse a mode name; throws std::invalid_argument on unknown names. */
-SimMode parseMode(const std::string &name);
-
-/** Parse a trailing-fetch frontend name (lpq, boq, sharedlp); throws
- *  std::invalid_argument on unknown names. */
-TrailingFetchMode parseFrontend(const std::string &name);
-
-/**
- * Apply one named sweep setting to @p options.  Known keys:
- *
- *   slack, checker, storeq, lvq, lpq, insts, warmup, rob, iq,
- *   physregs, ptsq, nosc, psr, ecc, dynlsq, recovery,
- *   frontend (lpq|boq|sharedlp)
- *
- * Numeric keys parse the value with parseUnsigned (decimal or 0x
- * hex); boolean keys accept 0/1.  Throws std::invalid_argument on
- * unknown keys or bad values.
- */
-void applySweepSetting(SimOptions &options, const std::string &key,
-                       const std::string &value);
 
 /**
  * The seeded transient register strike of fault trial @p trial of a
@@ -92,7 +68,8 @@ class CampaignBuilder
     /** Convenience: one single-workload mix per name. */
     CampaignBuilder &workloads(const std::vector<std::string> &names);
 
-    /** Add one cartesian sweep axis (may be called repeatedly). */
+    /** Add one cartesian sweep axis (may be called repeatedly) over a
+     *  setting other than mode; build() applies it with applySetting. */
     CampaignBuilder &sweep(const std::string &key,
                            const std::vector<std::string> &values);
 

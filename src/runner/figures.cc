@@ -114,7 +114,8 @@ sphereStrike(FaultRecord::Kind kind, unsigned i)
 void
 addFaultFigures(std::vector<Figure> &figs)
 {
-    const std::string srt12k = "mode=srt,warmup=0,insts=12000";
+    const std::string srt12k =
+        "mode=srt,warmup_insts=0,measure_insts=12000";
 
     // Transient register strikes over the whole architectural file
     // (most land in dead state) and over the kernels' live r1-r13.
@@ -132,7 +133,7 @@ addFaultFigures(std::vector<Figure> &figs)
 
     figs.push_back(faultFigure(
         "faults_lvq", {"gcc"},
-        {{"ECC", srt12k + ",ecc=1"}, {"noECC", srt12k + ",ecc=0"}},
+        {{"ECC", srt12k + ",lvq_ecc=1"}, {"noECC", srt12k + ",lvq_ecc=0"}},
         "LVQ strikes (10 trials)", 10,
         [](const FigureConfig &, const SimOptions &, unsigned t) {
             FaultRecord f;
@@ -175,8 +176,8 @@ addFaultFigures(std::vector<Figure> &figs)
          k = static_cast<FaultRecord::Kind>(static_cast<unsigned>(k) + 1)) {
         const bool boq = k == FaultRecord::Kind::TransientBoq;
         kinds.push_back({faultKindName(k),
-                         std::string("mode=srt,recovery=1,warmup=0,"
-                                     "insts=10000") +
+                         std::string("mode=srt,recovery=1,warmup_insts=0,"
+                                     "measure_insts=10000") +
                              (boq ? ",frontend=boq" : "")});
     }
     Figure sphere{.name = "faults_sphere",
@@ -209,8 +210,8 @@ buildFigures()
 {
     const auto spec95 = singles(spec95Names());
     const std::vector<FigureConfig> lock_vs_crt = {
-        {"Lock0", "mode=lockstep,checker=0"},
-        {"Lock8", "mode=lockstep,checker=8"},
+        {"Lock0", "mode=lockstep,checker_penalty=0"},
+        {"Lock8", "mode=lockstep,checker_penalty=8"},
         {"CRT", "mode=crt"}};
     std::vector<Figure> figs;
 
@@ -219,7 +220,7 @@ buildFigures()
                     .configs = {{"Base2", "mode=base2"},
                                 {"SRT", "mode=srt"},
                                 {"SRT+ptsq", "mode=srt,ptsq=1"},
-                                {"SRT+nosc", "mode=srt,nosc=1"}},
+                                {"SRT+nosc", "mode=srt,store_comparison=0"}},
                     .tables = {{"Figure 6: SMT-Efficiency, one logical "
                                 "thread (1.0 = single-thread base)"}},
                     .claims = {"mean: SRT > Base2", "mean: SRT+ptsq >= SRT",
@@ -344,7 +345,8 @@ buildFigures()
                               "Lock16",
                               "mean: CRT > Lock0"}};
     for (const std::string p : {"0", "2", "4", "8", "16"})
-        checker.configs.push_back({"Lock" + p, "mode=lockstep,checker=" + p});
+        checker.configs.push_back(
+            {"Lock" + p, "mode=lockstep,checker_penalty=" + p});
     checker.configs.push_back({"CRT", "mode=crt"});
     figs.push_back(checker);
 
@@ -375,8 +377,10 @@ buildFigures()
     figs.push_back(
         {.name = "abl_partition",
          .rows = fourProgramMixes(),
-         .configs = {{"Lock8-stat", "mode=lockstep,checker=8,dynlsq=0"},
-                     {"Lock8-dyn", "mode=lockstep,checker=8,dynlsq=1"},
+         .configs = {{"Lock8-stat",
+                      "mode=lockstep,checker_penalty=8,dynlsq=0"},
+                     {"Lock8-dyn",
+                      "mode=lockstep,checker_penalty=8,dynlsq=1"},
                      {"CRT-stat", "mode=crt,dynlsq=0"},
                      {"CRT-dyn", "mode=crt,dynlsq=1"}},
          .tables = {{"LQ/SQ partitioning, four-program mixes "
@@ -726,11 +730,7 @@ figureCampaign(const std::vector<const Figure *> &figures)
                 std::istringstream settings(config.settings);
                 for (std::string s; std::getline(settings, s, ',');) {
                     const std::size_t eq = s.find('=');
-                    if (s.compare(0, eq, "mode") == 0)
-                        options.mode = parseMode(s.substr(eq + 1));
-                    else
-                        applySweepSetting(options, s.substr(0, eq),
-                                          s.substr(eq + 1));
+                    applySetting(options, s.substr(0, eq), s.substr(eq + 1));
                 }
                 for (unsigned t = 0; t < cellJobs(*f); ++t) {
                     JobSpec spec;

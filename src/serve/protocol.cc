@@ -110,22 +110,6 @@ u64Member(const JsonValue &obj, const char *key)
     return static_cast<std::uint64_t>(n);
 }
 
-bool
-boolMember(const JsonValue &obj, const char *key)
-{
-    return u64Member(obj, key) != 0;
-}
-
-std::string
-strMember(const JsonValue &obj, const char *key)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v || !v->isString())
-        throw std::invalid_argument(
-            std::string("serve: missing string member '") + key + "'");
-    return v->str();
-}
-
 } // namespace
 
 SimOptions
@@ -134,34 +118,13 @@ parseCanonicalOptions(const JsonValue &obj)
     if (!obj.isObject())
         throw std::invalid_argument("serve: options is not an object");
     SimOptions o;
-    o.mode = parseMode(strMember(obj, "mode"));
-    o.warmup_insts = u64Member(obj, "warmup_insts");
-    o.measure_insts = u64Member(obj, "measure_insts");
-    o.checker_penalty =
-        static_cast<unsigned>(u64Member(obj, "checker_penalty"));
-    o.per_thread_store_queues = boolMember(obj, "ptsq");
-    o.store_comparison = boolMember(obj, "store_comparison");
-    o.preferential_space_redundancy = boolMember(obj, "psr");
-    o.trailing_fetch = parseFrontend(strMember(obj, "frontend"));
-    o.slack_fetch = static_cast<unsigned>(u64Member(obj, "slack"));
-    o.lvq_ecc = boolMember(obj, "lvq_ecc");
-    o.lpq_ecc = boolMember(obj, "lpq_ecc");
-    o.boq_ecc = boolMember(obj, "boq_ecc");
-    o.merge_buffer_ecc = boolMember(obj, "merge_ecc");
-    o.hang_cycles = u64Member(obj, "hang");
-    o.cpu.store_queue_entries =
-        static_cast<unsigned>(u64Member(obj, "storeq"));
-    o.cpu.lvq_entries = static_cast<unsigned>(u64Member(obj, "lvq"));
-    o.cpu.lpq_entries = static_cast<unsigned>(u64Member(obj, "lpq"));
-    o.cpu.rob_entries = static_cast<unsigned>(u64Member(obj, "rob"));
-    o.cpu.iq_entries = static_cast<unsigned>(u64Member(obj, "iq"));
-    o.recovery = boolMember(obj, "recovery");
-    o.snapshot_every = u64Member(obj, "snapshot_every");
-    if (obj.find("physregs"))
-        o.cpu.phys_regs =
-            static_cast<unsigned>(u64Member(obj, "physregs"));
-    if (obj.find("dynlsq"))
-        o.cpu.dynamic_lsq_partition = boolMember(obj, "dynlsq");
+    for (const auto &[key, value] : obj.members()) {
+        if (!value.isString() && !value.isNumber())
+            throw std::invalid_argument("serve: options member '" + key +
+                                        "' is not a string or number");
+        applySetting(o, key,
+                     value.isString() ? value.str() : jsonNum(value.number()));
+    }
 
     // Re-canonicalising must reproduce the sent pre-image byte for
     // byte; otherwise this daemon would simulate something other than
@@ -231,7 +194,7 @@ parseSubmit(const JsonValue &msg, std::optional<SimOptions> &efficiency)
                                             "array");
             for (const JsonValue &fv : faults->array()) {
                 FaultRecord f{};
-                f.kind = parseFaultKind(strMember(fv, "kind"));
+                f.kind = parseFaultKind(fv.strOr("kind", ""));
                 f.when = u64Member(fv, "when");
                 f.core = static_cast<CoreId>(u64Member(fv, "core"));
                 f.tid = static_cast<ThreadId>(u64Member(fv, "tid"));

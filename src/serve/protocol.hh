@@ -35,9 +35,9 @@
  *
  * The campaign codec serialises the existing JobSpec/Campaign structs:
  * per job id, label, seed, workloads, the canonical-options pre-image
- * (sim/optionsCanonicalJson — parsed back field-for-field and verified
- * to re-canonicalise to the same string, so option drift is an error,
- * not a silent mis-simulation), the stats-embed flag, and the
+ * (sim/optionsCanonicalJson — parsed back through applySetting and
+ * verified to re-canonicalise to the same string, so option drift is
+ * an error, not a silent mis-simulation), the stats-embed flag, and the
  * scheduled fault records.  post_run hooks do not travel: the daemon
  * reattaches fault oracles itself from the fault records.  The
  * optional "efficiency" member carries the base options of the
@@ -74,9 +74,9 @@ std::string submitJson(const Campaign &campaign,
 
 /**
  * Parse the canonical-options object (the optionsCanonicalJson shape)
- * back into a SimOptions.  Throws std::invalid_argument on unknown
- * mode/frontend names, missing members, or an object that does not
- * re-canonicalise to itself (client/daemon option-schema drift).
+ * back into a SimOptions, one applySetting per member.  Throws
+ * std::invalid_argument on a member applySetting refuses, or an object
+ * that does not re-canonicalise to itself (option-schema drift).
  */
 SimOptions parseCanonicalOptions(const JsonValue &obj);
 

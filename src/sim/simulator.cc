@@ -16,19 +16,6 @@ namespace rmt
 {
 
 const char *
-modeName(SimMode mode)
-{
-    switch (mode) {
-      case SimMode::Base:     return "base";
-      case SimMode::Base2:    return "base2";
-      case SimMode::Srt:      return "srt";
-      case SimMode::Lockstep: return "lockstep";
-      case SimMode::Crt:      return "crt";
-    }
-    return "?";
-}
-
-const char *
 outcomeName(Outcome outcome)
 {
     switch (outcome) {
@@ -42,17 +29,6 @@ outcomeName(Outcome outcome)
 
 namespace
 {
-
-const char *
-frontendName(TrailingFetchMode mode)
-{
-    switch (mode) {
-      case TrailingFetchMode::LinePredictionQueue: return "lpq";
-      case TrailingFetchMode::BranchOutcomeQueue:  return "boq";
-      case TrailingFetchMode::SharedLinePredictor: return "sharedlp";
-    }
-    return "?";
-}
 
 SmtParams
 coreParams(const SimOptions &opts)
@@ -589,41 +565,6 @@ Simulation::statsJson(const RunResult &result)
         os << "}";
     }
     os << ",\"groups\":" << chipStatsJson(*_chip) << "}";
-    return os.str();
-}
-
-std::string
-optionsCanonicalJson(const SimOptions &o)
-{
-    std::ostringstream os;
-    os << "{\"mode\":\"" << modeName(o.mode) << "\""
-       << ",\"warmup_insts\":" << o.warmup_insts
-       << ",\"measure_insts\":" << o.measure_insts
-       << ",\"checker_penalty\":" << o.checker_penalty
-       << ",\"ptsq\":" << (o.per_thread_store_queues ? 1 : 0)
-       << ",\"store_comparison\":" << (o.store_comparison ? 1 : 0)
-       << ",\"psr\":" << (o.preferential_space_redundancy ? 1 : 0)
-       << ",\"frontend\":\"" << frontendName(o.trailing_fetch) << "\""
-       << ",\"slack\":" << o.slack_fetch
-       << ",\"lvq_ecc\":" << (o.lvq_ecc ? 1 : 0)
-       << ",\"lpq_ecc\":" << (o.lpq_ecc ? 1 : 0)
-       << ",\"boq_ecc\":" << (o.boq_ecc ? 1 : 0)
-       << ",\"merge_ecc\":" << (o.merge_buffer_ecc ? 1 : 0)
-       << ",\"hang\":" << o.hang_cycles
-       << ",\"storeq\":" << o.cpu.store_queue_entries
-       << ",\"lvq\":" << o.cpu.lvq_entries
-       << ",\"lpq\":" << o.cpu.lpq_entries
-       << ",\"rob\":" << o.cpu.rob_entries
-       << ",\"iq\":" << o.cpu.iq_entries
-       << ",\"recovery\":" << (o.recovery ? 1 : 0)
-       << ",\"snapshot_every\":" << o.snapshot_every;
-    // Later members appear only off their defaults, so the pre-image
-    // (and every stored key) of a default machine stays the same.
-    if (o.cpu.phys_regs != SmtParams{}.phys_regs)
-        os << ",\"physregs\":" << o.cpu.phys_regs;
-    if (o.cpu.dynamic_lsq_partition)
-        os << ",\"dynlsq\":1";
-    os << "}";
     return os.str();
 }
 

@@ -87,10 +87,27 @@ struct SimOptions
 };
 
 /**
- * Canonical one-line JSON of every timing-relevant option: the
+ * Set the field a key of the settings table (sim/settings.cc) names: a
+ * mode or frontend name, 0/1 for a switch, else an unsigned decimal or
+ * 0x hex number that fits the field, nonzero for a queue or window and
+ * in [257, 65535] for physregs.  Throws std::invalid_argument on an
+ * unknown key or a bad value, leaving @p options unchanged.
+ */
+void applySetting(SimOptions &options, std::string_view key,
+                  const std::string &value);
+
+/** The key a tool flag such as --insts spells, or nullptr. */
+const char *flagSetting(std::string_view flag);
+
+/** Every key with its value form ("mode=base|...|crt warmup_insts=N
+ *  ... ptsq=0|1 ..."), in canonical-JSON order, for --help. */
+std::string settingsHelp();
+
+/**
+ * Canonical one-line JSON of every setting, in table order: the
  * pre-image of the options fingerprint used to key snapshots, baseline
- * caches, and campaign records.  "physregs" and "dynlsq" are present
- * only when they differ from the SmtParams defaults.
+ * caches, and campaign records.  "physregs", "dynlsq" and
+ * "recovery_interval" are present only off their defaults.
  */
 std::string optionsCanonicalJson(const SimOptions &options);
 

@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fingerprint.hh"
 #include "common/parse.hh"
 #include "common/random.hh"
 #include "rmt/fault_oracle.hh"
@@ -475,32 +476,35 @@ TEST(FaultCampaign, SinkGetsEveryRecordInIdOrderIncludingFailures)
 TEST(CampaignBuilder, OutsideValuesAreStrict)
 {
     SimOptions o;
-    applySweepSetting(o, "recovery", "1");
+    applySetting(o, "recovery", "1");
     EXPECT_TRUE(o.recovery);
-    applySweepSetting(o, "storeq", "0x20");
+    applySetting(o, "storeq", "0x20");
     EXPECT_EQ(o.cpu.store_queue_entries, 32u);
-    applySweepSetting(o, "physregs", "384");
+    applySetting(o, "physregs", "384");
     EXPECT_EQ(o.cpu.phys_regs, 384u);
-    applySweepSetting(o, "dynlsq", "1");
+    applySetting(o, "dynlsq", "1");
     EXPECT_TRUE(o.cpu.dynamic_lsq_partition);
-    applySweepSetting(o, "insts", "18446744073709551615");
+    applySetting(o, "measure_insts", "18446744073709551615");
     EXPECT_EQ(o.measure_insts, ~std::uint64_t{0});
 
     for (const char *bad :
          {"-1", "2x", "", " 1", "1 ", "+1", "0x", "0x-1", "4294967296"})
-        EXPECT_THROW(applySweepSetting(o, "storeq", bad),
-                     std::invalid_argument)
+        EXPECT_THROW(applySetting(o, "storeq", bad), std::invalid_argument)
             << "'" << bad << "'";
-    EXPECT_THROW(applySweepSetting(o, "insts", "18446744073709551616"),
+    EXPECT_THROW(applySetting(o, "measure_insts", "18446744073709551616"),
                  std::invalid_argument);
-    EXPECT_THROW(applySweepSetting(o, "dynlsq", "2"),
-                 std::invalid_argument);
+    EXPECT_THROW(applySetting(o, "dynlsq", "2"), std::invalid_argument);
+    EXPECT_THROW(applySetting(o, "frontend", "warp"), std::invalid_argument);
+    EXPECT_THROW(applySetting(o, "nosc", "1"), std::invalid_argument);
     try {
-        applySweepSetting(o, "storeq", "-1");
+        applySetting(o, "storeq", "-1");
         FAIL() << "storeq=-1 accepted";
     } catch (const std::invalid_argument &e) {
-        EXPECT_STREQ(e.what(), "bad value for sweep storeq: '-1'");
+        EXPECT_STREQ(e.what(), "bad value for storeq: '-1'");
     }
+    // A refused value leaves the options as they were.
+    EXPECT_EQ(o.cpu.store_queue_entries, 32u);
+    EXPECT_TRUE(o.cpu.dynamic_lsq_partition);
 
     // Real-valued flags: finite decimals inside the flag's range.
     EXPECT_EQ(parseReal("250", "--timeout-ms", 0), 250.0);
@@ -530,6 +534,46 @@ TEST(CampaignBuilder, OutsideValuesAreStrict)
     } catch (const std::invalid_argument &e) {
         EXPECT_STREQ(e.what(), "bad value for --confidence: '1.5'");
     }
+}
+
+TEST(CampaignBuilder, IllegalMachineSizesAreRejectedAtBuild)
+{
+    // A machine with no room in a queue or window hangs at the
+    // watchdog, one with too few physical registers panics the whole
+    // process, and one past PhysRegIndex runs a smaller file than its
+    // row records: each is refused before any job exists.
+    const std::pair<const char *, const char *> illegal[] = {
+        {"physregs", "8"},     {"physregs", "256"},  {"physregs", "65536"},
+        {"physregs", "70000"}, {"rob", "0"},         {"iq", "0"},
+        {"storeq", "0"},       {"lvq", "0"},         {"lpq", "0"}};
+    for (const auto &[key, value] : illegal) {
+        CampaignBuilder b;
+        b.modes({SimMode::Srt}).workloads({"gcc"}).sweep(key, {value});
+        EXPECT_THROW(b.build(), std::invalid_argument)
+            << key << "=" << value;
+    }
+    for (const auto &[key, value] :
+         {std::pair{"physregs", "257"}, std::pair{"physregs", "65535"},
+          std::pair{"rob", "1"}, std::pair{"lpq", "1"}}) {
+        CampaignBuilder b;
+        b.modes({SimMode::Srt}).workloads({"gcc"}).sweep(key, {value});
+        EXPECT_EQ(b.build().jobs.size(), 1u) << key << "=" << value;
+    }
+    // The mode axis is modes(), not a sweep.
+    EXPECT_THROW(CampaignBuilder().sweep("mode", {"srt"}),
+                 std::invalid_argument);
+}
+
+TEST(Figures, EveryFigureMachineIsPinned)
+{
+    // The canonical options of every figure job, hashed in job order:
+    // respelling a configuration's settings must not move its machine.
+    const Campaign c = figureCampaign(selectFigures("all"));
+    ASSERT_EQ(c.jobs.size(), 822u);
+    std::uint64_t h = fnv1a64Seed;
+    for (const JobSpec &job : c.jobs)
+        fnv1a64Field(h, optionsCanonicalJson(job.options));
+    EXPECT_EQ(fingerprintHex(h), "ae92ee208f0ac0d0");
 }
 
 TEST(Figures, Fig6IsTheGridOfTheFigure6Main)

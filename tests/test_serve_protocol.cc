@@ -7,6 +7,8 @@
  *    fault records and efficiency baseline options — and canonical
  *    options survive exactly (the daemon-side drift check throws
  *    otherwise);
+ *  - every row of the settings table moves the options fingerprint,
+ *    survives the codec and is listed by both tools' --help;
  *  - framed socket I/O over a socketpair: multiple frames in one
  *    stream, clean EOF, and the three corruption signatures — garbage
  *    bytes, an oversized length, and a connection cut mid-frame — all
@@ -17,7 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +40,32 @@ using namespace rmt::serve;
 
 namespace
 {
+
+/** The default machine's canonical options with @p key's value
+ *  replaced by the JSON text @p value. */
+std::string
+withMember(const std::string &key, const std::string &value)
+{
+    std::string canon = optionsCanonicalJson(SimOptions{});
+    const std::size_t at = canon.find("\"" + key + "\":") + key.size() + 3;
+    const std::size_t end = canon.find_first_of(",}", at);
+    return canon.replace(at, end - at, value);
+}
+
+/** What @p tool prints for --help. */
+std::string
+helpText(const char *tool)
+{
+    std::string out;
+    FILE *p = popen((std::string(tool) + " --help").c_str(), "r");
+    if (!p)
+        return out;
+    char buf[4096];
+    for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), p)) > 0;)
+        out.append(buf, n);
+    pclose(p);
+    return out;
+}
 
 Campaign
 faultyCampaign()
@@ -187,6 +218,63 @@ TEST(ServeCodec, OffDefaultMachineMembersRoundTrip)
     EXPECT_EQ(back.cpu.phys_regs, 384u);
     EXPECT_TRUE(back.cpu.dynamic_lsq_partition);
     EXPECT_EQ(optionsCanonicalJson(back), canon);
+
+    // The recovery interval joined the same way: two machines that
+    // differ only in it have different keys.
+    EXPECT_EQ(plain.find("recovery_interval"), std::string::npos);
+    SimOptions r;
+    r.recovery_params.interval_insts = 500;
+    EXPECT_NE(optionsFingerprintU64(r), optionsFingerprintU64(SimOptions{}));
+    JsonValue interval;
+    ASSERT_TRUE(parseJson(optionsCanonicalJson(r), interval));
+    EXPECT_EQ(parseCanonicalOptions(interval).recovery_params.interval_insts,
+              500u);
+}
+
+TEST(Settings, EveryKeyMovesTheFingerprintAndRoundTrips)
+{
+    // A legal value off the default for every row of the table; a row
+    // added without one fails here.
+    const std::map<std::string, std::string> offDefault = {
+        {"mode", "srt"},           {"warmup_insts", "1234"},
+        {"measure_insts", "5678"}, {"checker_penalty", "4"},
+        {"ptsq", "1"},             {"store_comparison", "0"},
+        {"psr", "0"},              {"frontend", "boq"},
+        {"slack", "64"},           {"lvq_ecc", "0"},
+        {"lpq_ecc", "1"},          {"boq_ecc", "1"},
+        {"merge_ecc", "0"},        {"hang", "0"},
+        {"storeq", "32"},          {"lvq", "32"},
+        {"lpq", "16"},             {"rob", "96"},
+        {"iq", "64"},              {"recovery", "1"},
+        {"snapshot_every", "1500"}, {"physregs", "384"},
+        {"dynlsq", "1"},           {"recovery_interval", "500"}};
+    // settingsHelp() lists every row as key=form, in table order.
+    std::vector<std::string> keys;
+    std::istringstream help(settingsHelp());
+    for (std::string item; help >> item;)
+        keys.push_back(item.substr(0, item.find('=')));
+    EXPECT_EQ(keys.size(), offDefault.size());
+    EXPECT_EQ(keys.front(), "mode");
+    EXPECT_EQ(keys.back(), "recovery_interval");
+    const std::string cli = helpText(RMTSIM_CLI);
+    const std::string batch = helpText(RMTSIM_BATCH);
+    const SimOptions plain;
+    for (const std::string &key : keys) {
+        SCOPED_TRACE(key);
+        const auto value = offDefault.find(key);
+        ASSERT_NE(value, offDefault.end()) << "no off-default value";
+        SimOptions o;
+        applySetting(o, key, value->second);
+        const std::string canon = optionsCanonicalJson(o);
+        EXPECT_NE(canon, optionsCanonicalJson(plain));
+        EXPECT_NE(optionsFingerprintU64(o), optionsFingerprintU64(plain));
+        JsonValue parsed;
+        ASSERT_TRUE(parseJson(canon, parsed));
+        EXPECT_EQ(optionsCanonicalJson(parseCanonicalOptions(parsed)), canon);
+        EXPECT_NE(cli.find(" " + key + "="), std::string::npos);
+        EXPECT_NE(batch.find(" " + key + "="), std::string::npos);
+        EXPECT_NE(canon.find("\"" + key + "\":"), std::string::npos);
+    }
 }
 
 TEST(ServeCodec, U64MembersAreStrictUnsignedIntegers)
@@ -207,6 +295,29 @@ TEST(ServeCodec, U64MembersAreStrictUnsignedIntegers)
           "\"18446744073709551616\"", "-1", "1.5", "1e30"}) {
         EXPECT_THROW(submit(bad), std::invalid_argument) << bad;
     }
+
+    // Options members go through applySetting: a number, a string
+    // for a number, a non-scalar or an illegal size is refused.
+    const auto options = [](const std::string &json) {
+        JsonValue v;
+        EXPECT_TRUE(parseJson(json, v)) << json;
+        return parseCanonicalOptions(v);
+    };
+    EXPECT_EQ(options(withMember("rob", "96")).cpu.rob_entries, 96u);
+    for (const char *bad :
+         {"\"-1\"", "\"12abc\"", "\"\"", "\" 1\"", "\"+1\"",
+          "\"18446744073709551616\"", "-1", "1.5", "1e30", "\"96\"", "0"}) {
+        EXPECT_THROW(options(withMember("rob", bad)), std::invalid_argument)
+            << bad;
+    }
+    // slack=0 is the default: a non-scalar must not pass as 0.
+    for (const char *bad : {"[0]", "{}", "null", "false"}) {
+        EXPECT_THROW(options(withMember("slack", bad)), std::invalid_argument)
+            << bad;
+    }
+    SimOptions tiny;
+    tiny.cpu.phys_regs = 8;
+    EXPECT_THROW(options(optionsCanonicalJson(tiny)), std::invalid_argument);
 }
 
 TEST(ServeCodec, RejectsUnknownNames)
@@ -214,12 +325,34 @@ TEST(ServeCodec, RejectsUnknownNames)
     JsonValue v;
     ASSERT_TRUE(parseJson("{\"mode\":\"warp-drive\"}", v));
     EXPECT_THROW(parseCanonicalOptions(v), std::invalid_argument);
+    JsonValue frontend;
+    ASSERT_TRUE(parseJson(withMember("frontend", "\"warp\""), frontend));
+    EXPECT_THROW(parseCanonicalOptions(frontend), std::invalid_argument);
+    JsonValue extra;
+    const std::string canon = optionsCanonicalJson(SimOptions{});
+    ASSERT_TRUE(parseJson("{\"warp\":1," + canon.substr(1), extra));
+    EXPECT_THROW(parseCanonicalOptions(extra), std::invalid_argument);
 
     ASSERT_TRUE(parseJson("{\"type\":\"submit\",\"jobs\":[{\"id\":0,"
                           "\"seed\":1,\"workloads\":[]}]}",
                           v));
     std::optional<SimOptions> efficiency;
     EXPECT_THROW(parseSubmit(v, efficiency), std::invalid_argument);
+    // A fault kind is a known name, and a string.
+    const auto submitFault = [&](const std::string &kind) {
+        JsonValue msg;
+        EXPECT_TRUE(parseJson(
+            "{\"type\":\"submit\",\"seed\":1,\"jobs\":[{\"id\":0,\"seed\":1,"
+            "\"workloads\":[\"gcc\"],\"options\":" + canon +
+                ",\"faults\":[{\"kind\":" + kind + ",\"when\":9,\"core\":0,"
+                "\"tid\":0,\"reg\":3,\"bit\":5,\"fu\":0,\"mask\":0,"
+                "\"pair\":0}]}]}",
+            msg));
+        return parseSubmit(msg, efficiency);
+    };
+    EXPECT_EQ(submitFault("\"reg\"").jobs.at(0).faults.at(0).reg, 3u);
+    for (const char *kind : {"\"warp\"", "7"})
+        EXPECT_THROW(submitFault(kind), std::invalid_argument) << kind;
 }
 
 TEST(ServeFrames, StreamsMultipleFramesThenCleanEof)

@@ -112,6 +112,45 @@ if grep -q 'producer' build/ckpt_forked.log; then
     exit 1
 fi
 
+echo "== settings: one vocabulary across rmtsim and rmtsim_batch =="
+# rmtsim --set and rmtsim_batch --sweep take the same keys, so the same
+# setting on the same point must simulate the same machine (and one
+# that differs from the default), and an illegal machine size must be a
+# usage error in both tools, refused before anything panics.
+set_point="--workloads compress --warmup 500 --insts 4000"
+cycles_of() { sed -n 's/^total cycles \([0-9]*\),.*/\1/p'; }
+cli_default=$(./build/tools/rmtsim --mode srt $set_point | cycles_of)
+cli_nosc=$(./build/tools/rmtsim --mode srt $set_point \
+    --set store_comparison=0 | cycles_of)
+batch_nosc=$(./build/tools/rmtsim_batch --modes srt $set_point \
+    --sweep store_comparison=0 --no-timing --quiet --out - \
+    | grep -o '"total_cycles":[0-9]*' | cut -d: -f2)
+echo "settings: store_comparison=0 ${cli_nosc} cycles (rmtsim), \
+${batch_nosc} (rmtsim_batch), default ${cli_default}"
+[ -n "$cli_nosc" ]
+[ "$cli_nosc" = "$batch_nosc" ]
+[ "$cli_nosc" != "$cli_default" ]
+# A setting given by its flag or swept is the same machine, and trials
+# under swept snapshot barriers restore and rejoin as under the flag.
+snap_point="--modes srt --workloads gcc --fault-trials 4 --warmup 500
+            --insts 4000 --no-timing --quiet --out -"
+./build/tools/rmtsim_batch $snap_point --snapshot-every 1500 \
+    > build/settings_flag.jsonl
+./build/tools/rmtsim_batch $snap_point --sweep snapshot_every=1500 \
+    | sed 's/ snapshot_every=1500//' > build/settings_sweep.jsonl
+diff build/settings_flag.jsonl build/settings_sweep.jsonl
+grep -q '"snapshot_hit":1' build/settings_sweep.jsonl
+for tool in "rmtsim --set" "rmtsim_batch --out - --sweep"; do
+    rc=0
+    ./build/tools/$tool physregs=8 > /dev/null 2> build/settings_bad.err \
+        || rc=$?
+    [ "$rc" -eq 2 ]
+    if grep -q panic build/settings_bad.err; then
+        echo "check.sh: $tool physregs=8 panicked" >&2
+        exit 1
+    fi
+done
+
 echo "== attribution: conservation gate (all modes, gcc+compress) =="
 # Every record's commit-slot buckets must sum to cycles * commit_width;
 # rmtsim_report --attribution verifies the invariant on each record and

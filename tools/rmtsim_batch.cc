@@ -26,7 +26,6 @@
 #include <iostream>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -79,9 +78,8 @@ usage()
         "'all' = SPEC95 set\n"
         "  --mix A+B[+C...]  add one multiprogrammed mix "
         "(repeatable)\n"
-        "  --sweep K=V,V,... cartesian axis (repeatable); keys: slack "
-        "checker storeq lvq lpq rob iq physregs insts warmup ptsq nosc "
-        "psr ecc dynlsq frontend recovery\n"
+        "  --sweep K=V,V,... cartesian axis (repeatable) over a setting "
+        "other than mode (--modes is that axis): %s\n"
         "  --fault-trials N  N seeded transient-reg strikes per grid "
         "point (each trial gets an oracle verdict vs a golden run); "
         "with --stratify, the trial budget per stratum\n"
@@ -166,18 +164,8 @@ usage()
         "exit codes: 0 clean; 1 hard failure; 2 usage error; 3 "
         "degraded (failed or\n"
         "quarantined jobs recorded); 4 interrupted (store kept — "
-        "rerun the same command)\n");
-}
-
-std::vector<std::string>
-split(const std::string &arg, char sep)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(arg);
-    std::string item;
-    while (std::getline(ss, item, sep))
-        out.push_back(item);
-    return out;
+        "rerun the same command)\n",
+        settingsHelp().c_str());
 }
 
 } // namespace
@@ -238,10 +226,13 @@ main(int argc, char **argv)
                 usage();
                 return 0;
             } else if (arg == "--modes") {
-                for (const auto &m : split(next(), ','))
-                    modes.push_back(parseMode(m));
+                for (const auto &m : splitList(next(), ',')) {
+                    SimOptions o;
+                    applySetting(o, "mode", m);
+                    modes.push_back(o.mode);
+                }
             } else if (arg == "--workloads") {
-                const auto names = split(next(), ',');
+                const auto names = splitList(next(), ',');
                 if (names.size() == 1 && names[0] == "all") {
                     for (const auto &n : spec95Names())
                         mixes.push_back({n});
@@ -250,7 +241,7 @@ main(int argc, char **argv)
                         mixes.push_back({n});
                 }
             } else if (arg == "--mix") {
-                mixes.push_back(split(next(), '+'));
+                mixes.push_back(splitList(next(), '+'));
             } else if (arg == "--sweep") {
                 const std::string spec = next();
                 const auto eq = spec.find('=');
@@ -258,17 +249,16 @@ main(int argc, char **argv)
                     throw std::invalid_argument("bad --sweep '" + spec +
                                                 "' (want key=v1,v2)");
                 sweeps.emplace_back(spec.substr(0, eq),
-                                    split(spec.substr(eq + 1), ','));
+                                    splitList(spec.substr(eq + 1), ','));
             } else if (arg == "--fault-trials") {
                 fault_trials = u32();
             } else if (arg == "--max-reg") {
                 scfg.max_reg = u32();
             } else if (arg == "--seed") {
                 seed = u64();
-            } else if (arg == "--insts") {
-                base.measure_insts = u64();
-            } else if (arg == "--warmup") {
-                base.warmup_insts = u64();
+            } else if (arg == "--insts" || arg == "--warmup" ||
+                       arg == "--snapshot-every") {
+                applySetting(base, flagSetting(arg), next());
             } else if (arg == "--max-insts") {
                 cfg.max_insts = u64();
             } else if (arg == "--timeout-ms") {
@@ -287,8 +277,6 @@ main(int argc, char **argv)
                 want_efficiency = true;
             } else if (arg == "--embed-stats") {
                 base.collect_stats_json = true;
-            } else if (arg == "--snapshot-every") {
-                base.snapshot_every = u64();
             } else if (arg == "--fsync") {
                 want_fsync = true;
             } else if (arg == "--stratify") {
@@ -454,9 +442,9 @@ main(int argc, char **argv)
     if (want_efficiency)
         cfg.baseline = &baseline;
 
-    // Snapshot store for fault trials, shared across workers.
+    // Snapshot store of every job that places barriers, as in rmtsimd.
     SnapshotCache snapshots;
-    if (!remote && base.snapshot_every)
+    if (!remote)
         cfg.snapshots = &snapshots;
 
     std::vector<JobResult> failures;

@@ -4,8 +4,12 @@
  * configurations without writing C++.
  *
  *   rmtsim --mode srt --workloads gcc,swim --insts 40000 --stats
- *   rmtsim --mode crt --workloads gcc,go,fpppp,swim --checker 8
+ *   rmtsim --mode lockstep --workloads gcc,go --set checker_penalty=4
  *   rmtsim --mode srt --workloads compress --fault reg:3000:0:3:5
+ *
+ * `--set KEY=VALUE` takes the keys of the options fingerprint, the
+ * same as rmtsim_batch --sweep (sim/settings.cc); --cosim and
+ * --timeline-interval only observe the run and are not settings.
  */
 
 #include <cstdio>
@@ -14,7 +18,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,7 +25,6 @@
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "obs/pipetrace.hh"
-#include "runner/campaign.hh"
 #include "sim/metrics.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -46,27 +48,13 @@ usage()
         "40000)\n"
         "  --warmup N        warm-up instructions/thread (default "
         "20000)\n"
-        "  --checker N       lockstep checker penalty (default 8)\n"
-        "  --ptsq            per-thread store queues\n"
-        "  --nosc            disable store comparison (SRT+nosc)\n"
-        "  --no-psr          disable preferential space redundancy\n"
-        "  --no-ecc          disable LVQ ECC\n"
-        "  --lpq-ecc         ECC-protect the line-prediction queue\n"
-        "  --boq-ecc         ECC-protect the branch-outcome queue\n"
-        "  --no-merge-ecc    drop merge-buffer ECC (outside the "
-        "sphere!)\n"
-        "  --hang N          watchdog: abort after N cycles with no "
-        "commit (0 = off)\n"
-        "  --frontend F      lpq | boq | sharedlp (trailing fetch)\n"
-        "  --slack N         slack fetch distance\n"
+        "  --set KEY=VALUE   one machine setting (repeatable): %s\n"
         "  --fault SPEC      reg:<cycle>:<core>:<tid>:<reg>:<bit> | "
         "lvq:<cycle>:<core>:<tid> |\n"
         "                    fu:<cycle>:<core>:<unit>:<maskbit> | "
         "KIND:<cycle>:<core>:<tid>:<bit>\n"
         "                    with KIND one of sqd sqa lpq boq pc dec "
         "mb\n"
-        "  --recover         checkpoint-based fault recovery\n"
-        "  --recover-interval N   checkpoint cadence (insts)\n"
         "  --trace FILE      write the commit trace to FILE ('-' = "
         "stdout)\n"
         "  --trace-max N     trace line cap per core (default 10000)\n"
@@ -90,18 +78,8 @@ usage()
         "  --save-snapshot FILE   save a snapshot at each barrier "
         "(FILE holds the last one; needs --snapshot-every)\n"
         "  --restore-snapshot FILE  restore FILE, then run to the "
-        "budget\n");
-}
-
-std::vector<std::string>
-splitCommas(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(arg);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        out.push_back(item);
-    return out;
+        "budget\n",
+        settingsHelp().c_str());
 }
 
 /**
@@ -125,7 +103,6 @@ int
 main(int argc, char **argv)
 {
     SimOptions opts;
-    opts.mode = SimMode::Base;
     opts.warmup_insts = 20000;
     opts.measure_insts = 40000;
     std::vector<std::string> workloads{"gcc"};
@@ -160,49 +137,23 @@ main(int argc, char **argv)
         const auto u64 = [&] {
             return valid([&](const auto &v) { return parseUnsigned(v, arg); });
         };
-        const auto u32 = [&] {
-            return valid(
-                [&](const auto &v) { return parseUnsigned32(v, arg); });
-        };
         if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
-        } else if (arg == "--mode") {
-            opts.mode = valid(parseMode);
+        } else if (const char *key = flagSetting(arg)) {
+            valid([&](const std::string &v) { applySetting(opts, key, v); });
+        } else if (arg == "--set") {
+            valid([&](const std::string &kv) {
+                const std::size_t eq = kv.find('=');
+                if (eq == std::string::npos)
+                    throw std::invalid_argument("bad --set '" + kv +
+                                                "' (want KEY=VALUE)");
+                applySetting(opts, kv.substr(0, eq), kv.substr(eq + 1));
+            });
         } else if (arg == "--workloads") {
-            workloads = splitCommas(next());
-        } else if (arg == "--insts") {
-            opts.measure_insts = u64();
-        } else if (arg == "--warmup") {
-            opts.warmup_insts = u64();
-        } else if (arg == "--checker") {
-            opts.checker_penalty = u32();
-        } else if (arg == "--ptsq") {
-            opts.per_thread_store_queues = true;
-        } else if (arg == "--nosc") {
-            opts.store_comparison = false;
-        } else if (arg == "--no-psr") {
-            opts.preferential_space_redundancy = false;
-        } else if (arg == "--no-ecc") {
-            opts.lvq_ecc = false;
-        } else if (arg == "--lpq-ecc") {
-            opts.lpq_ecc = true;
-        } else if (arg == "--boq-ecc") {
-            opts.boq_ecc = true;
-        } else if (arg == "--no-merge-ecc") {
-            opts.merge_buffer_ecc = false;
-        } else if (arg == "--hang") {
-            opts.hang_cycles = u64();
-        } else if (arg == "--slack") {
-            opts.slack_fetch = u32();
-        } else if (arg == "--frontend") {
-            opts.trailing_fetch = valid(parseFrontend);
+            workloads = splitList(next(), ',');
         } else if (arg == "--fault") {
             fault_specs.push_back(next());
-        } else if (arg == "--recover") {
-            opts.recovery = true;
-        } else if (arg == "--recover-interval") {
-            opts.recovery_params.interval_insts = u64();
         } else if (arg == "--cosim") {
             opts.cosim = true;
         } else if (arg == "--efficiency") {
@@ -223,8 +174,6 @@ main(int argc, char **argv)
             timeline_file = next();
         } else if (arg == "--timeline-interval") {
             opts.timeline_interval = u64();
-        } else if (arg == "--snapshot-every") {
-            opts.snapshot_every = u64();
         } else if (arg == "--save-snapshot") {
             save_snapshot_file = next();
         } else if (arg == "--restore-snapshot") {
