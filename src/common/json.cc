@@ -79,6 +79,7 @@ class JsonParser
     parse(JsonValue &out, std::string &error)
     {
         err = &error;
+        out = JsonValue{};
         if (!value(out))
             return false;
         skipWs();

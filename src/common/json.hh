@@ -88,7 +88,8 @@ class JsonValue
 };
 
 /**
- * Parse @p text as one JSON document.
+ * Parse @p text as one JSON document into @p out, replacing whatever
+ * @p out held.
  * @param error receives a human-readable message on failure
  * @return the parsed value, or no value on malformed input
  */

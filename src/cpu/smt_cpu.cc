@@ -576,9 +576,11 @@ SmtCpu::mappedRegsCommitted() const
     for (const ThreadState &t : threads) {
         if (!t.active)
             continue;
+        const std::uint64_t reads = t.program->readMask();
         for (unsigned r = 0; r < numArchRegs; ++r) {
             const PhysRegIndex p = t.renameMap[r];
-            if (p != invalidPhysReg && physRegs[p] != t.archRegs[r])
+            if (((reads >> r) & 1) && p != invalidPhysReg &&
+                physRegs[p] != t.archRegs[r])
                 return false;
         }
     }

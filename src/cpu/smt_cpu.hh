@@ -122,6 +122,14 @@ class SmtCpu : public Snapshottable
         return static_cast<unsigned>(threads.size());
     }
     bool threadActive(ThreadId tid) const { return threads[tid].active; }
+    /** Registers the program on context @p tid can read
+     *  (Program::readMask); 0 for an empty context. */
+    std::uint64_t
+    readMask(ThreadId tid) const
+    {
+        const ThreadState &t = threads[tid];
+        return t.active ? t.program->readMask() : 0;
+    }
     Role threadRole(ThreadId tid) const { return threads[tid].role; }
     unsigned iqHalfOccupancy(unsigned half) const
     {
@@ -263,10 +271,12 @@ class SmtCpu : public Snapshottable
 
     /**
      * True iff every active thread's mapped physical registers hold
-     * its committed register values.  A snapshot stores only the
-     * committed values (loadState rebuilds the mapped registers from
-     * them), so a struck register still mapped and not yet overwritten
-     * is state no image shows.
+     * its committed register values, for the registers its program
+     * can read (readMask).  A snapshot stores only the committed
+     * values (loadState rebuilds the mapped registers from them), so a
+     * struck register still mapped and not yet overwritten is state no
+     * image shows; one no instruction reads cannot change the rest of
+     * the run.
      */
     bool mappedRegsCommitted() const;
 

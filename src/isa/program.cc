@@ -15,6 +15,20 @@
 namespace rmt
 {
 
+std::uint64_t
+Program::readsOf(const std::vector<StaticInst> &insts)
+{
+    static_assert(numArchRegs <= 64, "one mask bit per register");
+    std::uint64_t mask = 0;
+    for (const StaticInst &si : insts) {
+        for (const RegIndex r : {si.ra, si.rb}) {
+            if (r < numArchRegs)
+                mask |= std::uint64_t{1} << r;
+        }
+    }
+    return mask;
+}
+
 DataMemory::DataMemory(std::size_t size_bytes)
     : _size(size_bytes),
       touchedMap((size_bytes + 64 * pageBytes - 1) / (64 * pageBytes))

@@ -34,7 +34,8 @@ class Program
 
     Program() = default;
     explicit Program(std::vector<StaticInst> insts, std::string name = "")
-        : _insts(std::move(insts)), _name(std::move(name))
+        : _insts(std::move(insts)), _name(std::move(name)),
+          _readMask(readsOf(_insts))
     {
     }
 
@@ -70,9 +71,22 @@ class Program
 
     const std::vector<StaticInst> &insts() const { return _insts; }
 
+    /**
+     * Bit r set when some instruction names architectural register r
+     * as a source (ra or rb), the only operands the core reads.  Every
+     * path a thread can fetch is this text (the interrupt handler
+     * included; out-of-range fetches decode as Halt), so a register
+     * outside the mask is never read: a flip of its value cannot reach
+     * any result.
+     */
+    std::uint64_t readMask() const { return _readMask; }
+
   private:
+    static std::uint64_t readsOf(const std::vector<StaticInst> &insts);
+
     std::vector<StaticInst> _insts;
     std::string _name;
+    std::uint64_t _readMask = 0;
 };
 
 /**

@@ -146,7 +146,7 @@ parseFaultSpec(const std::string &spec)
 }
 
 void
-FaultInjector::validate(const FaultRecord &fault) const
+validateFault(const FaultRecord &fault, const FaultMachineShape &shape)
 {
     auto reject = [&](const char *why) {
         std::ostringstream os;
@@ -207,7 +207,7 @@ FaultInjector::validate(const FaultRecord &fault) const
 void
 FaultInjector::schedule(const FaultRecord &fault)
 {
-    validate(fault);
+    validateFault(fault, shape);
     if (restoredCycle && fault.when <= restoredCycle) {
         std::ostringstream os;
         os << "fault " << faultKindName(fault.kind) << "@" << fault.when

@@ -137,6 +137,15 @@ struct FaultMachineShape
     unsigned fp_units_per_half = 2;
 };
 
+/**
+ * Throw std::invalid_argument with a descriptive message when @p fault
+ * could never apply on a machine of @p shape: register index in range
+ * (not r0), bit < 64, FU index names an existing unit, core/thread/pair
+ * exist.  The one validator of fault records: schedule() calls it, and
+ * so does a runner that finishes a trial without building its machine.
+ */
+void validateFault(const FaultRecord &fault, const FaultMachineShape &shape);
+
 class FaultInjector
 {
   public:
@@ -144,6 +153,9 @@ class FaultInjector
 
     /** Provide the machine shape used to validate scheduled records. */
     void configure(const FaultMachineShape &machine) { shape = machine; }
+
+    /** The machine shape schedule() validates against. */
+    const FaultMachineShape &machine() const { return shape; }
 
     /**
      * The simulation was restored from a snapshot taken at @p cycle:
@@ -155,10 +167,9 @@ class FaultInjector
     void setRestoredCycle(Cycle cycle) { restoredCycle = cycle; }
 
     /**
-     * Schedule @p fault, validating it first (register index in range,
-     * bit < 64, FU index names an existing unit, core/thread/pair
-     * exist).  Throws std::invalid_argument with a descriptive message
-     * on a record that could never apply.
+     * Schedule @p fault, validating it first (validateFault against
+     * machine()); throws std::invalid_argument on a record that could
+     * never apply.
      */
     void schedule(const FaultRecord &fault);
 
@@ -184,8 +195,6 @@ class FaultInjector
     const std::vector<FaultRecord> &scheduled() const { return faults; }
 
   private:
-    void validate(const FaultRecord &fault) const;
-
     std::vector<FaultRecord> faults;
     FaultMachineShape shape;
     Random rng;

@@ -58,6 +58,12 @@ FaultOracle::reference(const std::vector<std::string> &workloads,
     const DataMemory &mem = sim->memory(logical);
     FaultOracle oracle(mem.size(), logical);
     oracle.finalRun = std::move(run);
+    oracle.shape = sim->faultInjector().machine();
+    for (unsigned c = 0; c < oracle.shape.cores; ++c) {
+        for (unsigned t = 0; t < oracle.shape.threads; ++t)
+            oracle.reads.push_back(
+                sim->chip().cpu(c).readMask(static_cast<ThreadId>(t)));
+    }
     mem.forEachTouchedPage(
         [&oracle](std::size_t p, std::span<const std::uint8_t> bytes) {
             oracle.keepPage(p, bytes);
@@ -160,13 +166,13 @@ faultedPair(Simulation &sim, const FaultRecord &fault)
 } // namespace
 
 FaultTrialReport
-FaultOracle::classify(Simulation &sim, const RunResult &result,
+FaultOracle::classify(Simulation *sim, const RunResult &result,
                       const FaultRecord &fault) const
 {
     FaultTrialReport report;
 
-    RedundantPair *pair = faultedPair(sim, fault);
-    if (sim.stoppedAtBarrier()) {
+    RedundantPair *pair = sim ? faultedPair(*sim, fault) : nullptr;
+    if (!sim || sim->stoppedAtBarrier()) {
         // Rejoined: the verdict is the reference run's (executeJob
         // rejoins only a reference that completed with no detection).
         report.faulted_pair =
@@ -189,7 +195,7 @@ FaultOracle::classify(Simulation &sim, const RunResult &result,
         report.detections = result.detections;
     }
 
-    report.memory_corrupted = differs(sim.memory(logical));
+    report.memory_corrupted = differs(sim->memory(logical));
 
     if (report.detections > 0)
         report.verdict = FaultVerdict::Detected;

@@ -87,16 +87,35 @@ class FaultOracle
         return finalRun;
     }
 
+    /** The reference run's machine, as fault validation sees it
+     *  (cores == 0 for an oracle built from a golden image). */
+    const FaultMachineShape &machine() const { return shape; }
+
+    /** Per hardware context of machine(), at core * threads + tid: the
+     *  registers its program can read (Program::readMask), 0 for a
+     *  context with no thread.  Empty for an oracle built from a
+     *  golden image. */
+    const std::vector<std::uint64_t> &readMasks() const { return reads; }
+
     /**
      * Classify a finished trial.  Call while the trial's Simulation is
      * still alive (the oracle reads its memory image and the faulted
-     * pair's detection log).  A trial whose run stopped at a barrier
-     * (Simulation::stoppedAtBarrier) rejoined its reference run there:
-     * @p result is that run's, which completed clean, so it is masked
-     * and the stopped machine's mid-run memory is not read.
+     * pair's detection log).  A trial that rejoined its reference run
+     * -- its run stopped at a barrier (Simulation::stoppedAtBarrier),
+     * or it was finished from that run without a machine (@p sim
+     * null) -- has that run's @p result, which completed clean, so it
+     * is masked and no mid-run memory is read.
      */
-    FaultTrialReport classify(Simulation &sim, const RunResult &result,
+    FaultTrialReport classify(Simulation *sim, const RunResult &result,
                               const FaultRecord &fault) const;
+
+    /** classify() of a trial that ran on @p sim. */
+    FaultTrialReport
+    classify(Simulation &sim, const RunResult &result,
+             const FaultRecord &fault) const
+    {
+        return classify(&sim, result, fault);
+    }
 
   private:
     FaultOracle(std::size_t size, unsigned logical)
@@ -119,6 +138,8 @@ class FaultOracle
     std::vector<std::uint8_t> goldenBytes;     ///< those pages, in order
     unsigned logical;
     std::shared_ptr<const RunResult> finalRun; ///< reference() only
+    FaultMachineShape shape;                   ///< reference() only
+    std::vector<std::uint64_t> reads;          ///< reference() only
 };
 
 } // namespace rmt

@@ -50,8 +50,10 @@ struct JobSpec
      * Fault-coverage campaigns use it to compare the final memory
      * image against a golden image and to read detection latencies.
      * Results go into JobResult::extra so sinks can serialise them.
+     * The Simulation is null for a fault trial finished from its
+     * reference run without a machine (JobResult::rejoined).
      */
-    std::function<void(Simulation &, const RunResult &, JobResult &)>
+    std::function<void(Simulation *, const RunResult &, JobResult &)>
         post_run;
 };
 
@@ -92,10 +94,14 @@ struct JobResult
     FaultVerdict verdict = FaultVerdict::Masked;
     double detection_latency = -1;  ///< cycles; negative = no detection
 
-    /** Barrier at which a fault trial rejoined its point's fault-free
-     *  reference run and stopped (0 = it ran to its end).  Work
-     *  bookkeeping only: no record format carries it, since a rejoined
-     *  trial's row equals the one it would have run to. */
+    /** The fault trial rejoined its point's fault-free reference run
+     *  and took that run's end: it stopped at the barrier
+     *  @ref rejoin_cycle, or, when no instruction can read what it
+     *  strikes, it was finished without a machine at the barrier it
+     *  would have restored (rejoin_cycle == snapshot_cycle, 0 before
+     *  the first barrier).  Its row equals the one it would have run
+     *  to; only "extra" carries rejoin_cycle. */
+    bool rejoined = false;
     Cycle rejoin_cycle = 0;
 
     bool ok() const { return status == JobStatus::Ok; }

@@ -93,6 +93,34 @@ rejoinsAt(Simulation &sim, Cycle cycle, const SnapshotSet &set,
     return sim.matchesSnapshot(*set[next].image);
 }
 
+/**
+ * Can no instruction of the trial's machine ever read what @p faults
+ * strike?  True when each is a register strike on a register outside
+ * the read set of its hardware context in @p ref (0 for a context with
+ * no thread, where the strike applies to nothing).  Such a trial's
+ * whole run is the reference run, so it rejoins at the barrier it
+ * would restore.  A fault that could never apply throws the error
+ * scheduling it would (validateFault against the reference's machine),
+ * which fails the row as before.
+ */
+bool
+strikesNothingReads(const std::vector<FaultRecord> &faults,
+                    const ReferenceRun &ref)
+{
+    if (ref.read_masks.empty())
+        return false;
+    for (const FaultRecord &f : faults) {
+        if (f.kind != FaultRecord::Kind::TransientReg)
+            return false;
+        validateFault(f, ref.machine);
+        const std::uint64_t reads =
+            ref.read_masks[f.core * ref.machine.threads + f.tid];
+        if ((reads >> f.reg) & 1)
+            return false;
+    }
+    return true;
+}
+
 /** What a trial that rejoined @p reference returns: that run's
  *  RunResult with the trial's own @p host timing, in its stats
  *  document too. */
@@ -124,7 +152,7 @@ cappedOptions(const JobSpec &spec, const RunnerConfig &config)
 
 void
 finalizeJobResult(const JobSpec &spec, const RunnerConfig &config,
-                  Simulation &sim, const RunResult &run,
+                  Simulation *sim, const RunResult &run,
                   const SnapshotForkInfo &snap, JobResult &result)
 {
     result.status = JobStatus::Ok;
@@ -146,6 +174,9 @@ finalizeJobResult(const JobSpec &spec, const RunnerConfig &config,
         }
         if (snap.scratch_fallback)
             result.extra.emplace_back("snapshot_scratch_fallback", 1.0);
+        if (result.rejoined)
+            result.extra.emplace_back(
+                "rejoin_cycle", static_cast<double>(result.rejoin_cycle));
     }
     if (spec.post_run)
         spec.post_run(sim, run, result);
@@ -193,8 +224,6 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
         try {
             validateJobSpec(spec);
             const SimOptions capped = cappedOptions(spec, config);
-            std::optional<Simulation> sim;
-            sim.emplace(spec.workloads, capped);
 
             // Fault trials fork from the latest snapshot strictly
             // before the first fault; the restore happens before any
@@ -204,6 +233,7 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
             snap.enabled = config.snapshots && capped.snapshot_every &&
                            !spec.faults.empty();
             ReferenceRun ref;
+            const CachedSnapshot *cached = nullptr;
             bool rejoinable = false;
             if (snap.enabled) {
                 Cycle first_fault = spec.faults.front().when;
@@ -211,67 +241,86 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
                     first_fault = std::min(first_fault, f.when);
                 ref = config.snapshots->reference(spec.workloads, capped);
                 rejoinable = canRejoin(spec.faults, capped, ref);
-                if (const CachedSnapshot *cached =
-                        SnapshotCache::latestBefore(*ref.snapshots,
-                                                    first_fault)) {
+                cached = SnapshotCache::latestBefore(*ref.snapshots,
+                                                     first_fault);
+                if (cached) {
+                    snap.hit = true;
+                    snap.cycle = cached->cycle;
+                    snap.bytes = static_cast<double>(cached->image->size());
+                }
+            }
+
+            std::optional<Simulation> sim;
+            RunResult run;
+            bool rejoined = false;
+            Cycle rejoin_cycle = 0;
+            if (rejoinable && strikesNothingReads(spec.faults, ref)) {
+                // Nothing can read the strikes: the trial's state
+                // equals the reference's at the barrier it would
+                // restore, so it rejoins there without a machine.
+                rejoined = true;
+                rejoin_cycle = snap.cycle;
+                run = rejoinedRun(*ref.final, HostTiming{});
+            } else {
+                // The trial's machine, built again to run the prefix
+                // from scratch when the chosen snapshot cannot serve.
+                const auto from_scratch = [&] {
+                    sim.emplace(spec.workloads, capped);
+                    snap.hit = false;
+                    snap.cycle = 0;
+                    snap.bytes = 0;
+                    snap.scratch_fallback = true;
+                };
+                sim.emplace(spec.workloads, capped);
+                if (cached) {
                     try {
                         sim->restoreSnapshotBuffer(*cached->image);
-                        snap.hit = true;
-                        snap.cycle = cached->cycle;
-                        snap.bytes =
-                            static_cast<double>(cached->image->size());
                     } catch (const SnapshotError &e) {
                         // Corrupted/mismatched cached image.  restore
-                        // validates the whole image before touching any
-                        // machine state, so the simulation is still
-                        // pristine — log, evict the bad set, and run
-                        // the prefix from scratch.
+                        // validates the whole image before touching
+                        // any machine state, so the simulation is
+                        // still pristine — log, evict the bad set,
+                        // and run the prefix from scratch.
                         warn("job %llu: cached snapshot rejected (%s); "
                              "falling back to a from-scratch run",
                              static_cast<unsigned long long>(spec.id),
                              e.what());
                         config.snapshots->invalidate(spec.workloads,
                                                      capped);
-                        sim.emplace(spec.workloads, capped);
-                        snap.scratch_fallback = true;
+                        from_scratch();
                         rejoinable = false;     // the set is suspect
                     }
                 }
-            }
 
-            try {
-                for (const FaultRecord &f : spec.faults)
-                    sim->faultInjector().schedule(f);
-            } catch (const SnapshotOrderError &) {
-                // The chosen snapshot post-dates a fault's activation
-                // cycle (a strike before the first barrier, or a stale
-                // cache entry): the trial is still runnable, just not
-                // from this snapshot.  Rebuild fresh and run the whole
-                // prefix from scratch.
-                sim.emplace(spec.workloads, capped);
-                snap.hit = false;
-                snap.cycle = 0;
-                snap.bytes = 0;
-                snap.scratch_fallback = true;
-                for (const FaultRecord &f : spec.faults)
-                    sim->faultInjector().schedule(f);
-            }
-            // A trial whose state has rejoined the reference run at a
-            // barrier would only simulate that run's rest again: it
-            // stops there and takes the reference's end.
-            if (rejoinable) {
-                sim->setSnapshotHook(
-                    [set = ref.snapshots, next = std::size_t{0}](
-                        Cycle cycle, Simulation &s) mutable {
-                        if (rejoinsAt(s, cycle, *set, next))
-                            s.stopAtBarrier();
-                    });
-            }
-            RunResult run = sim->run();
-            Cycle rejoin_cycle = 0;
-            if (sim->stoppedAtBarrier()) {
-                rejoin_cycle = run.total_cycles;
-                run = rejoinedRun(*ref.final, run.host);
+                try {
+                    for (const FaultRecord &f : spec.faults)
+                        sim->faultInjector().schedule(f);
+                } catch (const SnapshotOrderError &) {
+                    // The chosen snapshot post-dates a fault's
+                    // activation cycle (a strike before the first
+                    // barrier, or a stale cache entry): the trial is
+                    // still runnable, just not from this snapshot.
+                    from_scratch();
+                    for (const FaultRecord &f : spec.faults)
+                        sim->faultInjector().schedule(f);
+                }
+                // A trial whose state has rejoined the reference run
+                // at a barrier would only simulate that run's rest
+                // again: it stops there and takes the reference's end.
+                if (rejoinable) {
+                    sim->setSnapshotHook(
+                        [set = ref.snapshots, next = std::size_t{0}](
+                            Cycle cycle, Simulation &s) mutable {
+                            if (rejoinsAt(s, cycle, *set, next))
+                                s.stopAtBarrier();
+                        });
+                }
+                run = sim->run();
+                if (sim->stoppedAtBarrier()) {
+                    rejoined = true;
+                    rejoin_cycle = run.total_cycles;
+                    run = rejoinedRun(*ref.final, run.host);
+                }
             }
 
             result.wall_seconds =
@@ -287,8 +336,10 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
                 return result;
             }
 
+            result.rejoined = rejoined;
             result.rejoin_cycle = rejoin_cycle;
-            finalizeJobResult(spec, config, *sim, run, snap, result);
+            finalizeJobResult(spec, config, sim ? &*sim : nullptr, run,
+                              snap, result);
             return result;
         } catch (const std::exception &e) {
             result.status = JobStatus::Failed;
@@ -309,7 +360,7 @@ attachFaultOracle(JobSpec &spec, const FaultOracle *oracle)
     const FaultRecord fault =
         spec.faults.empty() ? FaultRecord{} : spec.faults.front();
     auto prev = std::move(spec.post_run);
-    spec.post_run = [oracle, fault, prev](Simulation &sim,
+    spec.post_run = [oracle, fault, prev](Simulation *sim,
                                           const RunResult &run,
                                           JobResult &res) {
         if (prev)

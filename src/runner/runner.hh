@@ -85,13 +85,24 @@ struct SnapshotForkInfo
 /**
  * Finish a successful run exactly the way executeJob does: set status,
  * store the RunResult, fill efficiencies from config.baseline, append
- * the snapshot "extra" metrics, then invoke spec.post_run while @p sim
- * is still alive.  A caller that builds and runs the Simulation itself
- * records through this, so its records cannot drift from executeJob's.
+ * the snapshot "extra" metrics (and rejoin_cycle when result.rejoined),
+ * then invoke spec.post_run while @p sim is still alive (null for a
+ * trial finished without a machine).  A caller that builds and runs
+ * the Simulation itself records through this, so its records cannot
+ * drift from executeJob's.
  */
 void finalizeJobResult(const JobSpec &spec, const RunnerConfig &config,
-                       Simulation &sim, const RunResult &run,
+                       Simulation *sim, const RunResult &run,
                        const SnapshotForkInfo &snap, JobResult &result);
+
+/** finalizeJobResult of a run on @p sim. */
+inline void
+finalizeJobResult(const JobSpec &spec, const RunnerConfig &config,
+                  Simulation &sim, const RunResult &run,
+                  const SnapshotForkInfo &snap, JobResult &result)
+{
+    finalizeJobResult(spec, config, &sim, run, snap, result);
+}
 
 /**
  * Chain a FaultOracle classification onto @p spec's post_run hook: the

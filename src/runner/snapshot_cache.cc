@@ -28,16 +28,30 @@ cacheKey(const std::vector<std::string> &workloads,
     return key;
 }
 
+/** The entry of @p set, taken by the run of @p golden when set. */
+ReferenceRun
+referenceOf(std::shared_ptr<const SnapshotSet> set, const FaultOracle *golden)
+{
+    ReferenceRun run;
+    run.snapshots = std::move(set);
+    if (golden) {
+        run.final = golden->referenceRun();
+        run.machine = golden->machine();
+        run.read_masks = golden->readMasks();
+    }
+    return run;
+}
+
 ReferenceRun
 produce(const std::vector<std::string> &workloads,
         const SimOptions &options)
 {
-    // The same fault-free run a golden is; its snapshots and final
-    // RunResult are kept.
+    // The same fault-free run a golden is; its snapshots, final
+    // RunResult and read sets are kept.
     auto set = std::make_shared<SnapshotSet>();
     const FaultOracle oracle =
         FaultOracle::reference(workloads, options, 0, set.get());
-    return {std::move(set), oracle.referenceRun()};
+    return referenceOf(std::move(set), &oracle);
 }
 
 } // namespace
@@ -84,12 +98,13 @@ void
 SnapshotCache::insert(const std::vector<std::string> &workloads,
                       const SimOptions &options,
                       std::shared_ptr<const SnapshotSet> set,
-                      std::shared_ptr<const RunResult> final)
+                      const FaultOracle *golden)
 {
     const std::string key = cacheKey(workloads, options);
+    ReferenceRun run = referenceOf(std::move(set), golden);
     std::lock_guard<std::mutex> lock(mu);
     Entry &entry = cache[key];
-    entry.run = {std::move(set), std::move(final)};
+    entry.run = std::move(run);
     entry.ready = true;
     cv.notify_all();
 }

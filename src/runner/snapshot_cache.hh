@@ -14,6 +14,9 @@
  * The same entry keeps that run's final RunResult, so a trial that
  * has rejoined the run at a barrier (its state equal to the snapshot
  * taken there) can end at once with the run's result (executeJob).
+ * It also keeps the run's machine shape and each hardware context's
+ * read set, so a trial whose strikes no instruction can read is
+ * finished from that result without building a machine at all.
  *
  * CampaignEngine fills the cache up front: its golden run of a point
  * is that fault-free run (FaultOracle::reference with a SnapshotSet),
@@ -37,18 +40,26 @@
 #include <vector>
 
 #include "ckpt/snapshot.hh"
+#include "rmt/fault_injector.hh"
 #include "sim/simulator.hh"
 
 namespace rmt
 {
+
+class FaultOracle;
 
 /** One point's fault-free reference run, as its trials see it. */
 struct ReferenceRun
 {
     std::shared_ptr<const SnapshotSet> snapshots;
     /** The run's final RunResult; null when the set was insert()ed
-     *  without one. */
+     *  without its golden. */
     std::shared_ptr<const RunResult> final;
+    /** The run's machine, as fault validation sees it. */
+    FaultMachineShape machine;
+    /** FaultOracle::readMasks of the run; empty when the set was
+     *  insert()ed without its golden. */
+    std::vector<std::uint64_t> read_masks;
 };
 
 class SnapshotCache
@@ -83,16 +94,17 @@ class SnapshotCache
     latestBefore(const SnapshotSet &set, Cycle cycle);
 
     /**
-     * Publish @p set, and the final RunResult @p final of the run that
-     * took it when known, for (@p workloads, @p options) without a
-     * producer run, replacing any existing entry.  CampaignEngine
-     * publishes its golden runs here; tests also pre-seed corrupted
-     * images, which restore-time validation must catch.
+     * Publish @p set, and what @p golden (FaultOracle::reference of
+     * the run that took it, when known) keeps of that run, for
+     * (@p workloads, @p options) without a producer run, replacing any
+     * existing entry.  CampaignEngine publishes its golden runs here;
+     * tests also pre-seed corrupted images, which restore-time
+     * validation must catch.
      */
     void insert(const std::vector<std::string> &workloads,
                 const SimOptions &options,
                 std::shared_ptr<const SnapshotSet> set,
-                std::shared_ptr<const RunResult> final = nullptr);
+                const FaultOracle *golden = nullptr);
 
     /**
      * Drop the entry for (@p workloads, @p options), if any.  Called

@@ -97,7 +97,7 @@ CampaignEngine::attachGoldens(Run &run,
                     if (snaps) {
                         config.snapshots->insert(job.workloads, capped,
                                                  std::move(snaps),
-                                                 golden->referenceRun());
+                                                 golden.get());
                     }
                     return golden;
                 });
@@ -172,7 +172,7 @@ CampaignEngine::run(std::vector<JobSpec> jobs, const Emit &emit)
             slot.state = skip ? Run::State::Skipped : Run::State::Ready;
             slot.result = std::move(r);
             run.simulated += !skip;
-            run.rejoined += slot.result.rejoin_cycle != 0;
+            run.rejoined += slot.result.rejoined;
             --run.outstanding;
             run.cv.notify_all();
         });

@@ -19,7 +19,8 @@
  *     is all hits builds no reference run;
  *  3. owned jobs run on the caller's pool (executeJob) and each result
  *     is publish()ed before it is emitted; a fault trial that rejoins
- *     its point's reference run at a barrier ends there (counted in
+ *     its point's reference run ends at that barrier, or without a
+ *     machine when nothing reads its strikes (counted in
  *     EngineTally::rejoined);
  *  4. emit(spec, result) is called on the calling thread, in job order;
  *  5. once emit returns false or config.stop reads true, unstarted
@@ -59,7 +60,7 @@ struct EngineTally
     std::uint64_t failed = 0;       ///< emitted rows whose job failed
     std::uint64_t skipped = 0;      ///< jobs left without a row
     std::uint64_t goldens = 0;      ///< fault-free reference runs built
-    std::uint64_t rejoined = 0;     ///< simulated trials that rejoined
+    std::uint64_t rejoined = 0;     ///< owned trials that rejoined
                                     ///< their reference run
 };
 

@@ -50,6 +50,7 @@
 
 #include "avf/sampler.hh"
 #include "ckpt/serializer.hh"
+#include "common/json.hh"
 #include "common/random.hh"
 #include "predictor/branch_predictor.hh"
 #include "predictor/line_predictor.hh"
@@ -578,10 +579,12 @@ TEST(Checkpoint, ForkedCampaignWorkIsPinned)
     // The work a forked campaign saves, as exact counters: how many
     // trials restored a snapshot, how many cycles the rows count past
     // it (every cycle for a trial that ran from scratch), how many
-    // trials rejoined their reference run and how many tail cycles
-    // were really simulated (a rejoined trial stops at its barrier).
-    // A campaign that stops restoring or rejoining, or restores from
-    // an earlier barrier, simulates more tail cycles.  The row-derived
+    // trials rejoined their reference run, how many of those were
+    // finished without a machine, and how many tail cycles were really
+    // simulated (a rejoined trial stops at its barrier; one whose
+    // strike nothing reads stops at the barrier it restores).  A
+    // campaign that stops restoring or rejoining, or restores from an
+    // earlier barrier, simulates more tail cycles.  The row-derived
     // counters were recorded before trials rejoined and must not move;
     // the verdicts must not move either.
     Campaign campaign = faultCampaign();
@@ -590,9 +593,9 @@ TEST(Checkpoint, ForkedCampaignWorkIsPinned)
 
     std::vector<JobResult> results;
     SnapshotCache cache;
-    runToJsonl(campaign, 2, &cache, results);
+    const std::string rows = runToJsonl(campaign, 2, &cache, results);
 
-    unsigned restored = 0, rejoined = 0;
+    unsigned restored = 0, rejoined = 0, machineless = 0;
     std::uint64_t tail_cycles = 0, simulated_cycles = 0;
     std::map<FaultVerdict, unsigned> verdicts;
     for (const JobResult &r : results) {
@@ -602,19 +605,50 @@ TEST(Checkpoint, ForkedCampaignWorkIsPinned)
         const auto from = static_cast<Cycle>(extraValue(r, "snapshot_cycle"));
         restored += extraValue(r, "snapshot_hit") > 0;
         tail_cycles += r.run.total_cycles - from;
-        rejoined += r.rejoin_cycle != 0;
+        rejoined += r.rejoined;
         simulated_cycles +=
-            (r.rejoin_cycle ? r.rejoin_cycle : r.run.total_cycles) - from;
+            (r.rejoined ? r.rejoin_cycle : r.run.total_cycles) - from;
+        if (r.rejoined && r.rejoin_cycle == from) {
+            ++machineless;
+            EXPECT_EQ(r.run.host.build_seconds, 0.0) << r.label;
+        }
         ++verdicts[r.verdict];
     }
     EXPECT_EQ(restored, 4u);
     EXPECT_EQ(tail_cycles, 31585u);
-    EXPECT_EQ(rejoined, 3u);
-    EXPECT_EQ(simulated_cycles, 21113u);
+    EXPECT_EQ(rejoined, 5u);
+    EXPECT_EQ(machineless, 2u);
+    EXPECT_EQ(simulated_cycles, 8583u);
     EXPECT_EQ(verdicts[FaultVerdict::Detected], 1u);
     EXPECT_EQ(verdicts[FaultVerdict::Masked], 5u);
     EXPECT_EQ(verdicts[FaultVerdict::Sdc], 0u);
     EXPECT_EQ(verdicts[FaultVerdict::Hang], 0u);
+
+    // The records say the same: a row rejoined iff its "extra" carries
+    // rejoin_cycle, and the cycles it really simulated are
+    // (rejoined ? rejoin_cycle : total_cycles)
+    //   - (snapshot_hit ? snapshot_cycle : 0).
+    std::istringstream lines(rows);
+    unsigned row_rejoined = 0;
+    std::uint64_t row_simulated = 0;
+    for (std::string line; std::getline(lines, line);) {
+        JsonValue row;
+        ASSERT_TRUE(parseJson(line, row)) << line;
+        const JsonValue *extra = row.find("extra");
+        if (!extra)
+            continue;
+        const double from = extra->numberOr("snapshot_hit", 0) > 0
+                                ? extra->numberOr("snapshot_cycle", -1)
+                                : 0;
+        const JsonValue *rejoin = extra->find("rejoin_cycle");
+        row_rejoined += rejoin != nullptr;
+        const double to =
+            rejoin ? rejoin->number() : row.numberOr("total_cycles", -1);
+        ASSERT_GE(to, from) << line;
+        row_simulated += static_cast<std::uint64_t>(to - from);
+    }
+    EXPECT_EQ(row_rejoined, rejoined);
+    EXPECT_EQ(row_simulated, simulated_cycles);
 }
 
 namespace
@@ -678,15 +712,78 @@ stratifiedRound()
     return sampler.nextRound();
 }
 
+/**
+ * Register strikes forced on contexts whose program never reads the
+ * register, before and after the first barrier: SRT gcc's leading
+ * (r20) and trailing (r8) copies and CRT's empty tid 1, plus r10 on
+ * every context of a gcc+swim mix in SRT and CRT, which only gcc's
+ * copies read.  7 of the 12 strikes at each cycle are unread.
+ */
+std::vector<JobSpec>
+unreadStrikes()
+{
+    std::vector<JobSpec> jobs;
+    const auto add = [&jobs](SimMode mode,
+                             std::vector<std::string> workloads,
+                             const std::string &fault) {
+        JobSpec job;
+        job.id = jobs.size();
+        job.label = std::string(modeName(mode)) + " " + fault;
+        job.workloads = std::move(workloads);
+        job.options = identityOptions();
+        job.options.mode = mode;
+        job.faults = {parseFaultSpec(fault)};
+        jobs.push_back(std::move(job));
+    };
+    for (const std::string when : {"800", "2500"}) {
+        add(SimMode::Srt, {"gcc"}, "reg:" + when + ":0:0:20:7");
+        add(SimMode::Srt, {"gcc"}, "reg:" + when + ":0:1:8:3");
+        add(SimMode::Crt, {"gcc"}, "reg:" + when + ":0:1:3:5");
+        for (const char *context : {"0:0", "0:1", "0:2", "0:3"}) {
+            add(SimMode::Srt, {"gcc", "swim"},
+                "reg:" + when + ":" + context + ":10:9");
+        }
+        for (const char *context : {"0:0", "0:1", "1:0", "1:1"}) {
+            add(SimMode::Crt, {"gcc", "swim"},
+                "reg:" + when + ":" + context + ":10:9");
+        }
+    }
+    return jobs;
+}
+
+/** Rows of @p jsonl that rejoined at the barrier they start from, so
+ *  simulated nothing: rejoin_cycle equals snapshot_cycle, or 0 for a
+ *  row that restored nothing. */
+unsigned
+machinelessRows(const std::string &jsonl)
+{
+    unsigned n = 0;
+    std::istringstream lines(jsonl);
+    for (std::string line; std::getline(lines, line);) {
+        JsonValue row;
+        EXPECT_TRUE(parseJson(line, row)) << line;
+        const JsonValue *extra = row.find("extra");
+        if (!extra || !extra->find("rejoin_cycle"))
+            continue;
+        const double from = extra->numberOr("snapshot_hit", 0) > 0
+                                ? extra->numberOr("snapshot_cycle", -1)
+                                : 0;
+        n += extra->numberOr("rejoin_cycle", -1) == from;
+    }
+    return n;
+}
+
 } // namespace
 
 TEST(Checkpoint, RejoinedTrialsMatchFromScratch)
 {
     // A trial that rejoins its reference run at a barrier ends there
-    // and takes the reference's end; its row must still equal the
-    // from-scratch row outside the snapshot bookkeeping, for a fault
-    // campaign and for a stratified round over all ten fault kinds,
-    // in SRT and CRT, at one and at four workers.
+    // and takes the reference's end, and one whose strikes no
+    // instruction reads is finished from it without a machine; its row
+    // must still equal the from-scratch row outside the snapshot
+    // bookkeeping, for a fault campaign, for a stratified round over
+    // all ten fault kinds, in SRT and CRT, and for strikes forced on
+    // unread registers and empty contexts, at one and at four workers.
     CampaignBuilder builder("rejoin", 5);
     builder.base(identityOptions())
         .modes({SimMode::Srt, SimMode::Crt})
@@ -698,8 +795,9 @@ TEST(Checkpoint, RejoinedTrialsMatchFromScratch)
     for (const JobSpec &job : strata)
         kinds.insert(job.faults.front().kind);
     ASSERT_EQ(kinds.size(), 10u);
+    const std::vector<JobSpec> unread = unreadStrikes();
 
-    for (const auto *jobs : {&faults, &strata}) {
+    for (const auto *jobs : {&faults, &strata, &unread}) {
         std::uint64_t none = 0;
         const std::string scratch = engineRows(*jobs, 4, nullptr, none);
         EXPECT_EQ(none, 0u);
@@ -711,6 +809,10 @@ TEST(Checkpoint, RejoinedTrialsMatchFromScratch)
             EXPECT_EQ(stripExtra(forked), scratch) << workers << " workers";
             EXPECT_GT(rejoined, 0u) << workers << " workers";
             EXPECT_NE(forked.find("\"snapshot_hit\":1"), std::string::npos);
+            if (jobs == &unread) {
+                EXPECT_EQ(machinelessRows(forked), 14u)
+                    << workers << " workers";
+            }
         }
     }
 }
@@ -792,7 +894,49 @@ TEST(Checkpoint, StruckMappedRegisterBlocksRejoin)
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_EQ(r.verdict, FaultVerdict::Detected);
     EXPECT_EQ(r.detection_latency, 1133);
-    EXPECT_EQ(r.rejoin_cycle, 0u);
+    EXPECT_FALSE(r.rejoined);
+}
+
+TEST(Checkpoint, UnreadStrikeThatCannotApplyStillFailsItsRow)
+{
+    // A trial whose strikes nothing reads is finished without a
+    // machine, but each strike is validated against the reference
+    // run's machine first, exactly as scheduling it would be: one that
+    // could never apply fails its row with the from-scratch error.
+    // r20 and r70 name no register gcc reads.
+    struct Case
+    {
+        SimMode mode;
+        const char *fault;
+        const char *error;
+    };
+    for (const Case &c : {
+             Case{SimMode::Base, "reg:2500:0:1:20:7",
+                  "fault reg@2500: thread context does not exist"},
+             Case{SimMode::Srt, "reg:2500:0:0:0:7",
+                  "fault reg@2500: register 0 is hardwired to zero"},
+             Case{SimMode::Srt, "reg:2500:0:0:20:64",
+                  "fault reg@2500: bit must be < 64"},
+             Case{SimMode::Srt, "reg:2500:0:0:70:7",
+                  "fault reg@2500: register index out of range"},
+             Case{SimMode::Srt, "reg:2500:2:0:20:7",
+                  "fault reg@2500: core does not exist"},
+         }) {
+        SimOptions o = identityOptions();
+        o.mode = c.mode;
+        SnapshotCache cache;
+        std::unique_ptr<FaultOracle> oracle;
+        const JobSpec job = trapTrial({"gcc"}, o, c.fault, cache, oracle);
+
+        RunnerConfig cfg;
+        cfg.snapshots = &cache;
+        const JobResult forked = executeJob(job, cfg);
+        const JobResult scratch = executeJob(job, RunnerConfig{});
+        EXPECT_FALSE(forked.ok()) << c.fault;
+        EXPECT_FALSE(forked.rejoined) << c.fault;
+        EXPECT_EQ(forked.error, c.error);
+        EXPECT_EQ(scratch.error, c.error);
+    }
 }
 
 TEST(Checkpoint, PendingStrikeBlocksRejoin)
@@ -821,7 +965,7 @@ TEST(Checkpoint, PendingStrikeBlocksRejoin)
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_EQ(r.verdict, FaultVerdict::Detected);
     EXPECT_EQ(r.detection_latency, 65);
-    EXPECT_EQ(r.rejoin_cycle, 0u);
+    EXPECT_FALSE(r.rejoined);
 }
 
 TEST(Checkpoint, RejoinedStatsCarryTheTrialsHostTiming)
@@ -841,6 +985,7 @@ TEST(Checkpoint, RejoinedStatsCarryTheTrialsHostTiming)
     cfg.snapshots = &cache;
     const JobResult r = executeJob(job, cfg);
     ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_TRUE(r.rejoined);
     EXPECT_EQ(r.rejoin_cycle, 3134u);
     EXPECT_EQ(r.verdict, FaultVerdict::Masked);
     HostTiming at_run_end = r.run.host;
@@ -861,7 +1006,7 @@ TEST(Checkpoint, RejoinedStatsCarryTheTrialsHostTiming)
     bare_cfg.snapshots = &bare_cache;
     const JobResult b = executeJob(job, bare_cfg);
     ASSERT_TRUE(b.ok()) << b.error;
-    EXPECT_EQ(b.rejoin_cycle, 0u);
+    EXPECT_FALSE(b.rejoined);
     EXPECT_EQ(stripExtra(resultJson(job, b, false)),
               resultJson(job, scratch, false));
 }

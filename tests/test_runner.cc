@@ -357,7 +357,7 @@ TEST(FaultCampaign, StopFlagDrainReturnsOnlyFinishedTrials)
     {
         std::atomic<bool> stop{false};
         std::vector<JobSpec> hooked = jobs;
-        hooked[0].post_run = [&stop](Simulation &, const RunResult &,
+        hooked[0].post_run = [&stop](Simulation *, const RunResult &,
                                      JobResult &) { stop.store(true); };
         CollectingSink sink;
         RunnerConfig cfg;

@@ -647,7 +647,7 @@ TEST(CampaignEngine, StopAbandonsUnstartedKeys)
     // The first job sets the drain flag from its post_run; the single
     // worker then starts nothing else.
     std::atomic<bool> stop{false};
-    jobs[0].post_run = [&stop](Simulation &, const RunResult &,
+    jobs[0].post_run = [&stop](Simulation *, const RunResult &,
                                JobResult &) { stop.store(true); };
     RunnerConfig cfg;
     cfg.stop = &stop;

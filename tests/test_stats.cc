@@ -142,6 +142,27 @@ parsedGroupJson(const StatGroup &g)
 
 } // namespace
 
+TEST(StatsJson, ParseReplacesWhatTheValueHeld)
+{
+    // One JsonValue reused for two documents holds the second only: no
+    // member or element of the first survives, and find() reads the
+    // new member.
+    JsonValue v;
+    ASSERT_TRUE(parseJson("{\"a\":1,\"b\":2}", v));
+    ASSERT_TRUE(parseJson("{\"a\":3}", v));
+    ASSERT_TRUE(v.isObject());
+    EXPECT_EQ(v.members().size(), 1u);
+    EXPECT_EQ(v.numberOr("a", -1), 3.0);
+    EXPECT_EQ(v.find("b"), nullptr);
+
+    ASSERT_TRUE(parseJson("[1]", v));
+    ASSERT_TRUE(parseJson("[2,3]", v));
+    ASSERT_TRUE(v.isArray());
+    ASSERT_EQ(v.array().size(), 2u);
+    EXPECT_EQ(v.array()[0].number(), 2.0);
+    EXPECT_TRUE(v.members().empty());
+}
+
 TEST(StatsJson, ZeroSampleAverageAndHistogram)
 {
     StatGroup g("g");

@@ -85,8 +85,11 @@ echo "== ckpt: snapshot-forked fault campaign work counters =="
 # Checkpoint.ForkedCampaignWorkIsPinned).  Work counters here: the
 # campaign runs exactly one fault-free reference run per point (gcc,
 # compress), which also produces the snapshots, so its summary names no
-# lazy snapshot producer, and exactly 5 of its 16 trials rejoin their
-# reference run at a barrier and stop there.
+# lazy snapshot producer, and exactly 12 of its 16 trials rejoin their
+# reference run at a barrier and stop there; a trial whose strike hits
+# a register its program never reads rejoins at the barrier it starts
+# from, so it simulates nothing (its rejoin_cycle equals its
+# snapshot_cycle).
 ckpt_batch="--modes srt --workloads gcc,compress --fault-trials 8
             --warmup 500 --insts 5000 --snapshot-every 1500
             --no-timing"
@@ -106,7 +109,9 @@ echo "ckpt: largest snapshot image ${max_image} bytes (bound 150000)"
 [ -n "$max_image" ]
 [ "$max_image" -lt 150000 ]
 grep -q '(2 fault-free reference runs)' build/ckpt_forked.log
-grep -q '(5 trials rejoined their reference run)' build/ckpt_forked.log
+grep -q '(12 trials rejoined their reference run)' build/ckpt_forked.log
+grep -Eq '"snapshot_cycle":([0-9]+),.*"rejoin_cycle":\1[,}]' \
+    build/ckpt_forked.jsonl
 if grep -q 'producer' build/ckpt_forked.log; then
     echo "check.sh: the forked campaign ran a lazy snapshot producer" >&2
     exit 1

@@ -111,7 +111,9 @@ usage()
         "fault trials restore the latest snapshot before their "
         "strike (a strike before the first barrier runs from scratch) "
         "and stop at the first later barrier where they have rejoined "
-        "the fault-free reference run\n"
+        "the fault-free reference run; a trial whose strikes hit only "
+        "registers its program never reads is finished from that run "
+        "without simulating\n"
         "\n"
         "budgets:\n"
         "  --insts N         measured instructions/thread (default "
@@ -492,7 +494,7 @@ main(int argc, char **argv)
         // is stored.  A stored job never runs, so a rerun gets past it.
         for (JobSpec &job : jobs) {
             if (job.id == static_cast<std::uint64_t>(test_crash))
-                job.post_run = [](Simulation &, const RunResult &,
+                job.post_run = [](Simulation *, const RunResult &,
                                   JobResult &) { std::_Exit(9); };
         }
         const std::size_t n = jobs.size();
