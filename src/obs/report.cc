@@ -784,7 +784,7 @@ SnapshotReport
 buildSnapshotReport(const std::vector<JsonValue> &records)
 {
     SnapshotReport report;
-    double saved_sum = 0, bytes_sum = 0;
+    double bytes_sum = 0, simulated = 0;
     for (const JsonValue &rec : records) {
         if (isSummaryRecord(rec))
             continue;
@@ -796,19 +796,26 @@ buildSnapshotReport(const std::vector<JsonValue> &records)
         if (hit < 0)
             continue;
         ++report.fork_eligible;
+        double from = 0;
         if (hit > 0.5) {
             ++report.hits;
-            saved_sum += extra->numberOr("snapshot_saved_cycles", 0);
+            from = extra->numberOr("snapshot_cycle", 0);
             bytes_sum += extra->numberOr("snapshot_bytes", 0);
         }
+        const double total = rec.numberOr("total_cycles", 0);
+        const JsonValue *rejoin = extra->find("rejoin_cycle");
+        report.rejoined += rejoin != nullptr;
+        report.total_cycles += total;
+        report.restored_cycles += from;
+        simulated += (rejoin ? rejoin->number() : total) - from;
     }
     if (report.fork_eligible) {
         report.hit_rate = static_cast<double>(report.hits) /
                           report.fork_eligible;
     }
-    report.total_saved_cycles = saved_sum;
+    report.unsimulated_cycles = report.total_cycles - simulated;
     if (report.hits) {
-        report.mean_saved_cycles = saved_sum / report.hits;
+        report.mean_restored_cycles = report.restored_cycles / report.hits;
         report.mean_bytes = bytes_sum / report.hits;
     }
     return report;
@@ -829,24 +836,31 @@ formatSnapshotReport(const SnapshotReport &report)
         return out;
     }
     std::snprintf(line, sizeof(line),
-                  "%-10s %8s %9s %13s %13s %11s\n", "eligible", "hits",
-                  "hit-rate", "saved-cycles", "mean-saved", "mean-bytes");
+                  "%-10s %8s %9s %9s %14s %11s\n", "eligible", "hits",
+                  "hit-rate", "rejoined", "mean-restored", "mean-bytes");
     out += line;
-    char rate[32], mean_saved[32], mean_bytes[32];
+    char rate[32], mean_restored[32], mean_bytes[32];
     std::snprintf(rate, sizeof(rate), "%.0f%%", report.hit_rate * 100);
     if (report.hits) {
-        std::snprintf(mean_saved, sizeof(mean_saved), "%.0f",
-                      report.mean_saved_cycles);
+        std::snprintf(mean_restored, sizeof(mean_restored), "%.0f",
+                      report.mean_restored_cycles);
         std::snprintf(mean_bytes, sizeof(mean_bytes), "%.0f",
                       report.mean_bytes);
     } else {
-        std::snprintf(mean_saved, sizeof(mean_saved), "-");
+        std::snprintf(mean_restored, sizeof(mean_restored), "-");
         std::snprintf(mean_bytes, sizeof(mean_bytes), "-");
     }
     std::snprintf(line, sizeof(line),
-                  "%-10u %8u %9s %13.0f %13s %11s\n",
+                  "%-10u %8u %9s %9u %14s %11s\n",
                   report.fork_eligible, report.hits, rate,
-                  report.total_saved_cycles, mean_saved, mean_bytes);
+                  report.rejoined, mean_restored, mean_bytes);
+    out += line;
+    std::snprintf(line, sizeof(line),
+                  "%.0f of %.0f cycles not simulated (%.0f restored, "
+                  "%.0f skipped after a rejoin)\n",
+                  report.unsimulated_cycles, report.total_cycles,
+                  report.restored_cycles,
+                  report.unsimulated_cycles - report.restored_cycles);
     out += line;
     std::snprintf(line, sizeof(line),
                   "%u jobs, %u fork-eligible fault trials\n",

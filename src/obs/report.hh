@@ -132,15 +132,23 @@ struct CoverageReport
 /**
  * Aggregate of the snapshot-forking fields fault campaigns record in
  * each job's "extra" object (runner with a SnapshotCache attached).
+ * A fork-eligible row simulated the cycles from its start,
+ * (snapshot_hit ? snapshot_cycle : 0), to its end,
+ * (rejoined ? rejoin_cycle : total_cycles); the rest of its
+ * total_cycles were never simulated.
  */
 struct SnapshotReport
 {
     unsigned total_jobs = 0;
     unsigned fork_eligible = 0;     ///< jobs that carried a snapshot_hit
     unsigned hits = 0;              ///< trials restored from a snapshot
+    unsigned rejoined = 0;          ///< trials that rejoined their
+                                    ///< reference run (rejoin_cycle)
     double hit_rate = -1;           ///< hits / eligible; negative if none
-    double total_saved_cycles = 0;  ///< sum of pre-fork prefix cycles
-    double mean_saved_cycles = -1;  ///< over hits
+    double total_cycles = 0;        ///< sum of eligible rows' total_cycles
+    double restored_cycles = 0;     ///< sum of restored prefixes
+    double unsimulated_cycles = 0;  ///< of total_cycles, never simulated
+    double mean_restored_cycles = -1;   ///< over hits
     double mean_bytes = -1;         ///< snapshot image size, over hits
 };
 
@@ -262,7 +270,8 @@ AttributionReport buildAttributionReport(
 std::string formatAttributionReport(const AttributionReport &report);
 
 /** Aggregate the snapshot-forking metrics of a fault campaign run with
- *  --snapshot-every: hit rate, cycles saved, snapshot image sizes. */
+ *  --snapshot-every: hit rate, rejoins, cycles never simulated,
+ *  snapshot image sizes. */
 SnapshotReport buildSnapshotReport(const std::vector<JsonValue> &records);
 
 /** Render the snapshot-forking summary. */

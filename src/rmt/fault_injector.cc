@@ -215,7 +215,7 @@ FaultInjector::schedule(const FaultRecord &fault)
               "(cycle "
            << restoredCycle
            << "); fork from an earlier snapshot or run from scratch";
-        throw SnapshotOrderError(os.str());
+        throw std::invalid_argument(os.str());
     }
     faults.push_back(fault);
 }

@@ -33,7 +33,6 @@
 #define RMTSIM_RMT_FAULT_INJECTOR_HH
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,22 +44,6 @@ namespace rmt
 
 class SmtCpu;
 class RedundantPair;
-
-/**
- * schedule() rejected a fault because its activation cycle is at or
- * before the cycle the simulation was restored at.  Distinct from the
- * plain std::invalid_argument validation failures so executors can
- * recover (rebuild the trial from scratch instead of recording a
- * failure): the fault itself is fine — only the snapshot choice is
- * too late for it.
- */
-struct SnapshotOrderError : std::invalid_argument
-{
-    explicit SnapshotOrderError(const std::string &what)
-        : std::invalid_argument(what)
-    {
-    }
-};
 
 struct FaultRecord
 {
@@ -159,10 +142,13 @@ class FaultInjector
 
     /**
      * The simulation was restored from a snapshot taken at @p cycle:
-     * schedule() rejects faults whose activation cycle is not strictly
-     * after it (tick applies faults with when <= now, so such a fault
-     * would fire immediately instead of at its nominal cycle — the trial
-     * must fork from an earlier snapshot or run from scratch).
+     * schedule() throws std::invalid_argument, naming both cycles, for
+     * a fault whose activation cycle is not strictly after it (tick
+     * applies faults with when <= now, so such a fault would fire
+     * immediately instead of at its nominal cycle).  A trial restores
+     * only an image strictly before its first strike
+     * (SnapshotCache::latestBefore), so this fails a row only if a
+     * runner ever picks a later one.
      */
     void setRestoredCycle(Cycle cycle) { restoredCycle = cycle; }
 

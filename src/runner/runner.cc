@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <set>
 #include <stdexcept>
 
-#include "ckpt/serializer.hh"
 #include "common/logging.hh"
 #include "runner/thread_pool.hh"
 #include "workloads/workloads.hh"
@@ -40,20 +40,21 @@ maxLogicalThreads(SimMode mode)
 
 /**
  * Can a trial of @p faults under @p options rejoin @p ref?  Only when
- * the reference's final RunResult is known and completed with no
+ * the reference's golden is known and its run completed with no
  * detection (a rejoined trial is finished from it, as masked), no
  * fault is a permanent one (it keeps striking past any barrier), and
- * that RunResult renders the trial's row: the cache key ignores
+ * that run's RunResult renders the trial's row: the point key ignores
  * collect_stats_json.
  */
 bool
 canRejoin(const std::vector<FaultRecord> &faults, const SimOptions &options,
           const ReferenceRun &ref)
 {
-    if (!ref.snapshots || !ref.final ||
-        ref.final->outcome != Outcome::Completed ||
-        ref.final->detections != 0 ||
-        ref.final->stats_json.empty() == options.collect_stats_json)
+    const RunResult *final =
+        ref.golden ? ref.golden->referenceRun().get() : nullptr;
+    if (!final || final->outcome != Outcome::Completed ||
+        final->detections != 0 ||
+        final->stats_json.empty() == options.collect_stats_json)
         return false;
     return std::none_of(faults.begin(), faults.end(),
                         [](const FaultRecord &f) {
@@ -96,25 +97,24 @@ rejoinsAt(Simulation &sim, Cycle cycle, const SnapshotSet &set,
 /**
  * Can no instruction of the trial's machine ever read what @p faults
  * strike?  True when each is a register strike on a register outside
- * the read set of its hardware context in @p ref (0 for a context with
- * no thread, where the strike applies to nothing).  Such a trial's
- * whole run is the reference run, so it rejoins at the barrier it
- * would restore.  A fault that could never apply throws the error
- * scheduling it would (validateFault against the reference's machine),
- * which fails the row as before.
+ * the read set of its hardware context in the reference run of
+ * @p golden (0 for a context with no thread, where the strike applies
+ * to nothing).  Such a trial's whole run is the reference run, so it
+ * rejoins at the barrier it would restore.  A fault that could never
+ * apply throws the error scheduling it would (validateFault against
+ * the reference's machine), which fails the row as before.
  */
 bool
 strikesNothingReads(const std::vector<FaultRecord> &faults,
-                    const ReferenceRun &ref)
+                    const FaultOracle &golden)
 {
-    if (ref.read_masks.empty())
-        return false;
+    const FaultMachineShape &machine = golden.machine();
     for (const FaultRecord &f : faults) {
         if (f.kind != FaultRecord::Kind::TransientReg)
             return false;
-        validateFault(f, ref.machine);
+        validateFault(f, machine);
         const std::uint64_t reads =
-            ref.read_masks[f.core * ref.machine.threads + f.tid];
+            golden.readMasks()[f.core * machine.threads + f.tid];
         if ((reads >> f.reg) & 1)
             return false;
     }
@@ -167,13 +167,8 @@ finalizeJobResult(const JobSpec &spec, const RunnerConfig &config,
         if (snap.hit) {
             result.extra.emplace_back(
                 "snapshot_cycle", static_cast<double>(snap.cycle));
-            result.extra.emplace_back(
-                "snapshot_saved_cycles",
-                static_cast<double>(snap.cycle));
             result.extra.emplace_back("snapshot_bytes", snap.bytes);
         }
-        if (snap.scratch_fallback)
-            result.extra.emplace_back("snapshot_scratch_fallback", 1.0);
         if (result.rejoined)
             result.extra.emplace_back(
                 "rejoin_cycle", static_cast<double>(result.rejoin_cycle));
@@ -205,6 +200,13 @@ validateJobSpec(const JobSpec &spec)
         throw std::invalid_argument(
             "job " + std::to_string(spec.id) +
             ": recovery is incompatible with cosim");
+    // Snapshots capture timing state only (Simulation's constructor).
+    if (spec.options.snapshot_every &&
+        (spec.options.cosim || spec.options.recovery))
+        throw std::invalid_argument(
+            "job " + std::to_string(spec.id) +
+            ": snapshots are incompatible with " +
+            (spec.options.cosim ? "cosim" : "recovery"));
 }
 
 JobResult
@@ -225,10 +227,8 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
             validateJobSpec(spec);
             const SimOptions capped = cappedOptions(spec, config);
 
-            // Fault trials fork from the latest snapshot strictly
-            // before the first fault; the restore happens before any
-            // fault is scheduled so the injector can validate that the
-            // snapshot really pre-dates every injection cycle.
+            // A snapshot fault trial starts from its point's reference
+            // run, made before the trial (makeReferenceRun).
             SnapshotForkInfo snap;
             snap.enabled = config.snapshots && capped.snapshot_every &&
                            !spec.faults.empty();
@@ -239,7 +239,13 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
                 Cycle first_fault = spec.faults.front().when;
                 for (const FaultRecord &f : spec.faults)
                     first_fault = std::min(first_fault, f.when);
-                ref = config.snapshots->reference(spec.workloads, capped);
+                const std::optional<ReferenceRun> found =
+                    config.snapshots->find(spec.workloads, capped);
+                if (!found)
+                    throw std::runtime_error(
+                        "no reference run for " +
+                        pointKey(spec.workloads, capped));
+                ref = *found;
                 rejoinable = canRejoin(spec.faults, capped, ref);
                 cached = SnapshotCache::latestBefore(*ref.snapshots,
                                                      first_fault);
@@ -254,56 +260,24 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
             RunResult run;
             bool rejoined = false;
             Cycle rejoin_cycle = 0;
-            if (rejoinable && strikesNothingReads(spec.faults, ref)) {
+            if (rejoinable && strikesNothingReads(spec.faults, *ref.golden)) {
                 // Nothing can read the strikes: the trial's state
                 // equals the reference's at the barrier it would
                 // restore, so it rejoins there without a machine.
                 rejoined = true;
                 rejoin_cycle = snap.cycle;
-                run = rejoinedRun(*ref.final, HostTiming{});
+                run = rejoinedRun(*ref.golden->referenceRun(), HostTiming{});
             } else {
-                // The trial's machine, built again to run the prefix
-                // from scratch when the chosen snapshot cannot serve.
-                const auto from_scratch = [&] {
-                    sim.emplace(spec.workloads, capped);
-                    snap.hit = false;
-                    snap.cycle = 0;
-                    snap.bytes = 0;
-                    snap.scratch_fallback = true;
-                };
+                // Build, restore the image strictly before the first
+                // strike if there is one, schedule, run.  The restore
+                // comes first so the injector can check that the image
+                // pre-dates every strike; an image that fails
+                // validation throws its error, which fails the row.
                 sim.emplace(spec.workloads, capped);
-                if (cached) {
-                    try {
-                        sim->restoreSnapshotBuffer(*cached->image);
-                    } catch (const SnapshotError &e) {
-                        // Corrupted/mismatched cached image.  restore
-                        // validates the whole image before touching
-                        // any machine state, so the simulation is
-                        // still pristine — log, evict the bad set,
-                        // and run the prefix from scratch.
-                        warn("job %llu: cached snapshot rejected (%s); "
-                             "falling back to a from-scratch run",
-                             static_cast<unsigned long long>(spec.id),
-                             e.what());
-                        config.snapshots->invalidate(spec.workloads,
-                                                     capped);
-                        from_scratch();
-                        rejoinable = false;     // the set is suspect
-                    }
-                }
-
-                try {
-                    for (const FaultRecord &f : spec.faults)
-                        sim->faultInjector().schedule(f);
-                } catch (const SnapshotOrderError &) {
-                    // The chosen snapshot post-dates a fault's
-                    // activation cycle (a strike before the first
-                    // barrier, or a stale cache entry): the trial is
-                    // still runnable, just not from this snapshot.
-                    from_scratch();
-                    for (const FaultRecord &f : spec.faults)
-                        sim->faultInjector().schedule(f);
-                }
+                if (cached)
+                    sim->restoreSnapshotBuffer(*cached->image);
+                for (const FaultRecord &f : spec.faults)
+                    sim->faultInjector().schedule(f);
                 // A trial whose state has rejoined the reference run
                 // at a barrier would only simulate that run's rest
                 // again: it stops there and takes the reference's end.
@@ -319,7 +293,8 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
                 if (sim->stoppedAtBarrier()) {
                     rejoined = true;
                     rejoin_cycle = run.total_cycles;
-                    run = rejoinedRun(*ref.final, run.host);
+                    run = rejoinedRun(*ref.golden->referenceRun(),
+                                      run.host);
                 }
             }
 
@@ -384,6 +359,36 @@ runCampaignJobs(const std::vector<JobSpec> &jobs,
     std::vector<JobResult> results(jobs.size());
 
     ThreadPool pool(config.jobs);
+    // Each point's reference run is made before its trials start.  A
+    // spec that fails validation gets none: its rows fail the same
+    // check.  A run that throws leaves its point without one, so its
+    // trials fail as missing it.
+    if (config.snapshots) {
+        std::set<std::string> points;
+        for (const JobSpec &spec : jobs) {
+            const SimOptions capped = cappedOptions(spec, config);
+            if (spec.faults.empty() || !capped.snapshot_every ||
+                config.snapshots->find(spec.workloads, capped) ||
+                !points.insert(pointKey(spec.workloads, capped)).second)
+                continue;
+            try {
+                validateJobSpec(spec);
+            } catch (const std::invalid_argument &) {
+                continue;
+            }
+            pool.submit([&spec, &config, capped] {
+                try {
+                    makeReferenceRun(spec.workloads, capped,
+                                     config.snapshots);
+                } catch (const std::exception &e) {
+                    warn("reference run of %s failed: %s",
+                         pointKey(spec.workloads, capped).c_str(),
+                         e.what());
+                }
+            });
+        }
+        pool.wait();
+    }
     for (std::size_t at = 0; at < jobs.size(); ++at) {
         const JobSpec &spec = jobs[at];
         pool.submit([&spec, &config, &results, at] {

@@ -7,9 +7,10 @@
  *
  * Every job builds its own Simulation, so jobs are independent and the
  * per-job results are bit-identical whatever the worker count or
- * completion order (tests/test_runner.cc asserts this).  The only
- * shared mutable state is the optional BaselineCache, which is
- * internally synchronised with single-flight semantics.
+ * completion order (tests/test_runner.cc asserts this).  The shared
+ * mutable state is the optional BaselineCache, internally synchronised
+ * with single-flight semantics, and the optional SnapshotCache, whose
+ * entries are made before the trials that read them.
  */
 
 #ifndef RMTSIM_RUNNER_RUNNER_HH
@@ -39,12 +40,15 @@ struct RunnerConfig
      *  cache (single-thread baselines simulated once per workload). */
     BaselineCache *baseline = nullptr;
 
-    /** When set (and a job's options place snapshot barriers), fault
-     *  trials fork from the latest cached snapshot strictly before the
-     *  first fault's activation cycle instead of running the common
-     *  prefix from scratch, and a trial that rejoins the point's
-     *  reference run at a later barrier stops there (executeJob).  The
-     *  per-job "extra" metrics record the hit and the cycles saved. */
+    /** When set (and a job's options place snapshot barriers), each
+     *  fault trial starts from its point's reference run in this
+     *  cache, which must be there first (makeReferenceRun): it
+     *  restores the latest snapshot strictly before its first fault's
+     *  activation cycle, if any, and stops where it rejoins the
+     *  reference run (executeJob).  A trial whose point has no entry,
+     *  or whose image fails validation, fails its row.  The per-job
+     *  "extra" metrics record the hit and the restored barrier.  Null:
+     *  every trial runs from scratch. */
     SnapshotCache *snapshots = nullptr;
 
     /** When set, receives each JobResult as it completes. */
@@ -77,7 +81,6 @@ struct SnapshotForkInfo
 {
     bool enabled = false;   ///< trial was eligible to fork (record extras)
     bool hit = false;       ///< a snapshot was actually restored
-    bool scratch_fallback = false;  ///< restore rejected; rebuilt fresh
     Cycle cycle = 0;        ///< barrier cycle of the restored snapshot
     double bytes = 0;       ///< serialized image size
 };
@@ -119,7 +122,10 @@ std::vector<JobResult> runCampaign(const Campaign &campaign,
 
 /**
  * Run an explicit job list over a pool of config.jobs workers,
- * recording each result to config.sink as it completes.  Unlike
+ * recording each result to config.sink as it completes.  With
+ * config.snapshots, the reference run of each point of its snapshot
+ * fault trials that has no entry yet is made first, on the same pool
+ * (makeReferenceRun).  Unlike
  * runCampaign, the sink's begin()/end() are NOT called, and results
  * come back by position in @p jobs.  Jobs skipped by config.stop keep
  * JobStatus::Failed defaults and are never fed to the sink.  (The

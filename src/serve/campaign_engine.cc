@@ -6,8 +6,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "common/fingerprint.hh"
-
 namespace rmt
 {
 
@@ -67,39 +65,25 @@ CampaignEngine::attachGoldens(Run &run,
     // One fault-free reference run per (mix, capped options) point,
     // under the capped budgets the trials really run with: a budget
     // difference would read as memory corruption.  It is the point's
-    // golden and, when trials fork, also its snapshot producer, so no
-    // trial waits on a lazy producer.  The runs are independent, so
-    // they are built side by side on the pool; a bad point must throw
-    // here, not fatal() in Simulation.
-    using Golden = std::unique_ptr<const FaultOracle>;
+    // golden and, when trials fork, puts the point's snapshots in
+    // config.snapshots before any of its trials starts.  The runs are
+    // independent, so they are built side by side on the pool; a bad
+    // point must throw here, not fatal() in Simulation.
+    using Golden = std::shared_ptr<const FaultOracle>;
     std::map<std::string, std::future<Golden>> builds;
     std::vector<std::pair<std::size_t, std::string>> faulted;
     for (std::size_t i : owned) {
         const JobSpec &job = run.jobs[i];
         if (job.faults.empty())
             continue;
-        std::string point;
-        for (const std::string &w : job.workloads)
-            point += w + "+";
-        point += fingerprintHex(
-            optionsFingerprintU64(cappedOptions(job, config)));
+        const SimOptions capped = cappedOptions(job, config);
+        std::string point = pointKey(job.workloads, capped);
         if (!goldens.count(point) && !builds.count(point)) {
             auto build = std::make_shared<std::packaged_task<Golden()>>(
-                [this, &job] {
+                [this, &job, capped] {
                     validateJobSpec(job);
-                    const SimOptions capped = cappedOptions(job, config);
-                    std::shared_ptr<SnapshotSet> snaps;
-                    if (config.snapshots && capped.snapshot_every)
-                        snaps = std::make_shared<SnapshotSet>();
-                    auto golden = std::make_unique<const FaultOracle>(
-                        FaultOracle::reference(job.workloads, capped, 0,
-                                               snaps.get()));
-                    if (snaps) {
-                        config.snapshots->insert(job.workloads, capped,
-                                                 std::move(snaps),
-                                                 golden.get());
-                    }
-                    return golden;
+                    return makeReferenceRun(job.workloads, capped,
+                                            config.snapshots);
                 });
             builds.emplace(point, build->get_future());
             pool.submit([build] { (*build)(); });

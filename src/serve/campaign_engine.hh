@@ -10,13 +10,13 @@
  *     Owner claim is this run's to simulate, and an InFlight key (the
  *     same content claimed by another client, or earlier in the same
  *     list) is await()ed and re-claimed if its owner abandons it;
- *  2. one fault-free reference run is built per (mix, capped options)
- *     point that has an *owned* faulted job, in parallel on the pool:
- *     it yields the point's golden (every owned faulted job gets
- *     attachFaultOracle) and, when config.snapshots is set and the
- *     options place barriers, the point's snapshots, insert()ed into
- *     config.snapshots before any trial starts — a resubmission that
- *     is all hits builds no reference run;
+ *  2. one fault-free reference run (makeReferenceRun) is built per
+ *     (mix, capped options) point that has an *owned* faulted job, in
+ *     parallel on the pool: it yields the point's golden (every owned
+ *     faulted job gets attachFaultOracle) and, when config.snapshots
+ *     is set and the options place barriers, the point's snapshots,
+ *     insert()ed into config.snapshots before any trial starts — a
+ *     resubmission that is all hits builds no reference run;
  *  3. owned jobs run on the caller's pool (executeJob) and each result
  *     is publish()ed before it is emitted; a fault trial that rejoins
  *     its point's reference run ends at that barrier, or without a
@@ -91,7 +91,7 @@ class CampaignEngine
     ThreadPool &pool;
     ResultStore &store;
     RunnerConfig config;
-    std::map<std::string, std::unique_ptr<const FaultOracle>> goldens;
+    std::map<std::string, std::shared_ptr<const FaultOracle>> goldens;
 };
 
 } // namespace rmt

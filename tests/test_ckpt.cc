@@ -437,13 +437,28 @@ TEST(Checkpoint, FaultAtOrBeforeRestoredCycleIsRejected)
     Simulation sim(workloads, o);
     sim.restoreSnapshotBuffer(image);
 
+    // Not strictly after: a plain std::invalid_argument naming the
+    // fault's cycle and the restored one, so it fails a row.
     FaultRecord fault;
     fault.kind = FaultRecord::Kind::TransientReg;
-    fault.when = snap_cycle;        // not strictly after: must throw
     fault.reg = 3;
     fault.bit = 5;
-    EXPECT_THROW(sim.faultInjector().schedule(fault),
-                 std::invalid_argument);
+    for (const Cycle when : {snap_cycle, snap_cycle - 1}) {
+        fault.when = when;
+        try {
+            sim.faultInjector().schedule(fault);
+            ADD_FAILURE() << "a fault at " << when << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("fault reg@" + std::to_string(when) + ":"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("(cycle " + std::to_string(snap_cycle) + ")"),
+                      std::string::npos)
+                << what;
+        }
+    }
+    EXPECT_TRUE(sim.faultInjector().scheduled().empty());
 
     fault.when = snap_cycle + 1;    // strictly after: fine
     EXPECT_NO_THROW(sim.faultInjector().schedule(fault));
@@ -538,10 +553,10 @@ TEST(Checkpoint, ForkedCampaignIsWorkerCountInvariant)
     const std::string parallel =
         runToJsonl(campaign, 4, &parallel_cache, parallel_results);
     EXPECT_EQ(serial, parallel);
-    // One producer per point (gcc, compress), however many workers
-    // asked for it at once.
-    EXPECT_EQ(serial_cache.producerRuns(), 2u);
-    EXPECT_EQ(parallel_cache.producerRuns(), 2u);
+    // One reference run per point (gcc, compress), made before its
+    // trials, however many workers run them.
+    EXPECT_EQ(serial_cache.size(), 2u);
+    EXPECT_EQ(parallel_cache.size(), 2u);
 
     // Forking actually engaged: some trial restored a snapshot.
     bool any_hit = false;
@@ -820,22 +835,21 @@ TEST(Checkpoint, RejoinedTrialsMatchFromScratch)
 namespace
 {
 
-/** A fault trial of @p workloads under @p options, its oracle
- *  attached, with the point's reference run in @p cache. */
+/** A fault trial of @p workloads under @p options, with the point's
+ *  reference run in @p cache and its golden, which that entry keeps
+ *  alive, attached. */
 JobSpec
 trapTrial(const std::vector<std::string> &workloads,
           const SimOptions &options, const std::string &fault,
-          SnapshotCache &cache, std::unique_ptr<FaultOracle> &oracle)
+          SnapshotCache &cache)
 {
     JobSpec job;
     job.label = fault;
     job.workloads = workloads;
     job.options = options;
     job.faults = {parseFaultSpec(fault)};
-    oracle = std::make_unique<FaultOracle>(
-        FaultOracle::reference(workloads, options));
-    attachFaultOracle(job, oracle.get());
-    cache.reference(workloads, options);
+    attachFaultOracle(job,
+                      makeReferenceRun(workloads, options, &cache).get());
     return job;
 }
 
@@ -846,7 +860,7 @@ void
 scanBarriers(const JobSpec &job, SnapshotCache &cache,
              AtBarrier &&at_barrier)
 {
-    const auto set = cache.snapshots(job.workloads, job.options);
+    const auto set = cache.find(job.workloads, job.options)->snapshots;
     Simulation sim(job.workloads, job.options);
     for (const FaultRecord &f : job.faults)
         sim.faultInjector().schedule(f);
@@ -874,9 +888,8 @@ TEST(Checkpoint, StruckMappedRegisterBlocksRejoin)
     o.measure_insts = 6000;
     o.snapshot_every = 1000;
     SnapshotCache cache;
-    std::unique_ptr<FaultOracle> oracle;
-    const JobSpec job = trapTrial({"gcc", "swim"}, o, "reg:4188:0:0:14:52",
-                                  cache, oracle);
+    const JobSpec job =
+        trapTrial({"gcc", "swim"}, o, "reg:4188:0:0:14:52", cache);
 
     bool hidden = false;
     scanBarriers(job, cache, [&](Simulation &s, const std::string &image) {
@@ -925,8 +938,7 @@ TEST(Checkpoint, UnreadStrikeThatCannotApplyStillFailsItsRow)
         SimOptions o = identityOptions();
         o.mode = c.mode;
         SnapshotCache cache;
-        std::unique_ptr<FaultOracle> oracle;
-        const JobSpec job = trapTrial({"gcc"}, o, c.fault, cache, oracle);
+        const JobSpec job = trapTrial({"gcc"}, o, c.fault, cache);
 
         RunnerConfig cfg;
         cfg.snapshots = &cache;
@@ -948,9 +960,7 @@ TEST(Checkpoint, PendingStrikeBlocksRejoin)
     SimOptions o = identityOptions();
     o.mode = SimMode::Srt;
     SnapshotCache cache;
-    std::unique_ptr<FaultOracle> oracle;
-    const JobSpec job =
-        trapTrial({"gcc"}, o, "sqd:2200:0:0:5", cache, oracle);
+    const JobSpec job = trapTrial({"gcc"}, o, "sqd:2200:0:0:5", cache);
 
     bool hidden = false;
     scanBarriers(job, cache, [&](Simulation &s, const std::string &image) {
@@ -977,9 +987,7 @@ TEST(Checkpoint, RejoinedStatsCarryTheTrialsHostTiming)
     o.mode = SimMode::Srt;
     o.collect_stats_json = true;
     SnapshotCache cache;
-    std::unique_ptr<FaultOracle> oracle;
-    const JobSpec job =
-        trapTrial({"gcc"}, o, "sqd:2200:0:1:5", cache, oracle);
+    const JobSpec job = trapTrial({"gcc"}, o, "sqd:2200:0:1:5", cache);
 
     RunnerConfig cfg;
     cfg.snapshots = &cache;
@@ -1001,7 +1009,7 @@ TEST(Checkpoint, RejoinedStatsCarryTheTrialsHostTiming)
     SimOptions bare = o;
     bare.collect_stats_json = false;
     SnapshotCache bare_cache;
-    bare_cache.reference(job.workloads, bare);
+    makeReferenceRun(job.workloads, bare, &bare_cache);
     RunnerConfig bare_cfg;
     bare_cfg.snapshots = &bare_cache;
     const JobResult b = executeJob(job, bare_cfg);

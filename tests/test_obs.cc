@@ -1,8 +1,9 @@
 /**
  * Observability subsystem tests: the JSON parser round-trip, the
  * whole-chip stats serialization, the cycle-sampled timeline probe,
- * host profiling, the campaign report aggregation, and concurrent
- * stats collection under the campaign runner (the sanitize target).
+ * host profiling, the campaign and snapshot report aggregations, and
+ * concurrent stats collection under the campaign runner (the sanitize
+ * target).
  */
 
 #include <gtest/gtest.h>
@@ -295,6 +296,45 @@ TEST(Obs, ReportAggregatesDegradationAgainstBase)
     EXPECT_EQ(r2.modes[1].with_base, 1u);
 }
 
+TEST(Obs, SnapshotReportCountsRejoinsAndUnsimulatedCycles)
+{
+    // A fork-eligible row simulates from (snapshot_hit ? snapshot_cycle
+    // : 0) to (rejoined ? rejoin_cycle : total_cycles): a restored
+    // trial that rejoined later, one that ran from scratch to the end,
+    // one that rejoined where it restored (simulating nothing), and a
+    // plain job that is only counted.
+    const std::vector<std::string> lines = {
+        "{\"status\":\"ok\",\"total_cycles\":5000,\"extra\":"
+        "{\"snapshot_hit\":1,\"snapshot_cycle\":1500,"
+        "\"snapshot_bytes\":100,\"rejoin_cycle\":3000}}",
+        "{\"status\":\"ok\",\"total_cycles\":4000,\"extra\":"
+        "{\"snapshot_hit\":0}}",
+        "{\"status\":\"ok\",\"total_cycles\":5000,\"extra\":"
+        "{\"snapshot_hit\":1,\"snapshot_cycle\":3000,"
+        "\"snapshot_bytes\":300,\"rejoin_cycle\":3000}}",
+        "{\"status\":\"ok\",\"total_cycles\":7000}",
+    };
+    unsigned bad = 0;
+    const SnapshotReport report =
+        buildSnapshotReport(parseJsonlLines(lines, bad));
+    EXPECT_EQ(bad, 0u);
+    EXPECT_EQ(report.total_jobs, 4u);
+    EXPECT_EQ(report.fork_eligible, 3u);
+    EXPECT_EQ(report.hits, 2u);
+    EXPECT_EQ(report.rejoined, 2u);
+    EXPECT_DOUBLE_EQ(report.total_cycles, 14000);
+    EXPECT_DOUBLE_EQ(report.restored_cycles, 4500);
+    // 1500 + 2000 of the first row, all 5000 of the third.
+    EXPECT_DOUBLE_EQ(report.unsimulated_cycles, 8500);
+    EXPECT_DOUBLE_EQ(report.mean_restored_cycles, 2250);
+    EXPECT_DOUBLE_EQ(report.mean_bytes, 200);
+    EXPECT_NE(formatSnapshotReport(report).find(
+                  "8500 of 14000 cycles not simulated (4500 restored, "
+                  "4000 skipped after a rejoin)"),
+              std::string::npos)
+        << formatSnapshotReport(report);
+}
+
 // Campaign workers build and tear down whole Simulations concurrently
 // while collecting embedded stats; this is the TSan target for the
 // registry's add/remove paths and the per-run chip walks.
@@ -346,10 +386,10 @@ TEST(Obs, RowHostBlockTimesRestoreAndOracle)
     spec.workloads = {"gcc"};
     spec.options = o;
     spec.faults.push_back(parseFaultSpec("reg:3000:0:3:5"));
-    const FaultOracle oracle = FaultOracle::reference(spec.workloads, o);
-    attachFaultOracle(spec, &oracle);
-
     SnapshotCache cache;
+    const auto oracle = makeReferenceRun(spec.workloads, o, &cache);
+    attachFaultOracle(spec, oracle.get());
+
     RunnerConfig cfg;
     cfg.snapshots = &cache;
     const JobResult r = executeJob(spec, cfg);

@@ -11,7 +11,8 @@
  *  - single-flight: N workers asking for the same single-thread
  *    baseline trigger exactly one simulation per distinct workload;
  *  - fault campaigns: the stop drain returns only finished trials, a
- *    corrupt cached snapshot falls back to scratch, and the ordered
+ *    corrupt cached snapshot or a missing reference run fails its row
+ *    (nothing runs from scratch instead), and the ordered
  *    sink sees every record, an invalid spec's failure included, in id
  *    order (snapshot-vs-scratch identity at -j 1/-j 4 is in
  *    test_ckpt.cc).
@@ -29,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "ckpt/serializer.hh"
 #include "common/fingerprint.hh"
 #include "common/parse.hh"
 #include "common/random.hh"
@@ -373,7 +375,7 @@ TEST(FaultCampaign, StopFlagDrainReturnsOnlyFinishedTrials)
     }
 }
 
-TEST(FaultCampaign, CorruptCachedSnapshotFallsBackToScratch)
+TEST(FaultCampaign, CorruptCachedSnapshotFailsTheRow)
 {
     SimOptions options = trialOptions();
     const Cycle total = addQuarterBarriers(options);
@@ -391,42 +393,99 @@ TEST(FaultCampaign, CorruptCachedSnapshotFallsBackToScratch)
     spec.faults.push_back(f);
 
     // Pre-seed the cache with garbage where a snapshot should be:
-    // restore-time validation must reject it without touching machine
-    // state, and the trial must fall back to a from-scratch run.
+    // restore-time validation must reject it, and the row fails with
+    // the validation error instead of running from scratch.
     SnapshotCache cache;
+    const std::string garbage = "this is not a snapshot image";
     {
         SnapshotSet set;
         CachedSnapshot bad;
         bad.cycle = 1;
-        bad.image = std::make_shared<const std::string>(
-            "this is not a snapshot image");
+        bad.image = std::make_shared<const std::string>(garbage);
         set.push_back(std::move(bad));
         cache.insert({"compress"}, options,
                      std::make_shared<const SnapshotSet>(std::move(set)));
     }
+    std::string rejected;
+    try {
+        Simulation({"compress"}, options).restoreSnapshotBuffer(garbage);
+    } catch (const SnapshotError &e) {
+        rejected = e.what();
+    }
+    ASSERT_FALSE(rejected.empty());
 
     RunnerConfig cached_cfg;
     cached_cfg.snapshots = &cache;
-    const JobResult degraded = runCampaignJobs({spec}, cached_cfg)[0];
-    ASSERT_TRUE(degraded.ok()) << degraded.error;
-    EXPECT_EQ(extraOr(degraded, "snapshot_hit", -1), 0.0);
-    EXPECT_EQ(extraOr(degraded, "snapshot_scratch_fallback", 0), 1.0);
+    const JobResult r = runCampaignJobs({spec}, cached_cfg)[0];
+    EXPECT_EQ(r.status, JobStatus::Failed);
+    EXPECT_EQ(r.error, rejected);
+    EXPECT_EQ(r.run.total_cycles, 0u);     // nothing ran from scratch
+    EXPECT_TRUE(r.extra.empty());
 
-    // Bit-identical to a run that never saw a snapshot cache.
-    const JobResult plain = runCampaignJobs({spec}, RunnerConfig())[0];
-    ASSERT_TRUE(plain.ok()) << plain.error;
-    EXPECT_EQ(degraded.run.total_cycles, plain.run.total_cycles);
-    EXPECT_EQ(degraded.run.outcome, plain.run.outcome);
-    EXPECT_EQ(degraded.run.detections, plain.run.detections);
+    // The entry stays: the next trial fails the same way.
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(runCampaignJobs({spec}, cached_cfg)[0].error, rejected);
+}
 
-    // The rejected set was evicted: the next trial re-produces clean
-    // snapshots (one producer run) and restores one for real.
-    const JobResult again = runCampaignJobs({spec}, cached_cfg)[0];
-    ASSERT_TRUE(again.ok()) << again.error;
-    EXPECT_EQ(extraOr(again, "snapshot_hit", -1), 1.0);
-    EXPECT_EQ(cache.producerRuns(), 1u);
-    EXPECT_EQ(again.run.total_cycles, plain.run.total_cycles);
-    EXPECT_EQ(again.run.outcome, plain.run.outcome);
+TEST(FaultCampaign, SnapshotTrialWithoutReferenceRunFailsItsRow)
+{
+    // executeJob never makes a reference run: a snapshot fault trial
+    // whose point has no entry fails with the point's key, while
+    // runCampaignJobs makes the point's run first.
+    SimOptions options = trialOptions();
+    const Cycle total = addQuarterBarriers(options);
+    JobSpec spec;
+    spec.workloads = {"compress"};
+    spec.options = options;
+    FaultRecord f;
+    f.kind = FaultRecord::Kind::TransientReg;
+    f.when = total / 2;
+    f.reg = 2;
+    f.bit = 5;
+    spec.faults.push_back(f);
+
+    SnapshotCache cache;
+    RunnerConfig cfg;
+    cfg.snapshots = &cache;
+    const JobResult missing = executeJob(spec, cfg);
+    EXPECT_EQ(missing.status, JobStatus::Failed);
+    EXPECT_EQ(missing.error,
+              "no reference run for " + pointKey({"compress"}, options));
+    EXPECT_EQ(cache.size(), 0u);
+
+    const JobResult made = runCampaignJobs({spec}, cfg)[0];
+    ASSERT_TRUE(made.ok()) << made.error;
+    EXPECT_EQ(extraOr(made, "snapshot_hit", -1), 1.0);
+    EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(CampaignRunner, SnapshotOptionConflictsFailTheRow)
+{
+    // Simulation's constructor exits the process on these; a job that
+    // asks for them must fail its row first.
+    struct Case
+    {
+        bool recovery;
+        bool cosim;
+        const char *error;
+    };
+    for (const Case &c : {
+             Case{true, false,
+                  "job 3: snapshots are incompatible with recovery"},
+             Case{false, true,
+                  "job 3: snapshots are incompatible with cosim"},
+         }) {
+        JobSpec spec;
+        spec.id = 3;
+        spec.workloads = {"compress"};
+        spec.options = trialOptions();
+        spec.options.snapshot_every = 500;
+        spec.options.recovery = c.recovery;
+        spec.options.cosim = c.cosim;
+        const JobResult r = executeJob(spec, RunnerConfig{});
+        EXPECT_EQ(r.status, JobStatus::Failed);
+        EXPECT_EQ(r.error, c.error);
+    }
 }
 
 TEST(FaultCampaign, SinkGetsEveryRecordInIdOrderIncludingFailures)

@@ -27,9 +27,11 @@
  *    unstarted keys, and a failing golden is one error that releases
  *    every claim;
  *  - a forked fault campaign through the engine runs exactly one
- *    fault-free reference run per point and no lazy snapshot producer,
+ *    fault-free reference run per point at one and at four workers,
  *    restores every trial that strikes after a barrier, and emits rows
- *    identical to the same jobs through runCampaignJobs.
+ *    identical to the same jobs through runCampaignJobs;
+ *  - snapshots with recovery fail a plain job's row and a fault
+ *    campaign's golden, instead of exiting the process.
  */
 
 #include <gtest/gtest.h>
@@ -695,6 +697,52 @@ TEST(CampaignEngine, FailingGoldenIsOneErrorAndReleasesEveryClaim)
     }
 }
 
+TEST(CampaignEngine, SnapshotOptionConflictIsAnErrorNotAnExit)
+{
+    // Simulation's constructor exits the process on snapshots with
+    // recovery; through the engine (the daemon runs it in-process) a
+    // plain job over such a point fails its row, and a fault campaign
+    // over it is the engine's one golden error.
+    SimOptions o;
+    o.warmup_insts = 100;
+    o.measure_insts = 1000;
+    o.snapshot_every = 500;
+    o.recovery = true;
+    JobSpec plain;
+    plain.workloads = {"gcc"};
+    plain.options = o;
+    ThreadPool pool(2);
+    ResultStore store;
+    SnapshotCache cache;
+    RunnerConfig cfg;
+    cfg.snapshots = &cache;
+    CampaignEngine engine(pool, store, cfg);
+    std::vector<JobResult> results;
+    const EngineTally t =
+        engine.run({plain}, [&](const JobSpec &, const JobResult &r) {
+            results.push_back(r);
+            return true;
+        });
+    EXPECT_EQ(t.failed, 1u);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].error,
+              "job 0: snapshots are incompatible with recovery");
+
+    JobSpec trial = plain;
+    trial.faults = {parseFaultSpec("reg:700:0:0:3:5")};
+    Rows rows;
+    try {
+        engine.run({trial}, rows.emit());
+        ADD_FAILURE() << "the run did not throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "golden run failed: job 0: snapshots are incompatible "
+                  "with recovery");
+    }
+    EXPECT_TRUE(rows.lines.empty());
+    EXPECT_EQ(cache.size(), 0u);
+}
+
 TEST(CampaignEngine, ForkedCampaignRunsOneReferenceRunPerPoint)
 {
     // Two points (gcc, compress) with barriers every 1500 cycles.
@@ -708,46 +756,11 @@ TEST(CampaignEngine, ForkedCampaignRunsOneReferenceRunPerPoint)
     const std::vector<JobSpec> jobs = builder.build().jobs;
     constexpr std::uint64_t points = 2;
 
-    SnapshotCache cache;
-    RunnerConfig cfg;
-    cfg.snapshots = &cache;
-    ThreadPool pool(2);
-    ResultStore store;
-    CampaignEngine engine(pool, store, cfg);
-    std::vector<std::string> rows;
-    std::vector<bool> restored;
-    const EngineTally t = engine.run(
-        jobs, [&](const JobSpec &spec, const JobResult &r) {
-            rows.push_back(resultJson(spec, r, false));
-            bool hit = false;
-            for (const auto &[key, value] : r.extra)
-                hit = hit || (key == "snapshot_hit" && value > 0);
-            restored.push_back(hit);
-            return true;
-        });
-    EXPECT_EQ(t.goldens, points);
-    EXPECT_EQ(t.simulated, jobs.size());
-    EXPECT_EQ(cache.producerRuns(), 0u);
-    ASSERT_EQ(rows.size(), jobs.size());
-
-    // Every trial whose strike falls after a barrier was restored.
-    std::size_t after_barrier = 0;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const JobSpec &job = jobs[i];
-        const auto set = cache.snapshots(job.workloads, job.options);
-        const bool forkable =
-            SnapshotCache::latestBefore(*set, job.faults.front().when);
-        after_barrier += forkable;
-        EXPECT_EQ(restored[i], forkable) << job.label;
-    }
-    EXPECT_GT(after_barrier, 0u);
-    EXPECT_EQ(cache.producerRuns(), 0u);
-
-    // The same jobs through runCampaignJobs take the lazy-producer
-    // path and must produce the same rows.
+    // The same jobs through runCampaignJobs, whose up-front pass makes
+    // each point's reference run, must produce the engine's rows.
     std::map<std::string, std::unique_ptr<FaultOracle>> oracles;
-    std::vector<JobSpec> lazy_jobs = jobs;
-    for (JobSpec &job : lazy_jobs) {
+    std::vector<JobSpec> plain_jobs = jobs;
+    for (JobSpec &job : plain_jobs) {
         auto &oracle = oracles[job.workloads.front()];
         if (!oracle) {
             oracle = std::make_unique<FaultOracle>(
@@ -755,14 +768,53 @@ TEST(CampaignEngine, ForkedCampaignRunsOneReferenceRunPerPoint)
         }
         attachFaultOracle(job, oracle.get());
     }
-    SnapshotCache lazy_cache;
-    RunnerConfig lazy_cfg;
-    lazy_cfg.jobs = 2;
-    lazy_cfg.snapshots = &lazy_cache;
-    const std::vector<JobResult> lazy =
-        runCampaignJobs(lazy_jobs, lazy_cfg);
-    EXPECT_EQ(lazy_cache.producerRuns(), points);
-    ASSERT_EQ(lazy.size(), rows.size());
-    for (std::size_t i = 0; i < lazy.size(); ++i)
-        EXPECT_EQ(resultJson(lazy_jobs[i], lazy[i], false), rows[i]) << i;
+
+    for (const unsigned workers : {1u, 4u}) {
+        SnapshotCache cache;
+        RunnerConfig cfg;
+        cfg.snapshots = &cache;
+        ThreadPool pool(workers);
+        ResultStore store;
+        CampaignEngine engine(pool, store, cfg);
+        std::vector<std::string> rows;
+        std::vector<bool> restored;
+        const EngineTally t = engine.run(
+            jobs, [&](const JobSpec &spec, const JobResult &r) {
+                rows.push_back(resultJson(spec, r, false));
+                bool hit = false;
+                for (const auto &[key, value] : r.extra)
+                    hit = hit || (key == "snapshot_hit" && value > 0);
+                restored.push_back(hit);
+                return true;
+            });
+        EXPECT_EQ(t.goldens, points);
+        EXPECT_EQ(t.simulated, jobs.size());
+        EXPECT_EQ(cache.size(), points);
+        ASSERT_EQ(rows.size(), jobs.size());
+
+        // Every trial whose strike falls after a barrier was restored.
+        std::size_t after_barrier = 0;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const JobSpec &job = jobs[i];
+            const auto set = cache.find(job.workloads, job.options)->snapshots;
+            const bool forkable =
+                SnapshotCache::latestBefore(*set, job.faults.front().when);
+            after_barrier += forkable;
+            EXPECT_EQ(restored[i], forkable) << job.label;
+        }
+        EXPECT_GT(after_barrier, 0u);
+
+        SnapshotCache plain_cache;
+        RunnerConfig plain_cfg;
+        plain_cfg.jobs = workers;
+        plain_cfg.snapshots = &plain_cache;
+        const std::vector<JobResult> plain =
+            runCampaignJobs(plain_jobs, plain_cfg);
+        EXPECT_EQ(plain_cache.size(), points);
+        ASSERT_EQ(plain.size(), rows.size());
+        for (std::size_t i = 0; i < plain.size(); ++i) {
+            EXPECT_EQ(resultJson(plain_jobs[i], plain[i], false), rows[i])
+                << i << " at " << workers << " workers";
+        }
+    }
 }

@@ -84,12 +84,14 @@ echo "== ckpt: snapshot-forked fault campaign work counters =="
 # Checkpoint.RejoinedTrialsMatchFromScratch and
 # Checkpoint.ForkedCampaignWorkIsPinned).  Work counters here: the
 # campaign runs exactly one fault-free reference run per point (gcc,
-# compress), which also produces the snapshots, so its summary names no
-# lazy snapshot producer, and exactly 12 of its 16 trials rejoin their
-# reference run at a barrier and stop there; a trial whose strike hits
-# a register its program never reads rejoins at the barrier it starts
-# from, so it simulates nothing (its rejoin_cycle equals its
-# snapshot_cycle).
+# compress), which also produces the snapshots, and exactly 12 of its
+# 16 trials rejoin their reference run at a barrier and stop there; a
+# trial whose strike hits a register its program never reads rejoins at
+# the barrier it starts from, so it simulates nothing (its rejoin_cycle
+# equals its snapshot_cycle).  rmtsim_report --snapshots reads the same
+# rows: 8 of the 16 trials restore, and 79140 of their 111691 cycles are
+# never simulated (restored prefixes plus tails skipped after a
+# rejoin).
 ckpt_batch="--modes srt --workloads gcc,compress --fault-trials 8
             --warmup 500 --insts 5000 --snapshot-every 1500
             --no-timing"
@@ -112,10 +114,11 @@ grep -q '(2 fault-free reference runs)' build/ckpt_forked.log
 grep -q '(12 trials rejoined their reference run)' build/ckpt_forked.log
 grep -Eq '"snapshot_cycle":([0-9]+),.*"rejoin_cycle":\1[,}]' \
     build/ckpt_forked.jsonl
-if grep -q 'producer' build/ckpt_forked.log; then
-    echo "check.sh: the forked campaign ran a lazy snapshot producer" >&2
-    exit 1
-fi
+./build/tools/rmtsim_report --snapshots build/ckpt_forked.jsonl \
+    > build/ckpt_report.txt
+cat build/ckpt_report.txt
+grep -Eq '^16 +8 +50% +12 ' build/ckpt_report.txt
+grep -q '^79140 of 111691 cycles not simulated ' build/ckpt_report.txt
 
 echo "== settings: one vocabulary across rmtsim and rmtsim_batch =="
 # rmtsim --set and rmtsim_batch --sweep take the same keys, so the same
@@ -331,6 +334,13 @@ serve_same fail 3 --modes srt --workloads gcc,nosuch --warmup 500 \
     --insts 4000 --no-timing
 tail -n 1 build/serve_gate/fail_server.jsonl \
     | grep -q '"schema":"rmtsim-failures-v1"'
+# Snapshots with recovery are refused per job, not by exiting the
+# process: locally and through the daemon the row fails naming the
+# conflict (exit 3), and the daemon answers the next campaign.
+serve_same conflict 3 --modes srt --workloads gcc --warmup 500 \
+    --insts 3000 --sweep recovery=1 --snapshot-every 1500 --no-timing
+grep -q '"error":"job 0: snapshots are incompatible with recovery"' \
+    build/serve_gate/conflict_server.jsonl
 # Rerunning the stratified campaign regenerates the same rounds, and the
 # daemon's store serves every one of its 48 trials.
 ./build/tools/rmtsim_batch $avf48_args --server build/serve_gate/d.sock \

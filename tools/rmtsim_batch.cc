@@ -628,11 +628,6 @@ main(int argc, char **argv)
         if (want_efficiency && !remote)
             note += " (" + std::to_string(baseline.simulations()) +
                     " baseline sims)";
-        // A lazy producer runs only when a point's snapshots were
-        // invalidated after its reference run.
-        if (snapshots.producerRuns())
-            note += " (" + std::to_string(snapshots.producerRuns()) +
-                    " lazy snapshot producers)";
         std::fprintf(stderr, "%llu jobs, %llu failed (%llu "
                      "quarantined)%s\n",
                      static_cast<unsigned long long>(total_jobs),

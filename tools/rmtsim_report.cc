@@ -58,8 +58,9 @@ usage()
         "(default\n"
         "                    0.95)\n"
         "  --snapshots       snapshot-forking summary: hit rate, "
-        "cycles\n"
-        "                    saved, snapshot image sizes\n"
+        "rejoins,\n"
+        "                    cycles not simulated, snapshot image "
+        "sizes\n"
         "  --failures        failure digest of a degraded campaign "
         "(batch\n"
         "                    exit 3): per-error tally and the failed "
