@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
+#include <memory>
 #include <optional>
-#include <set>
 #include <stdexcept>
 
 #include "common/logging.hh"
@@ -352,56 +353,104 @@ attachFaultOracle(JobSpec &spec, const FaultOracle *oracle)
     };
 }
 
+void
+releaseTrials(
+    const std::vector<std::pair<std::size_t, std::string>> &jobs,
+    const std::function<bool(const std::string &point,
+                             const std::vector<std::size_t> &jobs)>
+        &reference,
+    const std::function<void(std::size_t job)> &start,
+    const std::function<void(std::function<void()> task)> &submit)
+{
+    // A point's job list is complete before its task can run.
+    using Group = std::shared_ptr<std::vector<std::size_t>>;
+    std::map<std::string, Group> waiting;
+    for (const auto &[i, point] : jobs) {
+        if (point.empty())
+            continue;
+        Group &group = waiting[point];
+        if (!group)
+            group = std::make_shared<std::vector<std::size_t>>();
+        group->push_back(i);
+    }
+    for (const auto &[i, point] : jobs) {
+        if (point.empty()) {
+            start(i);
+            continue;
+        }
+        const Group &group = waiting.at(point);
+        if (group->front() != i)
+            continue;
+        submit([point, group, reference, start] {
+            if (reference(point, *group)) {
+                for (std::size_t j : *group)
+                    start(j);
+            }
+        });
+    }
+}
+
 std::vector<JobResult>
 runCampaignJobs(const std::vector<JobSpec> &jobs,
                 const RunnerConfig &config)
 {
     std::vector<JobResult> results(jobs.size());
+    const auto stopped = [&config] {
+        return config.stop && config.stop->load(std::memory_order_relaxed);
+    };
 
-    ThreadPool pool(config.jobs);
-    // Each point's reference run is made before its trials start.  A
-    // spec that fails validation gets none: its rows fail the same
-    // check.  A run that throws leaves its point without one, so its
-    // trials fail as missing it.
-    if (config.snapshots) {
-        std::set<std::string> points;
-        for (const JobSpec &spec : jobs) {
-            const SimOptions capped = cappedOptions(spec, config);
-            if (spec.faults.empty() || !capped.snapshot_every ||
-                config.snapshots->find(spec.workloads, capped) ||
-                !points.insert(pointKey(spec.workloads, capped)).second)
-                continue;
-            try {
-                validateJobSpec(spec);
-            } catch (const std::invalid_argument &) {
-                continue;
-            }
-            pool.submit([&spec, &config, capped] {
-                try {
-                    makeReferenceRun(spec.workloads, capped,
-                                     config.snapshots);
-                } catch (const std::exception &e) {
-                    warn("reference run of %s failed: %s",
-                         pointKey(spec.workloads, capped).c_str(),
-                         e.what());
-                }
-            });
-        }
-        pool.wait();
-    }
+    // A snapshot fault trial whose point has no entry yet waits for
+    // that point's reference run.  A spec that fails validation gets
+    // none: its rows fail the same check.  A run that throws leaves its
+    // point without one, so its trials fail as missing it.
+    std::vector<std::pair<std::size_t, std::string>> order;
     for (std::size_t at = 0; at < jobs.size(); ++at) {
         const JobSpec &spec = jobs[at];
-        pool.submit([&spec, &config, &results, at] {
-            if (config.stop &&
-                config.stop->load(std::memory_order_relaxed))
-                return;     // draining: started jobs finish, no new ones
-            JobResult r = executeJob(spec, config);
-            if (config.sink)
-                config.sink->record(spec, r);
-            // Slots are disjoint per position: no lock needed.
-            results[at] = std::move(r);
-        });
+        const SimOptions capped = cappedOptions(spec, config);
+        std::string point;
+        if (config.snapshots && !spec.faults.empty() &&
+            capped.snapshot_every &&
+            !config.snapshots->find(spec.workloads, capped)) {
+            try {
+                validateJobSpec(spec);
+                point = pointKey(spec.workloads, capped);
+            } catch (const std::invalid_argument &) {
+            }
+        }
+        order.emplace_back(at, std::move(point));
     }
+
+    ThreadPool pool(config.jobs);
+    releaseTrials(
+        order,
+        [&](const std::string &point, const std::vector<std::size_t> &group) {
+            const JobSpec &spec = jobs[group.front()];
+            if (stopped())
+                return true;    // its trials will not start either
+            try {
+                makeReferenceRun(spec.workloads, cappedOptions(spec, config),
+                                 config.snapshots);
+            } catch (const std::exception &e) {
+                warn("reference run of %s failed: %s", point.c_str(),
+                     e.what());
+            }
+            return true;
+        },
+        [&](std::size_t at) {
+            pool.submit([&jobs, &config, &results, stopped, at] {
+                if (stopped())
+                    return; // draining: started jobs finish, no new ones
+                const JobSpec &spec = jobs[at];
+                JobResult r = executeJob(spec, config);
+                if (config.sink)
+                    config.sink->record(spec, r);
+                // Slots are disjoint per position: no lock needed.
+                results[at] = std::move(r);
+            });
+        },
+        [&pool](std::function<void()> task) {
+            pool.submit(std::move(task));
+        });
     pool.wait();
     return results;
 }

@@ -18,6 +18,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "runner/campaign.hh"
@@ -116,6 +119,27 @@ finalizeJobResult(const JobSpec &spec, const RunnerConfig &config,
  */
 void attachFaultOracle(JobSpec &spec, const FaultOracle *oracle);
 
+/**
+ * The release rule of fault trials, shared by CampaignEngine::run and
+ * runCampaignJobs: a job that needs its point's fault-free reference
+ * run waits for that run only, never for another point's.  @p jobs
+ * pairs each job index with the key of the point whose reference run
+ * it needs first, or an empty key when it can start now.  Walking
+ * @p jobs in order, each job with an empty key is start()ed at once,
+ * and at the first job of each keyed point one task is handed to
+ * @p submit: it calls @p reference with the point's key and jobs (in
+ * order) and, when that returns true, start()s them.  So row 0's point
+ * is the first reference run under way, and its trials run while later
+ * points' reference runs still are.
+ */
+void releaseTrials(
+    const std::vector<std::pair<std::size_t, std::string>> &jobs,
+    const std::function<bool(const std::string &point,
+                             const std::vector<std::size_t> &jobs)>
+        &reference,
+    const std::function<void(std::size_t job)> &start,
+    const std::function<void(std::function<void()> task)> &submit);
+
 /** Run all jobs; returns results indexed by job id. */
 std::vector<JobResult> runCampaign(const Campaign &campaign,
                                    const RunnerConfig &config);
@@ -123,9 +147,9 @@ std::vector<JobResult> runCampaign(const Campaign &campaign,
 /**
  * Run an explicit job list over a pool of config.jobs workers,
  * recording each result to config.sink as it completes.  With
- * config.snapshots, the reference run of each point of its snapshot
- * fault trials that has no entry yet is made first, on the same pool
- * (makeReferenceRun).  Unlike
+ * config.snapshots, each snapshot fault trial whose point has no entry
+ * yet waits for that point's reference run, made on the same pool
+ * (makeReferenceRun, released by releaseTrials).  Unlike
  * runCampaign, the sink's begin()/end() are NOT called, and results
  * come back by position in @p jobs.  Jobs skipped by config.stop keep
  * JobStatus::Failed defaults and are never fed to the sink.  (The

@@ -18,8 +18,10 @@
  *
  * A point's reference run is made once, before its trials, by
  * makeReferenceRun: CampaignEngine calls it for each point's golden,
- * runCampaignJobs for each point of its jobs with no entry yet.  The
- * cache itself runs nothing; a trial whose point has no entry fails.
+ * runCampaignJobs for each point of its jobs with no entry yet, each as
+ * a pool task that releases that point's trials, and only those, when
+ * the entry is in (releaseTrials).  The cache itself runs nothing; a
+ * trial whose point has no entry fails.
  */
 
 #ifndef RMTSIM_RUNNER_SNAPSHOT_CACHE_HH

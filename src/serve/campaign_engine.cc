@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <future>
 #include <mutex>
 #include <stdexcept>
 
@@ -15,7 +14,8 @@ struct CampaignEngine::Run
     enum class State : std::uint8_t
     {
         Ready,      ///< result in hand (stored, or finished here)
-        Pending,    ///< owned job queued or running on the pool
+        Pending,    ///< owned job waiting for its point's reference
+                    ///< run, queued or running on the pool
         Waiting,    ///< in flight elsewhere; await it when its turn comes
         Skipped,    ///< owned job abandoned before it started
     };
@@ -32,9 +32,12 @@ struct CampaignEngine::Run
 
     std::mutex mu;
     std::condition_variable cv;
-    std::size_t outstanding = 0;    ///< owned jobs not yet retired
+    std::size_t outstanding = 0;    ///< tasks (jobs, reference runs)
+                                    ///< not yet retired
     std::uint64_t simulated = 0;
     std::uint64_t rejoined = 0;
+    std::uint64_t goldens = 0;
+    std::string failure;            ///< a reference run's error
     std::atomic<bool> cancel{false};    ///< emit refused a row
 
     bool stopped(const RunnerConfig &config) const
@@ -44,7 +47,7 @@ struct CampaignEngine::Run
                 config.stop->load(std::memory_order_relaxed));
     }
 
-    /** Block until every submitted job has retired. */
+    /** Block until every submitted task has retired. */
     void drain()
     {
         std::unique_lock<std::mutex> lock(mu);
@@ -58,53 +61,132 @@ CampaignEngine::CampaignEngine(ThreadPool &pool, ResultStore &store,
 {
 }
 
-std::uint64_t
-CampaignEngine::attachGoldens(Run &run,
-                              const std::vector<std::size_t> &owned)
+void
+CampaignEngine::spawn(Run &run, std::function<void()> task)
 {
-    // One fault-free reference run per (mix, capped options) point,
-    // under the capped budgets the trials really run with: a budget
-    // difference would read as memory corruption.  It is the point's
-    // golden and, when trials fork, puts the point's snapshots in
-    // config.snapshots before any of its trials starts.  The runs are
-    // independent, so they are built side by side on the pool; a bad
-    // point must throw here, not fatal() in Simulation.
-    using Golden = std::shared_ptr<const FaultOracle>;
-    std::map<std::string, std::future<Golden>> builds;
-    std::vector<std::pair<std::size_t, std::string>> faulted;
-    for (std::size_t i : owned) {
-        const JobSpec &job = run.jobs[i];
-        if (job.faults.empty())
-            continue;
-        const SimOptions capped = cappedOptions(job, config);
-        std::string point = pointKey(job.workloads, capped);
-        if (!goldens.count(point) && !builds.count(point)) {
-            auto build = std::make_shared<std::packaged_task<Golden()>>(
-                [this, &job, capped] {
-                    validateJobSpec(job);
-                    return makeReferenceRun(job.workloads, capped,
-                                            config.snapshots);
-                });
-            builds.emplace(point, build->get_future());
-            pool.submit([build] { (*build)(); });
-        }
-        faulted.emplace_back(i, std::move(point));
+    {
+        std::lock_guard<std::mutex> lock(run.mu);
+        ++run.outstanding;
     }
-    for (auto &[point, build] : builds)
-        build.wait();
-    for (auto &[point, build] : builds) {
+    pool.submit([&run, task = std::move(task)] {
+        task();
+        std::lock_guard<std::mutex> lock(run.mu);
+        --run.outstanding;
+        run.cv.notify_all();
+    });
+}
+
+void
+CampaignEngine::start(Run &run, std::size_t i)
+{
+    // Owned jobs run on the pool and are published before any emit.
+    spawn(run, [this, &run, i] {
+        const JobSpec &spec = run.jobs[i];
+        Run::Slot &slot = run.slots[i];
+        const bool skip = run.stopped(config);
+        JobResult r;
+        if (skip) {
+            store.abandon(slot.key);
+        } else {
+            r = executeJob(spec, config);
+            store.publish(slot.key, modeName(spec.options.mode), r);
+        }
+        std::lock_guard<std::mutex> lock(run.mu);
+        slot.state = skip ? Run::State::Skipped : Run::State::Ready;
+        slot.result = std::move(r);
+        run.simulated += !skip;
+        run.rejoined += slot.result.rejoined;
+        run.cv.notify_all();
+    });
+}
+
+bool
+CampaignEngine::referenceRun(Run &run, const std::string &point,
+                             const std::vector<std::size_t> &jobs)
+{
+    // The point's one fault-free reference run, under the capped
+    // budgets the trials really run with: a budget difference would
+    // read as memory corruption.  It is the point's golden and, when
+    // trials fork, puts the point's snapshots in config.snapshots
+    // before any of its trials starts.
+    std::string error;
+    if (!run.stopped(config)) {
         try {
-            goldens.emplace(point, build.get());
+            const JobSpec &first = run.jobs[jobs.front()];
+            std::shared_ptr<const FaultOracle> golden = makeReferenceRun(
+                first.workloads, cappedOptions(first, config),
+                config.snapshots);
+            {
+                std::lock_guard<std::mutex> lock(goldens_mu);
+                golden = goldens.emplace(point, golden).first->second;
+            }
+            for (std::size_t i : jobs)
+                attachFaultOracle(run.jobs[i], golden.get());
+            std::lock_guard<std::mutex> lock(run.mu);
+            ++run.goldens;
+            return true;
         } catch (const std::exception &e) {
-            for (std::size_t i : owned)
-                store.abandon(run.slots[i].key);
+            error = std::string("golden run failed: ") + e.what();
+        }
+    }
+    // Stopped, or the run failed: none of the point's jobs starts.
+    for (std::size_t i : jobs)
+        store.abandon(run.slots[i].key);
+    std::lock_guard<std::mutex> lock(run.mu);
+    for (std::size_t i : jobs)
+        run.slots[i].state = Run::State::Skipped;
+    if (run.failure.empty())
+        run.failure = error;
+    run.cv.notify_all();
+    return false;
+}
+
+void
+CampaignEngine::release(Run &run, const std::vector<std::size_t> &owned)
+{
+    // Every owned faulted job is checked here first: a bad point must
+    // be one error on this thread, not a fatal() in Simulation.
+    for (std::size_t i : owned) {
+        if (run.jobs[i].faults.empty())
+            continue;
+        try {
+            validateJobSpec(run.jobs[i]);
+        } catch (const std::exception &e) {
+            for (std::size_t j : owned)
+                store.abandon(run.slots[j].key);
             throw std::runtime_error(std::string("golden run failed: ") +
                                      e.what());
         }
     }
-    for (const auto &[i, point] : faulted)
-        attachFaultOracle(run.jobs[i], goldens.at(point).get());
-    return builds.size();
+    // One reference run per (mix, capped options) point with no golden
+    // yet; a job whose point has one starts at once.
+    std::vector<std::pair<std::size_t, std::string>> order;
+    for (std::size_t i : owned) {
+        JobSpec &job = run.jobs[i];
+        std::string point;
+        if (!job.faults.empty()) {
+            point = pointKey(job.workloads, cappedOptions(job, config));
+            std::lock_guard<std::mutex> lock(goldens_mu);
+            const auto it = goldens.find(point);
+            if (it != goldens.end()) {
+                attachFaultOracle(job, it->second.get());
+                point.clear();
+            }
+        }
+        // Only this thread reads or writes a slot before its job starts.
+        run.slots[i].state = Run::State::Pending;
+        order.emplace_back(i, std::move(point));
+    }
+    releaseTrials(
+        order,
+        [this, &run](const std::string &point,
+                     const std::vector<std::size_t> &jobs) {
+            return referenceRun(run, point, jobs);
+        },
+        [this, &run](std::size_t i) { start(run, i); },
+        [this, &run](std::function<void()> task) {
+            spawn(run, std::move(task));
+        });
 }
 
 EngineTally
@@ -133,37 +215,7 @@ CampaignEngine::run(std::vector<JobSpec> jobs, const Emit &emit)
             break;
         }
     }
-
-    // Owned jobs run on the pool and are published before any emit.
-    const auto submit = [&](std::size_t i) {
-        run.slots[i].state = Run::State::Pending;
-        {
-            std::lock_guard<std::mutex> lock(run.mu);
-            ++run.outstanding;
-        }
-        pool.submit([this, &run, i] {
-            const JobSpec &spec = run.jobs[i];
-            Run::Slot &slot = run.slots[i];
-            const bool skip = run.stopped(config);
-            JobResult r;
-            if (skip) {
-                store.abandon(slot.key);
-            } else {
-                r = executeJob(spec, config);
-                store.publish(slot.key, modeName(spec.options.mode), r);
-            }
-            std::lock_guard<std::mutex> lock(run.mu);
-            slot.state = skip ? Run::State::Skipped : Run::State::Ready;
-            slot.result = std::move(r);
-            run.simulated += !skip;
-            run.rejoined += slot.result.rejoined;
-            --run.outstanding;
-            run.cv.notify_all();
-        });
-    };
-    tally.goldens += attachGoldens(run, owned);
-    for (std::size_t i : owned)
-        submit(i);
+    release(run, owned);
 
     // Rows leave in job order while the pool finishes jobs out of
     // order ahead of the cursor.
@@ -171,7 +223,7 @@ CampaignEngine::run(std::vector<JobSpec> jobs, const Emit &emit)
         for (std::size_t i = 0; i < n; ++i) {
             Run::Slot &slot = run.slots[i];
             // Pool tasks write a slot's state under run.mu; a Waiting
-            // slot stays this thread's until it is submitted.
+            // slot stays this thread's until it is released.
             std::unique_lock<std::mutex> lock(run.mu);
             while (slot.state == Run::State::Waiting) {
                 lock.unlock();
@@ -183,8 +235,7 @@ CampaignEngine::run(std::vector<JobSpec> jobs, const Emit &emit)
                 } else if (store.tryClaim(slot.key, slot.result) ==
                            ResultStore::Claim::Owner) {
                     // The owner abandoned and the key is ours now.
-                    tally.goldens += attachGoldens(run, {i});
-                    submit(i);
+                    release(run, {i});
                 }
                 // After a Hit the next await returns at once; after
                 // InFlight it waits for the new owner.
@@ -193,6 +244,8 @@ CampaignEngine::run(std::vector<JobSpec> jobs, const Emit &emit)
             run.cv.wait(lock, [&] {
                 return slot.state != Run::State::Pending;
             });
+            if (!run.failure.empty())
+                throw std::runtime_error(run.failure);
             lock.unlock();
             if (slot.state == Run::State::Skipped || run.cancel.load()) {
                 ++tally.skipped;
@@ -210,13 +263,14 @@ CampaignEngine::run(std::vector<JobSpec> jobs, const Emit &emit)
             }
         }
     } catch (...) {
-        // Unstarted owned jobs abandon their claims; the running ones
+        // Unstarted owned jobs abandon their claims; the running tasks
         // still reference this frame, so wait them out first.
         run.cancel.store(true);
         run.drain();
         throw;
     }
     run.drain();
+    tally.goldens = run.goldens;
     tally.simulated = run.simulated;
     tally.rejoined = run.rejoined;
     return tally;

@@ -10,18 +10,22 @@
  *     Owner claim is this run's to simulate, and an InFlight key (the
  *     same content claimed by another client, or earlier in the same
  *     list) is await()ed and re-claimed if its owner abandons it;
- *  2. one fault-free reference run (makeReferenceRun) is built per
- *     (mix, capped options) point that has an *owned* faulted job, in
- *     parallel on the pool: it yields the point's golden (every owned
- *     faulted job gets attachFaultOracle) and, when config.snapshots
- *     is set and the options place barriers, the point's snapshots,
- *     insert()ed into config.snapshots before any trial starts — a
- *     resubmission that is all hits builds no reference run;
- *  3. owned jobs run on the caller's pool (executeJob) and each result
- *     is publish()ed before it is emitted; a fault trial that rejoins
- *     its point's reference run ends at that barrier, or without a
- *     machine when nothing reads its strikes (counted in
- *     EngineTally::rejoined);
+ *  2. every owned faulted job is validated on the calling thread (a
+ *     bad point is one "golden run failed" error), then one fault-free
+ *     reference run (makeReferenceRun) is submitted to the pool per
+ *     (mix, capped options) point that has an *owned* faulted job and
+ *     no golden yet, in the order of each point's first job: it yields
+ *     the point's golden (attached to those jobs) and, when
+ *     config.snapshots is set and the options place barriers, the
+ *     point's snapshots, insert()ed into config.snapshots before any of
+ *     its trials starts — a resubmission that is all hits builds no
+ *     reference run;
+ *  3. owned jobs run on the caller's pool (executeJob), a point's
+ *     trials as soon as its own reference run ends, not every point's
+ *     (releaseTrials), and each result is publish()ed before it is
+ *     emitted; a fault trial that rejoins its point's reference run
+ *     ends at that barrier, or without a machine when nothing reads its
+ *     strikes (counted in EngineTally::rejoined);
  *  4. emit(spec, result) is called on the calling thread, in job order;
  *  5. once emit returns false or config.stop reads true, unstarted
  *     owned jobs are abandoned (waiters elsewhere re-claim them).
@@ -30,7 +34,10 @@
  * never block on store state and several engines may share one pool:
  * each run() returns when its own jobs are done, never via
  * ThreadPool::wait().  Goldens are cached for the engine's lifetime, so
- * the rounds of a stratified campaign share them.
+ * the rounds of a stratified campaign share them.  A reference run that
+ * still throws after validation releases its point's claims, and run()
+ * throws its "golden run failed" error once its tasks have drained,
+ * with no row of that point emitted.
  */
 
 #ifndef RMTSIM_SERVE_CAMPAIGN_ENGINE_HH
@@ -40,6 +47,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -85,12 +93,25 @@ class CampaignEngine
   private:
     struct Run;
 
-    std::uint64_t attachGoldens(Run &run,
-                                const std::vector<std::size_t> &owned);
+    /** Validate @p owned's faulted jobs (throws the golden error with
+     *  every claim of @p owned released) and start them through
+     *  releaseTrials. */
+    void release(Run &run, const std::vector<std::size_t> &owned);
+    /** The pool task of @p point's reference run: true once its golden
+     *  is attached to @p jobs; false, with their claims released, when
+     *  the run was stopped or failed (Run::failure). */
+    bool referenceRun(Run &run, const std::string &point,
+                      const std::vector<std::size_t> &jobs);
+    /** Run owned job @p i on the pool. */
+    void start(Run &run, std::size_t i);
+    /** Submit @p task to the pool, counted in Run::outstanding. */
+    void spawn(Run &run, std::function<void()> task);
 
     ThreadPool &pool;
     ResultStore &store;
     RunnerConfig config;
+    /** Written by reference-run tasks on the pool. */
+    std::mutex goldens_mu;
     std::map<std::string, std::shared_ptr<const FaultOracle>> goldens;
 };
 

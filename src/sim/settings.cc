@@ -79,8 +79,18 @@ struct Setting
 /** Renaming needs more physical registers than the architectural
  *  registers of every hardware context. */
 constexpr unsigned minPhysRegs = numArchRegs * SmtParams{}.num_threads + 1;
+/** The IQ and the ROB keep a reserved slice for every other hardware
+ *  context (deadlock avoidance, Section 4.3): one context needs an
+ *  entry past them, or it never dispatches. */
+constexpr unsigned minIqEntries =
+    SmtParams{}.iq_reserved_per_thread * (SmtParams{}.num_threads - 1) + 1;
+constexpr unsigned minRobEntries =
+    SmtParams{}.rob_reserved_per_thread * (SmtParams{}.num_threads - 1) + 1;
+/** Split among the hardware contexts, the store queue gives each one
+ *  entry at least. */
+constexpr unsigned minStoreQueueEntries = SmtParams{}.num_threads;
 
-// In canonical-JSON order.  A queue or window of zero entries is no
+// In canonical-JSON order.  A queue or window a machine hangs on is no
 // machine, nor is a register file PhysRegIndex cannot number.
 constexpr Setting settings[] = {
     {.key = "mode", .field = at<&SimOptions::mode>(), .flag = "--mode"},
@@ -99,11 +109,12 @@ constexpr Setting settings[] = {
     {"boq_ecc", at<&SimOptions::boq_ecc>()},
     {"merge_ecc", at<&SimOptions::merge_buffer_ecc>()},
     {"hang", at<&SimOptions::hang_cycles>()},
-    {"storeq", at<&SimOptions::cpu, &SmtParams::store_queue_entries>(), 1},
+    {"storeq", at<&SimOptions::cpu, &SmtParams::store_queue_entries>(),
+     minStoreQueueEntries},
     {"lvq", at<&SimOptions::cpu, &SmtParams::lvq_entries>(), 1},
     {"lpq", at<&SimOptions::cpu, &SmtParams::lpq_entries>(), 1},
-    {"rob", at<&SimOptions::cpu, &SmtParams::rob_entries>(), 1},
-    {"iq", at<&SimOptions::cpu, &SmtParams::iq_entries>(), 1},
+    {"rob", at<&SimOptions::cpu, &SmtParams::rob_entries>(), minRobEntries},
+    {"iq", at<&SimOptions::cpu, &SmtParams::iq_entries>(), minIqEntries},
     {"recovery", at<&SimOptions::recovery>()},
     {.key = "snapshot_every", .field = at<&SimOptions::snapshot_every>(),
      .flag = "--snapshot-every"},

@@ -598,13 +598,16 @@ TEST(CampaignBuilder, OutsideValuesAreStrict)
 TEST(CampaignBuilder, IllegalMachineSizesAreRejectedAtBuild)
 {
     // A machine with no room in a queue or window hangs at the
-    // watchdog, one with too few physical registers panics the whole
-    // process, and one past PhysRegIndex runs a smaller file than its
-    // row records: each is refused before any job exists.
+    // watchdog (the IQ and ROB past the slices reserved for the other
+    // three contexts, a store queue of one entry per context), one with
+    // too few physical registers panics the whole process, and one past
+    // PhysRegIndex runs a smaller file than its row records: each is
+    // refused before any job exists.
     const std::pair<const char *, const char *> illegal[] = {
         {"physregs", "8"},     {"physregs", "256"},  {"physregs", "65536"},
-        {"physregs", "70000"}, {"rob", "0"},         {"iq", "0"},
-        {"storeq", "0"},       {"lvq", "0"},         {"lpq", "0"}};
+        {"physregs", "70000"}, {"rob", "0"},         {"rob", "48"},
+        {"iq", "0"},           {"iq", "24"},         {"storeq", "0"},
+        {"storeq", "3"},       {"lvq", "0"},         {"lpq", "0"}};
     for (const auto &[key, value] : illegal) {
         CampaignBuilder b;
         b.modes({SimMode::Srt}).workloads({"gcc"}).sweep(key, {value});
@@ -613,7 +616,8 @@ TEST(CampaignBuilder, IllegalMachineSizesAreRejectedAtBuild)
     }
     for (const auto &[key, value] :
          {std::pair{"physregs", "257"}, std::pair{"physregs", "65535"},
-          std::pair{"rob", "1"}, std::pair{"lpq", "1"}}) {
+          std::pair{"rob", "49"}, std::pair{"iq", "25"},
+          std::pair{"storeq", "4"}, std::pair{"lpq", "1"}}) {
         CampaignBuilder b;
         b.modes({SimMode::Srt}).workloads({"gcc"}).sweep(key, {value});
         EXPECT_EQ(b.build().jobs.size(), 1u) << key << "=" << value;

@@ -613,9 +613,11 @@ TEST(ServeDaemon, StopDuringALongJobReturnsPromptly)
     };
     TempDir dir("serve_daemon_prompt_stop");
     DaemonFixture fx(dir.path, /*jobs=*/1);
+    // Each job must last well past the engine's 100 ms poll tick, or the
+    // bound below measures the tick on a fast host, not the stop.
     Campaign campaign = makeCampaign({{"compress", 0}, {"gcc", 0}});
     for (JobSpec &job : campaign.jobs)
-        job.options.measure_insts = 300000;
+        job.options.measure_insts = 1000000;
 
     // The control run, and how long one of its jobs takes on this host.
     const auto t0 = Clock::now();

@@ -26,6 +26,8 @@
  *    shared pool return when their own jobs finish, a stop abandons
  *    unstarted keys, and a failing golden is one error that releases
  *    every claim;
+ *  - a point's trials start when its own reference run ends, before
+ *    a longer point's reference run is done;
  *  - a forked fault campaign through the engine runs exactly one
  *    fault-free reference run per point at one and at four workers,
  *    restores every trial that strikes after a barrier, and emits rows
@@ -743,6 +745,50 @@ TEST(CampaignEngine, SnapshotOptionConflictIsAnErrorNotAnExit)
     EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST(CampaignEngine, TrialsStartWhenTheirOwnReferenceRunEnds)
+{
+    // Two points whose budgets differ 300x, on two workers: the short
+    // point's trials run while the long point's reference run does, so
+    // row 0 leaves before that run's snapshots are in the cache.
+    SimOptions quick;
+    quick.warmup_insts = 100;
+    quick.measure_insts = 400;
+    quick.snapshot_every = 300;
+    SimOptions slow = quick;
+    slow.measure_insts = 150000 - slow.warmup_insts;
+    std::vector<JobSpec> jobs;
+    for (const auto &[options, fault] :
+         {std::pair{quick, "reg:200:0:0:3:5"}, {quick, "reg:400:0:0:9:1"},
+          {quick, "reg:500:0:0:12:7"}, {slow, "reg:900:0:0:3:5"}}) {
+        JobSpec job;
+        job.id = jobs.size();
+        job.workloads = {"gcc"};
+        job.options = options;
+        job.faults = {parseFaultSpec(fault)};
+        jobs.push_back(job);
+    }
+
+    SnapshotCache cache;
+    RunnerConfig cfg;
+    cfg.snapshots = &cache;
+    ThreadPool pool(2);
+    ResultStore store;
+    CampaignEngine engine(pool, store, cfg);
+    std::vector<bool> slow_ready;
+    const EngineTally t = engine.run(
+        jobs, [&](const JobSpec &, const JobResult &r) {
+            EXPECT_TRUE(r.ok()) << r.error;
+            slow_ready.push_back(cache.find({"gcc"}, slow).has_value());
+            return true;
+        });
+    EXPECT_EQ(t.goldens, 2u);
+    EXPECT_EQ(t.simulated, jobs.size());
+    ASSERT_EQ(slow_ready.size(), jobs.size());
+    EXPECT_FALSE(slow_ready.front())
+        << "row 0 waited for the other point's reference run";
+    EXPECT_TRUE(slow_ready.back());
+}
+
 TEST(CampaignEngine, ForkedCampaignRunsOneReferenceRunPerPoint)
 {
     // Two points (gcc, compress) with barriers every 1500 cycles.
@@ -756,8 +802,9 @@ TEST(CampaignEngine, ForkedCampaignRunsOneReferenceRunPerPoint)
     const std::vector<JobSpec> jobs = builder.build().jobs;
     constexpr std::uint64_t points = 2;
 
-    // The same jobs through runCampaignJobs, whose up-front pass makes
-    // each point's reference run, must produce the engine's rows.
+    // The same jobs through runCampaignJobs, which releases each
+    // point's trials when that point's reference run ends by the same
+    // rule (releaseTrials), must produce the engine's rows.
     std::map<std::string, std::unique_ptr<FaultOracle>> oracles;
     std::vector<JobSpec> plain_jobs = jobs;
     for (JobSpec &job : plain_jobs) {

@@ -204,6 +204,17 @@ resume_gate avf --modes srt --workloads gcc,compress --stratify \
     --sweep slack=32,32 --warmup 500 --insts 4000 --no-timing --quiet \
     --out build/res_dup.jsonl
 [ "$(grep -c '"slack":32' build/res_dup.jsonl)" -eq 4 ]
+# A fault campaign whose reference run cannot be made (snapshots refuse
+# recovery) is one error, exit 2, and it leaves no <out>.store: a rerun
+# fails the same way, so there is nothing to resume.
+rm -rf build/res_golden.jsonl build/res_golden.jsonl.store
+rc=0
+./build/tools/rmtsim_batch --modes srt --workloads gcc --warmup 500 \
+    --insts 3000 --sweep recovery=1 --snapshot-every 1500 --fault-trials 2 \
+    --no-timing --out build/res_golden.jsonl 2> build/res_golden.err || rc=$?
+[ "$rc" -eq 2 ]
+grep -q 'golden run failed:' build/res_golden.err
+[ ! -e build/res_golden.jsonl.store ]
 
 echo "== determinism: fault and stratified campaigns, -j 1 vs -j 4 =="
 # Trials run on the thread pool; worker count and completion order must

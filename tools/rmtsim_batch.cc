@@ -396,6 +396,16 @@ main(int argc, char **argv)
     if (auto_store)
         store_dir = out_path + ".store";
     auto store = std::make_unique<ResultStore>();
+    // A campaign that ran to its end, degraded or refused, leaves
+    // nothing to resume in its own store.
+    const auto removeAutoStore = [&] {
+        if (!auto_store)
+            return;
+        store.reset();
+        std::error_code ec;
+        std::filesystem::remove(store_dir + "/store.rmtrs", ec);
+        std::filesystem::remove(store_dir, ec);
+    };
     if (!store_dir.empty()) {
         // Opened before the output file is truncated, so a store this
         // build cannot read (or another process holds) leaves
@@ -568,7 +578,10 @@ main(int argc, char **argv)
         std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
         return 1;
     } catch (const std::exception &e) {
+        // The engine's error (a golden run that cannot be made) is the
+        // same on every rerun, so its store holds nothing to resume.
         std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
+        removeAutoStore();
         return 2;
     }
     const bool interrupted =
@@ -605,12 +618,8 @@ main(int argc, char **argv)
     // A finished campaign (even a degraded one: its failures are
     // recorded) leaves nothing to resume; only an interrupted run keeps
     // its own store.
-    if (auto_store && !interrupted) {
-        store.reset();
-        std::error_code ec;
-        std::filesystem::remove(store_dir + "/store.rmtrs", ec);
-        std::filesystem::remove(store_dir, ec);
-    }
+    if (!interrupted)
+        removeAutoStore();
 
     if (!quiet) {
         const std::string kept_in =
