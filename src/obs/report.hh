@@ -159,23 +159,17 @@ struct FailureRow
     std::string label;
     std::string error;
     unsigned attempts = 0;
-    bool timed_out = false;
-    bool quarantined = false;       ///< crashed repeatedly; gave up
 };
 
 /**
  * Digest of a campaign's failed jobs — the triage view of a batch run
- * that exited 3 (degraded).  Built from the per-job records themselves,
- * so it works on any .jsonl whether or not the batch appended its
- * trailing "rmtsim-failures-v1" summary record.
+ * that exited 3 (degraded).  Built from the failed rows themselves,
+ * which carry every field it shows.
  */
 struct FailuresReport
 {
     unsigned total_jobs = 0;
     unsigned failed = 0;
-    unsigned quarantined = 0;
-    unsigned timed_out = 0;
-    bool has_summary = false;       ///< stream carried the summary record
     std::vector<FailureRow> rows;   ///< id order
     /** Distinct error strings with their multiplicity, first-seen
      *  order — repeated infrastructure faults collapse to one line. */
@@ -229,9 +223,8 @@ std::string formatReport(const CampaignReport &report,
 
 /**
  * Collect the failed jobs of a batch stream: per-error tally plus the
- * per-job rows in id order.  Summary records (avf_summary, failures
- * summary) are skipped; has_summary notes whether the batch's own
- * "rmtsim-failures-v1" record was present.
+ * per-job rows in id order.  Summary records (avf_summary, and the
+ * failures digest older builds appended) are skipped.
  */
 FailuresReport buildFailuresReport(const std::vector<JsonValue> &records);
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "avf/stratum.hh"
 #include "common/random.hh"
 
 namespace rmt
@@ -30,18 +31,10 @@ transientRegStrike(std::uint64_t seed, std::uint64_t trial,
                    const SimOptions &options, unsigned max_reg)
 {
     Random rng(mixSeed(seed, trial));
-    const std::uint64_t insts = options.warmup_insts + options.measure_insts;
-    FaultRecord f;
-    f.kind = FaultRecord::Kind::TransientReg;
-    // Land inside the run: cycle count is at least the committed-
-    // instruction count (IPC <= 8 per thread but >= 1/8 of the budget
-    // in cycles).
-    f.when = insts / 12 +
-             rng.range(std::max<std::uint64_t>(1, (insts * 2) / 3));
-    f.tid = static_cast<ThreadId>(rng.range(2));
-    f.reg = static_cast<RegIndex>(1 + rng.range(max_reg - 1));
-    f.bit = static_cast<unsigned>(rng.range(64));
-    return f;
+    const StratumSpec reg = buildStrata(
+        {FaultRecord::Kind::TransientReg}, 1,
+        options.warmup_insts + options.measure_insts)[0];
+    return drawFault(reg, rng, max_reg);
 }
 
 CampaignBuilder::CampaignBuilder(std::string name, std::uint64_t seed)

@@ -35,9 +35,11 @@ struct Campaign
 
 /**
  * The seeded transient register strike of fault trial @p trial of a
- * campaign seeded @p seed: a cycle inside the budget of @p options, a
- * victim copy, a register in [1, @p max_reg) and a bit.  The draw of
- * CampaignBuilder::transientRegTrials and of the faults_reg figure.
+ * campaign seeded @p seed: drawFault on the one-window register
+ * stratum over the budget of @p options (buildStrata), so a cycle
+ * inside the run, a victim copy, a register in [1, @p max_reg) and a
+ * bit.  The draw of CampaignBuilder::transientRegTrials and of the
+ * faults_reg figure.
  */
 FaultRecord transientRegStrike(std::uint64_t seed, std::uint64_t trial,
                                const SimOptions &options, unsigned max_reg);

@@ -60,7 +60,7 @@ struct JobSpec
 enum class JobStatus : std::uint8_t
 {
     Ok,
-    Failed,     ///< exception (after retry) or timeout
+    Failed,     ///< the job threw; JobResult::error says why
 };
 
 struct JobResult
@@ -69,13 +69,9 @@ struct JobResult
     std::string label;
     JobStatus status = JobStatus::Failed;
     std::string error;              ///< empty unless Failed
+    /** Always 1 from executeJob: a job runs once, since everything
+     *  it can throw depends only on its spec and the caches. */
     unsigned attempts = 0;
-    bool timed_out = false;
-    /** Failed every crash-retry attempt and was set aside so the
-     *  campaign could finish.  No in-process executor sets it; it stays
-     *  in the record formats (wire codec v2, the JSONL row and the
-     *  rmtsim-failures-v1 digest) so existing files still read. */
-    bool quarantined = false;
     double wall_seconds = 0;
 
     RunResult run;                  ///< valid when status == Ok

@@ -92,12 +92,7 @@ resultJson(const JobSpec &spec, const JobResult &r, bool include_timing)
         os << "]";
     }
     if (!r.ok()) {
-        os << ",\"error\":\"" << jsonEscape(r.error) << "\""
-           << ",\"timed_out\":" << (r.timed_out ? "true" : "false");
-        // Only when set: healthy campaigns (and the forked-vs-scratch
-        // byte-diff gate) never see the key.
-        if (r.quarantined)
-            os << ",\"quarantined\":true";
+        os << ",\"error\":\"" << jsonEscape(r.error) << "\"";
     }
     if (include_timing) {
         os << ",\"wall_ms\":" << num(r.wall_seconds * 1e3);

@@ -219,111 +219,98 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
     result.id = spec.id;
     result.label = spec.label;
 
-    const unsigned max_attempts = std::max(1u, config.max_attempts);
+    // One attempt: every error caught here depends only on the spec
+    // and the caches, so a second attempt would repeat it.
+    result.attempts = 1;
     const auto job_start = Clock::now();
+    try {
+        validateJobSpec(spec);
+        const SimOptions capped = cappedOptions(spec, config);
 
-    while (result.attempts < max_attempts) {
-        ++result.attempts;
-        try {
-            validateJobSpec(spec);
-            const SimOptions capped = cappedOptions(spec, config);
-
-            // A snapshot fault trial starts from its point's reference
-            // run, made before the trial (makeReferenceRun).
-            SnapshotForkInfo snap;
-            snap.enabled = config.snapshots && capped.snapshot_every &&
-                           !spec.faults.empty();
-            ReferenceRun ref;
-            const CachedSnapshot *cached = nullptr;
-            bool rejoinable = false;
-            if (snap.enabled) {
-                Cycle first_fault = spec.faults.front().when;
-                for (const FaultRecord &f : spec.faults)
-                    first_fault = std::min(first_fault, f.when);
-                const std::optional<ReferenceRun> found =
-                    config.snapshots->find(spec.workloads, capped);
-                if (!found)
-                    throw std::runtime_error(
-                        "no reference run for " +
-                        pointKey(spec.workloads, capped));
-                ref = *found;
-                rejoinable = canRejoin(spec.faults, capped, ref);
-                cached = SnapshotCache::latestBefore(*ref.snapshots,
-                                                     first_fault);
-                if (cached) {
-                    snap.hit = true;
-                    snap.cycle = cached->cycle;
-                    snap.bytes = static_cast<double>(cached->image->size());
-                }
+        // A snapshot fault trial starts from its point's reference
+        // run, made before the trial (makeReferenceRun).
+        SnapshotForkInfo snap;
+        snap.enabled = config.snapshots && capped.snapshot_every &&
+                       !spec.faults.empty();
+        ReferenceRun ref;
+        const CachedSnapshot *cached = nullptr;
+        bool rejoinable = false;
+        if (snap.enabled) {
+            Cycle first_fault = spec.faults.front().when;
+            for (const FaultRecord &f : spec.faults)
+                first_fault = std::min(first_fault, f.when);
+            const std::optional<ReferenceRun> found =
+                config.snapshots->find(spec.workloads, capped);
+            if (!found)
+                throw std::runtime_error(
+                    "no reference run for " +
+                    pointKey(spec.workloads, capped));
+            ref = *found;
+            rejoinable = canRejoin(spec.faults, capped, ref);
+            cached = SnapshotCache::latestBefore(*ref.snapshots,
+                                                 first_fault);
+            if (cached) {
+                snap.hit = true;
+                snap.cycle = cached->cycle;
+                snap.bytes = static_cast<double>(cached->image->size());
             }
-
-            std::optional<Simulation> sim;
-            RunResult run;
-            bool rejoined = false;
-            Cycle rejoin_cycle = 0;
-            if (rejoinable && strikesNothingReads(spec.faults, *ref.golden)) {
-                // Nothing can read the strikes: the trial's state
-                // equals the reference's at the barrier it would
-                // restore, so it rejoins there without a machine.
-                rejoined = true;
-                rejoin_cycle = snap.cycle;
-                run = rejoinedRun(*ref.golden->referenceRun(), HostTiming{});
-            } else {
-                // Build, restore the image strictly before the first
-                // strike if there is one, schedule, run.  The restore
-                // comes first so the injector can check that the image
-                // pre-dates every strike; an image that fails
-                // validation throws its error, which fails the row.
-                sim.emplace(spec.workloads, capped);
-                if (cached)
-                    sim->restoreSnapshotBuffer(*cached->image);
-                for (const FaultRecord &f : spec.faults)
-                    sim->faultInjector().schedule(f);
-                // A trial whose state has rejoined the reference run
-                // at a barrier would only simulate that run's rest
-                // again: it stops there and takes the reference's end.
-                if (rejoinable) {
-                    sim->setSnapshotHook(
-                        [set = ref.snapshots, next = std::size_t{0}](
-                            Cycle cycle, Simulation &s) mutable {
-                            if (rejoinsAt(s, cycle, *set, next))
-                                s.stopAtBarrier();
-                        });
-                }
-                run = sim->run();
-                if (sim->stoppedAtBarrier()) {
-                    rejoined = true;
-                    rejoin_cycle = run.total_cycles;
-                    run = rejoinedRun(*ref.golden->referenceRun(),
-                                      run.host);
-                }
-            }
-
-            result.wall_seconds =
-                std::chrono::duration<double>(Clock::now() - job_start)
-                    .count();
-            if (config.timeout_seconds > 0 &&
-                result.wall_seconds > config.timeout_seconds) {
-                result.status = JobStatus::Failed;
-                result.timed_out = true;
-                result.error = "exceeded timeout of " +
-                               std::to_string(config.timeout_seconds) +
-                               " s";
-                return result;
-            }
-
-            result.rejoined = rejoined;
-            result.rejoin_cycle = rejoin_cycle;
-            finalizeJobResult(spec, config, sim ? &*sim : nullptr, run,
-                              snap, result);
-            return result;
-        } catch (const std::exception &e) {
-            result.status = JobStatus::Failed;
-            result.error = e.what();
-        } catch (...) {
-            result.status = JobStatus::Failed;
-            result.error = "unknown exception";
         }
+
+        std::optional<Simulation> sim;
+        RunResult run;
+        bool rejoined = false;
+        Cycle rejoin_cycle = 0;
+        if (rejoinable && strikesNothingReads(spec.faults, *ref.golden)) {
+            // Nothing can read the strikes: the trial's state
+            // equals the reference's at the barrier it would
+            // restore, so it rejoins there without a machine.
+            rejoined = true;
+            rejoin_cycle = snap.cycle;
+            run = rejoinedRun(*ref.golden->referenceRun(), HostTiming{});
+        } else {
+            // Build, restore the image strictly before the first
+            // strike if there is one, schedule, run.  The restore
+            // comes first so the injector can check that the image
+            // pre-dates every strike; an image that fails
+            // validation throws its error, which fails the row.
+            sim.emplace(spec.workloads, capped);
+            if (cached)
+                sim->restoreSnapshotBuffer(*cached->image);
+            for (const FaultRecord &f : spec.faults)
+                sim->faultInjector().schedule(f);
+            // A trial whose state has rejoined the reference run
+            // at a barrier would only simulate that run's rest
+            // again: it stops there and takes the reference's end.
+            if (rejoinable) {
+                sim->setSnapshotHook(
+                    [set = ref.snapshots, next = std::size_t{0}](
+                        Cycle cycle, Simulation &s) mutable {
+                        if (rejoinsAt(s, cycle, *set, next))
+                            s.stopAtBarrier();
+                    });
+            }
+            run = sim->run();
+            if (sim->stoppedAtBarrier()) {
+                rejoined = true;
+                rejoin_cycle = run.total_cycles;
+                run = rejoinedRun(*ref.golden->referenceRun(),
+                                  run.host);
+            }
+        }
+
+        result.wall_seconds =
+            std::chrono::duration<double>(Clock::now() - job_start).count();
+        result.rejoined = rejoined;
+        result.rejoin_cycle = rejoin_cycle;
+        finalizeJobResult(spec, config, sim ? &*sim : nullptr, run, snap,
+                          result);
+        return result;
+    } catch (const std::exception &e) {
+        result.status = JobStatus::Failed;
+        result.error = e.what();
+    } catch (...) {
+        result.status = JobStatus::Failed;
+        result.error = "unknown exception";
     }
     result.wall_seconds =
         std::chrono::duration<double>(Clock::now() - job_start).count();

@@ -1,9 +1,9 @@
 /**
  * @file
  * Campaign execution: fan JobSpecs out over the thread pool, guard
- * each job (validation, retry-once on exception, wall-clock timeout,
- * instruction cap), and deliver JobResults to a ResultSink as they
- * complete plus as an id-ordered vector at the end.
+ * each job (validation, exception to failed row, instruction cap), and
+ * deliver JobResults to a ResultSink as they complete plus as an
+ * id-ordered vector at the end.
  *
  * Every job builds its own Simulation, so jobs are independent and the
  * per-job results are bit-identical whatever the worker count or
@@ -35,8 +35,6 @@ namespace rmt
 struct RunnerConfig
 {
     unsigned jobs = 1;              ///< worker threads (0 = all cores)
-    unsigned max_attempts = 2;      ///< 2 = retry once, then record
-    double timeout_seconds = 0;     ///< 0 = no wall-clock guard
     std::uint64_t max_insts = 0;    ///< clamp warmup+measure (0 = off)
 
     /** When set, mean_efficiency / efficiencies are filled from this

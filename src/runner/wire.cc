@@ -145,8 +145,6 @@ encodeJobResult(const JobResult &r)
     putU8(out, static_cast<std::uint8_t>(r.status));
     putStr(out, r.error);
     putU32(out, r.attempts);
-    putU8(out, r.timed_out ? 1 : 0);
-    putU8(out, r.quarantined ? 1 : 0);
     putF64(out, r.wall_seconds);
 
     const RunResult &run = r.run;
@@ -212,8 +210,6 @@ decodeJobResult(const std::string &payload)
     r.status = in.enumByte(JobStatus::Failed);
     r.error = in.str();
     r.attempts = in.u32();
-    r.timed_out = in.u8() != 0;
-    r.quarantined = in.u8() != 0;
     r.wall_seconds = in.f64();
 
     RunResult &run = r.run;

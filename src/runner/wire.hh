@@ -48,9 +48,9 @@ constexpr std::uint32_t frameMagic = 0x57544D52u;
 constexpr std::uint32_t maxPayloadBytes = 64u << 20;
 
 /** Codec version carried in every payload.
- *  v2: JobResult::quarantined (retry-exhausted trials).
- *  v3: HostTiming restore and oracle seconds. */
-constexpr std::uint8_t codecVersion = 3;
+ *  v3: HostTiming restore and oracle seconds.
+ *  v4: one attempt per job; the two failure-flag bytes are gone. */
+constexpr std::uint8_t codecVersion = 4;
 
 /** Serialise a JobResult into a codec payload (no frame header). */
 std::string encodeJobResult(const JobResult &result);

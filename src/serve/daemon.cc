@@ -230,8 +230,6 @@ Daemon::handleSubmit(int fd, const JsonValue &msg, ConnState &conn)
         conn.baseline.reset();
         conn.efficiency = eff_canon;
         RunnerConfig &rcfg = conn.config;
-        rcfg.max_attempts = cfg.max_attempts;
-        rcfg.timeout_seconds = cfg.timeout_seconds;
         rcfg.max_insts = cfg.max_insts;
         rcfg.snapshots = &conn.snapshots;
         rcfg.stop = &conn.cancel;

@@ -61,8 +61,6 @@ struct DaemonConfig
     std::string socket_path;        ///< Unix socket to serve on
     std::string store_dir;          ///< ResultStore directory
     unsigned jobs = 0;              ///< pool workers (0 = all cores)
-    unsigned max_attempts = 2;      ///< per-job retry budget
-    double timeout_seconds = 0;     ///< per-job wall guard (0 = off)
     std::uint64_t max_insts = 0;    ///< clamp warmup+measure (0 = off)
     unsigned store_sync_every = 16; ///< fsync cadence (1 = every row)
 };

@@ -33,6 +33,20 @@ constexpr std::uint32_t kFrameMagic = 0x53544D52u;
 
 constexpr std::size_t kHeaderBytes = sizeof(kStoreMagic) + 4;
 
+std::string
+storePath(const std::string &dir)
+{
+    return dir + "/store.rmtrs";
+}
+
+std::string
+storeHeader()
+{
+    std::string header(kStoreMagic, sizeof(kStoreMagic));
+    putLe(header, resultStoreVersion);
+    return header;
+}
+
 /** Frame payload: u8 mode length | mode | wire-encoded JobResult. */
 std::string
 encodePayload(const std::string &mode, const JobResult &result)
@@ -121,7 +135,7 @@ ResultStore::open(const std::string &dir)
     std::lock_guard<std::mutex> lock(mu);
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    path = dir + "/store.rmtrs";
+    path = storePath(dir);
 
 #ifdef RMT_STORE_POSIX
     // One writer process per store: an advisory lock held until the
@@ -148,11 +162,76 @@ ResultStore::open(const std::string &dir)
 #endif
 }
 
+StoreScan
+scanStore(const std::string &data, const std::string &dir)
+{
+    StoreScan scan;
+    // A header cut short by a crash during the very first write is an
+    // empty store, not a foreign file.
+    if (data.size() < kHeaderBytes &&
+        storeHeader().compare(0, data.size(), data) == 0)
+        return scan;
+
+    const std::string path = storePath(dir);
+    if (data.size() < kHeaderBytes ||
+        data.compare(0, sizeof(kStoreMagic), kStoreMagic,
+                     sizeof(kStoreMagic)) != 0)
+        throw StoreError("result store: '" + path +
+                         "' is not a result store (bad magic)");
+    const std::uint32_t version =
+        getLe<std::uint32_t>(data, sizeof(kStoreMagic));
+    if (version != resultStoreVersion)
+        throw StoreError(
+            "result store: '" + path + "' has format version " +
+            std::to_string(version) + " (this build reads " +
+            std::to_string(resultStoreVersion) + "); delete '" + dir +
+            "' to start a fresh store");
+    scan.valid_bytes = kHeaderBytes;
+
+    std::size_t at = kHeaderBytes;
+    while (at < data.size()) {
+        // frame: magic(4) len(4) key(8) payload(len) crc(4), the CRC
+        // over key + payload
+        if (data.size() - at < 16)
+            break;                              // torn header
+        const std::uint32_t magic = getLe<std::uint32_t>(data, at);
+        const std::uint32_t len = getLe<std::uint32_t>(data, at + 4);
+        if (magic != kFrameMagic || len > wire::maxPayloadBytes) {
+            scan.damage = "bad frame header at offset " +
+                          std::to_string(at) + "; keeping the " +
+                          std::to_string(scan.rows.size()) +
+                          " rows before it";
+            break;
+        }
+        if (data.size() - at - 16 < std::size_t{len} + 4)
+            break;                              // torn payload/crc
+        StoredRow row;
+        row.key = getLe<std::uint64_t>(data, at + 8);
+        const std::uint32_t stored_crc =
+            getLe<std::uint32_t>(data, at + 16 + len);
+        if (stored_crc != crc32(data.data() + at + 8, 8 + len)) {
+            scan.damage = "frame at offset " + std::to_string(at) +
+                          " failed its CRC; keeping the rows before it";
+            break;
+        }
+        if (!decodePayload(data.substr(at + 16, len), row.mode,
+                           row.result)) {
+            scan.damage = "frame at offset " + std::to_string(at) +
+                          " does not decode; keeping the rows before it";
+            break;
+        }
+        scan.rows.push_back(std::move(row));
+        at += 20 + std::size_t{len};
+        scan.valid_bytes = at;
+    }
+    return scan;
+}
+
 void
 ResultStore::load(const std::string &dir)
 {
-    // Load whatever valid prefix exists; remember where it ends so the
-    // writer can truncate a torn/corrupt tail before appending.
+    // Load whatever valid prefix exists; the writer truncates a
+    // torn/corrupt tail before appending.
     std::string data;
     {
         std::ifstream in(path, std::ios::binary);
@@ -162,96 +241,38 @@ ResultStore::load(const std::string &dir)
             data = ss.str();
         }
     }
-
-    // A header cut short by a crash during the very first write is an
-    // empty store, not a foreign file.
-    std::string header(kStoreMagic, sizeof(kStoreMagic));
-    putLe(header, resultStoreVersion);
-    if (data.size() < kHeaderBytes &&
-        header.compare(0, data.size(), data) == 0)
-        data.clear();
-
-    std::uint64_t valid_bytes = 0;
-    if (!data.empty()) {
-        if (data.size() < kHeaderBytes ||
-            data.compare(0, sizeof(kStoreMagic), kStoreMagic,
-                         sizeof(kStoreMagic)) != 0)
-            throw StoreError("result store: '" + path +
-                             "' is not a result store (bad magic)");
-        const std::uint32_t version =
-            getLe<std::uint32_t>(data, sizeof(kStoreMagic));
-        if (version != resultStoreVersion)
-            throw StoreError(
-                "result store: '" + path + "' has format version " +
-                std::to_string(version) + " (this build reads " +
-                std::to_string(resultStoreVersion) +
-                "); delete '" + dir + "' to start a fresh store");
-        valid_bytes = kHeaderBytes;
-
-        std::size_t at = kHeaderBytes;
-        while (at < data.size()) {
-            // frame: magic(4) len(4) key(8) payload(len) crc(4), the
-            // CRC over key + payload
-            if (data.size() - at < 16)
-                break;                          // torn header
-            const std::uint32_t magic = getLe<std::uint32_t>(data, at);
-            const std::uint32_t len = getLe<std::uint32_t>(data, at + 4);
-            if (magic != kFrameMagic || len > wire::maxPayloadBytes) {
-                warn("result store '%s': bad frame header at offset "
-                     "%zu; keeping the %llu rows before it",
-                     path.c_str(), at,
-                     static_cast<unsigned long long>(counters.disk_rows));
-                break;
-            }
-            if (data.size() - at - 16 < std::size_t{len} + 4)
-                break;                          // torn payload/crc
-            const std::uint64_t key = getLe<std::uint64_t>(data, at + 8);
-            const std::uint32_t stored_crc =
-                getLe<std::uint32_t>(data, at + 16 + len);
-            if (stored_crc != crc32(data.data() + at + 8, 8 + len)) {
-                warn("result store '%s': frame at offset %zu failed "
-                     "its CRC; keeping the rows before it",
-                     path.c_str(), at);
-                break;
-            }
-            std::string mode;
-            JobResult result;
-            if (!decodePayload(data.substr(at + 16, len), mode,
-                               result)) {
-                warn("result store '%s': frame at offset %zu does not "
-                     "decode; keeping the rows before it",
-                     path.c_str(), at);
-                break;
-            }
-            Entry &e = entries[key];
-            if (!e.ready) {
-                e.ready = true;
-                e.result = std::move(result);
-                e.mode = mode;
-                ++counters.rows;
-                ++counters.disk_rows;
-                ++counters.mode_rows[mode];
-            }
-            at += 20 + std::size_t{len};
-            valid_bytes = at;
-            counters.stored_bytes = at;
+    StoreScan scan = scanStore(data, dir);
+    if (!scan.damage.empty())
+        warn("result store '%s': %s", path.c_str(), scan.damage.c_str());
+    for (StoredRow &row : scan.rows) {
+        Entry &e = entries[row.key];
+        if (!e.ready) {
+            e.ready = true;
+            e.result = std::move(row.result);
+            e.mode = row.mode;
+            ++counters.rows;
+            ++counters.disk_rows;
+            ++counters.mode_rows[row.mode];
         }
     }
+    counters.stored_bytes = scan.valid_bytes;
 
+    const std::string header = storeHeader();
 #ifdef RMT_STORE_POSIX
-    if (data.empty()) {
+    if (!scan.valid_bytes) {
         if (::ftruncate(fd, 0) != 0 ||
             !wire::writeAll(fd, header.data(), header.size()))
             throw StoreError("result store: cannot write the header "
                              "of '" + path + "'");
         counters.stored_bytes = header.size();
-    } else if (::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0 ||
+    } else if (::ftruncate(fd, static_cast<off_t>(scan.valid_bytes)) !=
+                   0 ||
                ::lseek(fd, 0, SEEK_END) < 0) {
         throw StoreError("result store: cannot truncate '" + path +
                          "' to its valid prefix");
     }
 #else
-    if (data.empty()) {
+    if (!scan.valid_bytes) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out.write(header.data(),
                   static_cast<std::streamsize>(header.size()));

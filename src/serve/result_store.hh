@@ -38,6 +38,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "runner/job.hh"
 
@@ -53,9 +54,38 @@ struct StoreError : std::runtime_error
     }
 };
 
-/** Store format version (2: the frame CRC covers the key; 3: frames
- *  hold wire codec v3 rows, so a v2 store is refused, not truncated). */
-constexpr std::uint32_t resultStoreVersion = 3;
+/** Store format version (2: the frame CRC covers the key; 3 and 4:
+ *  frames hold wire codec v3 and v4 rows).  It moves with the codec,
+ *  so a store of an older build is refused, not truncated. */
+constexpr std::uint32_t resultStoreVersion = 4;
+
+/** One frame of a store file. */
+struct StoredRow
+{
+    std::uint64_t key = 0;
+    std::string mode;
+    JobResult result;
+};
+
+/** The valid prefix of a store file (scanStore). */
+struct StoreScan
+{
+    std::vector<StoredRow> rows;    ///< file order
+    /** Bytes of the header and every row in @ref rows; 0 when the file
+     *  is empty or holds part of a header only. */
+    std::uint64_t valid_bytes = 0;
+    /** Why the scan stopped at a corrupt frame; "" when it reached the
+     *  end of the file or a torn tail. */
+    std::string damage;
+};
+
+/**
+ * The valid prefix of the bytes @p data of the store file in @p dir:
+ * every frame up to the first torn, corrupt or undecodable one.
+ * Throws StoreError for a foreign file or another format version.
+ * Reads and writes no file (ResultStore::open does both).
+ */
+StoreScan scanStore(const std::string &data, const std::string &dir);
 
 struct RunnerConfig;
 

@@ -1,9 +1,9 @@
 /**
  * Observability subsystem tests: the JSON parser round-trip, the
  * whole-chip stats serialization, the cycle-sampled timeline probe,
- * host profiling, the campaign and snapshot report aggregations, and
- * concurrent stats collection under the campaign runner (the sanitize
- * target).
+ * host profiling, the campaign, snapshot and failures report
+ * aggregations, and concurrent stats collection under the campaign
+ * runner (the sanitize target).
  */
 
 #include <gtest/gtest.h>
@@ -333,6 +333,67 @@ TEST(Obs, SnapshotReportCountsRejoinsAndUnsimulatedCycles)
                   "4000 skipped after a rejoin)"),
               std::string::npos)
         << formatSnapshotReport(report);
+}
+
+TEST(Obs, FailuresReportIsBuiltFromTheFailedRows)
+{
+    // Ok rows, three failed rows out of id order (two share an error),
+    // a stratified campaign's summary and the failures digest older
+    // builds appended: neither summary is a job.
+    const std::vector<std::string> lines = {
+        "{\"id\":0,\"label\":\"srt:gcc\",\"status\":\"ok\","
+        "\"attempts\":1}",
+        "{\"id\":4,\"label\":\"crt:nosuch\",\"status\":\"failed\","
+        "\"attempts\":1,\"error\":\"job 4: unknown workload\"}",
+        "{\"id\":1,\"label\":\"crt:gcc\",\"status\":\"ok\","
+        "\"attempts\":1}",
+        "{\"id\":3,\"label\":\"srt:gcc recovery=1\","
+        "\"status\":\"failed\",\"attempts\":1,"
+        "\"error\":\"snapshots are incompatible with recovery\"}",
+        "{\"id\":2,\"label\":\"crt:gcc recovery=1\","
+        "\"status\":\"failed\",\"attempts\":2,\"timed_out\":false,"
+        "\"error\":\"snapshots are incompatible with recovery\"}",
+        "{\"avf_summary\":{\"cells\":[]}}",
+        "{\"schema\":\"rmtsim-failures-v1\",\"failed\":3,"
+        "\"quarantined\":0,\"jobs\":[{\"id\":2,\"error\":\"x\"}]}",
+    };
+    unsigned bad = 0;
+    const FailuresReport report =
+        buildFailuresReport(parseJsonlLines(lines, bad));
+    EXPECT_EQ(bad, 0u);
+    EXPECT_EQ(report.total_jobs, 5u);
+    EXPECT_EQ(report.failed, 3u);
+    ASSERT_EQ(report.rows.size(), 3u);
+    EXPECT_EQ(report.rows[0].id, 2u);
+    EXPECT_EQ(report.rows[0].label, "crt:gcc recovery=1");
+    EXPECT_EQ(report.rows[0].attempts, 2u);
+    EXPECT_EQ(report.rows[1].id, 3u);
+    EXPECT_EQ(report.rows[2].id, 4u);
+    EXPECT_EQ(report.rows[2].error, "job 4: unknown workload");
+    EXPECT_EQ(report.rows[2].attempts, 1u);
+    // Errors in the order the id-ordered rows first show them.
+    const std::vector<std::pair<std::string, unsigned>> by_error = {
+        {"snapshots are incompatible with recovery", 2},
+        {"job 4: unknown workload", 1}};
+    EXPECT_EQ(report.by_error, by_error);
+
+    const std::string text = formatFailuresReport(report);
+    EXPECT_EQ(text,
+              "3 of 5 jobs failed\n"
+              "\n"
+              " count  error\n"
+              "     2  snapshots are incompatible with recovery\n"
+              "     1  job 4: unknown workload\n"
+              "\n"
+              "      id attempts  label\n"
+              "       2        2  crt:gcc recovery=1\n"
+              "       3        1  srt:gcc recovery=1\n"
+              "       4        1  crt:nosuch\n");
+
+    unsigned none_bad = 0;
+    EXPECT_EQ(formatFailuresReport(buildFailuresReport(parseJsonlLines(
+                  {lines[0], lines[2], lines[5]}, none_bad))),
+              "no failures in 2 jobs\n");
 }
 
 // Campaign workers build and tear down whole Simulations concurrently

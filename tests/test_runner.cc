@@ -6,7 +6,7 @@
  *  - determinism: a campaign run at -j 4 yields per-job results
  *    identical to -j 1 (jobs share nothing mutable, so worker count
  *    and completion order cannot leak into the results);
- *  - isolation: one throwing job is retried once, recorded as failed,
+ *  - isolation: one throwing job runs once, is recorded as failed,
  *    and the rest of the campaign completes;
  *  - single-flight: N workers asking for the same single-thread
  *    baseline trigger exactly one simulation per distinct workload;
@@ -185,8 +185,8 @@ TEST(CampaignRunner, ThrowingJobIsRecordedNotFatal)
     EXPECT_FALSE(results[5].ok());
     EXPECT_NE(results[5].error.find("no-such-benchmark"),
               std::string::npos);
-    // Retry-once semantics: default is two attempts, then record.
-    EXPECT_EQ(results[5].attempts, 2u);
+    // One attempt: the error depends only on the spec, so it is recorded.
+    EXPECT_EQ(results[5].attempts, 1u);
     for (std::size_t i = 0; i < results.size(); ++i) {
         if (i != 5) {
             EXPECT_TRUE(results[i].ok()) << results[i].error;
@@ -566,18 +566,22 @@ TEST(CampaignBuilder, OutsideValuesAreStrict)
     EXPECT_TRUE(o.cpu.dynamic_lsq_partition);
 
     // Real-valued flags: finite decimals inside the flag's range.
-    EXPECT_EQ(parseReal("250", "--timeout-ms", 0), 250.0);
-    EXPECT_EQ(parseReal("0", "--timeout-ms", 0), 0.0);
-    EXPECT_EQ(parseReal("1e3", "--timeout-ms", 0), 1000.0);
-    EXPECT_EQ(parseReal("0.95", "--confidence", 0, 1, true, true), 0.95);
+    EXPECT_EQ(parseReal("0.25", "--ci-width", 0, 1, false, true), 0.25);
     EXPECT_EQ(parseReal("0", "--ci-width", 0, 1, false, true), 0.0);
+    EXPECT_EQ(parseReal("1e-3", "--ci-width", 0, 1, false, true), 0.001);
+    EXPECT_EQ(parseReal("0.95", "--confidence", 0, 1, true, true), 0.95);
     EXPECT_EQ(parseReal("-2.5", "x", -3, 0), -2.5);
+    EXPECT_EQ(parseReal("250", "x", 0), 250.0);
 
-    // --timeout-ms: a real >= 0.
+    // Malformed text fails whatever the range.
     for (const char *bad : {"abc", "-5", "", " 1", "1 ", "+1", "1ms", "nan",
-                            "inf", "-inf", "0x10", "1e999"})
-        EXPECT_THROW(parseReal(bad, "--timeout-ms", 0), std::invalid_argument)
+                            "inf", "-inf", "0x10", "1e999"}) {
+        EXPECT_THROW(parseReal(bad, "--ci-width", 0, 1, false, true),
+                     std::invalid_argument)
             << "'" << bad << "'";
+        EXPECT_THROW(parseReal(bad, "x", 0), std::invalid_argument)
+            << "'" << bad << "'";
+    }
     // --ci-width: [0, 1); --confidence: (0, 1).
     for (const char *bad : {"1", "1.5", "-0.1", "nan"})
         EXPECT_THROW(parseReal(bad, "--ci-width", 0, 1, false, true),

@@ -15,9 +15,11 @@
  *    codec round-trip, wall-clock double included), while failed
  *    results are never written to disk;
  *  - a torn tail or a CRC-corrupt frame degrades to the valid prefix
- *    (exhaustively: every truncation offset and every bit of the first
- *    and last frame, key bytes included) — and a non-store file or
- *    another format version is a hard StoreError;
+ *    (exhaustively in memory through scanStore: every truncation
+ *    offset and every bit of the first and last frame, key bytes
+ *    included; through the file, a cut at and inside each frame and
+ *    a bit flip per frame) — and a non-store file or another format
+ *    version is a hard StoreError that leaves the file as it was;
  *  - a store has one writer: a second open of the same directory
  *    throws until the first store is closed;
  *  - the CampaignEngine on top of the store: a rerun over a complete
@@ -436,47 +438,87 @@ TEST(ResultStore, EveryTruncationAndBitFlipKeepsExactlyTheValidPrefix)
     const std::string pristine = slurp(storeFile(dir));
     ASSERT_EQ(pristine.size(), ends[3]);
 
-    // Open @p bytes as the store: exactly the first @p rows frames are
-    // served, each under the key it was published with, and nothing
-    // else is loaded.
-    const auto expectPrefix = [&](const std::string &bytes,
-                                  std::size_t rows,
-                                  const std::string &what) {
-        spit(storeFile(dir), bytes);
-        ResultStore store;
-        ASSERT_NO_THROW(store.open(dir.path)) << what;
-        ASSERT_EQ(store.stats().rows, rows) << what;
-        for (std::size_t k = 0; k < 3; ++k) {
-            JobResult out;
-            const ResultStore::Claim claim = store.tryClaim(keys[k], out);
-            if (k < rows) {
-                ASSERT_EQ(claim, ResultStore::Claim::Hit) << what;
-                ASSERT_EQ(wire::encodeJobResult(out),
-                          wire::encodeJobResult(sampleResult(k)))
-                    << what;
-            } else {
-                ASSERT_EQ(claim, ResultStore::Claim::Owner) << what;
-            }
+    // Scan @p bytes in memory: exactly the first @p rows frames are
+    // the valid prefix, each under the key it was published with.
+    const auto expectScan = [&](const std::string &bytes, std::size_t rows,
+                                const std::string &what) {
+        StoreScan scan;
+        ASSERT_NO_THROW(scan = scanStore(bytes, dir.path)) << what;
+        ASSERT_EQ(scan.rows.size(), rows) << what;
+        EXPECT_EQ(scan.valid_bytes, bytes.size() < ends[0] ? 0 : ends[rows])
+            << what;
+        for (std::size_t k = 0; k < rows; ++k) {
+            ASSERT_EQ(scan.rows[k].key, keys[k]) << what;
+            ASSERT_EQ(scan.rows[k].mode, "srt") << what;
+            ASSERT_EQ(wire::encodeJobResult(scan.rows[k].result),
+                      wire::encodeJobResult(sampleResult(k)))
+                << what;
         }
     };
-
-    for (std::size_t cut = 0; cut <= pristine.size(); ++cut) {
+    // Open @p bytes as the store: the same prefix is served, nothing
+    // else is loaded, and the file is cut back to that prefix.
+    const auto expectOpen = [&](const std::string &bytes, std::size_t rows,
+                                const std::string &what) {
+        spit(storeFile(dir), bytes);
+        {
+            ResultStore store;
+            ASSERT_NO_THROW(store.open(dir.path)) << what;
+            ASSERT_EQ(store.stats().rows, rows) << what;
+            for (std::size_t k = 0; k < 3; ++k) {
+                JobResult out;
+                const ResultStore::Claim claim =
+                    store.tryClaim(keys[k], out);
+                if (k < rows) {
+                    ASSERT_EQ(claim, ResultStore::Claim::Hit) << what;
+                    ASSERT_EQ(wire::encodeJobResult(out),
+                              wire::encodeJobResult(sampleResult(k)))
+                        << what;
+                } else {
+                    ASSERT_EQ(claim, ResultStore::Claim::Owner) << what;
+                }
+            }
+        }
+        EXPECT_EQ(slurp(storeFile(dir)), pristine.substr(0, ends[rows]))
+            << what;
+    };
+    const auto rowsBefore = [&](std::size_t cut) {
         std::size_t rows = 0;
         while (rows < 3 && ends[rows + 1] <= cut)
             ++rows;
-        expectPrefix(pristine.substr(0, cut), rows,
-                     "truncated to " + std::to_string(cut) + " bytes");
-    }
+        return rows;
+    };
+    const auto flipped = [&](std::size_t at, int bit) {
+        std::string bytes = pristine;
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
+        return bytes;
+    };
+    const auto flipName = [](std::size_t at, int bit) {
+        return "bit " + std::to_string(bit) + " of byte " +
+               std::to_string(at) + " flipped";
+    };
+
+    // Exhaustive, in memory: every cut, and every bit of the first and
+    // the last frame.
+    for (std::size_t cut = 0; cut <= pristine.size(); ++cut)
+        expectScan(pristine.substr(0, cut), rowsBefore(cut),
+                   "truncated to " + std::to_string(cut) + " bytes");
     for (const std::size_t frame : {std::size_t{0}, std::size_t{2}}) {
         for (std::size_t at = ends[frame]; at < ends[frame + 1]; ++at) {
-            for (int bit = 0; bit < 8; ++bit) {
-                std::string bytes = pristine;
-                bytes[at] = static_cast<char>(bytes[at] ^ (1 << bit));
-                expectPrefix(bytes, frame,
-                             "bit " + std::to_string(bit) +
-                                 " of byte " + std::to_string(at) +
-                                 " flipped");
-            }
+            for (int bit = 0; bit < 8; ++bit)
+                expectScan(flipped(at, bit), frame, flipName(at, bit));
+        }
+    }
+
+    // Through the file: a cut at each frame boundary and inside each
+    // frame, and one bit flip per frame.
+    for (std::size_t k = 0; k < 4; ++k) {
+        expectOpen(pristine.substr(0, ends[k]), k,
+                   "truncated to frame boundary " + std::to_string(k));
+        if (k < 3) {
+            const std::size_t mid = (ends[k] + ends[k + 1]) / 2;
+            expectOpen(pristine.substr(0, mid), k,
+                       "truncated inside frame " + std::to_string(k));
+            expectOpen(flipped(mid, 3), k, flipName(mid, 3));
         }
     }
 }
@@ -501,23 +543,29 @@ TEST(ResultStore, RejectsForeignFilesAndFutureVersions)
         EXPECT_THROW(store.open(dir.path), StoreError);
     }
 
-    // Version 1 frames had a CRC that skipped the key, and version 2
-    // frames hold rows of an older wire codec: both refused, and the
-    // message says how to start over.
-    for (const char version : {'\x01', '\x02'}) {
+    // Version 1 frames had a CRC that skipped the key, and versions 2
+    // and 3 frames hold rows of older wire codecs: all refused, the
+    // message says how to start over, and the file is left as it was.
+    for (const char version : {'\x01', '\x02', '\x03'}) {
         bytes = std::string("RMTRES\0\0", 8);
         bytes += version;
         bytes += std::string("\x00\x00\x00", 3);
+        bytes += "rows of an older build";
         spit(storeFile(dir), bytes);
-        ResultStore store;
-        try {
-            store.open(dir.path);
-            ADD_FAILURE() << "a version-" << int(version) << " store opened";
-        } catch (const StoreError &e) {
-            EXPECT_NE(std::string(e.what()).find("delete"),
-                      std::string::npos)
-                << e.what();
+        {
+            ResultStore store;
+            try {
+                store.open(dir.path);
+                ADD_FAILURE()
+                    << "a version-" << int(version) << " store opened";
+            } catch (const StoreError &e) {
+                EXPECT_NE(std::string(e.what()).find("delete"),
+                          std::string::npos)
+                    << e.what();
+            }
         }
+        EXPECT_EQ(slurp(storeFile(dir)), bytes)
+            << "version " << int(version);
     }
 }
 

@@ -33,7 +33,6 @@ fullResult()
     r.status = JobStatus::Ok;
     r.error = "non-fatal note";
     r.attempts = 2;
-    r.timed_out = false;
     r.wall_seconds = 1.25;
     r.run.total_cycles = 123456;
     r.run.completed = true;
@@ -53,7 +52,6 @@ fullResult()
     r.has_verdict = true;
     r.verdict = FaultVerdict::Detected;
     r.detection_latency = 17.5;
-    r.quarantined = true;
     return r;
 }
 
@@ -65,7 +63,6 @@ expectSameResult(const JobResult &a, const JobResult &b)
     EXPECT_EQ(a.status, b.status);
     EXPECT_EQ(a.error, b.error);
     EXPECT_EQ(a.attempts, b.attempts);
-    EXPECT_EQ(a.timed_out, b.timed_out);
     EXPECT_DOUBLE_EQ(a.wall_seconds, b.wall_seconds);
     EXPECT_EQ(a.run.total_cycles, b.run.total_cycles);
     EXPECT_EQ(a.run.completed, b.run.completed);
@@ -83,7 +80,6 @@ expectSameResult(const JobResult &a, const JobResult &b)
     EXPECT_EQ(a.has_verdict, b.has_verdict);
     EXPECT_EQ(a.verdict, b.verdict);
     EXPECT_DOUBLE_EQ(a.detection_latency, b.detection_latency);
-    EXPECT_EQ(a.quarantined, b.quarantined);
 }
 
 } // namespace

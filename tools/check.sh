@@ -299,7 +299,7 @@ serve_args="--modes base,srt,crt --workloads gcc,compress --warmup 500
 ./build/tools/rmtsim_batch $serve_args --out build/serve_gate/warm.jsonl \
     2> build/serve_gate/warm.err
 diff build/serve_gate/cold.jsonl build/serve_gate/warm.jsonl
-grep -Eq '^6 jobs, 0 failed \(0 quarantined\) \(6 resumed from rmtsimd' \
+grep -Eq '^6 jobs, 0 failed \(6 resumed from rmtsimd' \
     build/serve_gate/warm.err
 ./build/tools/rmtsim_report --serve-summary build/serve_gate/d.sock \
     | grep -q 'hits'
@@ -316,9 +316,8 @@ diff build/serve_gate/snap_local.jsonl build/serve_gate/snap_server.jsonl
 grep -q '"snapshot_hit":1' build/serve_gate/snap_server.jsonl
 # A --server run goes through the same emit, sink, summary and exit-code
 # path as a local one: a stratified campaign (ending in its avf_summary
-# record), an --efficiency campaign and a failing-job campaign (with its
-# failure digest, exit 3 on both sides) must match their local runs byte
-# for byte.
+# record), an --efficiency campaign and a failing-job campaign (exit 3 on
+# both sides) must match their local runs byte for byte.
 serve_same() {
     name=$1; want_rc=$2; shift 2
     rc=0
@@ -343,8 +342,14 @@ serve_same eff 0 --modes srt,crt --workloads gcc,compress --mix gcc+swim \
 grep -q '"mean_efficiency"' build/serve_gate/eff_server.jsonl
 serve_same fail 3 --modes srt --workloads gcc,nosuch --warmup 500 \
     --insts 4000 --no-timing
-tail -n 1 build/serve_gate/fail_server.jsonl \
-    | grep -q '"schema":"rmtsim-failures-v1"'
+# The failed row is the failure record: the report's digest names the
+# job and its error.
+./build/tools/rmtsim_report --failures build/serve_gate/fail_server.jsonl \
+    > build/serve_gate/fail_report.txt
+grep -q '^1 of 2 jobs failed$' build/serve_gate/fail_report.txt
+grep -Eq "^ +1  job 1: unknown workload 'nosuch'$" \
+    build/serve_gate/fail_report.txt
+grep -Eq '^ +1 +1  srt:nosuch$' build/serve_gate/fail_report.txt
 # Snapshots with recovery are refused per job, not by exiting the
 # process: locally and through the daemon the row fails naming the
 # conflict (exit 3), and the daemon answers the next campaign.
@@ -356,7 +361,7 @@ grep -q '"error":"job 0: snapshots are incompatible with recovery"' \
 # daemon's store serves every one of its 48 trials.
 ./build/tools/rmtsim_batch $avf48_args --server build/serve_gate/d.sock \
     --out build/serve_gate/avf_rerun.jsonl 2> build/serve_gate/avf_rerun.err
-grep -Eq '^48 jobs, 0 failed \(0 quarantined\) \(48 resumed from rmtsimd' \
+grep -Eq '^48 jobs, 0 failed \(48 resumed from rmtsimd' \
     build/serve_gate/avf_rerun.err
 diff build/serve_gate/avf_server.jsonl build/serve_gate/avf_rerun.jsonl
 kill -TERM "$(cat build/serve_gate/d.pid)"

@@ -121,14 +121,11 @@ usage()
         "  --warmup N        warm-up instructions/thread (default "
         "20000)\n"
         "  --max-insts N     hard per-job cap on warmup+measure\n"
-        "  --timeout-ms N    record jobs slower than this as failed\n"
         "\n"
         "execution:\n"
         "  -j, --jobs N      worker threads for jobs, fault trials and "
         "fault-free\n"
         "                    reference runs (default 1; 0 = all cores)\n"
-        "  --retries N       attempts per job (default 2 = retry "
-        "once)\n"
         "  --out FILE        .jsonl output (default '-' = stdout)\n"
         "  --fsync           fsync the output file on close (no torn "
         "records after a crash)\n"
@@ -164,9 +161,9 @@ usage()
         "always kept\n"
         "\n"
         "exit codes: 0 clean; 1 hard failure; 2 usage error; 3 "
-        "degraded (failed or\n"
-        "quarantined jobs recorded); 4 interrupted (store kept — "
-        "rerun the same command)\n",
+        "degraded (failed jobs\n"
+        "recorded); 4 interrupted (store kept — rerun the same "
+        "command)\n",
         settingsHelp().c_str());
 }
 
@@ -263,12 +260,8 @@ main(int argc, char **argv)
                 applySetting(base, flagSetting(arg), next());
             } else if (arg == "--max-insts") {
                 cfg.max_insts = u64();
-            } else if (arg == "--timeout-ms") {
-                cfg.timeout_seconds = parseReal(next(), arg, 0) / 1e3;
             } else if (arg == "-j" || arg == "--jobs") {
                 cfg.jobs = u32();
-            } else if (arg == "--retries") {
-                cfg.max_attempts = u32();
             } else if (arg == "--figure") {
                 figures = selectFigures(next());
             } else if (arg == "--out") {
@@ -459,12 +452,9 @@ main(int argc, char **argv)
     if (!remote)
         cfg.snapshots = &snapshots;
 
-    std::vector<JobResult> failures;
     StratifiedSampler *sampler = nullptr;
     const auto emit = [&](const JobSpec &spec, const JobResult &r) {
         sink.record(spec, r);
-        if (!r.ok())
-            failures.push_back(r);
         if (sampler)
             sampler->record(spec, r);
         return true;
@@ -498,7 +488,7 @@ main(int argc, char **argv)
     }
 
     std::uint64_t total_jobs = 0, resumed = 0, goldens = 0, skipped = 0,
-                  rejoined = 0;
+                  rejoined = 0, failed = 0;
     const auto runJobs = [&](std::vector<JobSpec> jobs) {
         // Test hook: die after the named job's work but before its row
         // is stored.  A stored job never runs, so a rerun gets past it.
@@ -512,6 +502,7 @@ main(int argc, char **argv)
         resumed += t.hits;
         goldens += t.goldens;
         rejoined += t.rejoined;
+        failed += t.failed;
         skipped += t.skipped;
         total_jobs += n - t.skipped;
     };
@@ -587,33 +578,6 @@ main(int argc, char **argv)
     const bool interrupted =
         g_stop.load(std::memory_order_relaxed) || skipped;
 
-    std::uint64_t quarantined = 0;
-    for (const JobResult &r : failures)
-        quarantined += r.quarantined;
-    if (!stratify && !interrupted && !failures.empty()) {
-        // Structured failure digest, same .jsonl-resident idiom as
-        // the stratified summary: what failed, why, and whether it
-        // was quarantined, without grepping a million ok records.
-        out << "{\"schema\":\"rmtsim-failures-v1\""
-            << ",\"failed\":" << failures.size()
-            << ",\"quarantined\":" << quarantined << ",\"jobs\":[";
-        for (std::size_t i = 0; i < failures.size(); ++i) {
-            const JobResult &r = failures[i];
-            if (i)
-                out << ",";
-            out << "{\"id\":" << r.id << ",\"label\":\""
-                << jsonEscape(r.label) << "\",\"error\":\""
-                << jsonEscape(r.error)
-                << "\",\"attempts\":" << r.attempts
-                << ",\"timed_out\":"
-                << (r.timed_out ? "true" : "false")
-                << ",\"quarantined\":"
-                << (r.quarantined ? "true" : "false") << "}";
-        }
-        out << "]}\n";
-        out.flush();
-    }
-
     store->flush();
     // A finished campaign (even a degraded one: its failures are
     // recorded) leaves nothing to resume; only an interrupted run keeps
@@ -637,12 +601,9 @@ main(int argc, char **argv)
         if (want_efficiency && !remote)
             note += " (" + std::to_string(baseline.simulations()) +
                     " baseline sims)";
-        std::fprintf(stderr, "%llu jobs, %llu failed (%llu "
-                     "quarantined)%s\n",
+        std::fprintf(stderr, "%llu jobs, %llu failed%s\n",
                      static_cast<unsigned long long>(total_jobs),
-                     static_cast<unsigned long long>(failures.size()),
-                     static_cast<unsigned long long>(quarantined),
-                     note.c_str());
+                     static_cast<unsigned long long>(failed), note.c_str());
         if (interrupted && !kept_in.empty()) {
             std::fprintf(stderr,
                          "interrupted — results kept in %s; rerun the "
@@ -652,5 +613,5 @@ main(int argc, char **argv)
     }
     if (interrupted)
         return 4;
-    return failures.empty() ? 0 : 3;
+    return failed ? 3 : 0;
 }

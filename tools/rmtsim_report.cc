@@ -65,8 +65,7 @@ usage()
         "(batch\n"
         "                    exit 3): per-error tally and the failed "
         "jobs\n"
-        "                    in id order, quarantined crashes "
-        "flagged\n"
+        "                    in id order\n"
         "  --attribution     commit-slot cycle accounting from "
         "--embed-stats\n"
         "                    records: per-mode slot mix and the "

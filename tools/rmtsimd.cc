@@ -71,8 +71,6 @@ usage()
         "created if missing)\n"
         "  -j, --jobs N      simulation worker threads (default 0 = "
         "all cores)\n"
-        "  --retries N       attempts per job (default 2)\n"
-        "  --timeout-ms N    per-job wall-clock guard (default off)\n"
         "  --max-insts N     hard per-job cap on warmup+measure\n"
         "  --store-sync N    fsync the store every N rows (default "
         "16; 1 = every row)\n"
@@ -113,10 +111,6 @@ main(int argc, char **argv)
                 cfg.store_dir = next();
             } else if (arg == "-j" || arg == "--jobs") {
                 cfg.jobs = parseUnsigned32(next(), arg);
-            } else if (arg == "--retries") {
-                cfg.max_attempts = parseUnsigned32(next(), arg);
-            } else if (arg == "--timeout-ms") {
-                cfg.timeout_seconds = parseReal(next(), arg, 0) / 1e3;
             } else if (arg == "--max-insts") {
                 cfg.max_insts = parseUnsigned(next(), arg);
             } else if (arg == "--store-sync") {
