@@ -32,6 +32,10 @@ StratifiedSampler::StratifiedSampler(std::vector<Cell> cells,
 {
     if (_cells.empty())
         throw std::invalid_argument("StratifiedSampler: no cells");
+    if (_cfg.max_reg < 2 || _cfg.max_reg > numArchRegs)
+        throw std::invalid_argument(
+            "StratifiedSampler: max_reg " + std::to_string(_cfg.max_reg) +
+            " is outside [2, " + std::to_string(numArchRegs) + "]");
     if (_cfg.batch == 0)
         _cfg.batch = 1;
     if (_cfg.max_trials == 0)

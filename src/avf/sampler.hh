@@ -37,7 +37,8 @@ struct SamplerConfig
     std::uint64_t max_trials = 256; ///< budget per (cell, stratum)
     double ci_width = 0;            ///< 0 = fixed budget, no early stop
     double confidence = 0.95;
-    unsigned max_reg = 32;          ///< TransientReg victim bound
+    unsigned max_reg = 32;          ///< TransientReg victim bound,
+                                    ///< in [2, numArchRegs]
     bool has_pairs = true;          ///< machine has redundant pairs
 };
 

@@ -87,9 +87,10 @@ CampaignBuilder::sweep(const std::string &key,
 CampaignBuilder &
 CampaignBuilder::transientRegTrials(unsigned trials, unsigned max_reg)
 {
-    if (trials && max_reg < 2)
+    if (trials && (max_reg < 2 || max_reg > numArchRegs))
         throw std::invalid_argument(
-            "transientRegTrials: max_reg must be >= 2");
+            "transientRegTrials: max_reg " + std::to_string(max_reg) +
+            " is outside [2, " + std::to_string(numArchRegs) + "]");
     _fault_trials = trials;
     _fault_max_reg = max_reg;
     return *this;

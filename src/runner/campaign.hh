@@ -79,7 +79,8 @@ class CampaignBuilder
      * Per grid point, add @p trials jobs with one deterministic
      * transient register strike each (random cycle / victim copy /
      * register / bit: transientRegStrike of the campaign seed and the
-     * job id).  @p max_reg bounds the victim register index.
+     * job id).  @p max_reg bounds the victim register index; with
+     * trials, it must lie in [2, numArchRegs] (std::invalid_argument).
      */
     CampaignBuilder &transientRegTrials(unsigned trials,
                                         unsigned max_reg);

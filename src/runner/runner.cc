@@ -139,18 +139,6 @@ rejoinedRun(const RunResult &reference, const HostTiming &host)
 
 } // namespace
 
-SimOptions
-cappedOptions(const JobSpec &spec, const RunnerConfig &config)
-{
-    SimOptions o = spec.options;
-    if (config.max_insts) {
-        o.warmup_insts = std::min(o.warmup_insts, config.max_insts);
-        o.measure_insts =
-            std::min(o.measure_insts, config.max_insts - o.warmup_insts);
-    }
-    return o;
-}
-
 void
 finalizeJobResult(const JobSpec &spec, const RunnerConfig &config,
                   Simulation *sim, const RunResult &run,
@@ -225,28 +213,28 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
     const auto job_start = Clock::now();
     try {
         validateJobSpec(spec);
-        const SimOptions capped = cappedOptions(spec, config);
 
-        // A snapshot fault trial starts from its point's reference
-        // run, made before the trial (makeReferenceRun).
+        // A fault trial under a cache starts from its point's reference
+        // run, made before the trial (makeReferenceRun).  Only barriers
+        // put the snapshot bookkeeping in its row.
         SnapshotForkInfo snap;
-        snap.enabled = config.snapshots && capped.snapshot_every &&
+        snap.enabled = config.snapshots && spec.options.snapshot_every &&
                        !spec.faults.empty();
         ReferenceRun ref;
         const CachedSnapshot *cached = nullptr;
         bool rejoinable = false;
-        if (snap.enabled) {
+        if (config.snapshots && !spec.faults.empty()) {
             Cycle first_fault = spec.faults.front().when;
             for (const FaultRecord &f : spec.faults)
                 first_fault = std::min(first_fault, f.when);
             const std::optional<ReferenceRun> found =
-                config.snapshots->find(spec.workloads, capped);
+                config.snapshots->find(spec.workloads, spec.options);
             if (!found)
                 throw std::runtime_error(
                     "no reference run for " +
-                    pointKey(spec.workloads, capped));
+                    pointKey(spec.workloads, spec.options));
             ref = *found;
-            rejoinable = canRejoin(spec.faults, capped, ref);
+            rejoinable = canRejoin(spec.faults, spec.options, ref);
             cached = SnapshotCache::latestBefore(*ref.snapshots,
                                                  first_fault);
             if (cached) {
@@ -262,8 +250,9 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
         Cycle rejoin_cycle = 0;
         if (rejoinable && strikesNothingReads(spec.faults, *ref.golden)) {
             // Nothing can read the strikes: the trial's state
-            // equals the reference's at the barrier it would
-            // restore, so it rejoins there without a machine.
+            // equals the reference's where it would start (the
+            // barrier it would restore, or cycle 0), so it rejoins
+            // there without a machine.
             rejoined = true;
             rejoin_cycle = snap.cycle;
             run = rejoinedRun(*ref.golden->referenceRun(), HostTiming{});
@@ -273,7 +262,7 @@ executeJob(const JobSpec &spec, const RunnerConfig &config)
             // comes first so the injector can check that the image
             // pre-dates every strike; an image that fails
             // validation throws its error, which fails the row.
-            sim.emplace(spec.workloads, capped);
+            sim.emplace(spec.workloads, spec.options);
             if (cached)
                 sim->restoreSnapshotBuffer(*cached->image);
             for (const FaultRecord &f : spec.faults)
@@ -386,21 +375,19 @@ runCampaignJobs(const std::vector<JobSpec> &jobs,
         return config.stop && config.stop->load(std::memory_order_relaxed);
     };
 
-    // A snapshot fault trial whose point has no entry yet waits for
-    // that point's reference run.  A spec that fails validation gets
-    // none: its rows fail the same check.  A run that throws leaves its
-    // point without one, so its trials fail as missing it.
+    // A fault trial whose point has no entry yet waits for that
+    // point's reference run.  A spec that fails validation gets none:
+    // its rows fail the same check.  A run that throws leaves its point
+    // without one, so its trials fail as missing it.
     std::vector<std::pair<std::size_t, std::string>> order;
     for (std::size_t at = 0; at < jobs.size(); ++at) {
         const JobSpec &spec = jobs[at];
-        const SimOptions capped = cappedOptions(spec, config);
         std::string point;
         if (config.snapshots && !spec.faults.empty() &&
-            capped.snapshot_every &&
-            !config.snapshots->find(spec.workloads, capped)) {
+            !config.snapshots->find(spec.workloads, spec.options)) {
             try {
                 validateJobSpec(spec);
-                point = pointKey(spec.workloads, capped);
+                point = pointKey(spec.workloads, spec.options);
             } catch (const std::invalid_argument &) {
             }
         }
@@ -415,7 +402,7 @@ runCampaignJobs(const std::vector<JobSpec> &jobs,
             if (stopped())
                 return true;    // its trials will not start either
             try {
-                makeReferenceRun(spec.workloads, cappedOptions(spec, config),
+                makeReferenceRun(spec.workloads, spec.options,
                                  config.snapshots);
             } catch (const std::exception &e) {
                 warn("reference run of %s failed: %s", point.c_str(),

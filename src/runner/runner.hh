@@ -1,9 +1,9 @@
 /**
  * @file
  * Campaign execution: fan JobSpecs out over the thread pool, guard
- * each job (validation, exception to failed row, instruction cap), and
- * deliver JobResults to a ResultSink as they complete plus as an
- * id-ordered vector at the end.
+ * each job (validation, exception to failed row), and deliver
+ * JobResults to a ResultSink as they complete plus as an id-ordered
+ * vector at the end.
  *
  * Every job builds its own Simulation, so jobs are independent and the
  * per-job results are bit-identical whatever the worker count or
@@ -35,21 +35,17 @@ namespace rmt
 struct RunnerConfig
 {
     unsigned jobs = 1;              ///< worker threads (0 = all cores)
-    std::uint64_t max_insts = 0;    ///< clamp warmup+measure (0 = off)
 
     /** When set, mean_efficiency / efficiencies are filled from this
      *  cache (single-thread baselines simulated once per workload). */
     BaselineCache *baseline = nullptr;
 
-    /** When set (and a job's options place snapshot barriers), each
-     *  fault trial starts from its point's reference run in this
-     *  cache, which must be there first (makeReferenceRun): it
-     *  restores the latest snapshot strictly before its first fault's
-     *  activation cycle, if any, and stops where it rejoins the
-     *  reference run (executeJob).  A trial whose point has no entry,
-     *  or whose image fails validation, fails its row.  The per-job
+    /** When set, each fault trial starts from its point's reference
+     *  run in this cache, which must be there first (makeReferenceRun;
+     *  executeJob).  A trial whose point has no entry, or whose image
+     *  fails validation, fails its row.  Under barriers, the per-job
      *  "extra" metrics record the hit and the restored barrier.  Null:
-     *  every trial runs from scratch. */
+     *  every trial runs from scratch, the tests' reference. */
     SnapshotCache *snapshots = nullptr;
 
     /** When set, receives each JobResult as it completes. */
@@ -74,13 +70,10 @@ void validateJobSpec(const JobSpec &spec);
 /** Run one job inline (validation, guards, post_run, efficiency). */
 JobResult executeJob(const JobSpec &spec, const RunnerConfig &config);
 
-/** Apply the runner-level instruction cap to a copy of the options. */
-SimOptions cappedOptions(const JobSpec &spec, const RunnerConfig &config);
-
 /** Snapshot bookkeeping a fault trial records in its "extra" block. */
 struct SnapshotForkInfo
 {
-    bool enabled = false;   ///< trial was eligible to fork (record extras)
+    bool enabled = false;   ///< trial ran under barriers (record extras)
     bool hit = false;       ///< a snapshot was actually restored
     Cycle cycle = 0;        ///< barrier cycle of the restored snapshot
     double bytes = 0;       ///< serialized image size
@@ -145,8 +138,8 @@ std::vector<JobResult> runCampaign(const Campaign &campaign,
 /**
  * Run an explicit job list over a pool of config.jobs workers,
  * recording each result to config.sink as it completes.  With
- * config.snapshots, each snapshot fault trial whose point has no entry
- * yet waits for that point's reference run, made on the same pool
+ * config.snapshots, each fault trial whose point has no entry yet
+ * waits for that point's reference run, made on the same pool
  * (makeReferenceRun, released by releaseTrials).  Unlike
  * runCampaign, the sink's begin()/end() are NOT called, and results
  * come back by position in @p jobs.  Jobs skipped by config.stop keep

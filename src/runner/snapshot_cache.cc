@@ -30,7 +30,7 @@ SnapshotCache::find(const std::vector<std::string> &workloads,
     return it->second;
 }
 
-void
+std::shared_ptr<const FaultOracle>
 SnapshotCache::insert(const std::vector<std::string> &workloads,
                       const SimOptions &options,
                       std::shared_ptr<const SnapshotSet> set,
@@ -38,7 +38,10 @@ SnapshotCache::insert(const std::vector<std::string> &workloads,
 {
     const std::string key = pointKey(workloads, options);
     std::lock_guard<std::mutex> lock(mu);
-    cache[key] = ReferenceRun{std::move(set), std::move(golden)};
+    ReferenceRun &entry = cache[key];
+    if (!entry.golden)
+        entry = ReferenceRun{std::move(set), std::move(golden)};
+    return entry.golden;
 }
 
 std::size_t
@@ -65,13 +68,14 @@ makeReferenceRun(const std::vector<std::string> &workloads,
                  const SimOptions &options, SnapshotCache *cache)
 {
     std::shared_ptr<SnapshotSet> set;
-    if (cache && options.snapshot_every)
+    if (cache)
         set = std::make_shared<SnapshotSet>();
     auto golden = std::make_shared<const FaultOracle>(
         FaultOracle::reference(workloads, options, 0, set.get()));
-    if (set)
-        cache->insert(workloads, options, std::move(set), golden);
-    return golden;
+    if (!cache)
+        return golden;
+    return cache->insert(workloads, options, std::move(set),
+                         std::move(golden));
 }
 
 } // namespace rmt

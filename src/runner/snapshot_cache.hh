@@ -1,27 +1,23 @@
 /**
- * @file
- * Shared snapshot store for fault campaigns (src/ckpt/ exploitation).
+ * The home of every fault point's reference run (src/ckpt/
+ * exploitation).
  *
  * A fault campaign runs many trials of the *same* (workload mix,
- * options) point, differing only in the injected fault.  Everything
- * before the injection cycle is identical across trials, so the runner
- * forks each trial from a periodic snapshot instead of re-simulating
- * the common prefix: one fault-free reference run per point collects a
- * snapshot at every barrier, and each trial restores the latest
- * snapshot strictly before its first fault's activation cycle.
+ * options) point, differing only in the injected fault.  One
+ * fault-free reference run per point is made before its trials and
+ * kept here: its golden (FaultOracle::reference) and a snapshot at
+ * every barrier the options place (none without snapshot_every).  Each
+ * trial starts from it (executeJob): it restores the latest snapshot
+ * strictly before its first strike, stops at a barrier where its state
+ * equals the snapshot taken there and ends with the run's result, or,
+ * when no instruction can read its strikes, is finished from that
+ * result without building a machine at all.
  *
- * The entry also keeps that run's golden (FaultOracle::reference), so
- * a trial that has rejoined the run at a barrier (its state equal to
- * the snapshot taken there) can end at once with the run's result, and
- * a trial whose strikes no instruction can read is finished from that
- * result without building a machine at all (executeJob).
- *
- * A point's reference run is made once, before its trials, by
- * makeReferenceRun: CampaignEngine calls it for each point's golden,
- * runCampaignJobs for each point of its jobs with no entry yet, each as
- * a pool task that releases that point's trials, and only those, when
- * the entry is in (releaseTrials).  The cache itself runs nothing; a
- * trial whose point has no entry fails.
+ * makeReferenceRun is the one place an entry is made: CampaignEngine
+ * and runCampaignJobs call it for each point of their fault trials with
+ * no entry yet, each as a pool task that releases that point's trials,
+ * and only those, when the entry is in (releaseTrials).  The cache
+ * itself runs nothing; a trial whose point has no entry fails.
  */
 
 #ifndef RMTSIM_RUNNER_SNAPSHOT_CACHE_HH
@@ -65,7 +61,7 @@ class SnapshotCache
      * none was insert()ed.  @p options must be the exact options the
      * trials run under (the snapshot fingerprint check enforces this
      * at restore time).  The set is empty when the run placed no
-     * barriers (budget shorter than snapshot_every).
+     * barriers (no snapshot_every, or a budget shorter than it).
      */
     std::optional<ReferenceRun>
     find(const std::vector<std::string> &workloads,
@@ -83,14 +79,16 @@ class SnapshotCache
     /**
      * Publish @p set, and @p golden (the FaultOracle::reference of the
      * run that took it, when known), for (@p workloads, @p options),
-     * replacing any existing entry.  makeReferenceRun publishes here;
-     * tests also pre-seed corrupted images, which restore-time
-     * validation must catch.
+     * unless its entry has a golden, which trials hold by pointer
+     * (attachFaultOracle).  Returns the entry's golden.  Tests also
+     * pre-seed corrupted images, which restore-time validation must
+     * catch.
      */
-    void insert(const std::vector<std::string> &workloads,
-                const SimOptions &options,
-                std::shared_ptr<const SnapshotSet> set,
-                std::shared_ptr<const FaultOracle> golden = nullptr);
+    std::shared_ptr<const FaultOracle>
+    insert(const std::vector<std::string> &workloads,
+           const SimOptions &options,
+           std::shared_ptr<const SnapshotSet> set,
+           std::shared_ptr<const FaultOracle> golden = nullptr);
 
     /** Points with an entry. */
     std::size_t size() const;
@@ -103,10 +101,9 @@ class SnapshotCache
 /**
  * Make the fault-free reference run of (@p workloads, @p options) --
  * the one place a point's reference run is made -- and return its
- * golden (FaultOracle::reference).  When @p cache is set and
- * @p options place barriers, the same run collects the point's
- * snapshots, insert()ed into @p cache with the golden before this
- * returns.
+ * golden (FaultOracle::reference).  When @p cache is set, the run also
+ * collects a snapshot at every barrier @p options place, and both are
+ * insert()ed into @p cache, whose entry's golden is returned.
  */
 std::shared_ptr<const FaultOracle>
 makeReferenceRun(const std::vector<std::string> &workloads,

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 namespace rmt
@@ -59,6 +60,9 @@ CampaignEngine::CampaignEngine(ThreadPool &pool, ResultStore &store,
                                const RunnerConfig &config)
     : pool(pool), store(store), config(config)
 {
+    if (!config.snapshots)
+        throw std::invalid_argument(
+            "CampaignEngine: config.snapshots is required");
 }
 
 void
@@ -101,25 +105,18 @@ CampaignEngine::start(Run &run, std::size_t i)
 }
 
 bool
-CampaignEngine::referenceRun(Run &run, const std::string &point,
-                             const std::vector<std::size_t> &jobs)
+CampaignEngine::referenceRun(Run &run, const std::vector<std::size_t> &jobs)
 {
-    // The point's one fault-free reference run, under the capped
-    // budgets the trials really run with: a budget difference would
-    // read as memory corruption.  It is the point's golden and, when
-    // trials fork, puts the point's snapshots in config.snapshots
-    // before any of its trials starts.
+    // The point's one fault-free reference run: its golden and
+    // snapshots go into config.snapshots before any of its trials
+    // starts.
     std::string error;
     if (!run.stopped(config)) {
         try {
             const JobSpec &first = run.jobs[jobs.front()];
-            std::shared_ptr<const FaultOracle> golden = makeReferenceRun(
-                first.workloads, cappedOptions(first, config),
-                config.snapshots);
-            {
-                std::lock_guard<std::mutex> lock(goldens_mu);
-                golden = goldens.emplace(point, golden).first->second;
-            }
+            const std::shared_ptr<const FaultOracle> golden =
+                makeReferenceRun(first.workloads, first.options,
+                                 config.snapshots);
             for (std::size_t i : jobs)
                 attachFaultOracle(run.jobs[i], golden.get());
             std::lock_guard<std::mutex> lock(run.mu);
@@ -158,20 +155,19 @@ CampaignEngine::release(Run &run, const std::vector<std::size_t> &owned)
                                      e.what());
         }
     }
-    // One reference run per (mix, capped options) point with no golden
-    // yet; a job whose point has one starts at once.
+    // One reference run per (mix, options) point with no entry yet;
+    // a job whose point has one starts at once.
     std::vector<std::pair<std::size_t, std::string>> order;
     for (std::size_t i : owned) {
         JobSpec &job = run.jobs[i];
         std::string point;
         if (!job.faults.empty()) {
-            point = pointKey(job.workloads, cappedOptions(job, config));
-            std::lock_guard<std::mutex> lock(goldens_mu);
-            const auto it = goldens.find(point);
-            if (it != goldens.end()) {
-                attachFaultOracle(job, it->second.get());
-                point.clear();
-            }
+            const std::optional<ReferenceRun> ref =
+                config.snapshots->find(job.workloads, job.options);
+            if (ref && ref->golden)
+                attachFaultOracle(job, ref->golden.get());
+            else
+                point = pointKey(job.workloads, job.options);
         }
         // Only this thread reads or writes a slot before its job starts.
         run.slots[i].state = Run::State::Pending;
@@ -179,9 +175,9 @@ CampaignEngine::release(Run &run, const std::vector<std::size_t> &owned)
     }
     releaseTrials(
         order,
-        [this, &run](const std::string &point,
+        [this, &run](const std::string &,
                      const std::vector<std::size_t> &jobs) {
-            return referenceRun(run, point, jobs);
+            return referenceRun(run, jobs);
         },
         [this, &run](std::size_t i) { start(run, i); },
         [this, &run](std::function<void()> task) {

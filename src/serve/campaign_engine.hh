@@ -13,13 +13,13 @@
  *  2. every owned faulted job is validated on the calling thread (a
  *     bad point is one "golden run failed" error), then one fault-free
  *     reference run (makeReferenceRun) is submitted to the pool per
- *     (mix, capped options) point that has an *owned* faulted job and
- *     no golden yet, in the order of each point's first job: it yields
- *     the point's golden (attached to those jobs) and, when
- *     config.snapshots is set and the options place barriers, the
- *     point's snapshots, insert()ed into config.snapshots before any of
- *     its trials starts — a resubmission that is all hits builds no
- *     reference run;
+ *     (mix, options) point that has an *owned* faulted job and no
+ *     entry in config.snapshots yet, in the order of each point's first
+ *     job: it puts the point's golden and its snapshots (one per
+ *     barrier the options place, if any) in config.snapshots, and
+ *     attaches the golden to those jobs, before any of its trials
+ *     starts -- a resubmission that is all hits builds no reference
+ *     run;
  *  3. owned jobs run on the caller's pool (executeJob), a point's
  *     trials as soon as its own reference run ends, not every point's
  *     (releaseTrials), and each result is publish()ed before it is
@@ -33,8 +33,9 @@
  * Claims and awaits happen only on the calling thread, so pool workers
  * never block on store state and several engines may share one pool:
  * each run() returns when its own jobs are done, never via
- * ThreadPool::wait().  Goldens are cached for the engine's lifetime, so
- * the rounds of a stratified campaign share them.  A reference run that
+ * ThreadPool::wait().  config.snapshots, which the engine requires, is
+ * the only home of the reference runs: they outlive each run(), so the
+ * rounds of a stratified campaign share them.  A reference run that
  * still throws after validation releases its point's claims, and run()
  * throws its "golden run failed" error once its tasks have drained,
  * with no row of that point emitted.
@@ -45,13 +46,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "rmt/fault_oracle.hh"
 #include "runner/runner.hh"
 #include "runner/thread_pool.hh"
 #include "serve/result_store.hh"
@@ -79,7 +76,9 @@ class CampaignEngine
     using Emit =
         std::function<bool(const JobSpec &spec, const JobResult &result)>;
 
-    /** @p pool and @p store are the caller's and must outlive this. */
+    /** @p pool, @p store and config.snapshots are the caller's and
+     *  must outlive this.  Throws std::invalid_argument without
+     *  config.snapshots. */
     CampaignEngine(ThreadPool &pool, ResultStore &store,
                    const RunnerConfig &config);
 
@@ -97,11 +96,11 @@ class CampaignEngine
      *  every claim of @p owned released) and start them through
      *  releaseTrials. */
     void release(Run &run, const std::vector<std::size_t> &owned);
-    /** The pool task of @p point's reference run: true once its golden
-     *  is attached to @p jobs; false, with their claims released, when
-     *  the run was stopped or failed (Run::failure). */
-    bool referenceRun(Run &run, const std::string &point,
-                      const std::vector<std::size_t> &jobs);
+    /** The pool task of the reference run of @p jobs' point: true
+     *  once it is in config.snapshots and its golden is attached to
+     *  @p jobs; false, with their claims released, when the run was
+     *  stopped or failed (Run::failure). */
+    bool referenceRun(Run &run, const std::vector<std::size_t> &jobs);
     /** Run owned job @p i on the pool. */
     void start(Run &run, std::size_t i);
     /** Submit @p task to the pool, counted in Run::outstanding. */
@@ -110,9 +109,6 @@ class CampaignEngine
     ThreadPool &pool;
     ResultStore &store;
     RunnerConfig config;
-    /** Written by reference-run tasks on the pool. */
-    std::mutex goldens_mu;
-    std::map<std::string, std::shared_ptr<const FaultOracle>> goldens;
 };
 
 } // namespace rmt

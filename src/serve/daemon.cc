@@ -50,6 +50,19 @@ doneJson(std::size_t jobs, const EngineTally &t, bool draining)
     return os.str();
 }
 
+/** Why @p what, running @p o, is over @p cap (0 = none); "" when it
+ *  fits. */
+std::string
+overCap(const std::string &what, const SimOptions &o, std::uint64_t cap)
+{
+    if (!cap ||
+        (o.warmup_insts <= cap && o.measure_insts <= cap - o.warmup_insts))
+        return "";
+    return what + ": warmup+measure " + std::to_string(o.warmup_insts) +
+           "+" + std::to_string(o.measure_insts) + " exceeds --max-insts " +
+           std::to_string(cap);
+}
+
 } // namespace
 
 Daemon::Daemon(DaemonConfig config) : cfg(std::move(config)) {}
@@ -209,7 +222,21 @@ Daemon::handleSubmit(int fd, const JsonValue &msg, ConnState &conn)
         sendError(fd, "campaign has no jobs");
         return;
     }
+    // The cap refuses work, never rewrites it; nothing is claimed yet.
     const std::size_t n = campaign.jobs.size();
+    std::string over;
+    for (std::size_t i = 0; cfg.max_insts && over.empty() && i < n; ++i) {
+        const JobSpec &job = campaign.jobs[i];
+        over = overCap("job " + std::to_string(job.id) + " (" + job.label +
+                           ")",
+                       job.options, cfg.max_insts);
+    }
+    if (efficiency && over.empty())
+        over = overCap("efficiency baseline", *efficiency, cfg.max_insts);
+    if (!over.empty()) {
+        sendError(fd, over);
+        return;
+    }
     if (stopping.load()) {
         // Every job skipped: the client ends its run as interrupted.
         EngineTally none;
@@ -218,41 +245,25 @@ Daemon::handleSubmit(int fd, const JsonValue &msg, ConnState &conn)
         return;
     }
 
-    // The engine (with its goldens) and the snapshot cache serve every
-    // submit on this connection, so the rounds of a stratified campaign
-    // share goldens as they do in a local rmtsim_batch, and fault
-    // trials restore the latest barrier exactly as there.  A submit
-    // with other efficiency options gets a fresh engine.
-    const std::string eff_canon =
-        efficiency ? optionsCanonicalJson(*efficiency) : "";
-    if (!conn.engine || eff_canon != conn.efficiency) {
-        conn.engine.reset();
-        conn.baseline.reset();
-        conn.efficiency = eff_canon;
-        RunnerConfig &rcfg = conn.config;
-        rcfg.max_insts = cfg.max_insts;
-        rcfg.snapshots = &conn.snapshots;
-        rcfg.stop = &conn.cancel;
-        if (efficiency) {
-            // Baselines are base-mode rows of this daemon's store.
-            conn.baseline =
-                std::make_unique<BaselineCache>(*efficiency, &results);
-        }
-        rcfg.baseline = conn.baseline.get();
-        conn.engine =
-            std::make_unique<CampaignEngine>(*pool, results, rcfg);
-    }
+    // The connection's snapshot cache, home of every point's reference
+    // run, serves each of its submits, so the rounds of a stratified
+    // campaign share reference runs as in a local rmtsim_batch.  The
+    // engine keeps nothing else, so each submit gets its own, with
+    // baselines that are base-mode rows of this daemon's store.
+    RunnerConfig rcfg;
+    rcfg.snapshots = &conn.snapshots;
+    rcfg.stop = &conn.cancel;
+    std::optional<BaselineCache> baseline;
+    if (efficiency)
+        rcfg.baseline = &baseline.emplace(*efficiency, &results);
 
-    // Rows are keyed on what this daemon will run (the capped
-    // options), so stores shared between differently capped daemons
-    // never serve one cap's rows to the other.  The campaign id that
-    // `accepted` reports and `cancel` matches folds the same keys with
-    // each job's id.
+    // The campaign id that `accepted` reports and `cancel` matches
+    // folds each job's id with its result key.
     std::uint64_t camp_fp = fnv1a64Seed;
     for (const JobSpec &job : campaign.jobs)
         fnv1a64Field(camp_fp,
                      std::to_string(job.id) + ":" +
-                         fingerprintHex(resultKeyU64(job, conn.config)));
+                         fingerprintHex(resultKeyU64(job, rcfg)));
 
     {
         std::lock_guard<std::mutex> lock(reg_mu);
@@ -275,7 +286,7 @@ Daemon::handleSubmit(int fd, const JsonValue &msg, ConnState &conn)
     EngineTally tally;
     std::string error;
     try {
-        tally = conn.engine->run(
+        tally = CampaignEngine(*pool, results, rcfg).run(
             std::move(campaign.jobs),
             [&](const JobSpec &, const JobResult &r) {
                 return sendFrame(fd, tagRow, wire::encodeJobResult(r));

@@ -9,14 +9,17 @@
  *
  *  - one accept loop (poll + 200 ms tick so the SIGTERM drain flag is
  *    observed promptly), one detached-join thread per connection;
- *  - each connection holds one CampaignEngine (the same engine a local
- *    rmtsim_batch runs, serve/campaign_engine.hh) on the shared pool,
- *    with one SnapshotCache, for as long as it stays open: every
- *    submit on it — the rounds of a stratified campaign — shares its
- *    goldens.  Store hits are served immediately, owned jobs (goldens
+ *  - each connection holds one SnapshotCache, the home of every fault
+ *    point's reference run, for as long as it stays open: every submit
+ *    on it — the rounds of a stratified campaign — shares those runs.
+ *    Each submit runs through a CampaignEngine (the engine a local
+ *    rmtsim_batch runs, serve/campaign_engine.hh) on the shared pool:
+ *    store hits are served immediately, owned jobs (reference runs
  *    first) run on the pool, and keys another client is computing
  *    right now are awaited, so each content key is simulated once
  *    however many campaigns share it;
+ *  - --max-insts refuses, before any claim, a submit with a job or
+ *    efficiency baseline over it (warmup + measure), naming it;
  *  - a submit's "efficiency" options give the engine a BaselineCache
  *    over the daemon's store, so --efficiency rows match a local run;
  *  - rows are sent strictly in job order from the connection thread,
@@ -61,7 +64,8 @@ struct DaemonConfig
     std::string socket_path;        ///< Unix socket to serve on
     std::string store_dir;          ///< ResultStore directory
     unsigned jobs = 0;              ///< pool workers (0 = all cores)
-    std::uint64_t max_insts = 0;    ///< clamp warmup+measure (0 = off)
+    std::uint64_t max_insts = 0;    ///< refuse warmup+measure > N
+                                    ///< (0 = off)
     unsigned store_sync_every = 16; ///< fsync cadence (1 = every row)
 };
 
@@ -93,17 +97,13 @@ class Daemon
     void requestStop() { stopping.store(true); }
 
   private:
-    /** One connection's engine and caches, kept across its submits,
-     *  and registered in `live` while a submit runs. */
+    /** One connection's reference runs, kept across its submits, and
+     *  registered in `live` while a submit runs. */
     struct ConnState
     {
         std::uint64_t fingerprint = 0;  ///< the running submit's id
         std::atomic<bool> cancel{false};
         SnapshotCache snapshots;
-        std::string efficiency;     ///< canonical options, "" = none
-        std::unique_ptr<BaselineCache> baseline;
-        RunnerConfig config;
-        std::unique_ptr<CampaignEngine> engine;
     };
 
     void serveClient(int fd);

@@ -88,7 +88,7 @@ resultKeyU64(const JobSpec &spec)
 std::uint64_t
 resultKeyU64(const JobSpec &spec, const RunnerConfig &config)
 {
-    const SimOptions o = cappedOptions(spec, config);
+    const SimOptions &o = spec.options;
     std::uint64_t h = fnv1a64Seed;
     fnv1a64Field(h, optionsCanonicalJson(o));
     // collect_stats_json changes the record payload (the embedded

@@ -100,8 +100,8 @@ std::uint64_t resultKeyU64(const JobSpec &spec);
 
 /**
  * Content key of @p spec as @p config will run and render it: the
- * options after the runner's instruction cap, plus — only when set —
- * the efficiency baseline's options and snapshot restore, both of
+ * plain key plus -- only when set -- the efficiency baseline's options
+ * and, for a fault trial under barriers, snapshot restore, both of
  * which change the row's efficiencies or its "extra" block.  With a
  * default config this equals resultKeyU64(spec).
  */

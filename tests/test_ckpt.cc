@@ -29,10 +29,13 @@
  *    are byte-identical to from-scratch ones outside the snapshot
  *    bookkeeping, and the trials they restore and the tail cycles they
  *    still simulate are pinned;
- *  - trials that rejoin their reference run at a barrier leave their
- *    rows unchanged (fault and stratified campaigns, every fault kind,
- *    SRT and CRT, one and four workers), and neither a struck register
- *    still mapped nor a strike still pending at a barrier rejoins.
+ *  - trials that rejoin their reference run at a barrier, or whose
+ *    strikes nothing reads, leave their rows unchanged (fault and
+ *    stratified campaigns, every fault kind, SRT and CRT, barrier-less
+ *    points and one with recovery, through CampaignEngine and
+ *    runCampaignJobs, one and four workers), and neither a struck
+ *    register still mapped nor a strike still pending at a barrier
+ *    rejoins.
  */
 
 #include <gtest/gtest.h>
@@ -671,17 +674,17 @@ namespace
 
 /**
  * Rows (timing off) of @p jobs run as the tools run them, through a
- * CampaignEngine on @p workers threads: forked and rejoining when
- * @p snapshots is set, from scratch otherwise.  @p rejoined receives
- * the engine's count of rejoined trials.
+ * CampaignEngine on @p workers threads whose reference runs go into
+ * @p snapshots.  @p rejoined receives the engine's count of rejoined
+ * trials.
  */
 std::string
 engineRows(const std::vector<JobSpec> &jobs, unsigned workers,
-           SnapshotCache *snapshots, std::uint64_t &rejoined)
+           SnapshotCache &snapshots, std::uint64_t &rejoined)
 {
     RunnerConfig cfg;
     cfg.jobs = workers;
-    cfg.snapshots = snapshots;
+    cfg.snapshots = &snapshots;
     ThreadPool pool(workers);
     ResultStore store;
     CampaignEngine engine(pool, store, cfg);
@@ -693,6 +696,40 @@ engineRows(const std::vector<JobSpec> &jobs, unsigned workers,
             return true;
         });
     rejoined = t.rejoined;
+    return rows;
+}
+
+/**
+ * Rows (timing off) of @p jobs through runCampaignJobs on @p workers
+ * threads, each fault trial classified against its point's golden:
+ * starting from its point's reference run in @p snapshots when set
+ * (@p results receives the JobResults), from scratch otherwise.
+ */
+std::string
+runnerRows(const std::vector<JobSpec> &jobs, unsigned workers,
+           SnapshotCache *snapshots, std::vector<JobResult> &results)
+{
+    std::map<std::string, std::unique_ptr<FaultOracle>> goldens;
+    std::vector<JobSpec> oracled = jobs;
+    for (JobSpec &job : oracled) {
+        if (job.faults.empty())
+            continue;
+        auto &golden = goldens[pointKey(job.workloads, job.options)];
+        if (!golden) {
+            golden = std::make_unique<FaultOracle>(
+                FaultOracle::reference(job.workloads, job.options));
+        }
+        attachFaultOracle(job, golden.get());
+    }
+    RunnerConfig cfg;
+    cfg.jobs = workers;
+    cfg.snapshots = snapshots;
+    results = runCampaignJobs(oracled, cfg);
+    std::string rows;
+    for (std::size_t i = 0; i < oracled.size(); ++i) {
+        EXPECT_TRUE(results[i].ok()) << results[i].error;
+        rows += resultJson(oracled[i], results[i], false) + "\n";
+    }
     return rows;
 }
 
@@ -788,6 +825,37 @@ machinelessRows(const std::string &jsonl)
     return n;
 }
 
+/**
+ * Trials of points that place no barriers: SRT and CRT over the whole
+ * register file (gcc and swim read few of the 32 FP registers, so many
+ * strikes there are finished without a machine), then an SRT point
+ * with recovery, ids dense in that order.
+ */
+std::vector<JobSpec>
+barrierlessTrials()
+{
+    SimOptions flat = identityOptions();
+    flat.snapshot_every = 0;
+    CampaignBuilder plain("flat", 5);
+    plain.base(flat)
+        .modes({SimMode::Srt, SimMode::Crt})
+        .workloads({"gcc", "swim"})
+        .transientRegTrials(6, numArchRegs);
+    std::vector<JobSpec> jobs = plain.build().jobs;
+    flat.recovery = true;
+    CampaignBuilder recovery("flat-recovery", 5);
+    recovery.base(flat)
+        .modes({SimMode::Srt})
+        .workloads({"gcc"})
+        .transientRegTrials(6, numArchRegs);
+    for (JobSpec job : recovery.build().jobs) {
+        job.id = jobs.size();
+        job.label = "recovery " + job.label;
+        jobs.push_back(std::move(job));
+    }
+    return jobs;
+}
+
 } // namespace
 
 TEST(Checkpoint, RejoinedTrialsMatchFromScratch)
@@ -798,7 +866,11 @@ TEST(Checkpoint, RejoinedTrialsMatchFromScratch)
     // must still equal the from-scratch row outside the snapshot
     // bookkeeping, for a fault campaign, for a stratified round over
     // all ten fault kinds, in SRT and CRT, and for strikes forced on
-    // unread registers and empty contexts, at one and at four workers.
+    // unread registers and empty contexts, through CampaignEngine and
+    // runCampaignJobs alike, at one and at four workers.  Trials of
+    // points without barriers start from their reference run the same
+    // way, and their rows, which carry no snapshot bookkeeping, equal
+    // the from-scratch rows byte for byte.
     CampaignBuilder builder("rejoin", 5);
     builder.base(identityOptions())
         .modes({SimMode::Srt, SimMode::Crt})
@@ -811,21 +883,39 @@ TEST(Checkpoint, RejoinedTrialsMatchFromScratch)
         kinds.insert(job.faults.front().kind);
     ASSERT_EQ(kinds.size(), 10u);
     const std::vector<JobSpec> unread = unreadStrikes();
+    const std::vector<JobSpec> flat = barrierlessTrials();
 
-    for (const auto *jobs : {&faults, &strata, &unread}) {
-        std::uint64_t none = 0;
-        const std::string scratch = engineRows(*jobs, 4, nullptr, none);
-        EXPECT_EQ(none, 0u);
+    for (const auto *jobs : {&faults, &strata, &unread, &flat}) {
+        std::vector<JobResult> results;
+        const std::string scratch = runnerRows(*jobs, 4, nullptr, results);
+        for (const JobResult &r : results)
+            EXPECT_FALSE(r.rejoined) << r.label;
         for (const unsigned workers : {1u, 4u}) {
-            SnapshotCache cache;
+            SnapshotCache engine_cache, runner_cache;
             std::uint64_t rejoined = 0;
-            const std::string forked =
-                engineRows(*jobs, workers, &cache, rejoined);
-            EXPECT_EQ(stripExtra(forked), scratch) << workers << " workers";
+            const std::string engine =
+                engineRows(*jobs, workers, engine_cache, rejoined);
+            const std::string runner =
+                runnerRows(*jobs, workers, &runner_cache, results);
+            EXPECT_EQ(runner, engine) << workers << " workers";
             EXPECT_GT(rejoined, 0u) << workers << " workers";
-            EXPECT_NE(forked.find("\"snapshot_hit\":1"), std::string::npos);
+            std::uint64_t runner_rejoined = 0, recovery_rejoined = 0;
+            for (const JobResult &r : results) {
+                runner_rejoined += r.rejoined;
+                recovery_rejoined +=
+                    r.rejoined && r.label.starts_with("recovery ");
+            }
+            EXPECT_EQ(runner_rejoined, rejoined) << workers << " workers";
+            if (jobs == &flat) {
+                EXPECT_EQ(engine, scratch) << workers << " workers";
+                EXPECT_EQ(engine.find("\"extra\""), std::string::npos);
+                EXPECT_GT(recovery_rejoined, 0u) << workers << " workers";
+                continue;
+            }
+            EXPECT_EQ(stripExtra(engine), scratch) << workers << " workers";
+            EXPECT_NE(engine.find("\"snapshot_hit\":1"), std::string::npos);
             if (jobs == &unread) {
-                EXPECT_EQ(machinelessRows(forked), 14u)
+                EXPECT_EQ(machinelessRows(engine), 14u)
                     << workers << " workers";
             }
         }

@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "avf/sampler.hh"
 #include "ckpt/serializer.hh"
 #include "common/fingerprint.hh"
 #include "common/parse.hh"
@@ -236,21 +237,6 @@ TEST(CampaignRunner, EfficiencySharesOneBaselinePerWorkload)
         EXPECT_GT(r.mean_efficiency, 0.0);
         EXPECT_LE(r.mean_efficiency, 1.5);
     }
-}
-
-TEST(CampaignRunner, InstructionCapClampsBudgets)
-{
-    CampaignBuilder b("cap", 1);
-    b.base(tinyOptions()).modes({SimMode::Base}).workloads({"gcc"});
-    const Campaign campaign = b.build();
-
-    RunnerConfig cfg;
-    cfg.jobs = 1;
-    cfg.max_insts = 1000;   // < warmup+measure of tinyOptions()
-    const auto results = runCampaign(campaign, cfg);
-    ASSERT_TRUE(results[0].ok()) << results[0].error;
-    // warmup is clamped to 500 (its own value), measure to the rest.
-    EXPECT_LE(results[0].run.threads[0].committed, 1100u);
 }
 
 TEST(CampaignRunner, FaultTrialsAreSeededDeterministically)
@@ -629,6 +615,42 @@ TEST(CampaignBuilder, IllegalMachineSizesAreRejectedAtBuild)
     // The mode axis is modes(), not a sweep.
     EXPECT_THROW(CampaignBuilder().sweep("mode", {"srt"}),
                  std::invalid_argument);
+}
+
+TEST(CampaignBuilder, MaxRegIsBoundedByTheRegisterFile)
+{
+    // Victims are drawn from [1, max_reg), and numArchRegs (64) is the
+    // size of the rename map: 32 integer then 32 FP registers.  A bound
+    // outside [2, 64] is refused by the grid and by the sampler alike.
+    for (const unsigned max_reg : {0u, 1u, 65u, 70u}) {
+        CampaignBuilder b;
+        EXPECT_THROW(b.transientRegTrials(4, max_reg), std::invalid_argument)
+            << max_reg;
+        SamplerConfig cfg;
+        cfg.max_reg = max_reg;
+        EXPECT_THROW(StratifiedSampler({{"gcc", {"gcc"}, SimOptions{}}}, cfg,
+                                       1),
+                     std::invalid_argument)
+            << max_reg;
+    }
+    try {
+        CampaignBuilder().transientRegTrials(4, 70);
+        FAIL() << "max_reg 70 accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(),
+                     "transientRegTrials: max_reg 70 is outside [2, 64]");
+    }
+    for (const unsigned max_reg : {2u, 64u}) {
+        CampaignBuilder b;
+        b.modes({SimMode::Srt}).workloads({"gcc"});
+        const Campaign c = b.transientRegTrials(16, max_reg).build();
+        for (const JobSpec &job : c.jobs)
+            EXPECT_LT(job.faults.front().reg, max_reg);
+        SamplerConfig cfg;
+        cfg.max_reg = max_reg;
+        EXPECT_NO_THROW(StratifiedSampler({{"gcc", {"gcc"}, SimOptions{}}},
+                                          cfg, 1));
+    }
 }
 
 TEST(Figures, EveryFigureMachineIsPinned)

@@ -19,9 +19,9 @@
  *  - SIGKILLing the daemon mid-campaign leaves an uncorrupted store,
  *    and a fresh daemon on the same store completes the campaign
  *    byte-identically;
- *  - rows computed under `--max-insts` are keyed on the capped
- *    options, so an uncapped daemon on the same store never serves
- *    them;
+ *  - a daemon under `--max-insts` refuses a submit with a job over
+ *    the cap with an error naming it, claims nothing for it, and runs
+ *    the next in-cap submit on the same connection;
  *  - RemoteEngine, the remote twin of CampaignEngine: the rounds of a
  *    stratified campaign on one connection emit the rows of a local
  *    engine run and build each golden once; an efficiency submit's
@@ -459,30 +459,60 @@ TEST(ServeDaemon, SigkillMidCampaignLeavesStoreUsable)
     EXPECT_EQ(out.str(), localJsonl(campaign));
 }
 
-TEST(ServeDaemon, CappedRowsAreNeverServedToAnUncappedDaemon)
+TEST(ServeDaemon, OverCapSubmitIsRefusedBeforeAnythingIsClaimed)
 {
     TempDir dir("serve_daemon_capped");
-    const Campaign campaign =
-        makeCampaign({{"gcc", 0}, {"compress", 0}});
+    // Every job runs 200 warmup + 1500 measured instructions.
+    DaemonFixture fx(dir.path, 2, 1, /*max_insts=*/1700);
+    const Campaign fits = makeCampaign({{"gcc", 0}, {"compress", 0}});
+    Campaign over = fits;
+    over.jobs[1].options.measure_insts = 1501;
+    const auto render = [](std::string &rows) {
+        return [&rows](const JobSpec &spec, const JobResult &r) {
+            rows += resultJson(spec, r, false) + "\n";
+            return true;
+        };
+    };
 
-    // 200 warmup + 1500 measured instructions, capped to 800 in all.
-    {
-        DaemonFixture capped(dir.path, 2, 1, /*max_insts=*/800);
-        std::ostringstream out;
-        const RemoteCampaignResult r = runRemoteCampaign(
-            capped.cfg.socket_path, campaign, false, out);
-        EXPECT_EQ(r.misses, campaign.jobs.size());
+    RemoteEngine remote(fx.cfg.socket_path, RunnerConfig{});
+    std::string rows;
+    try {
+        remote.run(over.jobs, render(rows));
+        ADD_FAILURE() << "the over-cap submit ran";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "rmtsimd: job 1 (compress/slack0): warmup+measure "
+                  "200+1501 exceeds --max-insts 1700");
     }
+    EXPECT_TRUE(rows.empty());
+    EXPECT_EQ(statusStoreCounter(fx.cfg.socket_path, "misses"), 0);
+    EXPECT_EQ(statusStoreCounter(fx.cfg.socket_path, "hits"), 0);
 
-    // Same store, no cap: every job must run again at full length.
-    DaemonFixture uncapped(dir.path);
-    std::ostringstream out;
-    const RemoteCampaignResult r = runRemoteCampaign(
-        uncapped.cfg.socket_path, campaign, false, out);
-    EXPECT_EQ(r.rows, campaign.jobs.size());
-    EXPECT_EQ(r.misses, campaign.jobs.size());
-    EXPECT_EQ(r.hits, 0u);
-    EXPECT_EQ(out.str(), localJsonl(campaign));
+    // So is one whose efficiency baseline runs over the cap.
+    SimOptions long_base;
+    long_base.warmup_insts = 200;
+    long_base.measure_insts = 2000;
+    BaselineCache baseline(long_base);
+    RunnerConfig eff_cfg;
+    eff_cfg.baseline = &baseline;
+    try {
+        RemoteEngine(fx.cfg.socket_path, eff_cfg).run(fits.jobs,
+                                                      render(rows));
+        ADD_FAILURE() << "the over-cap baseline ran";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "rmtsimd: efficiency baseline: warmup+measure 200+2000 "
+                  "exceeds --max-insts 1700");
+    }
+    EXPECT_EQ(statusStoreCounter(fx.cfg.socket_path, "misses"), 0);
+
+    // The refusing connection still runs an in-cap submit, with the
+    // rows a local run writes.
+    const EngineTally t = remote.run(fits.jobs, render(rows));
+    EXPECT_EQ(t.simulated, fits.jobs.size());
+    EXPECT_EQ(statusStoreCounter(fx.cfg.socket_path, "misses"),
+              static_cast<double>(fits.jobs.size()));
+    EXPECT_EQ(rows, localJsonl(fits));
 }
 
 TEST(ServeDaemon, RemoteStratifiedRoundsMatchLocalAndShareGoldens)
@@ -492,7 +522,10 @@ TEST(ServeDaemon, RemoteStratifiedRoundsMatchLocalAndShareGoldens)
 
     ThreadPool pool(2);
     ResultStore store;
-    CampaignEngine local(pool, store, RunnerConfig{});
+    SnapshotCache snapshots;
+    RunnerConfig lcfg;
+    lcfg.snapshots = &snapshots;
+    CampaignEngine local(pool, store, lcfg);
     std::string local_rows;
     const std::vector<EngineTally> local_tallies =
         runStratifiedRounds(local, local_rows);
@@ -537,8 +570,10 @@ TEST(ServeDaemon, EfficiencySubmitMatchesLocalBaselineRun)
 
     ResultStore store;
     BaselineCache local_baseline(base, &store);
+    SnapshotCache snapshots;
     RunnerConfig lcfg;
     lcfg.baseline = &local_baseline;
+    lcfg.snapshots = &snapshots;
     ThreadPool pool(2);
     std::string local_rows;
     CampaignEngine(pool, store, lcfg).run(campaign.jobs, render(local_rows));

@@ -4,8 +4,8 @@
  *
  *  - the content key hashes what is simulated (options, workloads,
  *    faults, seed, stats flag) and ignores grid position (id, label);
- *    keyed with a RunnerConfig it also covers the instruction cap, the
- *    efficiency baseline and snapshot restore;
+ *    keyed with a RunnerConfig it also covers the efficiency baseline
+ *    and, for a fault trial under barriers, snapshot restore;
  *  - tryClaim/await/publish implement single-flight: N concurrent
  *    claimers of one key produce exactly one owner, everyone else is
  *    served the published result;
@@ -22,7 +22,8 @@
  *    version is a hard StoreError that leaves the file as it was;
  *  - a store has one writer: a second open of the same directory
  *    throws until the first store is closed;
- *  - the CampaignEngine on top of the store: a rerun over a complete
+ *  - the CampaignEngine on top of the store, which requires a
+ *    SnapshotCache (the home of its reference runs): a rerun over a complete
  *    store simulates nothing and builds no golden, duplicate keys in
  *    one run simulate once and keep their own id and label, runs on a
  *    shared pool return when their own jobs finish, a stop abandons
@@ -139,6 +140,16 @@ faultJobs()
     return builder.build().jobs;
 }
 
+/** What the tools give a CampaignEngine: a RunnerConfig with a
+ *  snapshot cache of its own, the home of its reference runs. */
+struct EngineConfig
+{
+    EngineConfig() { config.snapshots = &snapshots; }
+    EngineConfig(const EngineConfig &) = delete;
+    SnapshotCache snapshots;
+    RunnerConfig config;
+};
+
 /** Every row a CampaignEngine emits, rendered without timing. */
 struct Rows
 {
@@ -203,13 +214,6 @@ TEST(ResultKey, CoversWhatTheRunnerSimulatesAndRenders)
     const RunnerConfig plain;
     EXPECT_EQ(resultKeyU64(spec, plain), resultKeyU64(spec));
 
-    // A cap above the budget changes nothing; one below it does.
-    RunnerConfig loose, capped;
-    loose.max_insts = 5000;
-    capped.max_insts = 600;
-    EXPECT_EQ(resultKeyU64(spec, loose), resultKeyU64(spec));
-    EXPECT_NE(resultKeyU64(spec, capped), resultKeyU64(spec));
-
     // Efficiency columns depend on the baseline's options too.
     BaselineCache base_a(spec.options), base_b(sampleSpec(1).options);
     RunnerConfig eff_a, eff_b;
@@ -218,7 +222,9 @@ TEST(ResultKey, CoversWhatTheRunnerSimulatesAndRenders)
     EXPECT_NE(resultKeyU64(spec, eff_a), resultKeyU64(spec));
     EXPECT_NE(resultKeyU64(spec, eff_a), resultKeyU64(spec, eff_b));
 
-    // Snapshot restore adds the "extra" block to fault trials only.
+    // Snapshot restore adds the "extra" block to fault trials under
+    // barriers only: a barrier-less trial starts from its point's
+    // reference run too, and its row is the plain one.
     SnapshotCache snapshots;
     RunnerConfig restore;
     restore.snapshots = &snapshots;
@@ -226,6 +232,9 @@ TEST(ResultKey, CoversWhatTheRunnerSimulatesAndRenders)
     JobSpec faultless = spec;
     faultless.faults.clear();
     EXPECT_EQ(resultKeyU64(faultless, restore), resultKeyU64(faultless));
+    JobSpec flat = spec;
+    flat.options.snapshot_every = 0;
+    EXPECT_EQ(resultKeyU64(flat, restore), resultKeyU64(flat));
 }
 
 TEST(ResultStore, ClaimPublishHitCounters)
@@ -600,7 +609,8 @@ TEST(CampaignEngine, RerunOverACompleteStoreSimulatesNothing)
     {
         ResultStore store;
         store.open(dir.path);
-        CampaignEngine engine(pool, store, RunnerConfig{});
+        EngineConfig ec;
+        CampaignEngine engine(pool, store, ec.config);
         const EngineTally t = engine.run(jobs, first.emit());
         EXPECT_EQ(t.simulated, jobs.size());
         EXPECT_EQ(t.goldens, 2u);
@@ -610,7 +620,8 @@ TEST(CampaignEngine, RerunOverACompleteStoreSimulatesNothing)
     }
     ResultStore store;
     store.open(dir.path);
-    CampaignEngine engine(pool, store, RunnerConfig{});
+    EngineConfig ec;
+    CampaignEngine engine(pool, store, ec.config);
     const EngineTally t = engine.run(jobs, second.emit());
     EXPECT_EQ(t.hits, jobs.size());
     EXPECT_EQ(t.simulated, 0u);
@@ -628,7 +639,8 @@ TEST(CampaignEngine, DuplicateKeysSimulateOnceAndKeepTheirOwnRows)
     jobs[1].seed = 43;      // job 2 repeats job 0's content
     ThreadPool pool(2);
     ResultStore store;
-    CampaignEngine engine(pool, store, RunnerConfig{});
+    EngineConfig ec;
+    CampaignEngine engine(pool, store, ec.config);
     std::vector<std::pair<std::uint64_t, std::string>> seen;
     const EngineTally t = engine.run(
         jobs, [&](const JobSpec &spec, const JobResult &r) {
@@ -668,11 +680,13 @@ TEST(CampaignEngine, RunsOnASharedPoolReturnWithTheirOwnJobs)
     EngineTally ta, tb;
     Rows ra, rb;
     std::thread other([&] {
-        CampaignEngine engine(pool, store, RunnerConfig{});
+        EngineConfig ec;
+        CampaignEngine engine(pool, store, ec.config);
         tb = engine.run(b, rb.emit());
     });
     {
-        CampaignEngine engine(pool, store, RunnerConfig{});
+        EngineConfig ec;
+        CampaignEngine engine(pool, store, ec.config);
         ta = engine.run(a, ra.emit());
     }
     other.join();
@@ -701,7 +715,8 @@ TEST(CampaignEngine, StopAbandonsUnstartedKeys)
     std::atomic<bool> stop{false};
     jobs[0].post_run = [&stop](Simulation *, const RunResult &,
                                JobResult &) { stop.store(true); };
-    RunnerConfig cfg;
+    EngineConfig ec;
+    RunnerConfig &cfg = ec.config;
     cfg.stop = &stop;
     ThreadPool pool(1);
     ResultStore store;
@@ -728,7 +743,8 @@ TEST(CampaignEngine, FailingGoldenIsOneErrorAndReleasesEveryClaim)
     }
     ThreadPool pool(2);
     ResultStore store;
-    CampaignEngine engine(pool, store, RunnerConfig{});
+    EngineConfig ec;
+    CampaignEngine engine(pool, store, ec.config);
     Rows rows;
     try {
         engine.run(jobs, rows.emit());
@@ -744,6 +760,19 @@ TEST(CampaignEngine, FailingGoldenIsOneErrorAndReleasesEveryClaim)
         EXPECT_EQ(store.tryClaim(resultKeyU64(job), ignored),
                   ResultStore::Claim::Owner)
             << job.label;
+    }
+}
+
+TEST(CampaignEngine, RequiresASnapshotCache)
+{
+    ThreadPool pool(1);
+    ResultStore store;
+    try {
+        CampaignEngine engine(pool, store, RunnerConfig{});
+        ADD_FAILURE() << "an engine without a cache was built";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "CampaignEngine: config.snapshots is required");
     }
 }
 

@@ -233,6 +233,21 @@ avf_args="--modes srt --workloads gcc,compress --stratify
 ./build/tools/rmtsim_batch $avf_args -j 4 --out build/avf_j4.jsonl
 diff build/avf_j1.jsonl build/avf_j4.jsonl
 grep -q '"avf_summary"' build/avf_j1.jsonl
+# Trials of points without barriers start from their point's reference
+# run too: perfbench's fault-campaign draws at seed 1 finish 69 trials
+# whose strikes hit only registers their program never reads without
+# simulating them, as under barriers, and their rows carry no "extra".
+flat_args="--modes srt,crt --workloads gcc,swim,compress --fault-trials 16
+           --warmup 1000 --insts 8000 --no-timing"
+./build/tools/rmtsim_batch $flat_args -j 1 --out build/flat_j1.jsonl \
+    2> build/flat_j1.err
+./build/tools/rmtsim_batch $flat_args -j 4 --quiet --out build/flat_j4.jsonl
+diff build/flat_j1.jsonl build/flat_j4.jsonl
+grep -q '(69 trials rejoined their reference run)' build/flat_j1.err
+if grep -q '"extra"' build/flat_j1.jsonl; then
+    echo "check.sh: a barrier-less trial row carries an extra block" >&2
+    exit 1
+fi
 
 echo "== paper: every figure as one campaign, shape claims gated =="
 # The paper's figures, ablations and fault-coverage experiments run as
@@ -273,6 +288,17 @@ rc=0
 ./build/tools/rmtsim_batch --figure fig6 --modes srt --out - \
     > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ]
+# The budget is --warmup and --insts: there is no runner-level cap.
+rc=0
+./build/tools/rmtsim_batch --max-insts 1 --out - > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ]
+# A victim register bound past the 64-entry register file is refused.
+rc=0
+./build/tools/rmtsim_batch --modes srt --workloads gcc --fault-trials 10 \
+    --max-reg 70 --out build/paper_bad.jsonl 2> build/paper_bad.err || rc=$?
+[ "$rc" -eq 2 ]
+grep -q 'max_reg 70 is outside \[2, 64\]' build/paper_bad.err
+[ ! -e build/paper_bad.jsonl.store ]
 
 echo "== serve: daemon resubmission is byte-identical and simulates nothing =="
 # Start rmtsimd on a fresh store, run the same client campaign twice:
@@ -280,14 +306,15 @@ echo "== serve: daemon resubmission is byte-identical and simulates nothing =="
 # hits — byte-identical output, and a summary that counts every job as
 # resumed from the daemon, so it simulated none — and snapshot fault,
 # stratified, efficiency and failing-job campaigns must match their
-# local runs; then the daemon must drain cleanly on SIGTERM (socket +
-# pid file gone).
+# local runs, and a submit over the daemon's --max-insts is refused;
+# then the daemon must drain cleanly on SIGTERM (socket + pid file
+# gone).
 cmake --build build -j "$jobs" --target rmtsimd >/dev/null
 rm -rf build/serve_gate
 mkdir -p build/serve_gate
 ./build/tools/rmtsimd --socket build/serve_gate/d.sock \
     --store build/serve_gate/store --pid-file build/serve_gate/d.pid \
-    -j "$jobs" &
+    --max-insts 4500 -j "$jobs" &
 for _ in $(seq 50); do
     [ -S build/serve_gate/d.sock ] && break
     sleep 0.1
@@ -350,6 +377,16 @@ grep -q '^1 of 2 jobs failed$' build/serve_gate/fail_report.txt
 grep -Eq "^ +1  job 1: unknown workload 'nosuch'$" \
     build/serve_gate/fail_report.txt
 grep -Eq '^ +1 +1  srt:nosuch$' build/serve_gate/fail_report.txt
+# The daemon refuses a submit with a job over its --max-insts, naming
+# it, and runs nothing (every campaign here runs at most 4500).
+rc=0
+./build/tools/rmtsim_batch --modes srt --workloads gcc --warmup 500 \
+    --insts 4001 --no-timing --quiet --server build/serve_gate/d.sock \
+    --out build/serve_gate/over.jsonl 2> build/serve_gate/over.err || rc=$?
+[ "$rc" -eq 2 ]
+grep -q 'rmtsimd: job 0 (srt:gcc): warmup+measure 500+4001 exceeds --max-insts 4500' \
+    build/serve_gate/over.err
+[ ! -s build/serve_gate/over.jsonl ]
 # Snapshots with recovery are refused per job, not by exiting the
 # process: locally and through the daemon the row fails naming the
 # conflict (exit 3), and the daemon answers the next campaign.

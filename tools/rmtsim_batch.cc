@@ -25,6 +25,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -81,10 +82,12 @@ usage()
         "  --sweep K=V,V,... cartesian axis (repeatable) over a setting "
         "other than mode (--modes is that axis): %s\n"
         "  --fault-trials N  N seeded transient-reg strikes per grid "
-        "point (each trial gets an oracle verdict vs a golden run); "
-        "with --stratify, the trial budget per stratum\n"
-        "  --max-reg N       victim register bound for fault trials "
-        "(default 31)\n"
+        "point, each judged against its point's fault-free reference "
+        "run (a strike on a register its program never reads is "
+        "finished from that run without simulating); with --stratify, "
+        "the budget per stratum\n"
+        "  --max-reg N       victim register bound for fault trials, "
+        "in [2, 64] (default 31)\n"
         "  --seed S          campaign seed (default 1)\n"
         "  --figure F,F,...  the paper's figures (fig6..fig12, abl_*, "
         "faults_*) or 'all'\n"
@@ -111,16 +114,13 @@ usage()
         "fault trials restore the latest snapshot before their "
         "strike (a strike before the first barrier runs from scratch) "
         "and stop at the first later barrier where they have rejoined "
-        "the fault-free reference run; a trial whose strikes hit only "
-        "registers its program never reads is finished from that run "
-        "without simulating\n"
+        "the fault-free reference run\n"
         "\n"
         "budgets:\n"
         "  --insts N         measured instructions/thread (default "
         "40000)\n"
         "  --warmup N        warm-up instructions/thread (default "
         "20000)\n"
-        "  --max-insts N     hard per-job cap on warmup+measure\n"
         "\n"
         "execution:\n"
         "  -j, --jobs N      worker threads for jobs, fault trials and "
@@ -203,7 +203,7 @@ main(int argc, char **argv)
     // fault draws; and the sampler's flags, which it never reads.
     const std::set<std::string> grid_flags = {
         "--modes", "--workloads", "--mix", "--sweep", "--warmup", "--insts",
-        "--max-insts", "--fault-trials", "--max-reg", "--seed", "--stratify",
+        "--fault-trials", "--max-reg", "--seed", "--stratify",
         "--ci-width", "--confidence", "--windows", "--batch", "--kinds",
         "--snapshot-every", "--embed-stats"};
     std::string grid_flag;
@@ -258,8 +258,6 @@ main(int argc, char **argv)
             } else if (arg == "--insts" || arg == "--warmup" ||
                        arg == "--snapshot-every") {
                 applySetting(base, flagSetting(arg), next());
-            } else if (arg == "--max-insts") {
-                cfg.max_insts = u64();
             } else if (arg == "-j" || arg == "--jobs") {
                 cfg.jobs = u32();
             } else if (arg == "--figure") {
@@ -346,6 +344,8 @@ main(int argc, char **argv)
         modes.push_back(SimMode::Srt);
 
     Campaign campaign;
+    std::vector<StratifiedSampler::Cell> cells;     // --stratify
+    std::optional<StratifiedSampler> strat;
     try {
         if (!figures.empty()) {
             campaign = figureCampaign(figures);
@@ -364,6 +364,18 @@ main(int argc, char **argv)
             if (fault_trials && !stratify)
                 builder.transientRegTrials(fault_trials, scfg.max_reg);
             campaign = builder.build();
+        }
+        if (stratify) {
+            if (fault_trials)
+                scfg.max_trials = fault_trials;
+            // Pair-resident kinds (lvq/lpq/boq) only exist on machines
+            // with redundant pairs; drop them from the default kind set
+            // as soon as one sampled mode lacks pairs.
+            for (const SimMode m : modes)
+                scfg.has_pairs &= m == SimMode::Srt || m == SimMode::Crt;
+            for (const JobSpec &j : campaign.jobs)
+                cells.push_back({j.label, j.workloads, j.options});
+            strat.emplace(cells, scfg, seed);
         }
     } catch (const std::exception &e) {
         std::fprintf(stderr, "rmtsim_batch: %s\n", e.what());
@@ -447,16 +459,14 @@ main(int argc, char **argv)
     if (want_efficiency)
         cfg.baseline = &baseline;
 
-    // Snapshot store of every job that places barriers, as in rmtsimd.
+    // The home of every fault point's reference run, as in rmtsimd.
     SnapshotCache snapshots;
-    if (!remote)
-        cfg.snapshots = &snapshots;
+    cfg.snapshots = &snapshots;
 
-    StratifiedSampler *sampler = nullptr;
     const auto emit = [&](const JobSpec &spec, const JobResult &r) {
         sink.record(spec, r);
-        if (sampler)
-            sampler->record(spec, r);
+        if (strat)
+            strat->record(spec, r);
         return true;
     };
 
@@ -508,47 +518,32 @@ main(int argc, char **argv)
     };
 
     try {
-        if (stratify) {
-            if (fault_trials)
-                scfg.max_trials = fault_trials;
-            // Pair-resident kinds (lvq/lpq/boq) only exist on machines
-            // with redundant pairs; drop them from the default kind set
-            // as soon as one sampled mode lacks pairs.
-            for (const SimMode m : modes)
-                scfg.has_pairs &= m == SimMode::Srt || m == SimMode::Crt;
-
-            std::vector<StratifiedSampler::Cell> cells;
-            for (const JobSpec &j : campaign.jobs)
-                cells.push_back({j.label, j.workloads, j.options});
-
-            StratifiedSampler strat(cells, scfg, seed);
-            sampler = &strat;
+        if (strat) {
             // Rounds are a pure function of the seed and the recorded
             // verdicts, so a rerun regenerates the same trials and the
             // store serves every one that finished before.  A round
             // with skipped jobs (an interrupt, a draining daemon) ends
             // the loop.
             while (!g_stop.load(std::memory_order_relaxed) && !skipped) {
-                const auto jobs = strat.nextRound();
+                const auto jobs = strat->nextRound();
                 if (jobs.empty())
                     break;
                 runJobs(jobs);
                 if (!quiet) {
                     std::fprintf(
                         stderr, "round %u: %zu trials (%llu total)\n",
-                        strat.rounds(), jobs.size(),
+                        strat->rounds(), jobs.size(),
                         static_cast<unsigned long long>(total_jobs));
                 }
             }
-            sampler = nullptr;
             sink.end();
             // The summary rides in the same .jsonl: one object with
             // per-stratum estimates, intervals and trial counts.
-            out << strat.summaryJson() << "\n";
+            out << strat->summaryJson() << "\n";
             out.flush();
             if (!quiet) {
                 for (std::size_t c = 0; c < cells.size(); ++c) {
-                    const RollupEstimate r = strat.cellRollup(c);
+                    const RollupEstimate r = strat->cellRollup(c);
                     std::fprintf(
                         stderr,
                         "%s: AVF %.4f [%.4f,%.4f]  SDC %.4f "
@@ -595,7 +590,7 @@ main(int argc, char **argv)
         if (goldens || fault_trials || stratify)
             note += " (" + std::to_string(goldens) +
                     " fault-free reference runs)";
-        if (rejoined || ((fault_trials || stratify) && base.snapshot_every))
+        if (rejoined || fault_trials || stratify)
             note += " (" + std::to_string(rejoined) +
                     " trials rejoined their reference run)";
         if (want_efficiency && !remote)

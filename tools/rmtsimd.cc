@@ -71,7 +71,12 @@ usage()
         "created if missing)\n"
         "  -j, --jobs N      simulation worker threads (default 0 = "
         "all cores)\n"
-        "  --max-insts N     hard per-job cap on warmup+measure\n"
+        "  --max-insts N     refuse a submit in which any job, or the "
+        "efficiency\n"
+        "                    baseline, runs more than N warmup+measure "
+        "instructions\n"
+        "                    per thread (an error reply naming it; "
+        "nothing runs)\n"
         "  --store-sync N    fsync the store every N rows (default "
         "16; 1 = every row)\n"
         "  --pid-file FILE   write the daemon pid to FILE (removed on "
