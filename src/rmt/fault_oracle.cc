@@ -138,29 +138,50 @@ FaultOracle::differs(const DataMemory &mem) const
 namespace
 {
 
+/** The first detection @p pair logged at or after @p when, or nullptr:
+ *  an earlier event would be another fault's residue. */
+const DetectionEvent *
+firstDetection(const RedundantPair &pair, Cycle when)
+{
+    for (const DetectionEvent &ev : pair.detections()) {
+        if (ev.cycle >= when)
+            return &ev;
+    }
+    return nullptr;
+}
+
 /** The pair the fault actually landed on (detection attribution). */
 RedundantPair *
 faultedPair(Simulation &sim, const FaultRecord &fault)
 {
     RedundancyManager &rm = sim.chip().redundancy();
-    if (RedundantPair *pair = rm.pairFor(fault.core, fault.tid))
-        return pair;
-    if (fault.kind == FaultRecord::Kind::TransientLvq &&
+    RedundantPair *pair = rm.pairFor(fault.core, fault.tid);
+    if (!pair && fault.kind == FaultRecord::Kind::TransientLvq &&
         fault.pairLogical < rm.numPairs()) {
         return &rm.pair(fault.pairLogical);
     }
-    if (fault.kind == FaultRecord::Kind::PermanentFu) {
-        // A stuck-at unit can hit any pair with a copy on that core;
-        // attribute to the first one (single-pair campaigns: exact).
-        for (std::size_t i = 0; i < rm.numPairs(); ++i) {
-            const RedundantPairParams &p = rm.pair(i).params();
-            if (p.leading.core == fault.core ||
-                p.trailing.core == fault.core) {
-                return &rm.pair(i);
-            }
+    if (fault.kind != FaultRecord::Kind::PermanentFu)
+        return pair;
+    // A stuck-at unit can hit any pair with a copy on that core.  It
+    // belongs to the pair that detected it first (without recovery, the
+    // detection that ended the run), else to the struck context's pair
+    // or the core's first one (single-pair campaigns: exact).
+    const DetectionEvent *first =
+        pair ? firstDetection(*pair, fault.when) : nullptr;
+    for (std::size_t i = 0; i < rm.numPairs(); ++i) {
+        RedundantPair &other = rm.pair(i);
+        const RedundantPairParams &p = other.params();
+        if (p.leading.core != fault.core && p.trailing.core != fault.core)
+            continue;
+        if (!pair)
+            pair = &other;
+        const DetectionEvent *ev = firstDetection(other, fault.when);
+        if (ev && (!first || ev->cycle < first->cycle)) {
+            pair = &other;
+            first = ev;
         }
     }
-    return nullptr;
+    return pair;
 }
 
 } // namespace
@@ -182,14 +203,9 @@ FaultOracle::classify(Simulation *sim, const RunResult &result,
     if (pair) {
         report.faulted_pair = static_cast<int>(pair->logical());
         report.detections = pair->detectionCount();
-        // First detection at or after the activation cycle belongs to
-        // this fault; earlier events would be another trial's residue.
-        for (const DetectionEvent &ev : pair->detections()) {
-            if (ev.cycle >= fault.when) {
-                report.latency_valid = true;
-                report.detection_latency = ev.cycle - fault.when;
-                break;
-            }
+        if (const DetectionEvent *ev = firstDetection(*pair, fault.when)) {
+            report.latency_valid = true;
+            report.detection_latency = ev->cycle - fault.when;
         }
     } else {
         report.detections = result.detections;

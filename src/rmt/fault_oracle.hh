@@ -8,8 +8,10 @@
  * corruption: the final memory image differs from a golden fault-free
  * run with nothing detected), or Hang (the run never finished and
  * nothing was detected).  Detection latency is attributed to the pair
- * that actually hosts the faulted thread — not pair 0 — and to the
- * first detection at or after the fault's activation cycle.
+ * that actually hosts the faulted thread — not pair 0 — (for a stuck-at
+ * unit, which strikes every pair with a copy on its core, the pair that
+ * detected it first) and to the first detection at or after the fault's
+ * activation cycle.
  */
 
 #ifndef RMTSIM_RMT_FAULT_ORACLE_HH

@@ -17,13 +17,15 @@ pairName(LogicalId logical, const char *suffix)
 
 } // namespace
 
-RedundantPair::RedundantPair(const RedundantPairParams &params)
+RedundantPair::RedundantPair(const RedundantPairParams &params,
+                             bool *any_detection)
     : lvq(params.lvq_entries, params.lvq_ecc, pairName(params.logical,
                                                        "lvq")),
       lpq(params.lpq_entries, pairName(params.logical, "lpq"),
           params.lpq_ecc),
       comparator(pairName(params.logical, "storecmp")),
       _params(params),
+      anyDetection(any_detection),
       statGroup(pairName(params.logical, "pair")),
       statChunks(statGroup, "chunks", "LPQ chunks emitted"),
       statForcedFlushes(statGroup, "forced_flushes",
@@ -157,9 +159,11 @@ void
 RedundantPair::recordDetection(DetectionKind kind, Cycle now)
 {
     detected = true;
-    // After the first detection a real system would signal the checker
-    // and initiate recovery; we keep simulating (to measure), but cap
-    // the recorded event log — detections keep counting in the stat.
+    if (anyDetection)
+        *anyDetection = true;
+    // A detection-only machine stops here (Simulation::run ends the run
+    // with this cycle); with recovery the pair rolls back and runs on,
+    // so it can log more.  The event log is capped; the stat counts all.
     if (events.size() < maxRecordedDetections)
         events.push_back(DetectionEvent{kind, now});
     ++statDetections;
@@ -190,7 +194,8 @@ RedundantPair::compareTrailingFu(std::uint8_t half, std::uint8_t fu)
 RedundantPair &
 RedundancyManager::addPair(const RedundantPairParams &params)
 {
-    pairs.push_back(std::make_unique<RedundantPair>(params));
+    pairs.push_back(
+        std::make_unique<RedundantPair>(params, &detectionLogged));
     return *pairs.back();
 }
 
@@ -246,6 +251,8 @@ RedundantPair::loadState(Deserializer &d)
     leadRetired = d.u64();
     trailFetched = d.u64();
     detected = d.boolean();
+    if (detected && anyDetection)
+        *anyDetection = true;
     const std::uint32_t n = d.u32();
     events.clear();
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -267,16 +274,6 @@ RedundancyManager::roleFor(CoreId core, ThreadId tid) const
             return Role::Trailing;
     }
     return Role::Single;
-}
-
-bool
-RedundancyManager::anyFaultDetected() const
-{
-    for (const auto &pair : pairs) {
-        if (pair->faultDetected())
-            return true;
-    }
-    return false;
 }
 
 } // namespace rmt

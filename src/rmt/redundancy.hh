@@ -91,7 +91,10 @@ struct RedundantPairParams
 class RedundantPair : public Snapshottable
 {
   public:
-    explicit RedundantPair(const RedundantPairParams &params);
+    /** @p any_detection, when set, is raised by every recordDetection()
+     *  (RedundancyManager::anyFaultDetected() reads it). */
+    explicit RedundantPair(const RedundantPairParams &params,
+                           bool *any_detection = nullptr);
 
     const RedundantPairParams &params() const { return _params; }
     LogicalId logical() const { return _params.logical; }
@@ -231,6 +234,9 @@ class RedundantPair : public Snapshottable
     /** Cap on the recorded (not counted) detection-event log. */
     static constexpr std::size_t maxRecordedDetections = 32;
 
+    /** Log a detection: count it, record it (up to the cap) and raise
+     *  the registry's flag, which ends a run without recovery at the
+     *  end of this cycle (Simulation::run). */
     void recordDetection(DetectionKind kind, Cycle now);
     bool faultDetected() const { return detected; }
     const std::vector<DetectionEvent> &detections() const
@@ -288,6 +294,7 @@ class RedundantPair : public Snapshottable
     Ring<std::pair<std::uint8_t, std::uint8_t>> leadFuTrace;
 
     bool detected = false;
+    bool *anyDetection;
     std::vector<DetectionEvent> events;
 
     StatGroup statGroup;
@@ -305,6 +312,11 @@ class RedundantPair : public Snapshottable
 class RedundancyManager
 {
   public:
+    RedundancyManager() = default;
+    /** Its pairs point at its detection flag: never copied or moved. */
+    RedundancyManager(const RedundancyManager &) = delete;
+    RedundancyManager &operator=(const RedundancyManager &) = delete;
+
     RedundantPair &addPair(const RedundantPairParams &params);
 
     /** Pair owning (core, tid), or nullptr. */
@@ -317,11 +329,14 @@ class RedundancyManager
     RedundantPair &pair(std::size_t i) { return *pairs.at(i); }
     const RedundantPair &pair(std::size_t i) const { return *pairs.at(i); }
 
-    /** Any pair has flagged a fault. */
-    bool anyFaultDetected() const;
+    /** Has any pair logged a detection since the chip was built or
+     *  restored?  A flag the pairs raise, not a scan, so it is cheap to
+     *  read every cycle; a recovery rollback does not lower it. */
+    bool anyFaultDetected() const { return detectionLogged; }
 
   private:
     std::vector<std::unique_ptr<RedundantPair>> pairs;
+    bool detectionLogged = false;
 };
 
 } // namespace rmt

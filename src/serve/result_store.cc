@@ -106,6 +106,10 @@ resultKeyU64(const JobSpec &spec, const RunnerConfig &config)
            << f.mask << ',' << unsigned(f.pairLogical);
         fnv1a64Field(h, os.str());
     }
+    // Without recovery a faulted run stops at its first detection
+    // (Simulation::run); rows stored before that rule ran on past it.
+    if (!spec.faults.empty() && !o.recovery)
+        fnv1a64Field(h, "stop-at-detection");
     // Runner features a campaign may turn on.  Each adds a field only
     // when set, so a default config keeps the plain key.
     if (config.baseline)

@@ -6,8 +6,9 @@
  * A result is keyed by *what was simulated*, never by where it sat in
  * a campaign: `resultKeyU64` hashes the canonical-options pre-image
  * (the options fingerprint, via common/fingerprint), the workload mix,
- * the scheduled fault records, the per-job seed, and the stats-embed
- * flag.  Job id and label are deliberately excluded, so the same
+ * the scheduled fault records, the per-job seed, the stats-embed
+ * flag and, for a faulted job without recovery, a stop-at-detection
+ * marker.  Job id and label are deliberately excluded, so the same
  * simulation submitted under a different grid position — or by a
  * different client entirely — is a cache hit.
  *
@@ -92,9 +93,11 @@ struct RunnerConfig;
 /**
  * Content key of one job: fingerprint(options) + workloads +
  * fault records + seed (+ the stats-embed flag, which changes the
- * record payload).  Everything resultJson() renders from the JobResult
- * is a function of this key; everything it renders from the JobSpec
- * (id, label) is not part of it.
+ * record payload, and, for a faulted job without recovery, a marker
+ * for its stop at the first detection, so rows stored by builds that
+ * ran on past it are never served).  Everything resultJson() renders
+ * from the JobResult is a function of this key; everything it renders
+ * from the JobSpec (id, label) is not part of it.
  */
 std::uint64_t resultKeyU64(const JobSpec &spec);
 

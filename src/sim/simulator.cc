@@ -349,18 +349,27 @@ Simulation::run()
         }
     }
 
+    // A detection-only machine (recovery off) stops at its first
+    // detection: its checker signals, and nothing a later cycle does
+    // can change the trial's verdict (FaultOracle::classify ranks a
+    // detection first).  One flag the pairs raise, read once a cycle.
+    const bool stop_at_detection = !opts.recovery;
+    const RedundancyManager &pairs = _chip->redundancy();
+
     WallTimer run_timer;
     double warmup_seconds = 0;
     bool in_warmup = opts.warmup_insts > 0;
-    bool hung = false;
+    bool halted = false;    // watchdog fired, or stopped at a detection
     Cycle n = 0;
 
-    // One simulated cycle with warmup/watchdog accounting; shared by
-    // the main loop and the snapshot-barrier drain so a drained cycle
-    // is indistinguishable from any other.
+    // One simulated cycle with warmup/watchdog/detection accounting;
+    // shared by the main loop, the snapshot-barrier drain and the final
+    // drain so a drained cycle is indistinguishable from any other.
     auto tickOnce = [&]() {
         _chip->tick();
         ++n;
+        if (stop_at_detection && pairs.anyFaultDetected())
+            halted = true;
         if (in_warmup && pastWarmup()) {
             warmup_seconds = run_timer.lap();
             in_warmup = false;
@@ -376,7 +385,7 @@ Simulation::run()
                 w.committed = done;
                 w.last = n;
             } else if (n - w.last >= opts.hang_cycles) {
-                hung = true;
+                halted = true;
                 break;
             }
         }
@@ -389,15 +398,15 @@ Simulation::run()
     if (snap_every)
         next_barrier = (_chip->cycle() / snap_every + 1) * snap_every;
 
-    while (n < cap && !_chip->allDone() && !hung) {
+    while (n < cap && !_chip->allDone() && !halted) {
         tickOnce();
-        if (snap_every && !hung && !_chip->allDone() &&
+        if (snap_every && !halted && !_chip->allDone() &&
             _chip->cycle() >= next_barrier) {
             // Freeze-drain: stop non-trailing fetch, let everything in
             // flight commit, then (quiesced) hand control to the hook.
             _chip->setDraining(true);
             const Cycle drain_start = _chip->cycle();
-            while (!_chip->quiescedForSnapshot() && n < cap && !hung) {
+            while (!_chip->quiescedForSnapshot() && n < cap && !halted) {
                 tickOnce();
                 if (_chip->cycle() - drain_start > maxSnapshotDrainCycles) {
                     fatal("snapshot barrier at cycle %llu did not quiesce "
@@ -408,7 +417,7 @@ Simulation::run()
                 }
             }
             _chip->setDraining(false);
-            if (!hung && _chip->quiescedForSnapshot() && snapshotHook) {
+            if (!halted && _chip->quiescedForSnapshot() && snapshotHook) {
                 snapshotHook(_chip->cycle(), *this);
                 if (stopped)
                     break;
@@ -416,10 +425,11 @@ Simulation::run()
             next_barrier = (_chip->cycle() / snap_every + 1) * snap_every;
         }
     }
-    // Drain: forwarded outputs may still be in flight (Chip::run).
+    // Drain: forwarded outputs may still be in flight (Chip::run), and a
+    // detection among them stops the run as any other does.
     if (_chip->allDone()) {
-        for (Cycle d = 0; d < Chip::drainCycles && n < cap; ++d, ++n)
-            _chip->tick();
+        for (Cycle d = 0; d < Chip::drainCycles && n < cap && !halted; ++d)
+            tickOnce();
     }
     if (in_warmup)
         warmup_seconds = run_timer.lap();
@@ -494,7 +504,7 @@ Simulation::run()
             reached = false;
         }
     }
-    if (hung) {
+    if (halted) {
         result.outcome = result.detections ? Outcome::DetectedUnrecoverable
                                            : Outcome::Hang;
     } else if (!_chip->allDone()) {

@@ -123,7 +123,11 @@ enum class Outcome : std::uint8_t
 {
     Completed,      ///< every logical thread reached its target
     Hang,           ///< forward-progress watchdog fired, no detection
-    DetectedUnrecoverable,  ///< stopped short *with* a recorded detection
+    /** Stopped short with a recorded detection: without recovery, at
+     *  the end of the cycle of the first one (a detection-only machine
+     *  stops there); with recovery, through the watchdog or a thread's
+     *  early halt. */
+    DetectedUnrecoverable,
     CapExceeded,    ///< safety cap hit with the watchdog disabled
 };
 
@@ -201,7 +205,11 @@ class Simulation
         return static_cast<unsigned>(workloads.size());
     }
 
-    /** Run to completion (or the safety cap); gather results. */
+    /**
+     * Run to completion, the watchdog, the safety cap or, with recovery
+     * off, the end of the cycle in which any pair logs its first
+     * detection; gather results.
+     */
     RunResult run();
 
     /** The timeline probe, or nullptr when timeline_interval == 0. */

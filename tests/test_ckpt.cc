@@ -53,6 +53,7 @@
 
 #include "avf/sampler.hh"
 #include "ckpt/serializer.hh"
+#include "common/fingerprint.hh"
 #include "common/json.hh"
 #include "common/random.hh"
 #include "predictor/branch_predictor.hh"
@@ -602,9 +603,11 @@ TEST(Checkpoint, ForkedCampaignWorkIsPinned)
     // simulated (a rejoined trial stops at its barrier; one whose
     // strike nothing reads stops at the barrier it restores).  A
     // campaign that stops restoring or rejoining, or restores from an
-    // earlier barrier, simulates more tail cycles.  The row-derived
-    // counters were recorded before trials rejoined and must not move;
-    // the verdicts must not move either.
+    // earlier barrier, simulates more tail cycles, and so would a
+    // detected trial that ran on past its first detection (the one
+    // detected trial here stops 3457 cycles short of its budget).  The
+    // row-derived counters do not move when trials rejoin; the verdicts
+    // must not move either.
     Campaign campaign = faultCampaign();
     std::map<std::string, std::unique_ptr<FaultOracle>> oracles;
     attachOracles(campaign, oracles);
@@ -633,10 +636,10 @@ TEST(Checkpoint, ForkedCampaignWorkIsPinned)
         ++verdicts[r.verdict];
     }
     EXPECT_EQ(restored, 4u);
-    EXPECT_EQ(tail_cycles, 31585u);
+    EXPECT_EQ(tail_cycles, 28128u);
     EXPECT_EQ(rejoined, 5u);
     EXPECT_EQ(machineless, 2u);
-    EXPECT_EQ(simulated_cycles, 8583u);
+    EXPECT_EQ(simulated_cycles, 5126u);
     EXPECT_EQ(verdicts[FaultVerdict::Detected], 1u);
     EXPECT_EQ(verdicts[FaultVerdict::Masked], 5u);
     EXPECT_EQ(verdicts[FaultVerdict::Sdc], 0u);
@@ -919,6 +922,62 @@ TEST(Checkpoint, RejoinedTrialsMatchFromScratch)
                     << workers << " workers";
             }
         }
+    }
+}
+
+TEST(Checkpoint, DetectedTrialsStopAtTheirFirstDetection)
+{
+    // tools/check.sh's fault campaign (rmtsim_batch --modes srt,crt
+    // --workloads gcc,compress --fault-trials 8 --warmup 500 --insts
+    // 4000 --snapshot-every 1500), run as the tools run it.  Without
+    // recovery a detected trial ends with the cycle of its first
+    // detection: its row reads detected_unrecoverable at
+    // faults[0].when + detection_latency.  Its verdict and latency are
+    // pinned from runs that went on to the end of their budget, and
+    // every other row is byte-identical to those runs' (pinned as the
+    // FNV-1a of those rows).  Each point runs one workload, so its one
+    // pair is the faulted pair and the latency is measured on it.
+    SimOptions base;
+    base.warmup_insts = 500;
+    base.measure_insts = 4000;
+    base.snapshot_every = 1500;
+    CampaignBuilder builder("batch", 1);
+    builder.base(base)
+        .modes({SimMode::Srt, SimMode::Crt})
+        .workloads({"gcc", "compress"})
+        .transientRegTrials(8, 31);
+    const std::vector<JobSpec> jobs = builder.build().jobs;
+    const std::map<std::uint64_t, double> pinned = {
+        {1, 71}, {8, 294}, {11, 17}, {12, 135}, {14, 76}, {24, 178}};
+
+    for (const unsigned workers : {1u, 4u}) {
+        SnapshotCache cache;
+        std::uint64_t rejoined = 0;
+        std::istringstream rows(engineRows(jobs, workers, cache, rejoined));
+        std::map<std::uint64_t, double> detected;
+        std::string others;
+        for (std::string line; std::getline(rows, line);) {
+            JsonValue row;
+            ASSERT_TRUE(parseJson(line, row)) << line;
+            const JsonValue *verdict = row.find("verdict");
+            ASSERT_NE(verdict, nullptr) << line;
+            if (verdict->str() != "detected") {
+                others += line + "\n";
+                continue;
+            }
+            const auto id = static_cast<std::uint64_t>(row.numberOr("id", -1));
+            ASSERT_LT(id, jobs.size()) << line;
+            const double latency = row.numberOr("detection_latency", -1);
+            detected[id] = latency;
+            EXPECT_EQ(row.find("outcome")->str(), "detected_unrecoverable")
+                << line;
+            EXPECT_EQ(row.numberOr("total_cycles", -1),
+                      double(jobs[id].faults.front().when) + latency)
+                << line;
+        }
+        EXPECT_EQ(detected, pinned) << workers << " workers";
+        EXPECT_EQ(fnv1a64(others), 0x5709ddfd29b62f29ull)
+            << workers << " workers";
     }
 }
 

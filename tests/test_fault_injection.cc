@@ -163,6 +163,24 @@ TEST(FaultInjection, NoFaultsMeansNoDetections)
     EXPECT_EQ(sim.faultInjector().transientsApplied(), 0u);
 }
 
+TEST(FaultInjection, DetectedRunStopsAtFirstDetection)
+{
+    // A detection-only machine (recovery off) has nothing left to do
+    // once a pair detects: the run ends with that cycle, short of its
+    // budget, as detected_unrecoverable.
+    SimOptions o = srtOpts();
+    Simulation sim({"compress"}, o);
+    sim.faultInjector().schedule(regFault(3000, 0, intReg(3), 5));
+    const RunResult r = sim.run();
+    const auto &events = sim.chip().redundancy().pair(0).detections();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events.front().cycle, 3079u);
+    EXPECT_EQ(r.total_cycles, events.front().cycle);
+    EXPECT_EQ(r.detections, 1u);
+    EXPECT_EQ(r.outcome, Outcome::DetectedUnrecoverable);
+    EXPECT_FALSE(r.completed);
+}
+
 TEST(FaultInjection, CrtDetectsCrossCoreFaults)
 {
     SimOptions o = srtOpts();
@@ -427,6 +445,33 @@ TEST(FaultInjection, LatencyAttributionFollowsTheFaultedPair)
     EXPECT_EQ(rep.verdict, FaultVerdict::Detected);
     ASSERT_TRUE(rep.latency_valid);
     EXPECT_LT(rep.detection_latency, 5000u);
+}
+
+TEST(FaultInjection, StuckUnitBelongsToThePairThatDetectsItFirst)
+{
+    // A stuck-at unit corrupts every pair with a copy on its core.  The
+    // run ends at the first pair's detection, here pair 1's, before
+    // pair 0 saw anything, so the trial is attributed to pair 1 and
+    // measured there: detected, not a hang on pair 0.
+    SimOptions o = srtOpts(4000);
+    o.warmup_insts = 500;
+    const std::vector<std::string> mix = {"gcc", "compress"};
+    Simulation sim(mix, o);
+    const FaultRecord f = parseFaultSpec("fu:1461:0:0:0");
+    sim.faultInjector().schedule(f);
+    const RunResult r = sim.run();
+    EXPECT_EQ(r.outcome, Outcome::DetectedUnrecoverable);
+    EXPECT_TRUE(sim.chip().redundancy().pair(0).detections().empty());
+    const auto &events = sim.chip().redundancy().pair(1).detections();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(r.total_cycles, events.front().cycle);
+
+    const FaultOracle oracle(FaultOracle::goldenImage(mix, o));
+    const FaultTrialReport rep = oracle.classify(sim, r, f);
+    EXPECT_EQ(rep.faulted_pair, 1);
+    EXPECT_EQ(rep.verdict, FaultVerdict::Detected);
+    ASSERT_TRUE(rep.latency_valid);
+    EXPECT_EQ(rep.detection_latency, r.total_cycles - f.when);
 }
 
 TEST(FaultInjection, ClassifiedCampaignIsDeterministicAcrossJobLevels)

@@ -321,6 +321,9 @@ TEST(Recovery, WorksAcrossCoresUnderCrt)
 
 TEST(Recovery, SimulationLevelOption)
 {
+    // The strike is detected at cycle 3079; with recovery the pair
+    // rolls back and the run goes on to its budget (a detection-only
+    // run stops at that cycle): the pinned RunResult is the whole run.
     SimOptions o;
     o.mode = SimMode::Srt;
     o.warmup_insts = 0;
@@ -336,6 +339,17 @@ TEST(Recovery, SimulationLevelOption)
     f.bit = 5;
     sim.faultInjector().schedule(f);
     const RunResult r = sim.run();
+    const auto &events = sim.chip().redundancy().pair(0).detections();
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.front().cycle, 3079u);
     EXPECT_TRUE(r.completed);
-    EXPECT_GE(r.recoveries, 1u);
+    EXPECT_EQ(r.outcome, Outcome::Completed);
+    EXPECT_EQ(r.total_cycles, 6978u);
+    ASSERT_EQ(r.threads.size(), 1u);
+    EXPECT_EQ(r.threads.front().committed, 10226u);
+    EXPECT_EQ(r.threads.front().cycles, 6807u);
+    EXPECT_EQ(r.detections, 1u);
+    EXPECT_EQ(r.recoveries, 1u);
+    EXPECT_EQ(r.store_comparisons, 1324u);
+    EXPECT_EQ(r.store_mismatches, 0u);
 }

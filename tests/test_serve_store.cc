@@ -235,6 +235,17 @@ TEST(ResultKey, CoversWhatTheRunnerSimulatesAndRenders)
     JobSpec flat = spec;
     flat.options.snapshot_every = 0;
     EXPECT_EQ(resultKeyU64(flat, restore), resultKeyU64(flat));
+
+    // A faulted run without recovery stops at its first detection, so
+    // its key is not the one rows of the longer run were stored under
+    // (pinned below as the key before the rule).  Plain jobs and
+    // recovery trials run as before and keep their keys, so their
+    // stored rows are still served.
+    EXPECT_EQ(resultKeyU64(sampleSpec(0)), 0x74da6e18a6cd4ac3ull);
+    flat.options.recovery = true;
+    EXPECT_EQ(resultKeyU64(flat), 0xb71ebd3331873e6dull);
+    flat.options.recovery = false;
+    EXPECT_NE(resultKeyU64(flat), 0x2ec6fc4bc3a8d808ull);
 }
 
 TEST(ResultStore, ClaimPublishHitCounters)

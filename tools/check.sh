@@ -89,9 +89,10 @@ echo "== ckpt: snapshot-forked fault campaign work counters =="
 # trial whose strike hits a register its program never reads rejoins at
 # the barrier it starts from, so it simulates nothing (its rejoin_cycle
 # equals its snapshot_cycle).  rmtsim_report --snapshots reads the same
-# rows: 8 of the 16 trials restore, and 79140 of their 111691 cycles are
+# rows: 8 of the 16 trials restore, and 79140 of their 93074 cycles are
 # never simulated (restored prefixes plus tails skipped after a
-# rejoin).
+# rejoin); the 4 detected trials count their cycles up to their first
+# detection, where they stop.
 ckpt_batch="--modes srt --workloads gcc,compress --fault-trials 8
             --warmup 500 --insts 5000 --snapshot-every 1500
             --no-timing"
@@ -118,7 +119,7 @@ grep -Eq '"snapshot_cycle":([0-9]+),.*"rejoin_cycle":\1[,}]' \
     > build/ckpt_report.txt
 cat build/ckpt_report.txt
 grep -Eq '^16 +8 +50% +12 ' build/ckpt_report.txt
-grep -q '^79140 of 111691 cycles not simulated ' build/ckpt_report.txt
+grep -q '^79140 of 93074 cycles not simulated ' build/ckpt_report.txt
 
 echo "== settings: one vocabulary across rmtsim and rmtsim_batch =="
 # rmtsim --set and rmtsim_batch --sweep take the same keys, so the same
@@ -248,6 +249,32 @@ if grep -q '"extra"' build/flat_j1.jsonl; then
     echo "check.sh: a barrier-less trial row carries an extra block" >&2
     exit 1
 fi
+# Without recovery a detected trial ends with the cycle of its first
+# detection: on perfbench's fault-campaign arguments, with and without
+# barriers, every detected row reads detected_unrecoverable and ends at
+# faults[0].when + detection_latency, at -j 1 as at -j 4.
+stops_at_detection() {
+    grep '"verdict":"detected"' "$1" > build/detected_rows.txt
+    [ -s build/detected_rows.txt ]
+    # when, outcome, total_cycles, detection_latency
+    row='.*"faults":\[{"kind":"[a-z]*","when":\([0-9]*\),'
+    row=$row'.*"outcome":"\([a-z_]*\)","total_cycles":\([0-9]*\),'
+    row=$row'.*"detection_latency":\([0-9]*\).*'
+    sed "s/$row/\1 \2 \3 \4/" build/detected_rows.txt | awk '
+        $2 != "detected_unrecoverable" || $3 != $1 + $4 {
+            print "check.sh: detected row runs past its detection: " $0 \
+                > "/dev/stderr"
+            bad = 1
+        }
+        END { exit bad }'
+}
+./build/tools/rmtsim_batch $flat_args --snapshot-every 2000 -j 1 --quiet \
+    --out build/bar_j1.jsonl
+./build/tools/rmtsim_batch $flat_args --snapshot-every 2000 -j 4 --quiet \
+    --out build/bar_j4.jsonl
+diff build/bar_j1.jsonl build/bar_j4.jsonl
+stops_at_detection build/flat_j1.jsonl
+stops_at_detection build/bar_j1.jsonl
 
 echo "== paper: every figure as one campaign, shape claims gated =="
 # The paper's figures, ablations and fault-coverage experiments run as
@@ -288,6 +315,13 @@ rc=0
 ./build/tools/rmtsim_batch --figure fig6 --modes srt --out - \
     > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ]
+# A usage error is one line on stderr: nothing lands in the row stream.
+rc=0
+./build/tools/rmtsim_batch --bogus --out - > build/usage_out.txt \
+    2> build/usage_err.txt || rc=$?
+[ "$rc" -eq 2 ]
+[ ! -s build/usage_out.txt ]
+[ "$(wc -l < build/usage_err.txt)" -eq 1 ]
 # The budget is --warmup and --insts: there is no runner-level cap.
 rc=0
 ./build/tools/rmtsim_batch --max-insts 1 --out - > /dev/null 2>&1 || rc=$?

@@ -302,7 +302,6 @@ main(int argc, char **argv)
             } else if (arg == "--list") {
                 list_only = true;
             } else {
-                usage();
                 throw std::invalid_argument("unknown argument '" + arg +
                                             "'");
             }

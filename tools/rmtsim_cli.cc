@@ -34,6 +34,15 @@ using namespace rmt;
 namespace
 {
 
+/** A missing or bad value or an unknown flag: one line on stderr and
+ *  exit 2, as in the other tools. */
+[[noreturn]] void
+usageError(const std::string &what)
+{
+    std::fprintf(stderr, "rmtsim: %s\n", what.c_str());
+    std::exit(2);
+}
+
 void
 usage()
 {
@@ -122,16 +131,14 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
+                usageError("missing value for " + arg);
             return argv[++i];
         };
-        // A bad value is a usage error (exit 2), as in the other tools.
         const auto valid = [&](auto parse) {
             try {
                 return parse(next());
             } catch (const std::invalid_argument &e) {
-                std::fprintf(stderr, "rmtsim: %s\n", e.what());
-                std::exit(2);
+                usageError(e.what());
             }
         };
         const auto u64 = [&] {
@@ -179,8 +186,7 @@ main(int argc, char **argv)
         } else if (arg == "--restore-snapshot") {
             restore_snapshot_file = next();
         } else {
-            usage();
-            fatal("unknown argument '%s'", arg.c_str());
+            usageError("unknown argument '" + arg + "'");
         }
     }
 

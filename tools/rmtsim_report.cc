@@ -133,7 +133,6 @@ main(int argc, char **argv)
             } else if (arg == "--serve-summary") {
                 serve_sock = next();
             } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-                usage();
                 throw std::invalid_argument("unknown argument '" + arg +
                                             "'");
             } else if (path.empty()) {
@@ -211,7 +210,7 @@ main(int argc, char **argv)
     }
 #endif
     if (path.empty()) {
-        usage();
+        std::fprintf(stderr, "rmtsim_report: no input file (see --help)\n");
         return 2;
     }
 

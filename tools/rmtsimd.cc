@@ -127,7 +127,6 @@ main(int argc, char **argv)
             } else if (!arg.empty() && arg[0] != '-') {
                 verb = arg;
             } else {
-                usage();
                 throw std::invalid_argument("unknown argument '" + arg +
                                             "'");
             }
